@@ -1,13 +1,15 @@
 """Certified lower and upper estimates for the resolution depth of a link.
 
-Lower bounds come from the polynomial (top z-degree and Conway
-breadth, each with a floor of 1 once the link is certified nontrivial),
-from skein reachability (the polynomial is not one that any link of
-depth <= d with the same component count can have, see
-:func:`skein_reachable`), and from genus and component count via
-2g + r - 1.  Upper bounds come from the simplified crossing number minus
-one and from braid presentations.  ``aggregate_bounds`` collects every
-applicable estimate into one report; the search in :mod:`.solver` then
+Lower bounds read off the polynomial live in one place,
+:func:`polynomial_contributions`: the top z-degree (with a floor of 1
+unless the polynomial is the unlink value) and skein reachability (the
+polynomial is not one that any link of depth <= d with the same
+component count can have, see :func:`skein_reachable`).  The bound
+report lists each of them, and the search in :mod:`.solver` prunes with
+their maximum, :func:`polynomial_lower_bound`.  Genus and component
+count give 2g + r - 1.  Upper bounds come from the simplified crossing
+number minus one and from braid presentations.  ``aggregate_bounds``
+collects every applicable estimate into one report; the search then
 only has to close the gap.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .braid import braid_stats, mixed_braid_upper, positive_braid_td
 from .diagram import OrientedDiagram, component_count
 from .moves import simplify
 from .poly import (
@@ -25,7 +28,6 @@ from .poly import (
     _AmZ,
     HomflyCache,
     LaurentPoly2,
-    conway_breadth_of,
     homfly,
     unlink_value,
 )
@@ -70,15 +72,14 @@ def crossing_upper_bound(d: OrientedDiagram) -> int:
 
 
 def homfly_lower_bound(d: OrientedDiagram, cache: HomflyCache | None = None) -> int:
-    """max(top z-degree of the polynomial, 1).
+    """The z-degree bound of :func:`polynomial_contributions` for the link of d.
 
-    Caller must know d is not an unlink: the floor of 1 is only sound for
-    nontrivial links.  Crossingless inputs are rejected outright.
+    Crossingless inputs are rejected outright.
     """
     s = simplify(d)
     if s.is_crossingless():
         raise ValueError("diagram simplifies to an unlink; lower bound floor does not apply")
-    return max(homfly(s, cache).z_degree(), 1)
+    return _z_degree_bound(homfly(s, cache), component_count(s))
 
 
 @functools.cache
@@ -125,6 +126,28 @@ def skein_reach_lower_bound(p: LaurentPoly2, components: int) -> int:
     return REACH_DEPTH + 1
 
 
+def _z_degree_bound(p: LaurentPoly2, components: int) -> int:
+    # the floor of 1 needs a nontriviality certificate, which the
+    # polynomial itself supplies unless it matches the unlink value
+    floor = 1 if p != unlink_value(components) else 0
+    return max(p.z_degree(), floor)
+
+
+def polynomial_contributions(p: LaurentPoly2, components: int) -> tuple[tuple[str, int], ...]:
+    """Named lower bounds on the depth of a link with polynomial p and
+    that many components, in the order the bound report lists them."""
+    return (
+        ("homfly z-degree", _z_degree_bound(p, components)),
+        ("skein reachability", skein_reach_lower_bound(p, components)),
+    )
+
+
+def polynomial_lower_bound(p: LaurentPoly2, components: int) -> int:
+    """The best lower bound the polynomial alone proves: the largest of
+    :func:`polynomial_contributions`."""
+    return max(value for _, value in polynomial_contributions(p, components))
+
+
 def aggregate_bounds(
     d: OrientedDiagram,
     genus: int | None = None,
@@ -153,19 +176,12 @@ def aggregate_bounds(
         contribs.append((name, value, kind))
         (lowers if kind == "lower" else uppers).append(value)
 
-    # the floor of 1 needs a nontriviality certificate, which the
-    # polynomial itself supplies unless it matches the unlink value
-    zdeg = p.z_degree()
-    floor = 1 if p != unlink_value(r) else 0
-    add("homfly z-degree", max(zdeg, floor), "lower")
-    add("conway breadth", max(conway_breadth_of(p), floor), "lower")
-    add("skein reachability", skein_reach_lower_bound(p, r), "lower")
+    for name, value in polynomial_contributions(p, r):
+        add(name, value, "lower")
     if genus is not None:
         add("genus-components", genus_lower_bound(genus, r), "lower")
     add("crossing count", s.crossing_count - 1, "upper")
     if braid_words:
-        from .braid import braid_stats, mixed_braid_upper, positive_braid_td
-
         add("mixed braid", mixed_braid_upper(list(braid_words)), "upper")
         exact = None
         for w in braid_words:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, OrientedDiagram
-from .moves import _rewire
+from .diagram import Crossing, OrientedDiagram, _rewire
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,14 @@ import os
 import sys
 from dataclasses import dataclass
 
+from . import braid
 from .bounds import aggregate_bounds
 from .braid import BraidWord, braid_stats, mixed_braid_upper, parse_braid, positive_braid_td
 from .diagram import OrientedDiagram, parse_pd, pd_text
-from .poly import homfly, parse_poly, render_poly
+from .poly import homfly, render_poly
 from .solver import (
     DEFAULT_BUDGET,
+    ResultCache,
     SkeinBranch,
     SkeinLeaf,
     SkeinTree,
@@ -38,76 +40,8 @@ from .solver import (
     extract_tree,
 )
 
-_INF = 10**9
-
 
 # -- result cache --------------------------------------------------------------
-
-
-class ResultCache:
-    """Append-only store of (canonical code, polynomial text, depth interval).
-
-    Lines are tab-separated; a missing value is "-".  Later lines win on
-    reload, so appending an improved interval supersedes the old one.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.loaded: dict[str, tuple[str, str]] = {}
-
-    def load_into(self, ctx: SolveContext) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno}: wrong field count",
-                        file=sys.stderr,
-                    )
-                    continue
-                code, poly_text, interval = parts
-                try:
-                    if poly_text != "-":
-                        ctx.homfly_cache.table[code] = parse_poly(poly_text)
-                    if interval != "-":
-                        lo_s, hi_s = interval.split(",")
-                        lo = int(lo_s)
-                        hi = _INF if hi_s == "-" else int(hi_s)
-                        if lo > hi:
-                            raise ValueError("empty interval")
-                        ctx.persisted[code] = (lo, hi)
-                except (ValueError, IndexError) as e:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno}: {e}",
-                        file=sys.stderr,
-                    )
-                    continue
-                self.loaded[code] = (poly_text, interval)
-
-    def save_from(self, ctx: SolveContext) -> None:
-        rows = []
-        codes = set(ctx.homfly_cache.table) | set(ctx.memo) | set(ctx.persisted)
-        for code in sorted(codes):
-            value = ctx.homfly_cache.table.get(code)
-            poly_text = render_poly(value) if value is not None else "-"
-            lo, hi = ctx.memo.get(code, (1, _INF))
-            if code in ctx.persisted:
-                plo, phi = ctx.persisted[code]
-                lo, hi = max(lo, plo), min(hi, phi)
-            if (lo, hi) == (1, _INF):
-                interval = "-"
-            else:
-                interval = f"{lo},{'-' if hi >= _INF else hi}"
-            if self.loaded.get(code) != (poly_text, interval):
-                rows.append(f"{code}\t{poly_text}\t{interval}\n")
-        if rows:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.writelines(rows)
 
 
 def _open_cache(args, ctx: SolveContext) -> ResultCache | None:
@@ -167,9 +101,7 @@ def parse_dataset_row(line: str) -> DatasetRow:
         d = parse_pd(pd_cell)
     elif words:
         # pd omitted: take the closure of the first braid word
-        from .braid import braid_closure
-
-        d = braid_closure(words[0])
+        d = braid.braid_closure(words[0])
     else:
         raise ValueError(f"row {name!r} has neither a PD code nor a braid word")
     genus = int(genus_cell) if genus_cell else None

@@ -15,7 +15,10 @@ where both readings are consistent (a two-arc component that never runs
 under) parse with the b -> d reading.  Internally every crossing carries
 its sign explicitly, and all diagram operations preserve it.
 
-Instances are immutable; all operations return new diagrams.
+Instances are immutable; all operations return new diagrams.  The two
+skein operations at a crossing, :func:`switch` and :func:`smooth`, are
+defined here, so the polynomial and the rewrite modules both build on
+this one without importing each other.
 """
 
 from __future__ import annotations
@@ -330,6 +333,74 @@ def mirror(d: OrientedDiagram) -> OrientedDiagram:
         else:
             out.append(Crossing(cr.d, cr.a, cr.b, cr.c, 1))
     return OrientedDiagram(tuple(out), d.free_loops)
+
+
+# -- skein operations ----------------------------------------------------------
+
+
+def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
+    """Exchange over and under strands at crossing i (negates its sign).
+
+    Arc labels and strand succession are untouched, so the result needs
+    no relabeling and traversal order is stable under repeated switches.
+    """
+    if not 0 <= i < d.crossing_count:
+        raise IndexError(f"crossing index {i} out of range")
+    cr = d.crossings[i]
+    if cr.sign > 0:
+        new = Crossing(cr.b, cr.c, cr.d, cr.a, -1)
+    else:
+        new = Crossing(cr.d, cr.a, cr.b, cr.c, 1)
+    return OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
+
+
+def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
+    """Oriented resolution: erase crossing i, joining in-arcs to out-arcs."""
+    if not 0 <= i < d.crossing_count:
+        raise IndexError(f"crossing index {i} out of range")
+    cr = d.crossings[i]
+    if cr.sign > 0:
+        merges = [(cr.a, cr.d), (cr.b, cr.c)]
+    else:
+        merges = [(cr.a, cr.b), (cr.d, cr.c)]
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    return _rewire(rest, merges, d.free_loops)
+
+
+def _rewire(
+    crossings: Iterable[Crossing],
+    merges: Iterable[tuple[int, int]],
+    free_loops: int,
+) -> OrientedDiagram:
+    """Glue arcs pairwise and rebuild a normalized diagram.
+
+    Merge chains that no longer touch any crossing close up into free
+    loops (one per chain); arcs of removed crossings that appear in no
+    merge vanish outright, which is what kink contraction needs.
+    """
+    crossings = tuple(crossings)
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in merges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    relabeled = tuple(
+        Crossing(find(cr.a), find(cr.b), find(cr.c), find(cr.d), cr.sign)
+        for cr in crossings
+    )
+    used = {arc for cr in relabeled for arc in cr.arcs()}
+    roots = {find(x) for pair in merges for x in pair}
+    loops = sum(1 for r in roots if r not in used)
+    return renormalize(relabeled, free_loops + loops)
 
 
 # -- connectivity -------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Diagram rewrites: skein resolutions, simplification, and local moves.
+"""Diagram rewrites: simplification, local moves and unlink recognition.
 
-The two skein operations at a crossing are :func:`switch` (exchange the
-over and under strands) and :func:`smooth` (the oriented resolution that
-erases the crossing).  :func:`simplify` shrinks a diagram monotonically
-with crossing-removing moves: kink removal, removal of a strand poked
-under or over another, and untwisting of crossings whose resolution
-disconnects the diagram.  The crossing-increasing pokes, kink insertions
-and triangle slides further down never shrink a diagram; they feed the
-bounded unlink search in :func:`recognize_unlink` and the randomized
-invariance tests.
+:func:`simplify` shrinks a diagram monotonically with crossing-removing
+moves: kink removal, removal of a strand poked under or over another,
+and untwisting of crossings whose resolution disconnects the diagram.
+The crossing-increasing pokes, kink insertions and triangle slides
+further down never shrink a diagram; they feed the bounded unlink search
+in :func:`recognize_unlink` and the randomized invariance tests.  The
+skein operations themselves (:func:`switch`, :func:`smooth`) live in
+:mod:`.diagram`.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from typing import Iterable, Iterator
 from .diagram import (
     Crossing,
     OrientedDiagram,
+    _crossing_groups,
+    _rewire,
     arriving_slots,
     canonical_code,
     component_count,
@@ -30,74 +31,7 @@ from .diagram import (
     renormalize,
     validate,
 )
-
-
-# -- skein operations ----------------------------------------------------------
-
-
-def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    """Exchange over and under strands at crossing i (negates its sign).
-
-    Arc labels and strand succession are untouched, so the result needs
-    no relabeling and traversal order is stable under repeated switches.
-    """
-    if not 0 <= i < d.crossing_count:
-        raise IndexError(f"crossing index {i} out of range")
-    cr = d.crossings[i]
-    if cr.sign > 0:
-        new = Crossing(cr.b, cr.c, cr.d, cr.a, -1)
-    else:
-        new = Crossing(cr.d, cr.a, cr.b, cr.c, 1)
-    return OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
-
-
-def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    """Oriented resolution: erase crossing i, joining in-arcs to out-arcs."""
-    if not 0 <= i < d.crossing_count:
-        raise IndexError(f"crossing index {i} out of range")
-    cr = d.crossings[i]
-    if cr.sign > 0:
-        merges = [(cr.a, cr.d), (cr.b, cr.c)]
-    else:
-        merges = [(cr.a, cr.b), (cr.d, cr.c)]
-    rest = d.crossings[:i] + d.crossings[i + 1 :]
-    return _rewire(rest, merges, d.free_loops)
-
-
-def _rewire(
-    crossings: Iterable[Crossing],
-    merges: Iterable[tuple[int, int]],
-    free_loops: int,
-) -> OrientedDiagram:
-    """Glue arcs pairwise and rebuild a normalized diagram.
-
-    Merge chains that no longer touch any crossing close up into free
-    loops (one per chain); arcs of removed crossings that appear in no
-    merge vanish outright, which is what kink contraction needs.
-    """
-    crossings = tuple(crossings)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in merges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    relabeled = tuple(
-        Crossing(find(cr.a), find(cr.b), find(cr.c), find(cr.d), cr.sign)
-        for cr in crossings
-    )
-    used = {arc for cr in relabeled for arc in cr.arcs()}
-    roots = {find(x) for pair in merges for x in pair}
-    loops = sum(1 for r in roots if r not in used)
-    return renormalize(relabeled, free_loops + loops)
+from .poly import homfly, unlink_value
 
 
 # -- crossing-removing moves ---------------------------------------------------
@@ -257,8 +191,6 @@ def _planar_valid(d: OrientedDiagram) -> bool:
     except ValueError:
         return False
     # Euler count, one sphere per connected group of crossings
-    from .diagram import _crossing_groups
-
     groups = _crossing_groups(d)
     return len(faces(d)) == d.crossing_count + 2 * len(groups)
 
@@ -517,8 +449,6 @@ def recognize_unlink(
     r = component_count(start)
     if start.is_crossingless():
         return Verdict.unlink(r)
-    from .poly import homfly, unlink_value
-
     value = homfly_value if homfly_value is not None else homfly(start)
     if value != unlink_value(r):
         return Verdict.not_unlink()

@@ -12,6 +12,16 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .diagram import (
+    OrientedDiagram,
+    canonical_code,
+    component_count,
+    component_cycles,
+    smooth,
+    split_components,
+    switch,
+)
+
 
 class LaurentPoly2:
     """Integer Laurent polynomial in a and z (exponents may be negative)."""
@@ -251,15 +261,6 @@ def parse_poly(text: str) -> LaurentPoly2:
 # positive defect  P = a^2 * P(switched) + a*z * P(smoothed),  at a
 # negative one  P = a^-2 * P(switched) - a^-1*z * P(smoothed).
 
-from .diagram import (
-    OrientedDiagram,
-    canonical_code,
-    component_count,
-    component_cycles,
-    split_components,
-)
-from .moves import smooth, switch
-
 
 class BudgetExceeded(RuntimeError):
     """A configured node budget ran out before the computation finished."""
@@ -286,8 +287,6 @@ class HomflyCache:
     def __len__(self) -> int:
         return len(self.table)
 
-
-_shared_cache = HomflyCache()
 
 _A2 = monomial(1, 2, 0)
 _AZ = monomial(1, 1, 1)
@@ -319,13 +318,13 @@ def homfly(
 ) -> LaurentPoly2:
     """The two-variable skein invariant of the link of d.
 
-    Results are memoized on canonical codes in `cache` (a shared module
-    table by default), so repeated and nested calls stay cheap.
-    max_nodes caps the number of uncached skein expansions; exceeding it
-    raises BudgetExceeded.
+    Results are memoized on canonical codes in `cache`, so repeated and
+    nested calls stay cheap; without one, the call uses a fresh table of
+    its own.  max_nodes caps the number of uncached skein expansions;
+    exceeding it raises BudgetExceeded.
     """
     if cache is None:
-        cache = _shared_cache
+        cache = HomflyCache()
     budget = [-1 if max_nodes is None else max_nodes]
     return _homfly(d, cache, budget)
 

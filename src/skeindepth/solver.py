@@ -10,27 +10,32 @@ Soundness rules the search lives by:
 
 * every node diagram is simplified before anything else happens to it;
 * a node counts as a leaf only when the unlink recognizer certifies it;
-* the polynomial z-degree prunes a subtree only because every valid
-  tree under a diagram is at least that tall;
+* the polynomial lower bound (:func:`.bounds.polynomial_lower_bound`,
+  the same one the bound report uses) prunes a subtree only because
+  every valid tree under a diagram is at least that tall;
 * a failed search at depth k refutes depth k for that diagram, but a
   budget exhaustion refutes nothing — it surfaces as None and widens
   the reported interval.
 
 Per-diagram results (depth intervals, witnesses, recognizer verdicts,
 polynomials) are memoized on the canonical code inside a SolveContext,
-so the k-sweep and sibling subtrees share work.
+so the k-sweep and sibling subtrees share work.  :class:`ResultCache`
+persists the polynomials and depth intervals of a context to a file and
+loads them into another.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bounds import BoundsReport, aggregate_bounds
-from .diagram import OrientedDiagram, canonical_code, component_count
-from .moves import Verdict, _side_groups, recognize_unlink, simplify, smooth, switch
-from .poly import HomflyCache, LaurentPoly2, homfly
+from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
+from .diagram import OrientedDiagram, canonical_code, component_count, smooth, switch
+from .moves import Verdict, _side_groups, recognize_unlink, simplify
+from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly
 
 DEFAULT_BUDGET = 5_000_000
 _INF = 10**9
@@ -66,9 +71,11 @@ def tree_depth(tree: SkeinTree) -> int:
 class SolveContext:
     """Shared state for one or many solves: caches, memo tables, budgets.
 
-    memo maps canonical codes to certified depth intervals [lo, hi];
+    memo maps canonical codes to certified depth intervals [lo, hi],
+    found by this context's searches or loaded from a cache file;
     witness keeps, per code, the shallowest recorded resolution step so
-    a tree can be rebuilt without re-searching.
+    a tree can be rebuilt without re-searching.  An interval loaded from
+    a file has no witness, and neither has a success that rests on one.
     """
 
     def __init__(
@@ -79,9 +86,6 @@ class SolveContext:
     ):
         self.homfly_cache = cache if cache is not None else HomflyCache()
         self.memo: dict[str, tuple[int, int]] = {}
-        # intervals imported from a previous run's cache file: trusted for
-        # pruning but carrying no witness payloads
-        self.persisted: dict[str, tuple[int, int]] = {}
         self.witness: dict[str, tuple[int, tuple]] = {}
         self.verdicts: dict[str, Verdict] = {}
         self.recognizer_nodes = recognizer_nodes
@@ -120,7 +124,11 @@ def _record_leaf(ctx: SolveContext, code: str, components: int) -> None:
 
 
 def _record_branch(ctx, code, i, d, sw, sm) -> None:
-    h = 1 + max(ctx.witness[canonical_code(sw)][0], ctx.witness[canonical_code(sm)][0])
+    w_sw = ctx.witness.get(canonical_code(sw))
+    w_sm = ctx.witness.get(canonical_code(sm))
+    if w_sw is None or w_sm is None:
+        return  # a child proven only by a cache-loaded interval
+    h = 1 + max(w_sw[0], w_sm[0])
     if code not in ctx.witness or h < ctx.witness[code][0]:
         ctx.witness[code] = (h, ("branch", i, d, sw, sm))
 
@@ -154,14 +162,11 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         return True
 
     lo, hi = ctx.memo.get(code, (1, _INF))
-    if code in ctx.persisted:
-        plo, phi = ctx.persisted[code]
-        lo, hi = max(lo, plo), min(hi, phi)
     if hi <= k:
         return True
     if k < lo:
         return False
-    self_lb = max(1, ctx.poly_of(d).z_degree())
+    self_lb = polynomial_lower_bound(ctx.poly_of(d), component_count(d))
     if self_lb > k:
         ctx.memo[code] = (max(lo, self_lb), hi)
         return False
@@ -369,3 +374,72 @@ def compute_td(
         )
     finally:
         ctx.deadline = saved_deadline
+
+
+# -- result cache --------------------------------------------------------------
+
+
+class ResultCache:
+    """Append-only store of (canonical code, polynomial text, depth interval).
+
+    Lines are tab-separated; a missing value is "-".  Later lines win on
+    reload, so appending an improved interval supersedes the old one.
+    Loaded intervals go into the context's memo, where they carry no
+    witness.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.loaded: dict[str, tuple[str, str]] = {}
+
+    def load_into(self, ctx: SolveContext) -> None:
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    print(
+                        f"warning: skipping corrupt cache line {lineno}: wrong field count",
+                        file=sys.stderr,
+                    )
+                    continue
+                code, poly_text, interval = parts
+                try:
+                    if poly_text != "-":
+                        ctx.homfly_cache.table[code] = parse_poly(poly_text)
+                    if interval != "-":
+                        lo_s, hi_s = interval.split(",")
+                        lo = int(lo_s)
+                        hi = _INF if hi_s == "-" else int(hi_s)
+                        if lo > hi:
+                            raise ValueError("empty interval")
+                        # the search only consults the memo for diagrams
+                        # that are not certified unlinks, so its floor is 1
+                        ctx.memo[code] = (max(lo, 1), hi)
+                except (ValueError, IndexError) as e:
+                    print(
+                        f"warning: skipping corrupt cache line {lineno}: {e}",
+                        file=sys.stderr,
+                    )
+                    continue
+                self.loaded[code] = (poly_text, interval)
+
+    def save_from(self, ctx: SolveContext) -> None:
+        rows = []
+        for code in sorted(set(ctx.homfly_cache.table) | set(ctx.memo)):
+            value = ctx.homfly_cache.table.get(code)
+            poly_text = render_poly(value) if value is not None else "-"
+            lo, hi = ctx.memo.get(code, (1, _INF))
+            if (lo, hi) == (1, _INF):
+                interval = "-"
+            else:
+                interval = f"{lo},{'-' if hi >= _INF else hi}"
+            if self.loaded.get(code) != (poly_text, interval):
+                rows.append(f"{code}\t{poly_text}\t{interval}\n")
+        if rows:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.writelines(rows)

@@ -13,6 +13,7 @@ from skeindepth import (
     mirror,
     parse_braid,
     parse_pd,
+    polynomial_lower_bound,
     simplify,
     skein_reach_lower_bound,
     skein_reachable,
@@ -97,9 +98,10 @@ def test_skein_reachable_small_sets():
 
 
 def test_skein_reach_bound_is_sound_on_small_diagrams():
-    """The reachability bound never exceeds a tree height found by full
-    enumeration, on every fixture with at most 4 crossings and on each
-    of its simplified switch and smoothing children."""
+    """The reachability bound, and the polynomial bound the search prunes
+    with, never exceed a tree height found by full enumeration, on every
+    fixture with at most 4 crossings and on each of its simplified switch
+    and smoothing children."""
     cache = HomflyCache()
     seen = {}
     for name, (text, _) in FIXTURE_PDS.items():
@@ -115,13 +117,14 @@ def test_skein_reach_bound_is_sound_on_small_diagrams():
         height = brute_min_height(d, d.crossing_count)
         assert height < INF, name
         for e in (d, mirror(d)):
-            bound = skein_reach_lower_bound(homfly(e, cache), component_count(e))
-            assert bound <= height, name
+            p, r = homfly(e, cache), component_count(e)
+            assert skein_reach_lower_bound(p, r) <= height, name
+            assert polynomial_lower_bound(p, r) <= height, name
 
 
 def test_skein_reach_bound_closes_table_gaps():
-    # z-degree and Conway breadth stop one short on these rows; the
-    # reachability contribution alone sets the lower end
+    # the z-degree stops one short on these rows; the reachability
+    # contribution alone sets the lower end
     cache = HomflyCache()
     for name, want in {"L4a1{0}": 2, "K5a1": 3}.items():
         rep = aggregate_bounds(

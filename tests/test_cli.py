@@ -12,6 +12,7 @@ from skeindepth import (
     extract_tree,
     parse_braid,
     parse_pd,
+    pd_text,
 )
 from skeindepth.cli import (
     ResultCache,
@@ -233,7 +234,7 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("warning: skipping corrupt cache line") == 2
     assert len(ctx.homfly_cache.table) == 1
-    assert list(ctx.persisted.values()) == [(1, 1)]
+    assert list(ctx.memo.values()) == [(1, 1)]
 
 
 def test_cache_env_var_overrides(tmp_path, monkeypatch, capsys):
@@ -262,6 +263,16 @@ def test_cache_appends_only_new_entries(tmp_path):
     rc2.save_from(ctx2)
     n2 = len(open(cache_path).readlines())
     assert n1 == n2  # nothing new to append
+
+
+def test_td_warm_cache_extends_a_cached_family(tmp_path, capsys):
+    # T(2,6) reaches T(2,5)'s cached interval, which carries no witness
+    cache_path = str(tmp_path / "cache.tsv")
+    for word, want in (("p=2: 1 1 1 1 1", "4\t4\t4\n"), ("p=2: 1 1 1 1 1 1", "5\t5\t5\n")):
+        f = tmp_path / "in.pd"
+        f.write_text(pd_text(braid_closure(parse_braid(word))) + "\n")
+        assert main(["td", str(f), "--cache", cache_path]) == 0
+        assert capsys.readouterr().out == want
 
 
 # -- DOT export ---------------------------------------------------------------------

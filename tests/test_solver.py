@@ -6,6 +6,7 @@ from skeindepth import (
     SkeinBranch,
     SkeinLeaf,
     SolveContext,
+    braid_closure,
     canonical_code,
     compute_td,
     depth_at_most,
@@ -18,6 +19,7 @@ from skeindepth import (
     tree_depth,
     verify_tree,
 )
+from skeindepth.solver import ResultCache
 
 from conftest import FIXTURE_PDS
 
@@ -215,10 +217,38 @@ def test_persisted_interval_answers_without_witness():
     assert depth_at_most(tref, 2, ctx=ctx1) is True
     code = canonical_code(simplify(tref))
     ctx2 = SolveContext()
-    ctx2.persisted[code] = ctx1.memo[code]
+    ctx2.memo[code] = ctx1.memo[code]
     assert depth_at_most(tref, 2, budget=0, ctx=ctx2) is True
     res = compute_td(tref, ctx=ctx2)
     assert res.is_exact and res.value == 2 and res.witness is None
+
+
+def test_warm_cache_answers_match_cold(tmp_path):
+    words = [
+        parse_braid(w)
+        for w in (
+            "p=2: 1 1 1 1 1",
+            "p=2: 1 1 1 1 1 1",
+            "p=3: 1 2 1 2 1 2",
+            "p=3: -2 -2 1 2 1 -2 1 -2",
+            "p=4: -1 -1 2 -3 -3 1 -2",
+            "p=3: 1 2 -1 -1 -1 1 -2 1 -2",
+            "p=4: -2 1 3 -1 1 -2 -1 1 3",
+            "p=3: 1 -2 1 -2",
+        )
+    ]
+
+    def solve(ws, ctx):
+        return [compute_td(braid_closure(w), braid_words=[w], ctx=ctx).render() for w in ws]
+
+    cold = [solve([w], SolveContext())[0] for w in words]
+    path = str(tmp_path / "cache.tsv")
+    ctx = SolveContext()
+    solve(words[::2], ctx)
+    ResultCache(path).save_from(ctx)
+    warm = SolveContext()
+    ResultCache(path).load_into(warm)
+    assert solve(words, warm) == cold
 
 
 def test_result_rendering():
