@@ -12,8 +12,9 @@ One verb per artifact:
 Exit codes: 0 success, 1 input error, 2 budget/timeout exhaustion with
 interval output.  A result cache (``--cache PATH``, overridden by the
 SKEIN_CACHE environment variable) persists polynomial values and depth
-intervals keyed by canonical code, as append-only tab-separated lines;
-corrupt lines are skipped with a warning on stderr.
+intervals keyed by canonical code, as append-only tab-separated lines
+that start with a format marker; corrupt lines and lines of the older
+unversioned format are skipped with a warning on stderr.
 """
 
 from __future__ import annotations

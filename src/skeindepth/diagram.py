@@ -19,11 +19,17 @@ Instances are immutable; all operations return new diagrams.  The two
 skein operations at a crossing, :func:`switch` and :func:`smooth`, are
 defined here, so the polynomial and the rewrite modules both build on
 this one without importing each other.
+
+:func:`canonical_code` names a diagram up to renaming its arcs and
+reordering its crossings; the solver, the polynomial cache and the
+unlink recognizer all key their tables on it.  It labels each connected
+part by traversal from every candidate start arc and keeps the smallest
+relabeling, so a part with c crossings costs O(c) candidates of O(c log c)
+each.  The code is computed once per diagram object and stored on it.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -56,6 +62,8 @@ class OrientedDiagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
+    # filled in by canonical_code; not part of equality, hash or repr
+    _code: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_loops < 0:
@@ -292,32 +300,74 @@ def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagr
 def canonical_code(d: OrientedDiagram) -> str:
     """Label-independent serialization of the diagram.
 
-    Brute force over component orderings and cyclic starting arcs; the
-    lexicographically smallest serialization wins.  Intended scale is a
-    dozen crossings, where the enumeration stays tiny.
+    Two diagrams get the same code exactly when one is the other with
+    its arcs renamed and its crossings listed in another order.  Each
+    connected part is coded by :func:`_part_code`; the part codes are
+    sorted and joined with "/", and "|L<n>" counts the free loops.  The
+    code is computed once per diagram object and kept on it.
     """
-    if not d.crossings:
-        return "|L%d" % d.free_loops
-    cycles = component_cycles(d)
-    best: str | None = None
-    for order in itertools.permutations(range(len(cycles))):
-        for starts in itertools.product(*(range(len(cycles[i])) for i in order)):
-            mapping: dict[int, int] = {}
-            nxt = 1
-            for i, start in zip(order, starts):
-                cycle = cycles[i]
-                for k in range(len(cycle)):
-                    mapping[cycle[(start + k) % len(cycle)]] = nxt
-                    nxt += 1
-            code = ";".join(
-                "%d,%d,%d,%d,%d" % cr
-                for cr in sorted(_relabel(d.crossings, mapping))
-            )
-            code = code + "|L%d" % d.free_loops
-            if best is None or code < best:
-                best = code
-    assert best is not None
-    return best
+    code = d._code
+    if code is None:
+        parts = sorted(_part_code([d.crossings[ci] for ci in g]) for g in _crossing_groups(d))
+        code = "/".join(parts) + "|L%d" % d.free_loops
+        object.__setattr__(d, "_code", code)
+    return code
+
+
+def _part_code(crossings: list[Crossing]) -> str:
+    """Canonical code of one connected part, by traversal labeling.
+
+    From a start arc, label that arc's component 1, 2, ... along its
+    orientation.  Then, scanning the labeled arcs in label order, open
+    the next component at the first unlabeled arc met at a labeled
+    arc's head crossing (slots in a, b, c, d order) and label it the
+    same way.  Connectedness means every component is reached.  The
+    relabeled crossings, sorted as integer tuples, are one candidate per
+    start arc; the smallest is serialized.
+
+    Only arcs that arrive at an under-passage (some crossing's a slot)
+    are tried as start arcs: those candidates, and no others, contain a
+    crossing that starts with label 1, so the smallest candidate is
+    always among them.
+    """
+    succ: dict[int, int] = {}
+    head: dict[int, Crossing] = {}
+    for cr in crossings:
+        succ[cr.a] = cr.c
+        succ[cr.over_in()] = cr.over_out()
+        head[cr.a] = head[cr.over_in()] = cr
+    best = min(
+        sorted(
+            (label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign)
+            for cr in crossings
+        )
+        for label in (_traversal_labels(start, succ, head) for start in {cr.a for cr in crossings})
+    )
+    return ";".join("%d,%d,%d,%d,%d" % t for t in best)
+
+
+def _traversal_labels(start: int, succ: dict[int, int], head: dict[int, Crossing]) -> dict[int, int]:
+    """Arc -> label for the traversal labeling of a connected part from start."""
+    label: dict[int, int] = {}
+    order: list[int] = []
+    nxt = start
+    scan = 0
+    while True:
+        x = nxt
+        while x not in label:
+            order.append(x)
+            label[x] = len(order)
+            x = succ[x]
+        if len(order) == len(succ):
+            return label
+        # the first labeled arc whose head crossing still has an
+        # unlabeled arc; arcs before it have fully labeled heads
+        while True:
+            cr = head[order[scan]]
+            nxt = next((y for y in (cr.a, cr.b, cr.c, cr.d) if y not in label), None)
+            if nxt is not None:
+                break
+            scan += 1
 
 
 def mirror(d: OrientedDiagram) -> OrientedDiagram:

@@ -27,6 +27,7 @@ loads them into another.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -241,13 +242,22 @@ def extract_tree(
     """Witness tree of height <= k, searching first if needed.
 
     Raises LookupError when no witness is available (the search answered
-    False or ran out of budget).
+    False or ran out of budget).  A True that rests on a cache-loaded
+    interval has no witness; the tree is then searched for as in a cold
+    run, in a fresh context that shares only the polynomial cache.
     """
     ctx = ctx or _default_context()
     res = depth_at_most(d, k, budget, ctx)
     if res is not True:
         raise LookupError(f"no depth-{k} witness available (search said {res})")
-    return _build_tree(ctx, d)
+    try:
+        return _build_tree(ctx, d)
+    except LookupError:
+        cold = SolveContext(ctx.homfly_cache, ctx.recognizer_nodes, ctx.deadline)
+        res = depth_at_most(d, k, budget, cold)
+        if res is not True:
+            raise LookupError(f"no depth-{k} witness available (search said {res})") from None
+        return _build_tree(cold, d)
 
 
 def verify_tree(tree: SkeinTree) -> int:
@@ -379,13 +389,21 @@ def compute_td(
 # -- result cache --------------------------------------------------------------
 
 
+# The cache line format.  Lines start with this marker.  Lines of the
+# unversioned format before it (code, polynomial, interval) are keyed by
+# an older canonical code, which for most diagrams differs from the
+# current one, so they are skipped rather than loaded as dead entries.
+CACHE_FORMAT = "v2"
+_UNVERSIONED_CODE = re.compile(r"(\d+,\d+,\d+,\d+,-?1(;\d+,\d+,\d+,\d+,-?1)*)?\|L\d+")
+
+
 class ResultCache:
     """Append-only store of (canonical code, polynomial text, depth interval).
 
-    Lines are tab-separated; a missing value is "-".  Later lines win on
-    reload, so appending an improved interval supersedes the old one.
-    Loaded intervals go into the context's memo, where they carry no
-    witness.
+    Lines are tab-separated: the format marker, then the three values; a
+    missing value is "-".  Later lines win on reload, so appending an
+    improved interval supersedes the old one.  Loaded intervals go into
+    the context's memo, where they carry no witness.
     """
 
     def __init__(self, path: str):
@@ -395,20 +413,26 @@ class ResultCache:
     def load_into(self, ctx: SolveContext) -> None:
         if not os.path.exists(self.path):
             return
+        unversioned: list[int] = []
         with open(self.path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line:
                     continue
                 parts = line.split("\t")
-                if len(parts) != 3:
+                if len(parts) == 3 and _UNVERSIONED_CODE.fullmatch(parts[0]):
+                    unversioned.append(lineno)
+                    continue
+                if len(parts) != 4:
                     print(
                         f"warning: skipping corrupt cache line {lineno}: wrong field count",
                         file=sys.stderr,
                     )
                     continue
-                code, poly_text, interval = parts
+                version, code, poly_text, interval = parts
                 try:
+                    if version != CACHE_FORMAT:
+                        raise ValueError(f"unknown format marker {version!r}")
                     if poly_text != "-":
                         ctx.homfly_cache.table[code] = parse_poly(poly_text)
                     if interval != "-":
@@ -427,6 +451,13 @@ class ResultCache:
                     )
                     continue
                 self.loaded[code] = (poly_text, interval)
+        if unversioned:
+            print(
+                f"warning: skipping {len(unversioned)} cache line(s) of the older "
+                f"unversioned format (first at line {unversioned[0]}); "
+                "their values are recomputed",
+                file=sys.stderr,
+            )
 
     def save_from(self, ctx: SolveContext) -> None:
         rows = []
@@ -439,7 +470,7 @@ class ResultCache:
             else:
                 interval = f"{lo},{'-' if hi >= _INF else hi}"
             if self.loaded.get(code) != (poly_text, interval):
-                rows.append(f"{code}\t{poly_text}\t{interval}\n")
+                rows.append(f"{CACHE_FORMAT}\t{code}\t{poly_text}\t{interval}\n")
         if rows:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.writelines(rows)

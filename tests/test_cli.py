@@ -226,7 +226,7 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     cache_path.write_text(
         "only-two-fields\t1\n"
         "code\tnot a polynomial\t1,2\n"
-        "1,3,2,4,1;4,2,3,1,1|L0\t-1*a^3*z^-1 + 1*a^1*z^-1 + 1*a^1*z^1\t1,1\n"
+        "v2\t1,3,2,4,1;4,2,3,1,1|L0\t-1*a^3*z^-1 + 1*a^1*z^-1 + 1*a^1*z^1\t1,1\n"
     )
     ctx = SolveContext()
     rc = ResultCache(str(cache_path))
@@ -235,6 +235,30 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert err.count("warning: skipping corrupt cache line") == 2
     assert len(ctx.homfly_cache.table) == 1
     assert list(ctx.memo.values()) == [(1, 1)]
+
+
+def test_cache_skips_unversioned_lines(tmp_path, capsys):
+    # lines of the format before the version marker hold codes of the
+    # older canonical form: never loaded, one warning for all of them
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(
+        "1,3,2,4,1;4,2,3,1,1|L0\t-1*a^3*z^-1 + 1*a^1*z^-1 + 1*a^1*z^1\t1,1\n"
+        "|L2\t-1*a^1*z^-1 + 1*a^-1*z^-1\t-\n"
+    )
+    ctx = SolveContext()
+    rc = ResultCache(str(cache_path))
+    rc.load_into(ctx)
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "2 cache line(s)" in err and "unversioned" in err
+    assert not ctx.homfly_cache.table and not ctx.memo and not rc.loaded
+    # the solve recomputes and appends versioned lines after the old ones
+    f = tmp_path / "in.pd"
+    f.write_text(TREFOIL + "\n")
+    assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+    assert capsys.readouterr().out == "2\t2\t2\n"
+    lines = cache_path.read_text().splitlines()
+    assert all(line.startswith("v2\t") for line in lines[2:]) and len(lines) > 2
 
 
 def test_cache_env_var_overrides(tmp_path, monkeypatch, capsys):
@@ -273,6 +297,21 @@ def test_td_warm_cache_extends_a_cached_family(tmp_path, capsys):
         f.write_text(pd_text(braid_closure(parse_braid(word))) + "\n")
         assert main(["td", str(f), "--cache", cache_path]) == 0
         assert capsys.readouterr().out == want
+
+
+def test_tree_warm_cache_writes_the_cold_tree(tmp_path, capsys):
+    # td caches the trefoil's interval, which carries no witness; tree
+    # must still find one, the same one a run without the cache finds
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = str(tmp_path / "cache.tsv")
+    assert main(["td", str(f), "--cache", cache_path]) == 0
+    warm, cold = tmp_path / "warm.dot", tmp_path / "cold.dot"
+    assert main(["tree", str(f), "--depth", "2", "--dot", str(warm), "--cache", cache_path]) == 0
+    assert main(["tree", str(f), "--depth", "2", "--dot", str(cold)]) == 0
+    assert capsys.readouterr().err == ""
+    assert warm.read_text() == cold.read_text()
+    assert warm.read_text().count("unlink(") == 3
 
 
 # -- DOT export ---------------------------------------------------------------------

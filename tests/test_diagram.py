@@ -1,5 +1,6 @@
 """Parsing, validation, canonical codes, and diagram surgery."""
 
+import itertools
 import random
 
 import pytest
@@ -7,18 +8,23 @@ import pytest
 from skeindepth import (
     Crossing,
     OrientedDiagram,
+    braid_closure,
     canonical_code,
     component_count,
     component_cycles,
     disjoint_union,
     is_split,
     mirror,
+    parse_braid,
     parse_pd,
     pd_text,
+    simplify,
+    smooth,
     split_components,
+    switch,
     writhe,
 )
-from skeindepth.diagram import faces, renormalize, validate
+from skeindepth.diagram import faces, validate
 
 from conftest import FIXTURE_PDS
 
@@ -81,30 +87,114 @@ def test_component_count_and_cycles():
         assert all_labels == list(range(1, 2 * d.crossing_count + 1))
 
 
-def test_canonical_code_relabeling_invariant():
-    """Rotating the starting arc of each component must not change the code."""
-    rng = random.Random(7)
-    for name, (text, _) in FIXTURE_PDS.items():
-        d = parse_pd(text)
-        if d.is_crossingless():
-            continue
-        base = canonical_code(d)
-        cycles = component_cycles(d)
-        for _ in range(50):
-            # relabel: rotate each component cycle by a random offset
+def brute_force_code(d):
+    """Reference canonical form, kept as a test oracle.
+
+    Enumerates every component order and every start arc per component
+    (r! * prod(len_i) labelings, each component labeled consecutively
+    along its orientation) and keeps the smallest sorted relabeled
+    crossing list.  Label-independent by construction, but far too slow
+    for the solver beyond a dozen crossings.
+    """
+    cycles = component_cycles(d)
+    best = None
+    for order in itertools.permutations(range(len(cycles))):
+        for starts in itertools.product(*(range(len(cycles[i])) for i in order)):
             mapping = {}
-            offset = 0
-            for cyc in cycles:
-                k = rng.randrange(len(cyc))
-                for pos, lab in enumerate(cyc):
-                    mapping[lab] = offset + ((pos - k) % len(cyc)) + 1
-                offset += len(cyc)
-            crs = [
-                Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign)
+            for i, start in zip(order, starts):
+                cycle = cycles[i]
+                for k in range(len(cycle)):
+                    mapping[cycle[(start + k) % len(cycle)]] = len(mapping) + 1
+            cand = sorted(
+                (mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign)
                 for c in d.crossings
-            ]
-            shuffled = renormalize(crs, d.free_loops)
-            assert canonical_code(shuffled) == base, name
+            )
+            if best is None or cand < best:
+                best = cand
+    return (tuple(best or ()), d.free_loops)
+
+
+def scrambled(d, rng):
+    """d with its arcs renamed at random and its crossings shuffled."""
+    arcs = sorted({arc for cr in d.crossings for arc in cr.arcs()})
+    mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
+    crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]
+    rng.shuffle(crs)
+    return OrientedDiagram(tuple(crs), d.free_loops)
+
+
+ORACLE_WORDS = [
+    "p=2: 1 1 1",
+    "p=2: -1 -1 1 1",
+    "p=3: 1 -2 1 -2",
+    "p=3: 1 1 2 -1 2",
+    "p=3: 1 2 1 2 1 2",
+    "p=3: -1 2 2 -1 -2",
+    "p=4: 1 2 3 1 -2 3",
+    "p=4: 1 -3 2 2 -1 3",
+]
+
+
+def oracle_battery():
+    """Fixtures, braid closures with their raw and simplified switch and
+    smoothing children, split diagrams, free loops, a pair told apart only
+    by signs, and the 4-component closure T(4,4) with its smoothings."""
+    out = [parse_pd(text) for text, _ in FIXTURE_PDS.values()]
+    for word in ORACLE_WORDS:
+        d = braid_closure(parse_braid(word))
+        out.append(d)
+        for i in range(d.crossing_count):
+            for child in (switch(d, i), smooth(d, i)):
+                out += [child, simplify(child)]
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    hopf = parse_pd(FIXTURE_PDS["hopf+"][0])
+    out += [
+        disjoint_union(tref, hopf),
+        disjoint_union(hopf, hopf),
+        disjoint_union(hopf, mirror(hopf)),
+        disjoint_union(disjoint_union(tref, parse_pd("O;O")), hopf),
+        parse_pd("O;O;O"),
+    ]
+    # a two-arc component that only runs over: its two orientations
+    # differ in nothing but the crossing signs
+    for sign in (1, -1):
+        out.append(OrientedDiagram((Crossing(1, 3, 2, 4, sign), Crossing(2, 4, 1, 3, sign))))
+    t44 = braid_closure(parse_braid("p=4: " + " ".join(["1 2 3"] * 4)))
+    out.append(t44)
+    out += [smooth(t44, i) for i in range(t44.crossing_count)]
+    return out
+
+
+def test_canonical_code_relabeling_invariant():
+    """canonical_code splits diagrams into the same classes as the brute
+    force, and renaming arcs or reordering crossings never moves a code."""
+    rng = random.Random(7)
+    battery = oracle_battery()
+    assert max(len(component_cycles(d)) for d in battery) == 4  # T(4,4)
+    by_brute, by_code = {}, {}
+    for d in battery:
+        ref, code = brute_force_code(d), canonical_code(d)
+        assert by_brute.setdefault(ref, code) == code, d
+        assert by_code.setdefault(code, ref) == ref, d
+        for _ in range(2):
+            assert canonical_code(scrambled(d, rng)) == code, d
+    assert len(by_code) > 50
+
+
+def test_stored_code_is_invisible():
+    text = FIXTURE_PDS["trefoil"][0]
+    coded, plain = parse_pd(text), parse_pd(text)
+    before = (repr(coded), pd_text(coded))
+    code = canonical_code(coded)
+    assert coded == plain and hash(coded) == hash(plain)
+    assert len({coded, plain}) == 1
+    assert (repr(coded), pd_text(coded)) == before
+    # plain is still uncoded, so its children are coded from scratch;
+    # the coded parent's children must not carry its code either
+    for i in range(coded.crossing_count):
+        for op in (switch, smooth):
+            child = op(coded, i)
+            assert canonical_code(child) == canonical_code(op(plain, i)) != code
 
 
 def test_canonical_separates_fixtures():
