@@ -19,8 +19,7 @@ import functools
 from dataclasses import dataclass
 
 from .braid import braid_stats, mixed_braid_upper, positive_braid_td
-from .diagram import OrientedDiagram, component_count
-from .moves import simplify
+from .diagram import OrientedDiagram, component_count, simplify
 from .poly import (
     _A2,
     _AZ,

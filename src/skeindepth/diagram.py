@@ -16,9 +16,13 @@ under) parse with the b -> d reading.  Internally every crossing carries
 its sign explicitly, and all diagram operations preserve it.
 
 Instances are immutable; all operations return new diagrams.  The two
-skein operations at a crossing, :func:`switch` and :func:`smooth`, are
-defined here, so the polynomial and the rewrite modules both build on
-this one without importing each other.
+skein operations at a crossing, :func:`switch` and :func:`smooth`, and
+the crossing-removing moves behind :func:`simplify` (kink removal,
+lifting a strand poked under or over another, untwisting a crossing
+whose oriented smoothing disconnects its part) are defined here, so the
+polynomial, the rewrite and the search modules all build on this one
+without importing each other.  Each move's finder is a single linear
+pass; the nugatory test uses a cut-vertex search of the crossing graph.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -139,7 +143,9 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
     Directions propagate from the under-strand slots (a arrives, c
     leaves): each arc has one head and one tail occurrence, and each over
     pair holds one arriving and one leaving arc.  Arc succession settles
-    whatever propagation cannot reach.
+    whatever propagation cannot reach, one unanchored crossing at a time:
+    each reading is propagated before the next crossing is read, so a
+    strand that only runs over gets one direction throughout.
     """
     n = len(tuples)
     occ = _occurrences(tuples)
@@ -158,37 +164,42 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
         places = occ[tuples[ci][slot]]
         return places[1] if places[0] == (ci, slot) else places[0]
 
-    changed = True
-    while changed:
-        changed = False
-        for ci in range(n):
-            for slot in range(4):
-                r = role[ci][slot]
-                if r is None:
-                    continue
-                cj, t = other(ci, slot)
-                if role[cj][t] is None:
-                    role[cj][t] = not r
+    def propagate() -> None:
+        changed = True
+        while changed:
+            changed = False
+            for ci in range(n):
+                for slot in range(4):
+                    r = role[ci][slot]
+                    if r is None:
+                        continue
+                    cj, t = other(ci, slot)
+                    if role[cj][t] is None:
+                        role[cj][t] = not r
+                        changed = True
+                    elif role[cj][t] == r:
+                        raise ValueError(
+                            "arc %d cannot both arrive at and leave its endpoints"
+                            % tuples[ci][slot]
+                        )
+                # within one over pair, one arc arrives and one leaves
+                rb, rd = role[ci][_OVER_B], role[ci][_OVER_D]
+                if rb is None and rd is not None:
+                    role[ci][_OVER_B] = not rd
                     changed = True
-                elif role[cj][t] == r:
-                    raise ValueError(
-                        "arc %d cannot both arrive at and leave its endpoints" % tuples[ci][slot]
-                    )
-            # within one over pair, one arc arrives and one leaves
-            rb, rd = role[ci][_OVER_B], role[ci][_OVER_D]
-            if rb is None and rd is not None:
-                role[ci][_OVER_B] = not rd
-                changed = True
-            elif rd is None and rb is not None:
-                role[ci][_OVER_D] = not rb
-                changed = True
-            elif rb is not None and rd is not None and rb == rd:
-                raise ValueError("over strand at crossing %d has no consistent direction" % ci)
+                elif rd is None and rb is not None:
+                    role[ci][_OVER_D] = not rb
+                    changed = True
+                elif rb is not None and rd is not None and rb == rd:
+                    raise ValueError("over strand at crossing %d has no consistent direction" % ci)
 
+    propagate()
     for ci in range(n):
         if role[ci][_OVER_B] is None:
             # never anchored by an under passage: fall back to label
-            # succession (b -> d wins when both readings close up)
+            # succession (b -> d wins when both readings close up), then
+            # carry that direction along the whole strand before the next
+            # unanchored crossing is read on its own
             b, d = tuples[ci][_OVER_B], tuples[ci][_OVER_D]
             if d == b + 1:
                 arrives_at_b = True
@@ -199,6 +210,7 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
                 arrives_at_b = b > d
             role[ci][_OVER_B] = arrives_at_b
             role[ci][_OVER_D] = not arrives_at_b
+            propagate()
 
     return [1 if role[ci][_OVER_B] else -1 for ci in range(n)]
 
@@ -505,6 +517,237 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
         for cr in d2.crossings
     )
     return renormalize(d1.crossings + shifted, d1.free_loops + d2.free_loops)
+
+
+# -- crossing-removing moves ---------------------------------------------------
+#
+# Each finder is one linear pass, so a round of simplify costs O(c).
+
+
+def find_kink(d: OrientedDiagram) -> int | None:
+    """Index of a crossing whose over and under passages share an arc."""
+    for i, cr in enumerate(d.crossings):
+        if cr.b == cr.c or cr.a == cr.d or cr.c == cr.d or cr.a == cr.b:
+            return i
+    return None
+
+
+def remove_kink(d: OrientedDiagram, i: int) -> OrientedDiagram:
+    cr = d.crossings[i]
+    if cr.b == cr.c:
+        merge = (cr.a, cr.d)
+    elif cr.a == cr.d:
+        merge = (cr.b, cr.c)
+    elif cr.c == cr.d:
+        merge = (cr.a, cr.b)
+    elif cr.a == cr.b:
+        merge = (cr.d, cr.c)
+    else:
+        raise ValueError("crossing %d carries no kink" % i)
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    return _rewire(rest, [merge], d.free_loops)
+
+
+def find_poke_pair(d: OrientedDiagram) -> tuple[int, int] | None:
+    """A pair (i, j) joined by an over-over arc and an under-under arc.
+
+    Both connecting arcs have no other crossings on them, so the upper
+    strand lifts off regardless of what else sits near the bigon; the
+    crossing signs are necessarily opposite on realizable diagrams.
+    An arc arrives at one crossing only, so the crossing whose over-in
+    is crossing i's over-out is a single lookup.
+    """
+    by_over_in = {cr.over_in(): j for j, cr in enumerate(d.crossings)}
+    for i, ci in enumerate(d.crossings):
+        j = by_over_in.get(ci.over_out())
+        if j is None or j == i:
+            continue
+        cj = d.crossings[j]
+        if ci.c == cj.a or cj.c == ci.a:
+            return (i, j)
+    return None
+
+
+def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
+    ci, cj = d.crossings[i], d.crossings[j]
+    e1 = ci.over_out()
+    if cj.over_in() != e1:
+        raise ValueError("crossings %d, %d share no over-over arc" % (i, j))
+    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
+    if ci.c == cj.a:
+        merges += [(ci.a, ci.c), (ci.c, cj.c)]
+    elif cj.c == ci.a:
+        merges += [(cj.a, cj.c), (cj.c, ci.c)]
+    else:
+        raise ValueError("crossings %d, %d share no under-under arc" % (i, j))
+    rest = tuple(cr for k, cr in enumerate(d.crossings) if k not in (i, j))
+    return _rewire(rest, merges, d.free_loops)
+
+
+def _flip(cr: Crossing) -> Crossing:
+    # turning a tangle over reverses the cyclic order and swaps over/under;
+    # strand succession and the crossing sign survive
+    if cr.sign > 0:
+        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
+    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
+
+
+def _cut_crossings(d: OrientedDiagram) -> tuple[list[int], list[int]]:
+    """Cut crossings of the crossing graph, ascending, and each crossing's part.
+
+    The crossing graph has the crossings as vertices and every arc that
+    joins two different crossings as an edge; an arc with both ends at
+    one crossing is ignored.  One depth-first pass computes lowpoints
+    (Tarjan 1972): a crossing is a cut crossing when removing it
+    disconnects its part.  part[k] is the first crossing of k's part.
+    """
+    n = d.crossing_count
+    ends: dict[int, list[int]] = {}
+    for ci, cr in enumerate(d.crossings):
+        for arc in cr.arcs():
+            ends.setdefault(arc, []).append(ci)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for x, y in ends.values():
+        if x != y:
+            adj[x].append(y)
+            adj[y].append(x)
+
+    disc = [0] * n  # discovery time, 0 while unvisited
+    low = [0] * n
+    part = [0] * n
+    cuts: set[int] = set()
+    t = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        part[root] = root
+        root_children = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if not disc[v]:
+                    t += 1
+                    disc[v] = low[v] = t
+                    part[v] = root
+                    stack.append((v, iter(adj[v])))
+                    break
+                # the edge back to u's parent lowers low[u] to at most
+                # disc[parent], which leaves the cut test below unchanged
+                low[u] = min(low[u], disc[v])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if p == root:
+                        root_children += 1
+                    elif low[u] >= disc[p]:
+                        cuts.add(p)
+        if root_children > 1:
+            cuts.add(root)
+    return sorted(cuts), part
+
+
+def _side_groups(d: OrientedDiagram, i: int, part: list[int]) -> list[list[int]]:
+    """Connected groups of the other crossings of i's part, crossing i smoothed.
+
+    part lists the crossing indices of i's connected part; the groups
+    are sorted by size, then by their indices.
+    """
+    cr = d.crossings[i]
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for k in part:
+        if k == i:
+            continue
+        arcs = d.crossings[k].arcs()
+        for arc in arcs[1:]:
+            union(arcs[0], arc)
+    if cr.sign > 0:
+        union(cr.a, cr.d)
+        union(cr.b, cr.c)
+    else:
+        union(cr.a, cr.b)
+        union(cr.d, cr.c)
+    groups: dict[int, list[int]] = {}
+    for k in part:
+        if k != i:
+            groups.setdefault(find(d.crossings[k].a), []).append(k)
+    return sorted(groups.values(), key=lambda g: (len(g), g))
+
+
+def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
+    """A crossing whose oriented smoothing disconnects its own part, plus
+    the smaller side within that part.
+
+    Only a cut crossing can qualify: smoothing adds edges between the
+    crossing's neighbours, which never splits a part that stays
+    connected without the crossing.  Candidates are confirmed in index
+    order by the side-group test on their part; on planar diagrams the
+    first candidate always confirms.
+    """
+    if d.crossing_count < 2:
+        return None
+    cuts, part = _cut_crossings(d)
+    for i in cuts:
+        members = [k for k, p in enumerate(part) if p == part[i]]
+        groups = _side_groups(d, i, members)
+        if len(groups) >= 2:
+            return (i, groups[0])
+    return None
+
+
+def remove_nugatory(d: OrientedDiagram, i: int, flip_side: Iterable[int]) -> OrientedDiagram:
+    """Untwist crossing i by turning one side over."""
+    cr = d.crossings[i]
+    flip_side = set(flip_side)
+    rest = tuple(
+        _flip(other) if k in flip_side else other
+        for k, other in enumerate(d.crossings)
+        if k != i
+    )
+    merges = [(cr.a, cr.c), (cr.over_in(), cr.over_out())]
+    return _rewire(rest, merges, d.free_loops)
+
+
+def simplify(d: OrientedDiagram) -> OrientedDiagram:
+    """Apply crossing-removing moves until none fires.
+
+    Every step strictly drops the crossing count, so this terminates in
+    at most crossing_count rounds and never changes the link.  Each
+    round is linear in the crossing count; a diagram on which no move
+    fires is returned as the same object.
+    """
+    while d.crossings:
+        i = find_kink(d)
+        if i is not None:
+            d = remove_kink(d, i)
+            continue
+        pair = find_poke_pair(d)
+        if pair is not None:
+            d = remove_poke_pair(d, *pair)
+            continue
+        nug = find_nugatory(d)
+        if nug is not None:
+            d = remove_nugatory(d, *nug)
+            continue
+        break
+    return d
 
 
 # -- planar faces -------------------------------------------------------------

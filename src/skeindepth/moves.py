@@ -1,13 +1,12 @@
-"""Diagram rewrites: simplification, local moves and unlink recognition.
+"""Diagram rewrites that do not shrink a diagram, and unlink recognition.
 
-:func:`simplify` shrinks a diagram monotonically with crossing-removing
-moves: kink removal, removal of a strand poked under or over another,
-and untwisting of crossings whose resolution disconnects the diagram.
-The crossing-increasing pokes, kink insertions and triangle slides
-further down never shrink a diagram; they feed the bounded unlink search
-in :func:`recognize_unlink` and the randomized invariance tests.  The
-skein operations themselves (:func:`switch`, :func:`smooth`) live in
-:mod:`.diagram`.
+The crossing-increasing pokes, kink insertions and triangle slides here
+never shrink a diagram; they feed the bounded unlink search in
+:func:`recognize_unlink` and the randomized invariance tests.  The
+crossing-removing moves and :func:`simplify`, like the skein operations
+:func:`switch` and :func:`smooth`, live in :mod:`.diagram`; the moves and
+their finders are imported here so that ``moves.simplify`` and
+``moves.find_nugatory`` keep working.
 """
 
 from __future__ import annotations
@@ -15,171 +14,29 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .diagram import (
+from .diagram import (  # noqa: F401  (crossing-removing moves re-exported)
     Crossing,
     OrientedDiagram,
     _crossing_groups,
-    _rewire,
     arriving_slots,
     canonical_code,
     component_count,
     faces,
+    find_kink,
+    find_nugatory,
+    find_poke_pair,
     leaving_slots,
     mirror,
+    remove_kink,
+    remove_nugatory,
+    remove_poke_pair,
     renormalize,
+    simplify,
     validate,
 )
 from .poly import homfly, unlink_value
-
-
-# -- crossing-removing moves ---------------------------------------------------
-
-
-def find_kink(d: OrientedDiagram) -> int | None:
-    """Index of a crossing whose over and under passages share an arc."""
-    for i, cr in enumerate(d.crossings):
-        if cr.b == cr.c or cr.a == cr.d or cr.c == cr.d or cr.a == cr.b:
-            return i
-    return None
-
-def remove_kink(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    cr = d.crossings[i]
-    if cr.b == cr.c:
-        merge = (cr.a, cr.d)
-    elif cr.a == cr.d:
-        merge = (cr.b, cr.c)
-    elif cr.c == cr.d:
-        merge = (cr.a, cr.b)
-    elif cr.a == cr.b:
-        merge = (cr.d, cr.c)
-    else:
-        raise ValueError("crossing %d carries no kink" % i)
-    rest = d.crossings[:i] + d.crossings[i + 1 :]
-    return _rewire(rest, [merge], d.free_loops)
-
-
-def find_poke_pair(d: OrientedDiagram) -> tuple[int, int] | None:
-    """A pair (i, j) joined by an over-over arc and an under-under arc.
-
-    Both connecting arcs have no other crossings on them, so the upper
-    strand lifts off regardless of what else sits near the bigon; the
-    crossing signs are necessarily opposite on realizable diagrams.
-    """
-    for i, ci in enumerate(d.crossings):
-        e1 = ci.over_out()
-        for j, cj in enumerate(d.crossings):
-            if i == j or cj.over_in() != e1:
-                continue
-            if ci.c == cj.a or cj.c == ci.a:
-                return (i, j)
-    return None
-
-def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
-    ci, cj = d.crossings[i], d.crossings[j]
-    e1 = ci.over_out()
-    if cj.over_in() != e1:
-        raise ValueError("crossings %d, %d share no over-over arc" % (i, j))
-    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
-    if ci.c == cj.a:
-        merges += [(ci.a, ci.c), (ci.c, cj.c)]
-    elif cj.c == ci.a:
-        merges += [(cj.a, cj.c), (cj.c, ci.c)]
-    else:
-        raise ValueError("crossings %d, %d share no under-under arc" % (i, j))
-    rest = tuple(cr for k, cr in enumerate(d.crossings) if k not in (i, j))
-    return _rewire(rest, merges, d.free_loops)
-
-
-def _flip(cr: Crossing) -> Crossing:
-    # turning a tangle over reverses the cyclic order and swaps over/under;
-    # strand succession and the crossing sign survive
-    if cr.sign > 0:
-        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
-    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
-
-
-def _side_groups(d: OrientedDiagram, i: int) -> list[list[int]]:
-    """Connected groups of the other crossings once crossing i is resolved."""
-    cr = d.crossings[i]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for k, other in enumerate(d.crossings):
-        if k == i:
-            continue
-        arcs = other.arcs()
-        for arc in arcs[1:]:
-            union(arcs[0], arc)
-    if cr.sign > 0:
-        union(cr.a, cr.d)
-        union(cr.b, cr.c)
-    else:
-        union(cr.a, cr.b)
-        union(cr.d, cr.c)
-    groups: dict[int, list[int]] = {}
-    for k, other in enumerate(d.crossings):
-        if k != i:
-            groups.setdefault(find(other.a), []).append(k)
-    return sorted(groups.values(), key=lambda g: (len(g), g))
-
-
-def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
-    """A crossing whose resolution disconnects the rest, plus the smaller side."""
-    if d.crossing_count < 2:
-        return None
-    for i in range(d.crossing_count):
-        groups = _side_groups(d, i)
-        if len(groups) >= 2:
-            return (i, groups[0])
-    return None
-
-def remove_nugatory(d: OrientedDiagram, i: int, flip_side: Iterable[int]) -> OrientedDiagram:
-    """Untwist crossing i by turning one side over."""
-    cr = d.crossings[i]
-    flip_side = set(flip_side)
-    rest = tuple(
-        _flip(other) if k in flip_side else other
-        for k, other in enumerate(d.crossings)
-        if k != i
-    )
-    merges = [(cr.a, cr.c), (cr.over_in(), cr.over_out())]
-    return _rewire(rest, merges, d.free_loops)
-
-
-def simplify(d: OrientedDiagram) -> OrientedDiagram:
-    """Apply crossing-removing moves until none fires.
-
-    Every step strictly drops the crossing count, so this terminates in
-    at most crossing_count rounds and never changes the link.
-    """
-    while d.crossings:
-        i = find_kink(d)
-        if i is not None:
-            d = remove_kink(d, i)
-            continue
-        pair = find_poke_pair(d)
-        if pair is not None:
-            d = remove_poke_pair(d, *pair)
-            continue
-        nug = find_nugatory(d)
-        if nug is not None:
-            d = remove_nugatory(d, *nug)
-            continue
-        break
-    return d
 
 
 # -- crossing-increasing moves -------------------------------------------------

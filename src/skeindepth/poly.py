@@ -17,6 +17,7 @@ from .diagram import (
     canonical_code,
     component_count,
     component_cycles,
+    simplify,
     smooth,
     split_components,
     switch,
@@ -260,6 +261,13 @@ def parse_poly(text: str) -> LaurentPoly2:
 # smoothing drops a crossing.  Defect-free diagrams are unlinks.  At a
 # positive defect  P = a^2 * P(switched) + a*z * P(smoothed),  at a
 # negative one  P = a^-2 * P(switched) - a^-1*z * P(smoothed).
+#
+# Both children are simplified before they are expanded, so the
+# expansion meets the same diagrams, under the same keys, as the search.
+# P is a link invariant, so no value changes.  The recursion still ends:
+# simplify either drops crossings or returns its input unchanged, so
+# each step drops a crossing or keeps the diagram's arcs and moves the
+# first defect later.
 
 
 class BudgetExceeded(RuntimeError):
@@ -318,10 +326,12 @@ def homfly(
 ) -> LaurentPoly2:
     """The two-variable skein invariant of the link of d.
 
-    Results are memoized on canonical codes in `cache`, so repeated and
-    nested calls stay cheap; without one, the call uses a fresh table of
-    its own.  max_nodes caps the number of uncached skein expansions;
-    exceeding it raises BudgetExceeded.
+    The skein expansion recurses on the simplified switch and smoothing
+    children of each defect crossing.  Results are memoized on canonical
+    codes in `cache`, so repeated and nested calls stay cheap; without
+    one, the call uses a fresh table of its own.  max_nodes caps the
+    number of uncached skein expansions; exceeding it raises
+    BudgetExceeded.
     """
     if cache is None:
         cache = HomflyCache()
@@ -350,14 +360,13 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache, budget: list[int]) -> Lauren
         i = _first_defect(d)
         if i is None:
             value = unlink_value(component_count(d))
-        elif d.crossings[i].sign > 0:
-            value = _A2 * _homfly(switch(d, i), cache, budget) + _AZ * _homfly(
-                smooth(d, i), cache, budget
-            )
         else:
-            value = _Am2 * _homfly(switch(d, i), cache, budget) - _AmZ * _homfly(
-                smooth(d, i), cache, budget
-            )
+            p_sw = _homfly(simplify(switch(d, i)), cache, budget)
+            p_sm = _homfly(simplify(smooth(d, i)), cache, budget)
+            if d.crossings[i].sign > 0:
+                value = _A2 * p_sw + _AZ * p_sm
+            else:
+                value = _Am2 * p_sw - _AmZ * p_sm
     cache.put(key, value)
     return value
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
-from .diagram import OrientedDiagram, canonical_code, component_count, smooth, switch
-from .moves import Verdict, _side_groups, recognize_unlink, simplify
+from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
+from .moves import Verdict, recognize_unlink
 from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly
 
 DEFAULT_BUDGET = 5_000_000
@@ -135,24 +135,20 @@ def _record_branch(ctx, code, i, d, sw, sm) -> None:
 
 
 def _branch_order(d: OrientedDiagram) -> list[int]:
-    """Try minority-sign crossings first, then ones whose smoothing keeps
-    the diagram connected, then by index.  Pure heuristic — any order is
-    sound — but it finds descending resolutions early on mixed diagrams."""
+    """Try minority-sign crossings first, then by index.  Pure heuristic —
+    any order is sound — but it finds descending resolutions early on
+    mixed diagrams."""
     pos = sum(1 for cr in d.crossings if cr.sign > 0)
     neg = d.crossing_count - pos
     minority = 1 if pos < neg else (-1 if neg < pos else 0)
-
-    def key(i: int):
-        cr = d.crossings[i]
-        connected = len(_side_groups(d, i)) == 1
-        return (cr.sign != minority, not connected, i)
-
-    return sorted(range(d.crossing_count), key=key)
+    return sorted(range(d.crossing_count), key=lambda i: (d.crossings[i].sign != minority, i))
 
 
 def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
-    """True / False / None for: some certified tree of height <= k exists."""
-    d = simplify(d)
+    """True / False / None for: some certified tree of height <= k exists.
+
+    d must be simplified; the children searched are simplified in turn.
+    """
     code = canonical_code(d)
     if d.is_crossingless():
         _record_leaf(ctx, code, component_count(d))
@@ -216,11 +212,12 @@ def depth_at_most(
     if k < 0:
         return False
     ctx = ctx or _default_context()
-    return _search(d, k, ctx, ctx.nodes + budget)
+    return _search(simplify(d), k, ctx, ctx.nodes + budget)
 
 
 def _build_tree(ctx: SolveContext, d: OrientedDiagram) -> SkeinTree:
-    d = simplify(d)
+    """The recorded witness for d, which must be simplified (as every
+    diagram the search records is)."""
     code = canonical_code(d)
     entry = ctx.witness.get(code)
     if entry is None:
@@ -247,6 +244,7 @@ def extract_tree(
     run, in a fresh context that shares only the polynomial cache.
     """
     ctx = ctx or _default_context()
+    d = simplify(d)
     res = depth_at_most(d, k, budget, ctx)
     if res is not True:
         raise LookupError(f"no depth-{k} witness available (search said {res})")

@@ -7,7 +7,7 @@ them is re-derived in the tests rather than trusted.
 
 import pytest
 
-from skeindepth import HomflyCache, parse_pd
+from skeindepth import Crossing, HomflyCache, OrientedDiagram, parse_pd
 
 # name -> (pd text, components)
 FIXTURE_PDS = {
@@ -27,6 +27,19 @@ FIXTURE_PDS = {
 # the ones with at least one crossing, for move/skein batteries
 CROSSED = [k for k in FIXTURE_PDS if k not in ("unknot", "unlink2")]
 
+# mixed and one-signed braid words whose closures and children feed the
+# oracle batteries
+ORACLE_WORDS = [
+    "p=2: 1 1 1",
+    "p=2: -1 -1 1 1",
+    "p=3: 1 -2 1 -2",
+    "p=3: 1 1 2 -1 2",
+    "p=3: 1 2 1 2 1 2",
+    "p=3: -1 2 2 -1 -2",
+    "p=4: 1 2 3 1 -2 3",
+    "p=4: 1 -3 2 2 -1 3",
+]
+
 
 @pytest.fixture(scope="session")
 def diagrams():
@@ -37,3 +50,12 @@ def diagrams():
 def shared_cache():
     # one polynomial cache for the whole run keeps the batteries fast
     return HomflyCache()
+
+
+def scrambled(d, rng):
+    """d with its arcs renamed at random and its crossings shuffled."""
+    arcs = sorted({arc for cr in d.crossings for arc in cr.arcs()})
+    mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
+    crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]
+    rng.shuffle(crs)
+    return OrientedDiagram(tuple(crs), d.free_loops)

@@ -26,7 +26,7 @@ from skeindepth import (
 )
 from skeindepth.diagram import faces, validate
 
-from conftest import FIXTURE_PDS
+from conftest import FIXTURE_PDS, ORACLE_WORDS, scrambled
 
 
 def test_parse_roundtrip():
@@ -77,6 +77,16 @@ def test_signs_inferred_left_trefoil():
     assert canonical_code(d) == canonical_code(mirror(parse_pd(FIXTURE_PDS["trefoil"][0])))
 
 
+def test_over_only_component_parses_with_the_b_to_d_reading():
+    # nothing anchors the direction of the component on arcs 3 and 4,
+    # which never runs under; both crossings must read it the same way
+    text = "X[1,3,2,4];X[2,4,1,3]"
+    d = parse_pd(text)
+    assert d == OrientedDiagram((Crossing(1, 3, 2, 4, 1), Crossing(2, 4, 1, 3, 1)))
+    assert pd_text(d) == text
+    assert parse_pd(pd_text(d)) == d
+
+
 def test_component_count_and_cycles():
     for name, (text, comps) in FIXTURE_PDS.items():
         d = parse_pd(text)
@@ -112,27 +122,6 @@ def brute_force_code(d):
             if best is None or cand < best:
                 best = cand
     return (tuple(best or ()), d.free_loops)
-
-
-def scrambled(d, rng):
-    """d with its arcs renamed at random and its crossings shuffled."""
-    arcs = sorted({arc for cr in d.crossings for arc in cr.arcs()})
-    mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
-    crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]
-    rng.shuffle(crs)
-    return OrientedDiagram(tuple(crs), d.free_loops)
-
-
-ORACLE_WORDS = [
-    "p=2: 1 1 1",
-    "p=2: -1 -1 1 1",
-    "p=3: 1 -2 1 -2",
-    "p=3: 1 1 2 -1 2",
-    "p=3: 1 2 1 2 1 2",
-    "p=3: -1 2 2 -1 -2",
-    "p=4: 1 2 3 1 -2 3",
-    "p=4: 1 -3 2 2 -1 3",
-]
 
 
 def oracle_battery():

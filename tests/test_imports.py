@@ -1,6 +1,8 @@
-"""Module structure: relative imports sit at module level and form no cycle."""
+"""Module structure: relative imports sit at module level and form no
+cycle, and the names the benchmark's tracer patches exist."""
 
 import ast
+import importlib.util
 import pathlib
 
 import skeindepth
@@ -55,3 +57,20 @@ def test_relative_imports_form_no_cycle():
     for mod in sorted(graph):
         if mod not in state:
             walk(mod, [mod])
+
+
+def test_tracer_patched_names_exist():
+    """perfbench/tracer.py wraps module attributes by name; moving a
+    function must not silently leave a name for it to patch missing."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, attr) for mod, attr, _ in tracer.SETUP_PATCHES + tracer.PATCHES]
+    names.append(("moves", "triangle_moves"))
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr in names
+        if not callable(getattr(getattr(skeindepth, mod, None), attr, None))
+    ]
+    assert len(names) > 10 and missing == []

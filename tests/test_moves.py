@@ -12,21 +12,26 @@ import pytest
 from skeindepth import (
     HomflyCache,
     Verdict,
+    braid_closure,
     canonical_code,
     component_count,
     component_cycles,
+    disjoint_union,
     homfly,
     insert_kink,
+    parse_braid,
     parse_pd,
     poke_moves,
     recognize_unlink,
     simplify,
     smooth,
+    split_components,
     switch,
     triangle_moves,
     unlink_value,
     writhe,
 )
+from skeindepth.diagram import _crossing_groups
 from skeindepth.moves import (
     find_kink,
     find_nugatory,
@@ -35,9 +40,9 @@ from skeindepth.moves import (
     remove_nugatory,
     remove_poke_pair,
 )
-from skeindepth.poly import ONE
+from skeindepth.poly import _A2, _AZ, DELTA, ONE, _Am2, _AmZ, _first_defect
 
-from conftest import CROSSED, FIXTURE_PDS
+from conftest import CROSSED, FIXTURE_PDS, ORACLE_WORDS, scrambled
 
 
 def _cycle_index(cycles, label):
@@ -116,10 +121,13 @@ def test_poke_pair_removal():
     assert find_poke_pair(parse_pd(FIXTURE_PDS["fig8"][0])) is None
 
 
+# one central crossing with a kinked lobe on each side: smoothing it
+# disconnects the other crossings, so it is nugatory by definition
+NUGATORY_PD = "X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]"
+
+
 def test_nugatory_detection_and_removal():
-    # one central crossing with a kinked lobe on each side: smoothing it
-    # disconnects the other crossings, so it is nugatory by definition
-    d = parse_pd("X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]")
+    d = parse_pd(NUGATORY_PD)
     assert component_count(d) == 1
     hit = find_nugatory(d)
     assert hit is not None
@@ -151,6 +159,192 @@ def test_simplify_reduces_stabilized_braid():
     s = simplify(d)
     assert s.crossing_count == 2
     assert canonical_code(s) == canonical_code(parse_pd(FIXTURE_PDS["hopf+"][0]))
+
+
+# -- the quadratic finders, kept as test oracles ----------------------------------
+
+
+def oracle_side_groups(d, i):
+    """Groups of the other crossings, crossing i smoothed, over the whole diagram."""
+    cr = d.crossings[i]
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for k, other in enumerate(d.crossings):
+        if k == i:
+            continue
+        arcs = other.arcs()
+        for arc in arcs[1:]:
+            union(arcs[0], arc)
+    if cr.sign > 0:
+        union(cr.a, cr.d)
+        union(cr.b, cr.c)
+    else:
+        union(cr.a, cr.b)
+        union(cr.d, cr.c)
+    groups = {}
+    for k, other in enumerate(d.crossings):
+        if k != i:
+            groups.setdefault(find(other.a), []).append(k)
+    return sorted(groups.values(), key=lambda g: (len(g), g))
+
+
+def oracle_find_nugatory(d):
+    """One union-find per crossing; right on connected diagrams only."""
+    if d.crossing_count < 2:
+        return None
+    for i in range(d.crossing_count):
+        groups = oracle_side_groups(d, i)
+        if len(groups) >= 2:
+            return (i, groups[0])
+    return None
+
+
+def oracle_find_poke_pair(d):
+    for i, ci in enumerate(d.crossings):
+        e1 = ci.over_out()
+        for j, cj in enumerate(d.crossings):
+            if i == j or cj.over_in() != e1:
+                continue
+            if ci.c == cj.a or cj.c == ci.a:
+                return (i, j)
+    return None
+
+
+def oracle_simplify(d):
+    while d.crossings:
+        i = find_kink(d)
+        if i is not None:
+            d = remove_kink(d, i)
+            continue
+        pair = oracle_find_poke_pair(d)
+        if pair is not None:
+            d = remove_poke_pair(d, *pair)
+            continue
+        nug = oracle_find_nugatory(d)
+        if nug is not None:
+            d = remove_nugatory(d, *nug)
+            continue
+        break
+    return d
+
+
+def raw_homfly(d, table):
+    """The skein expansion on raw (unsimplified) switch and smoothing children."""
+    if d.is_crossingless():
+        return unlink_value(d.free_loops)
+    key = canonical_code(d)
+    if key in table:
+        return table[key]
+    parts = split_components(d)
+    if len(parts) > 1:
+        value = DELTA ** (len(parts) - 1)
+        for part in parts:
+            value = value * raw_homfly(part, table)
+    else:
+        i = _first_defect(d)
+        if i is None:
+            value = unlink_value(component_count(d))
+        else:
+            sw, sm = raw_homfly(switch(d, i), table), raw_homfly(smooth(d, i), table)
+            if d.crossings[i].sign > 0:
+                value = _A2 * sw + _AZ * sm
+            else:
+                value = _Am2 * sw - _AmZ * sm
+    table[key] = value
+    return value
+
+
+def finder_battery():
+    """Braid closures with their raw and simplified switch and smoothing
+    children, poke and kink insertions, and split unions."""
+    out = []
+    for word in ORACLE_WORDS:
+        d = braid_closure(parse_braid(word))
+        out.append(d)
+        for i in range(d.crossing_count):
+            for child in (switch(d, i), smooth(d, i)):
+                out += [child, simplify(child)]
+    for name in ("hopf+", "trefoil", "fig8"):
+        d = parse_pd(FIXTURE_PDS[name][0])
+        out += list(poke_moves(d))[:8]
+        out += [insert_kink(d, arc, v) for arc in (1, 2) for v in range(4)]
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    hopf = parse_pd(FIXTURE_PDS["hopf+"][0])
+    out += [
+        disjoint_union(tref, tref),
+        disjoint_union(hopf, tref),
+        disjoint_union(insert_kink(tref, 1, 0), hopf),
+        disjoint_union(next(poke_moves(hopf)), tref),
+        disjoint_union(disjoint_union(hopf, parse_pd("O")), insert_kink(hopf, 2, 3)),
+        # a nugatory crossing with sides larger than the other part
+        disjoint_union(parse_pd(NUGATORY_PD), parse_pd(FIXTURE_PDS["kink+"][0])),
+    ]
+    return out
+
+
+def _parts(d):
+    return len(_crossing_groups(d))
+
+
+def test_linear_finders_match_the_quadratic_oracles():
+    """Same hit and same simplification as the oracles on every connected
+    diagram, also under random arc renamings; on every diagram a reported
+    crossing is exactly one whose smoothing splits its own part."""
+    rng = random.Random(11)
+    nugatory_hits = poke_hits = split_seen = 0
+    for d in finder_battery():
+        for v in (d, scrambled(d, rng), scrambled(d, rng)):
+            pair = find_poke_pair(v)
+            assert pair == oracle_find_poke_pair(v), v
+            poke_hits += pair is not None
+            hit = find_nugatory(v)
+            if _parts(v) <= 1:
+                assert hit == oracle_find_nugatory(v), v
+                assert simplify(v) == oracle_simplify(v), v
+            else:
+                split_seen += 1
+            splitting = [
+                i for i in range(v.crossing_count) if _parts(smooth(v, i)) > _parts(v)
+            ]
+            if hit is None:
+                assert splitting == [] or v.crossing_count < 2, v
+            else:
+                nugatory_hits += 1
+                i, side = hit
+                assert i == splitting[0], v
+                own_part = next(g for g in _crossing_groups(v) if i in g)
+                assert set(side) < set(own_part), v
+    assert nugatory_hits > 10 and poke_hits > 10 and split_seen >= 15
+
+
+def test_simplify_keeps_split_links():
+    """A split diagram keeps the crossings of each part that no move removes."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    hopf = parse_pd(FIXTURE_PDS["hopf+"][0])
+    for d in (disjoint_union(tref, tref), disjoint_union(hopf, tref)):
+        assert find_nugatory(d) is None
+        assert simplify(d) == d
+    cache = HomflyCache()
+    for d in finder_battery():
+        assert homfly(simplify(d), cache) == homfly(d, cache), d
+
+
+def test_expansion_on_simplified_children_matches_raw_children():
+    cache, table = HomflyCache(), {}
+    for d in finder_battery():
+        assert homfly(d, cache) == raw_homfly(d, table), d
 
 
 # -- crossing-increasing generators: polynomial invariance ------------------------

@@ -8,11 +8,15 @@ from skeindepth import (
     SolveContext,
     braid_closure,
     canonical_code,
+    component_count,
     compute_td,
     depth_at_most,
+    disjoint_union,
     extract_tree,
+    homfly,
     parse_braid,
     parse_pd,
+    polynomial_lower_bound,
     simplify,
     smooth,
     switch,
@@ -176,6 +180,25 @@ def test_compute_td_brute_oracle_small():
         want = brute_min_height(d, cap)
         res = compute_td(d, ctx=ctx)
         assert res.diagram_upper == want, name
+
+
+@pytest.mark.parametrize(
+    "left, right, wrong",
+    [
+        ("p=2: 1 1 1", "p=2: 1 1 1", "2"),  # trefoil and trefoil
+        ("p=2: 1 1", "p=2: 1 1 1", "0"),  # Hopf link and trefoil
+    ],
+)
+def test_split_links_keep_their_crossings(left, right, wrong):
+    """Simplifying a split diagram must not untwist one part against
+    another; doing so once answered `wrong` for these links."""
+    d = disjoint_union(braid_closure(parse_braid(left)), braid_closure(parse_braid(right)))
+    p = homfly(d)
+    assert homfly(simplify(d)) == p
+    res = compute_td(d, ctx=SolveContext())
+    assert res.render() != wrong
+    assert res.link_lower >= polynomial_lower_bound(p, component_count(d)) == 3
+    assert verify_tree(res.witness) == res.diagram_upper
 
 
 def test_formula_path_survives_starved_budget():
