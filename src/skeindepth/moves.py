@@ -2,7 +2,10 @@
 
 The crossing-increasing pokes, kink insertions and triangle slides here
 never shrink a diagram; they feed the bounded unlink search in
-:func:`recognize_unlink` and the randomized invariance tests.  The
+:func:`recognize_unlink` and the randomized invariance tests.  That
+search restarts from the first diagram it meets with fewer crossings
+than its start (monotone descent), spends one node budget across all
+restarts, and gives up with ``unknown`` once its deadline passes.  The
 crossing-removing moves and :func:`simplify`, like the skein operations
 :func:`switch` and :func:`smooth`, live in :mod:`.diagram`; the moves and
 their finders are imported here so that ``moves.simplify`` and
@@ -11,6 +14,7 @@ their finders are imported here so that ``moves.simplify`` and
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -287,20 +291,35 @@ class Verdict:
         return Verdict("unknown")
 
 
+def _candidates(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
+    """Each slide and poke of d, raw and then simplified; the raw children
+    stay because simplification would undo every poke."""
+    for child in chain(triangle_moves(d), poke_moves(d)):
+        yield child
+        yield simplify(child)
+
+
 def recognize_unlink(
     d: OrientedDiagram,
     homfly_value=None,
     node_limit: int = 10000,
     crossing_margin: int = 2,
+    deadline: float | None = None,
 ) -> Verdict:
     """Three-valued unlink test; unlink/not_unlink answers are never wrong.
 
     Simplification settles most inputs; a polynomial mismatch against the
     split-union value certifies not_unlink; otherwise a bounded search
-    over slides and pokes (allowing crossing_margin extra crossings)
-    hunts for a crossingless diagram.  unknown means the budget ran out,
-    never that the answer is known.  homfly_value, when supplied, must be
-    the polynomial of (the link of) d.
+    over slides and pokes (allowing crossing_margin extra crossings over
+    the diagram it started from) hunts for a crossingless diagram.  The
+    search descends greedily: the first candidate with fewer crossings
+    than its start drops the queue and the seen set, and the search
+    restarts from that candidate.  Every candidate is isotopic to d, so
+    an unlink found below a restart proves d one.  All restarts share
+    node_limit expansions, so each call expands at most that many nodes.
+    unknown means the node budget ran out or time.monotonic() passed
+    deadline, never that the answer is known.  homfly_value, when
+    supplied, must be the polynomial of (the link of) d.
     """
     start = simplify(d)
     r = component_count(start)
@@ -310,22 +329,27 @@ def recognize_unlink(
     if value != unlink_value(r):
         return Verdict.not_unlink()
 
-    limit = start.crossing_count + crossing_margin
+    floor = start.crossing_count
     seen = {canonical_code(start)}
     queue: deque[OrientedDiagram] = deque([start])
     nodes = 0
     while queue and nodes < node_limit:
+        if deadline is not None and time.monotonic() > deadline:
+            break
         cur = queue.popleft()
         nodes += 1
-        for child in chain(triangle_moves(cur), poke_moves(cur)):
-            # keep raw children too: simplification would undo every poke
-            for cand in (child, simplify(child)):
-                if cand.is_crossingless():
-                    return Verdict.unlink(r)
-                if cand.crossing_count > limit:
-                    continue
-                code = canonical_code(cand)
-                if code not in seen:
-                    seen.add(code)
-                    queue.append(cand)
+        for cand in _candidates(cur):
+            if cand.is_crossingless():
+                return Verdict.unlink(r)
+            if cand.crossing_count < floor:
+                floor = cand.crossing_count
+                seen = {canonical_code(cand)}
+                queue = deque([cand])
+                break
+            if cand.crossing_count > floor + crossing_margin:
+                continue
+            code = canonical_code(cand)
+            if code not in seen:
+                seen.add(code)
+                queue.append(cand)
     return Verdict.unknown()

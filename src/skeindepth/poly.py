@@ -191,19 +191,6 @@ def specialize_conway(p: LaurentPoly2) -> dict[int, int]:
     return out
 
 
-def conway_breadth_of(p: LaurentPoly2) -> int:
-    """Top z-degree of the Conway specialization (0 for the unknot).
-
-    The zero polynomial (multi-component unlinks collapse to 0 at a = 1)
-    reports breadth 0; it is only ever used as a lower-bound contribution
-    and 0 is always sound.
-    """
-    conway = specialize_conway(p)
-    if not conway:
-        return 0
-    return max(conway)
-
-
 # -- canonical text form ------------------------------------------------------
 #
 # Terms sorted by z-degree ascending, ties broken by a-degree descending,
@@ -379,8 +366,3 @@ def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, in
 def z_degree(p: LaurentPoly2) -> int:
     """Top z-degree across all terms; errors on the zero polynomial."""
     return p.z_degree()
-
-
-def conway_breadth(d: OrientedDiagram, cache: HomflyCache | None = None) -> int:
-    """Top z-degree of the Conway polynomial of the link of d."""
-    return conway_breadth_of(homfly(d, cache))

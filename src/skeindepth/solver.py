@@ -103,9 +103,15 @@ class SolveContext:
         v = self.verdicts.get(code)
         if v is None:
             v = recognize_unlink(
-                d, homfly_value=self.poly_of(d), node_limit=self.recognizer_nodes
+                d,
+                homfly_value=self.poly_of(d),
+                node_limit=self.recognizer_nodes,
+                deadline=self.deadline,
             )
-            self.verdicts[code] = v
+            # an unknown cut short by the deadline may yet be certified
+            # by a later solve with more time
+            if not (v.is_unknown and self.out_of_time()):
+                self.verdicts[code] = v
         return v
 
 

@@ -41,6 +41,18 @@ ORACLE_WORDS = [
 ]
 
 
+# a 7-crossing unknot diagram that simplification leaves alone; the
+# unlink search proves it after two node expansions
+UNKNOT_7_PD = "X[1,6,2,7];X[4,12,5,11];X[7,14,8,1];X[8,5,9,6];X[10,4,11,3];X[12,10,13,9];X[13,3,14,2]"
+
+# a 12-crossing, 4-component unlink met while solving the closure of
+# (s1 s2 s3)^4; the search without descent needs minutes to prove it
+UNLINK4_12_PD = (
+    "X[21,2,22,1];X[15,3,16,2];X[9,4,10,3];X[20,8,21,7];X[14,9,15,8];X[12,6,7,1];"
+    "X[19,14,20,13];X[17,11,18,12];X[18,5,13,6];X[22,16,23,17];X[23,10,24,11];X[24,4,19,5]"
+)
+
+
 @pytest.fixture(scope="session")
 def diagrams():
     return {name: parse_pd(text) for name, (text, _) in FIXTURE_PDS.items()}

@@ -6,6 +6,8 @@ bookkeeping exactly.
 """
 
 import random
+from collections import deque
+from itertools import chain
 
 import pytest
 
@@ -31,6 +33,7 @@ from skeindepth import (
     unlink_value,
     writhe,
 )
+from skeindepth import moves
 from skeindepth.diagram import _crossing_groups
 from skeindepth.moves import (
     find_kink,
@@ -42,7 +45,7 @@ from skeindepth.moves import (
 )
 from skeindepth.poly import _A2, _AZ, DELTA, ONE, _Am2, _AmZ, _first_defect
 
-from conftest import CROSSED, FIXTURE_PDS, ORACLE_WORDS, scrambled
+from conftest import CROSSED, FIXTURE_PDS, ORACLE_WORDS, UNKNOT_7_PD, UNLINK4_12_PD, scrambled
 
 
 def _cycle_index(cycles, label):
@@ -466,3 +469,115 @@ def test_verdict_constructors():
     assert Verdict.unlink(3).components == 3
     assert Verdict.not_unlink().components is None
     assert Verdict.unknown().is_unknown
+
+
+# -- the search without descent, kept as the recognizer's oracle --------------------
+
+
+def oracle_recognize_unlink(d, homfly_value=None, node_limit=10000, crossing_margin=2):
+    """One breadth-first search from the simplified input, never restarted."""
+    start = simplify(d)
+    r = component_count(start)
+    if start.is_crossingless():
+        return Verdict.unlink(r)
+    value = homfly_value if homfly_value is not None else homfly(start)
+    if value != unlink_value(r):
+        return Verdict.not_unlink()
+    limit = start.crossing_count + crossing_margin
+    seen = {canonical_code(start)}
+    queue = deque([start])
+    nodes = 0
+    while queue and nodes < node_limit:
+        cur = queue.popleft()
+        nodes += 1
+        for child in chain(triangle_moves(cur), poke_moves(cur)):
+            for cand in (child, simplify(child)):
+                if cand.is_crossingless():
+                    return Verdict.unlink(r)
+                if cand.crossing_count > limit:
+                    continue
+                code = canonical_code(cand)
+                if code not in seen:
+                    seen.add(code)
+                    queue.append(cand)
+    return Verdict.unknown()
+
+
+def _count_expansions(monkeypatch):
+    """Crossing counts of the nodes the recognizer expands: it asks for the
+    slides of each node exactly once."""
+    expanded = []
+    slides = moves.triangle_moves
+
+    def counted(d):
+        expanded.append(d.crossing_count)
+        return slides(d)
+
+    monkeypatch.setattr(moves, "triangle_moves", counted)
+    return expanded
+
+
+def test_descent_shares_one_node_budget(monkeypatch, shared_cache):
+    d = parse_pd(UNLINK4_12_PD)
+    value = homfly(d, shared_cache)
+    assert oracle_recognize_unlink(d, value, node_limit=4).is_unknown
+    expanded = _count_expansions(monkeypatch)
+    assert recognize_unlink(d, value, node_limit=4) == Verdict.unlink(4)
+    assert len(expanded) <= 4
+    assert min(expanded) < d.crossing_count  # the search restarted lower down
+    expanded.clear()
+    assert recognize_unlink(d, value, node_limit=3).is_unknown
+    assert len(expanded) <= 3
+
+
+def test_descent_certifies_the_named_unlinks_under_renaming(shared_cache):
+    rng = random.Random(6)
+    for text, want in ((UNKNOT_7_PD, Verdict.unlink(1)), (UNLINK4_12_PD, Verdict.unlink(4))):
+        d = parse_pd(text)
+        for e in (d, scrambled(d, rng), scrambled(d, rng)):
+            assert recognize_unlink(e, homfly(e, shared_cache)) == want
+
+
+def test_descent_never_certifies_a_knotted_part():
+    # a wrong polynomial forces the search on links that are not unlinks;
+    # the descent strips the unknot part and must stall on the rest
+    u = parse_pd(UNKNOT_7_PD)
+    for name in ("trefoil", "hopf+"):
+        d = disjoint_union(u, parse_pd(FIXTURE_PDS[name][0]))
+        r = component_count(d)
+        v = recognize_unlink(d, homfly_value=unlink_value(r), node_limit=8)
+        assert v.is_unknown, name
+    assert recognize_unlink(disjoint_union(u, u)) == Verdict.unlink(2)
+
+
+def test_descent_battery_matches_the_oracle(shared_cache):
+    """Seeded random 2-4 strand closures and their simplified switch and
+    smoothing children: every certified diagram has the unlink polynomial
+    and its own component count, and descent certifies all the oracle does."""
+    rng = random.Random(7)
+    battery = []
+    for _ in range(200):
+        p = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(4, 9))]
+        d = braid_closure(parse_braid(f"p={p}: " + " ".join(map(str, word))))
+        battery.append(d)
+        for i in range(d.crossing_count):
+            battery += [simplify(switch(d, i)), simplify(smooth(d, i))]
+    codes = set()
+    searched = 0
+    for d in battery:
+        s = simplify(d)
+        code = canonical_code(s)
+        if code in codes:
+            continue
+        codes.add(code)
+        value = homfly(s, shared_cache)
+        v = recognize_unlink(s, value)
+        if v.is_unlink:
+            assert value == unlink_value(v.components)
+            assert v.components == component_count(s)
+        if not s.is_crossingless() and value == unlink_value(component_count(s)):
+            searched += 1
+            if oracle_recognize_unlink(s, value).is_unlink:
+                assert v.is_unlink, code
+    assert searched >= 10

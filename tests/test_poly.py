@@ -14,7 +14,6 @@ from skeindepth import (
     HomflyCache,
     LaurentPoly2,
     conway,
-    conway_breadth,
     homfly,
     mirror,
     parse_pd,
@@ -173,7 +172,6 @@ def test_conway_values():
     assert conway(parse_pd(FIXTURE_PDS["fig8"][0])) == {0: 1, 2: -1}
     assert conway(parse_pd(FIXTURE_PDS["K5a1"][0])) == {0: 1, 2: 2}
     assert conway(parse_pd(FIXTURE_PDS["L5a1"][0])) == {3: -1}
-    assert conway_breadth(parse_pd(FIXTURE_PDS["L5a1"][0])) == 3
 
 
 def test_specialize_conway_rejects_poles():

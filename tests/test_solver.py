@@ -1,11 +1,14 @@
 """Depth search: decision procedure, witnesses, and the exactness sweep."""
 
+import time
+
 import pytest
 
 from skeindepth import (
     SkeinBranch,
     SkeinLeaf,
     SolveContext,
+    Verdict,
     braid_closure,
     canonical_code,
     component_count,
@@ -25,7 +28,7 @@ from skeindepth import (
 )
 from skeindepth.solver import ResultCache
 
-from conftest import FIXTURE_PDS
+from conftest import FIXTURE_PDS, UNKNOT_7_PD
 
 INF = 10**9
 
@@ -232,6 +235,31 @@ def test_timeout_produces_interval():
         parse_pd(FIXTURE_PDS["K5a1"][0]), timeout_secs=0.0, ctx=SolveContext()
     )
     assert res.budget_exhausted and not res.is_exact
+
+
+def test_recognizer_stops_at_the_deadline_and_keeps_no_verdict():
+    d = simplify(parse_pd(UNKNOT_7_PD))
+    code = canonical_code(d)
+    ctx = SolveContext(deadline=time.monotonic() - 1.0)
+    assert ctx.verdict_of(code, d).is_unknown
+    assert code not in ctx.verdicts
+    ctx.deadline = None
+    assert ctx.verdict_of(code, d) == Verdict.unlink(1)
+    assert ctx.verdicts[code] == Verdict.unlink(1)
+
+
+@pytest.mark.parametrize(
+    "word, depth",
+    [
+        ("p=4: " + " ".join(["1 2 3"] * 4), 9),  # (s1 s2 s3)^4
+        ("p=3: " + " ".join(["1 2"] * 6), 10),  # T(3,6)
+    ],
+)
+def test_hard_torus_closures_are_exact(word, depth):
+    d = braid_closure(parse_braid(word))
+    res = compute_td(d, timeout_secs=60, ctx=SolveContext())
+    assert res.status == f"Exact({depth})"
+    assert verify_tree(res.witness) == depth
 
 
 def test_persisted_interval_answers_without_witness():
