@@ -14,8 +14,9 @@ Soundness rules the search lives by:
   the same one the bound report uses) prunes a subtree only because
   every valid tree under a diagram is at least that tall;
 * a failed search at depth k refutes depth k for that diagram, but a
-  budget exhaustion refutes nothing — it surfaces as None and widens
-  the reported interval.
+  budget exhaustion, or an unknown verdict once the deadline has
+  passed, refutes nothing — it surfaces as None and widens the
+  reported interval.
 
 Per-diagram results (depth intervals, witnesses, recognizer verdicts,
 polynomials) are memoized on the canonical code inside a SolveContext,
@@ -163,6 +164,9 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     if v.is_unlink:
         _record_leaf(ctx, code, v.components)
         return True
+    if v.is_unknown and ctx.out_of_time():
+        # the deadline may have cut the recognizer short: refute nothing
+        return None
 
     lo, hi = ctx.memo.get(code, (1, _INF))
     if hi <= k:

@@ -248,6 +248,24 @@ def test_recognizer_stops_at_the_deadline_and_keeps_no_verdict():
     assert ctx.verdicts[code] == Verdict.unlink(1)
 
 
+def test_deadline_passing_mid_search_refutes_nothing():
+    # Hopf u U7 has depth 1, but only through children that need the
+    # move search: O u O u U7 and O u U7
+    d = simplify(disjoint_union(parse_pd(FIXTURE_PDS["hopf+"][0]), parse_pd(UNKNOT_7_PD)))
+    root = canonical_code(d)
+
+    class DeadlineAfterRoot(SolveContext):
+        def verdict_of(self, code, diagram):
+            if code != root:
+                self.deadline = time.monotonic() - 1.0
+            return super().verdict_of(code, diagram)
+
+    ctx = DeadlineAfterRoot()
+    assert depth_at_most(d, 1, ctx=ctx) is None
+    assert root not in ctx.memo
+    assert depth_at_most(d, 1, ctx=SolveContext()) is True
+
+
 @pytest.mark.parametrize(
     "word, depth",
     [
