@@ -338,9 +338,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# search limits, by argument name; none of them may be negative
+_LIMITS = ("budget", "timeout_secs", "max_depth", "depth")
+
+
+def _check_limits(args) -> None:
+    for name in _LIMITS:
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:  # NaN fails too
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,6 +23,9 @@ whose oriented smoothing disconnects its part) are defined here, so the
 polynomial, the rewrite and the search modules all build on this one
 without importing each other.  Each move's finder is a single linear
 pass; the nugatory test uses a cut-vertex search of the crossing graph.
+A diagram that simplify returned is marked as such, and so is its
+switch at a crossing, which simplify then checks for a poke pair
+through that crossing alone.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -68,6 +71,11 @@ class OrientedDiagram:
     free_loops: int = 0
     # filled in by canonical_code; not part of equality, hash or repr
     _code: str | None = field(default=None, init=False, repr=False, compare=False)
+    # set by simplify on what it returns (no move fires on it), and by
+    # switch on the switch of such a diagram (the switched crossing);
+    # hidden like _code
+    _simple: bool = field(default=False, init=False, repr=False, compare=False)
+    _switched: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_loops < 0:
@@ -405,6 +413,8 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
 
     Arc labels and strand succession are untouched, so the result needs
     no relabeling and traversal order is stable under repeated switches.
+    The switch of a diagram that simplify returned remembers i, so that
+    simplify need only look for poke pairs through crossing i.
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
@@ -413,7 +423,10 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
         new = Crossing(cr.b, cr.c, cr.d, cr.a, -1)
     else:
         new = Crossing(cr.d, cr.a, cr.b, cr.c, 1)
-    return OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
+    out = OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
+    if d._simple:
+        object.__setattr__(out, "_switched", i)
+    return out
 
 
 def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
@@ -560,10 +573,26 @@ def find_poke_pair(d: OrientedDiagram) -> tuple[int, int] | None:
     by_over_in = {cr.over_in(): j for j, cr in enumerate(d.crossings)}
     for i, ci in enumerate(d.crossings):
         j = by_over_in.get(ci.over_out())
-        if j is None or j == i:
-            continue
-        cj = d.crossings[j]
-        if ci.c == cj.a or cj.c == ci.a:
+        if j is not None and j != i and _under_joined(ci, d.crossings[j]):
+            return (i, j)
+    return None
+
+
+def _under_joined(ci: Crossing, cj: Crossing) -> bool:
+    """Do the under strands of ci and cj share an arc?"""
+    return ci.c == cj.a or cj.c == ci.a
+
+
+def _poke_pair_through(d: OrientedDiagram, s: int) -> tuple[int, int] | None:
+    """find_poke_pair's answer on a diagram whose poke pairs all include
+    crossing s: the pairs through s, tried in find_poke_pair's order."""
+    cs = d.crossings[s]
+    for i, ci in enumerate(d.crossings):
+        if i == s:
+            j = next((k for k, ck in enumerate(d.crossings) if ck.over_in() == cs.over_out()), None)
+        else:
+            j = s if ci.over_out() == cs.over_in() else None
+        if j is not None and j != i and _under_joined(ci, d.crossings[j]):
             return (i, j)
     return None
 
@@ -732,7 +761,23 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     at most crossing_count rounds and never changes the link.  Each
     round is linear in the crossing count; a diagram on which no move
     fires is returned as the same object.
+
+    The result is marked, and a marked diagram is returned at once.  On
+    the switch of a marked diagram at crossing s only a poke pair through
+    s can fire: a switch keeps every arc, so the crossing graph, every
+    kink test, every crossing's oriented smoothing and every poke test
+    between two other crossings are those of the marked diagram.  The
+    first round there looks for those pairs alone; the full rounds start
+    after a removal.
     """
+    if d._simple:
+        return d
+    if d._switched is not None:
+        pair = _poke_pair_through(d, d._switched)
+        if pair is None:
+            object.__setattr__(d, "_simple", True)
+            return d
+        d = remove_poke_pair(d, *pair)
     while d.crossings:
         i = find_kink(d)
         if i is not None:
@@ -747,6 +792,7 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
             d = remove_nugatory(d, *nug)
             continue
         break
+    object.__setattr__(d, "_simple", True)
     return d
 
 

@@ -255,6 +255,11 @@ def parse_poly(text: str) -> LaurentPoly2:
 # simplify either drops crossings or returns its input unchanged, so
 # each step drops a crossing or keeps the diagram's arcs and moves the
 # first defect later.
+#
+# The same identity solved for the switched child (switch_value) gives
+# its value from the diagram's and the smoothing's without an expansion:
+# the search, which knows P of every node it branches on, stores its
+# switch children's values that way.
 
 
 class BudgetExceeded(RuntimeError):
@@ -262,12 +267,18 @@ class BudgetExceeded(RuntimeError):
 
 
 class HomflyCache:
-    """Memo table keyed by canonical diagram code, with usage counters."""
+    """Memo table keyed by canonical diagram code, with usage counters.
+
+    computed counts the values stored by a skein expansion, derived the
+    values stored from the skein identity (see switch_value); hits counts
+    lookups that found a value.
+    """
 
     def __init__(self):
         self.table: dict[str, LaurentPoly2] = {}
         self.hits = 0
         self.computed = 0
+        self.derived = 0
 
     def get(self, key: str) -> LaurentPoly2 | None:
         value = self.table.get(key)
@@ -275,9 +286,12 @@ class HomflyCache:
             self.hits += 1
         return value
 
-    def put(self, key: str, value: LaurentPoly2) -> None:
+    def put(self, key: str, value: LaurentPoly2, derived: bool = False) -> None:
         self.table[key] = value
-        self.computed += 1
+        if derived:
+            self.derived += 1
+        else:
+            self.computed += 1
 
     def __len__(self) -> int:
         return len(self.table)
@@ -287,6 +301,19 @@ _A2 = monomial(1, 2, 0)
 _AZ = monomial(1, 1, 1)
 _Am2 = monomial(1, -2, 0)
 _AmZ = monomial(1, -1, 1)
+
+
+def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> LaurentPoly2:
+    """P of a diagram's switch at a crossing of the given sign, from P of
+    the diagram and of its smoothing there.
+
+    The skein identity solved for the switched child: at a positive
+    crossing P(switch) = a^-2 (P - a z P(smooth)), at a negative one
+    P(switch) = a^2 (P + a^-1 z P(smooth)).  Only exponents shift.
+    """
+    if sign > 0:
+        return _Am2 * (p - _AZ * p_smoothed)
+    return _A2 * (p + _AmZ * p_smoothed)
 
 
 def _first_defect(d: OrientedDiagram) -> int | None:

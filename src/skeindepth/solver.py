@@ -18,6 +18,13 @@ Soundness rules the search lives by:
   passed, refutes nothing — it surfaces as None and widens the
   reported interval.
 
+The search knows the polynomial of every node it branches on, so each
+switch child's polynomial comes from the skein identity, from the
+node's and the smoothing's (:func:`.poly.switch_value`), not from a
+skein expansion; the smoothing's is looked up or expanded.  Each child
+is simplified, which on a switch child looks only for a poke pair
+through the switched crossing (see :func:`.diagram.simplify`).
+
 Per-diagram results (depth intervals, witnesses, recognizer verdicts,
 polynomials) are memoized on the canonical code inside a SolveContext,
 so the k-sweep and sibling subtrees share work.  :class:`ResultCache`
@@ -37,7 +44,7 @@ from typing import Optional, Union
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
 from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
 from .moves import Verdict, recognize_unlink
-from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly
+from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly, switch_value
 
 DEFAULT_BUDGET = 5_000_000
 _INF = 10**9
@@ -99,6 +106,22 @@ class SolveContext:
 
     def poly_of(self, d: OrientedDiagram) -> LaurentPoly2:
         return homfly(d, self.homfly_cache)
+
+    def derive_switch_poly(
+        self, sign: int, p: LaurentPoly2, sw: OrientedDiagram, sm: OrientedDiagram
+    ) -> None:
+        """Store P(sw) from the skein identity unless it is already known.
+
+        sw and sm are the switch and smoothing, simplified, of a diagram
+        with polynomial p at a crossing of the given sign.  A crossingless
+        sw needs no stored value.
+        """
+        if sw.is_crossingless():
+            return
+        key = canonical_code(sw)
+        if key not in self.homfly_cache.table:
+            value = switch_value(sign, p, self.poly_of(sm))
+            self.homfly_cache.put(key, value, derived=True)
 
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
@@ -173,7 +196,8 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         return True
     if k < lo:
         return False
-    self_lb = polynomial_lower_bound(ctx.poly_of(d), component_count(d))
+    p = ctx.poly_of(d)
+    self_lb = polynomial_lower_bound(p, component_count(d))
     if self_lb > k:
         ctx.memo[code] = (max(lo, self_lb), hi)
         return False
@@ -186,6 +210,7 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     for i in _branch_order(d):
         sw = simplify(switch(d, i))
         sm = simplify(smooth(d, i))
+        ctx.derive_switch_poly(d.crossings[i].sign, p, sw, sm)
         r_sw = _search(sw, k - 1, ctx, limit)
         if r_sw is None:
             saw_unknown = True

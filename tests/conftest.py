@@ -7,7 +7,17 @@ them is re-derived in the tests rather than trusted.
 
 import pytest
 
-from skeindepth import Crossing, HomflyCache, OrientedDiagram, parse_pd
+from skeindepth import (
+    Crossing,
+    HomflyCache,
+    OrientedDiagram,
+    braid_closure,
+    parse_braid,
+    parse_pd,
+    simplify,
+    smooth,
+    switch,
+)
 
 # name -> (pd text, components)
 FIXTURE_PDS = {
@@ -39,6 +49,19 @@ ORACLE_WORDS = [
     "p=4: 1 2 3 1 -2 3",
     "p=4: 1 -3 2 2 -1 3",
 ]
+
+
+
+def closure_battery():
+    """The ORACLE_WORDS closures, simplified, their simplified switch and
+    smoothing children, and the simplified closure of T(3,5)."""
+    closures = [simplify(braid_closure(parse_braid(w))) for w in ORACLE_WORDS]
+    out = list(closures)
+    for d in closures:
+        for i in range(d.crossing_count):
+            out += [simplify(switch(d, i)), simplify(smooth(d, i))]
+    out.append(simplify(braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * 5)))))
+    return out
 
 
 # a 7-crossing unknot diagram that simplification leaves alone; the

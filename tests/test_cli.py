@@ -119,6 +119,36 @@ def test_td_verb_and_budget_exit(tmp_path, capsys):
     assert out == "3\t4\t[3, 4]\n"  # interval printed despite exhaustion
 
 
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("td", "--max-depth", "-3"),
+        ("td", "--budget", "-1"),
+        ("td", "--timeout-secs", "-0.5"),
+        ("td", "--timeout-secs", "nan"),
+        ("tabulate", "--budget", "-1"),
+        ("tabulate", "--timeout-secs", "-2"),
+        ("tree", "--depth", "-1"),
+        ("tree", "--budget", "-5"),
+    ],
+)
+def test_negative_limits_are_input_errors(tmp_path, capsys, verb, flag, value):
+    # the closure of p=3: 1 1 2 2 2 -1 2 1 is [4, 5]; --max-depth -3 once
+    # printed [4, 7] and exited 0
+    f = tmp_path / "in.pd"
+    f.write_text(pd_text(braid_closure(parse_braid("p=3: 1 1 2 2 2 -1 2 1"))) + "\n")
+    dot = tmp_path / "t.dot"
+    argv = {
+        "td": ["td", str(f)],
+        "tabulate": ["tabulate", bundled_dataset()],
+        "tree": ["tree", str(f), "--depth", "2", "--dot", str(dot)],
+    }[verb]
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not dot.exists()
+    assert captured.err.startswith(f"error: {flag} must be at least 0")
+
+
 def test_braid_bound_verb(tmp_path, capsys):
     f = tmp_path / "w.braid"
     f.write_text("p=2: 1 1 1\np=4: -1 2 -1 -3 -2 -2 -1 -3 -2 -2 -3\n")
@@ -170,6 +200,19 @@ def test_tabulate_byte_identical_and_empty(tmp_path, capsys):
     empty.write_text("# nothing here\n")
     assert main(["tabulate", str(empty)]) == 0
     assert capsys.readouterr().out == "name\tlower\tupper\ttd\n"
+
+
+def test_tabulate_warm_cache_is_byte_identical(tmp_path, monkeypatch, capsys):
+    """Cold, warm from the cache the cold run wrote, and warm again: the
+    same stdout and stderr, byte for byte."""
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    cache = tmp_path / "cache.tsv"
+    runs = []
+    for _ in range(3):
+        assert main(["tabulate", bundled_dataset(), "--cache", str(cache)]) == 0
+        runs.append(capsys.readouterr())
+        assert cache.read_text()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_tabulate_inline_row_errors(tmp_path, capsys):

@@ -184,6 +184,19 @@ def test_stored_code_is_invisible():
         for op in (switch, smooth):
             child = op(coded, i)
             assert canonical_code(child) == canonical_code(op(plain, i)) != code
+    # the marks of simplify and switch are just as invisible, and only
+    # the switch of a diagram simplify returned carries one
+    marked = simplify(parse_pd(text))
+    assert marked._simple and not plain._simple
+    for i in range(marked.crossing_count):
+        child, twin = switch(marked, i), switch(plain, i)
+        assert child._switched == i and not child._simple
+        assert twin._switched is None and not twin._simple
+        for d, same in ((marked, plain), (child, twin)):
+            assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+            assert (repr(d), pd_text(d)) == (repr(same), pd_text(same))
+        for other in (switch(child, i), switch(twin, i), smooth(marked, i)):
+            assert other._switched is None and not other._simple
 
 
 def test_canonical_separates_fixtures():

@@ -34,7 +34,7 @@ from skeindepth import (
     writhe,
 )
 from skeindepth import moves
-from skeindepth.diagram import _crossing_groups
+from skeindepth.diagram import _crossing_groups, _poke_pair_through
 from skeindepth.moves import (
     find_kink,
     find_nugatory,
@@ -45,7 +45,15 @@ from skeindepth.moves import (
 )
 from skeindepth.poly import _A2, _AZ, DELTA, ONE, _Am2, _AmZ, _first_defect
 
-from conftest import CROSSED, FIXTURE_PDS, ORACLE_WORDS, UNKNOT_7_PD, UNLINK4_12_PD, scrambled
+from conftest import (
+    CROSSED,
+    FIXTURE_PDS,
+    ORACLE_WORDS,
+    UNKNOT_7_PD,
+    UNLINK4_12_PD,
+    closure_battery,
+    scrambled,
+)
 
 
 def _cycle_index(cycles, label):
@@ -243,6 +251,25 @@ def oracle_simplify(d):
     return d
 
 
+def full_simplify(d):
+    """simplify without its marks: every round tries every move."""
+    while d.crossings:
+        i = find_kink(d)
+        if i is not None:
+            d = remove_kink(d, i)
+            continue
+        pair = find_poke_pair(d)
+        if pair is not None:
+            d = remove_poke_pair(d, *pair)
+            continue
+        nug = find_nugatory(d)
+        if nug is not None:
+            d = remove_nugatory(d, *nug)
+            continue
+        break
+    return d
+
+
 def raw_homfly(d, table):
     """The skein expansion on raw (unsimplified) switch and smoothing children."""
     if d.is_crossingless():
@@ -330,6 +357,31 @@ def test_linear_finders_match_the_quadratic_oracles():
                 own_part = next(g for g in _crossing_groups(v) if i in g)
                 assert set(side) < set(own_part), v
     assert nugatory_hits > 10 and poke_hits > 10 and split_seen >= 15
+
+
+def test_switch_of_a_simplified_diagram_simplifies_as_the_full_loop():
+    """On the switch of a diagram that simplify returned, simplify looks
+    only for poke pairs through the switched crossing, and finds the pair
+    find_poke_pair finds; the result must be the full loop's, crossing
+    for crossing, also under arc renamings and crossing reorderings, and
+    for switches of those results."""
+    rng = random.Random(5)
+    battery = closure_battery() + [simplify(d) for d in finder_battery()]
+    removed = 0
+    for d in battery:
+        for s in (d, simplify(scrambled(d, rng))):
+            assert full_simplify(s) == s
+            for i in range(s.crossing_count):
+                sw = switch(s, i)
+                assert _poke_pair_through(sw, i) == find_poke_pair(sw), (s, i)
+                want = full_simplify(sw)
+                got = simplify(sw)
+                assert got == want, (s, i)
+                if got.crossing_count < s.crossing_count:
+                    removed += 1
+                    for j in range(got.crossing_count):
+                        assert simplify(switch(got, j)) == full_simplify(switch(got, j)), (got, j)
+    assert removed > 50
 
 
 def test_simplify_keeps_split_links():

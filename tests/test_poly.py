@@ -26,9 +26,9 @@ from skeindepth import (
     unlink_value,
     z_degree,
 )
-from skeindepth.poly import DELTA, ONE, ZERO, monomial
+from skeindepth.poly import DELTA, ONE, ZERO, monomial, switch_value
 
-from conftest import CROSSED, FIXTURE_PDS
+from conftest import CROSSED, FIXTURE_PDS, closure_battery
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -141,6 +141,22 @@ def test_skein_relation_at_every_crossing():
                 plus, minus = homfly(sw, cache), homfly(d, cache)
             zero = homfly(sm, cache)
             assert Ainv * plus - A * minus == Z * zero, (name, i)
+
+
+def test_switch_value_solves_the_skein_identity():
+    """The switch child's value from the diagram's and the smoothing's
+    equals its own expansion, at every crossing of the ORACLE_WORDS
+    closures, of their simplified switch and smoothing children, and of
+    T(3,5)."""
+    cache = HomflyCache()
+    signs = set()
+    for d in closure_battery():
+        p = homfly(d, cache)
+        for i, cr in enumerate(d.crossings):
+            got = switch_value(cr.sign, p, homfly(simplify(smooth(d, i)), cache))
+            assert got == homfly(simplify(switch(d, i)), HomflyCache()), (d, i)
+            signs.add(cr.sign)
+    assert signs == {1, -1}
 
 
 def test_mirror_rule_on_fixtures():

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from skeindepth import (
+    HomflyCache,
     SkeinBranch,
     SkeinLeaf,
     SolveContext,
@@ -28,7 +29,7 @@ from skeindepth import (
 )
 from skeindepth.solver import ResultCache
 
-from conftest import FIXTURE_PDS, UNKNOT_7_PD
+from conftest import FIXTURE_PDS, ORACLE_WORDS, UNKNOT_7_PD, closure_battery
 
 INF = 10**9
 
@@ -278,6 +279,31 @@ def test_hard_torus_closures_are_exact(word, depth):
     res = compute_td(d, timeout_secs=60, ctx=SolveContext())
     assert res.status == f"Exact({depth})"
     assert verify_tree(res.witness) == depth
+
+
+def test_switch_child_values_are_derived_and_counted_apart():
+    """derive_switch_poly stores the switch child's own value, only when
+    the child has crossings and no stored value, and counts it in derived;
+    the search stores switch children's values this way."""
+    ctx = SolveContext()
+    cache = ctx.homfly_cache
+    for d in closure_battery():
+        p = ctx.poly_of(d)
+        for i, cr in enumerate(d.crossings):
+            sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
+            fresh = not sw.is_crossingless() and canonical_code(sw) not in cache.table
+            derived = cache.derived
+            ctx.derive_switch_poly(cr.sign, p, sw, sm)
+            assert cache.derived == derived + fresh
+            # every stored value is counted once, as computed or as derived
+            assert len(cache) == cache.computed + cache.derived
+            if not sw.is_crossingless():
+                assert cache.table[canonical_code(sw)] == homfly(sw, HomflyCache()), (d, i)
+    ctx = SolveContext()
+    for w in ORACLE_WORDS:
+        compute_td(braid_closure(parse_braid(w)), ctx=ctx)
+    assert ctx.homfly_cache.derived > 0
+    assert len(ctx.homfly_cache) == ctx.homfly_cache.computed + ctx.homfly_cache.derived
 
 
 def test_persisted_interval_answers_without_witness():
