@@ -10,7 +10,6 @@ otherwise.
 from .bounds import (
     BoundsReport,
     aggregate_bounds,
-    crossing_upper_bound,
     genus_lower_bound,
     homfly_lower_bound,
     polynomial_lower_bound,
@@ -20,7 +19,6 @@ from .bounds import (
 from .braid import (
     BraidWord,
     braid_closure,
-    braid_stats,
     mixed_braid_upper,
     parse_braid,
     positive_braid_td,
@@ -50,7 +48,6 @@ from .moves import (
     triangle_moves,
 )
 from .poly import (
-    BudgetExceeded,
     HomflyCache,
     LaurentPoly2,
     conway,
@@ -59,7 +56,6 @@ from .poly import (
     render_poly,
     specialize_conway,
     unlink_value,
-    z_degree,
 )
 from .solver import (
     DEFAULT_BUDGET,
@@ -80,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "BraidWord",
-    "BudgetExceeded",
     "Crossing",
     "DEFAULT_BUDGET",
     "HomflyCache",
@@ -94,13 +89,11 @@ __all__ = [
     "Verdict",
     "aggregate_bounds",
     "braid_closure",
-    "braid_stats",
     "canonical_code",
     "component_count",
     "component_cycles",
     "compute_td",
     "conway",
-    "crossing_upper_bound",
     "depth_at_most",
     "disjoint_union",
     "extract_tree",
@@ -132,5 +125,4 @@ __all__ = [
     "unlink_value",
     "verify_tree",
     "writhe",
-    "z_degree",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .braid import braid_stats, mixed_braid_upper, positive_braid_td
+from .braid import mixed_braid_upper, positive_braid_td
 from .diagram import OrientedDiagram, component_count, simplify
 from .poly import (
     _A2,
@@ -60,14 +60,6 @@ def genus_lower_bound(genus: int, components: int) -> int:
     if components < 1:
         raise ValueError(f"need at least one component, got {components}")
     return 2 * genus + components - 1
-
-
-def crossing_upper_bound(d: OrientedDiagram) -> int:
-    """Depth is at most (simplified crossing count) - 1 for nontrivial diagrams."""
-    s = simplify(d)
-    if s.is_crossingless():
-        raise ValueError("diagram simplifies to an unlink; depth is 0 and this bound does not apply")
-    return s.crossing_count - 1
 
 
 def homfly_lower_bound(d: OrientedDiagram, cache: HomflyCache | None = None) -> int:
@@ -184,8 +176,7 @@ def aggregate_bounds(
         add("mixed braid", mixed_braid_upper(list(braid_words)), "upper")
         exact = None
         for w in braid_words:
-            _, pos, neg, _, used = braid_stats(w)
-            if used and (pos == 0 or neg == 0):
+            if w.all_indices_used() and (w.positives == 0 or w.negatives == 0):
                 v = positive_braid_td(w)
                 exact = v if exact is None else min(exact, v)
         if exact is not None:

@@ -75,11 +75,6 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def braid_stats(w: BraidWord) -> tuple[int, int, int, int, bool]:
-    """(length, positives, negatives, strands, all generator indices used)."""
-    return (w.length, w.positives, w.negatives, w.strands, w.all_indices_used())
-
-
 def braid_closure(w: BraidWord) -> OrientedDiagram:
     """Oriented diagram of the braid closure, all strands running downward.
 
@@ -117,12 +112,11 @@ def positive_braid_td(w: BraidWord) -> int:
     Rejects mixed-sign words (no exactness there) and words skipping a
     generator index (the closure splits and the count is off).
     """
-    length, pos, neg, strands, used = braid_stats(w)
-    if pos and neg:
+    if w.positives and w.negatives:
         raise ValueError("mixed-sign braid word: exact formula needs one sign")
-    if not used:
+    if not w.all_indices_used():
         raise ValueError("braid word skips a generator index; closure is split")
-    return length - strands + 1
+    return w.length - w.strands + 1
 
 
 def mixed_braid_upper(words: list[BraidWord]) -> int:
@@ -136,11 +130,10 @@ def mixed_braid_upper(words: list[BraidWord]) -> int:
         raise ValueError("empty word list")
     best = None
     for w in words:
-        length, pos, neg, strands, used = braid_stats(w)
-        if not used:
+        if not w.all_indices_used():
             raise ValueError(
                 f"braid word skips a generator index; closure is split: {w}"
             )
-        bound = length - strands + 1 + min(pos, neg)
+        bound = w.length - w.strands + 1 + min(w.positives, w.negatives)
         best = bound if best is None else min(best, bound)
     return best

@@ -2,19 +2,25 @@
 
 One verb per artifact:
 
-* ``poly <file>`` — polynomial of each diagram in the file
-* ``bounds <file> [--genus N] [--braids <file>]`` — bound report rows
-* ``td <file> [--max-depth K] [--budget N]`` — depth per diagram
+* ``poly <file> [--cache PATH]`` — polynomial of each diagram in the file
+* ``bounds <file> [--genus N] [--braids <file>] [--cache PATH]`` — bound
+  report rows
+* ``td <file> [--max-depth K] [--budget N] [--timeout-secs S]
+  [--cache PATH]`` — depth per diagram
 * ``braid-bound <braidfile>`` — word statistics and formula bounds
-* ``tabulate <dataset.tsv> [--out <file>]`` — the full table
-* ``tree <file> --depth K --dot <out>`` — witness tree as a DOT digraph
+* ``tabulate <dataset.tsv> [--out <file>] [--budget N] [--timeout-secs S]
+  [--cache PATH]`` — the full table
+* ``tree <file> --depth K --dot <out> [--budget N] [--cache PATH]`` —
+  witness tree as a DOT digraph
 
 Exit codes: 0 success, 1 input error, 2 budget/timeout exhaustion with
 interval output.  A result cache (``--cache PATH``, overridden by the
 SKEIN_CACHE environment variable) persists polynomial values and depth
 intervals keyed by canonical code, as append-only tab-separated lines
 that start with a format marker; corrupt lines and lines of the older
-unversioned format are skipped with a warning on stderr.
+unversioned format are skipped with a warning on stderr.  :func:`main`
+loads it into the context every verb solves in and saves it after the
+verb returns; only the verbs that take ``--cache`` use it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .bounds import aggregate_bounds
-from .braid import BraidWord, braid_stats, mixed_braid_upper, parse_braid, positive_braid_td
+from .braid import BraidWord, mixed_braid_upper, parse_braid, positive_braid_td
 from .diagram import OrientedDiagram, parse_pd, pd_text
 from .poly import homfly, render_poly
 from .solver import (
@@ -40,18 +46,6 @@ from .solver import (
     depth_at_most,
     extract_tree,
 )
-
-
-# -- result cache --------------------------------------------------------------
-
-
-def _open_cache(args, ctx: SolveContext) -> ResultCache | None:
-    path = os.environ.get("SKEIN_CACHE") or getattr(args, "cache", None)
-    if not path:
-        return None
-    cache = ResultCache(path)
-    cache.load_into(ctx)
-    return cache
 
 
 # -- input files ---------------------------------------------------------------
@@ -159,20 +153,14 @@ def export_dot(tree: SkeinTree) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_poly(args) -> int:
-    ctx = SolveContext()
-    cache = _open_cache(args, ctx)
+def _cmd_poly(args, ctx: SolveContext) -> int:
     for _, line in _data_lines(args.file):
         d = parse_pd(line)
         print(render_poly(homfly(d, ctx.homfly_cache)))
-    if cache:
-        cache.save_from(ctx)
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    ctx = SolveContext()
-    cache = _open_cache(args, ctx)
+def _cmd_bounds(args, ctx: SolveContext) -> int:
     words = None
     if args.braids:
         words = [parse_braid(line) for _, line in _data_lines(args.braids)]
@@ -180,14 +168,10 @@ def _cmd_bounds(args) -> int:
         d = parse_pd(line)
         rep = aggregate_bounds(d, genus=args.genus, braid_words=words, cache=ctx.homfly_cache)
         print(rep.render_row(f"row{idx}"))
-    if cache:
-        cache.save_from(ctx)
     return 0
 
 
-def _cmd_td(args) -> int:
-    ctx = SolveContext()
-    cache = _open_cache(args, ctx)
+def _cmd_td(args, ctx: SolveContext) -> int:
     exhausted = False
     for _, line in _data_lines(args.file):
         d = parse_pd(line)
@@ -200,31 +184,30 @@ def _cmd_td(args) -> int:
         )
         exhausted = exhausted or res.budget_exhausted
         print(f"{res.link_lower}\t{res.diagram_upper}\t{res.render()}")
-    if cache:
-        cache.save_from(ctx)
     return 2 if exhausted else 0
 
 
-def _cmd_braid_bound(args) -> int:
+def _cmd_braid_bound(args, ctx: SolveContext) -> int:
     uppers = []
     for _, line in _data_lines(args.file):
         w = parse_braid(line)
-        length, pos, neg, strands, used = braid_stats(w)
+        used = w.all_indices_used()
         exact = "-"
-        if used and (pos == 0 or neg == 0):
+        if used and (w.positives == 0 or w.negatives == 0):
             exact = str(positive_braid_td(w))
         upper = mixed_braid_upper([w]) if used else "-"
         if used:
             uppers.append(int(upper))
-        print(f"{length}\t{pos}\t{neg}\t{strands}\t{str(used).lower()}\t{exact}\t{upper}")
+        print(
+            f"{w.length}\t{w.positives}\t{w.negatives}\t{w.strands}\t"
+            f"{str(used).lower()}\t{exact}\t{upper}"
+        )
     if uppers:
         print(f"min-upper\t{min(uppers)}")
     return 0
 
 
-def _cmd_tabulate(args) -> int:
-    ctx = SolveContext()
-    cache = _open_cache(args, ctx)
+def _cmd_tabulate(args, ctx: SolveContext) -> int:
     rows = load_dataset(args.dataset)
     out_lines = ["name\tlower\tupper\ttd"]
     exhausted = False
@@ -259,28 +242,28 @@ def _cmd_tabulate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if cache:
-        cache.save_from(ctx)
     return 2 if exhausted else 0
 
 
-def _cmd_tree(args) -> int:
-    ctx = SolveContext()
-    cache = _open_cache(args, ctx)
+def _cmd_tree(args, ctx: SolveContext) -> int:
     lines = _data_lines(args.file)
     if not lines:
         raise ValueError(f"{args.file}: no diagram found")
     d = parse_pd(lines[0][1])
     verdict = depth_at_most(d, args.depth, budget=args.budget, ctx=ctx)
-    if cache:
-        cache.save_from(ctx)
+    if verdict is True:
+        try:
+            tree = extract_tree(d, args.depth, budget=args.budget, ctx=ctx)
+        except LookupError:
+            # the True rested on a cached interval, and the search for
+            # its witness ran out of budget
+            verdict = None
     if verdict is None:
         print(f"budget exhausted before settling depth {args.depth}", file=sys.stderr)
         return 2
     if verdict is False:
         print(f"no resolution tree of depth {args.depth} exists for this diagram", file=sys.stderr)
         return 1
-    tree = extract_tree(d, args.depth, budget=args.budget, ctx=ctx)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(export_dot(tree))
     return 0
@@ -353,7 +336,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_limits(args)
-        return args.fn(args)
+        ctx = SolveContext()
+        path = (os.environ.get("SKEIN_CACHE") or args.cache) if "cache" in args else None
+        cache = ResultCache(path) if path else None
+        if cache:
+            cache.load_into(ctx)
+        code = args.fn(args, ctx)
+        if cache:
+            cache.save_from(ctx)
+        return code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -6,10 +6,9 @@ never shrink a diagram; they feed the bounded unlink search in
 search restarts from the first diagram it meets with fewer crossings
 than its start (monotone descent), spends one node budget across all
 restarts, and gives up with ``unknown`` once its deadline passes.  The
-crossing-removing moves and :func:`simplify`, like the skein operations
-:func:`switch` and :func:`smooth`, live in :mod:`.diagram`; the moves and
-their finders are imported here so that ``moves.simplify`` and
-``moves.find_nugatory`` keep working.
+crossing-removing moves, their finders and :func:`.diagram.simplify`,
+like the skein operations :func:`.diagram.switch` and
+:func:`.diagram.smooth`, live in :mod:`.diagram`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .diagram import (  # noqa: F401  (crossing-removing moves re-exported)
+from .diagram import (
     Crossing,
     OrientedDiagram,
     _crossing_groups,
@@ -28,19 +27,17 @@ from .diagram import (  # noqa: F401  (crossing-removing moves re-exported)
     canonical_code,
     component_count,
     faces,
-    find_kink,
-    find_nugatory,
-    find_poke_pair,
     leaving_slots,
     mirror,
-    remove_kink,
-    remove_nugatory,
-    remove_poke_pair,
     renormalize,
     simplify,
     validate,
 )
 from .poly import homfly, unlink_value
+
+# extra crossings the unlink search allows over the diagram it started
+# from, or last restarted from
+_CROSSING_MARGIN = 2
 
 
 # -- crossing-increasing moves -------------------------------------------------
@@ -303,14 +300,13 @@ def recognize_unlink(
     d: OrientedDiagram,
     homfly_value=None,
     node_limit: int = 10000,
-    crossing_margin: int = 2,
     deadline: float | None = None,
 ) -> Verdict:
     """Three-valued unlink test; unlink/not_unlink answers are never wrong.
 
     Simplification settles most inputs; a polynomial mismatch against the
     split-union value certifies not_unlink; otherwise a bounded search
-    over slides and pokes (allowing crossing_margin extra crossings over
+    over slides and pokes (allowing _CROSSING_MARGIN extra crossings over
     the diagram it started from) hunts for a crossingless diagram.  The
     search descends greedily: the first candidate with fewer crossings
     than its start drops the queue and the seen set, and the search
@@ -346,7 +342,7 @@ def recognize_unlink(
                 seen = {canonical_code(cand)}
                 queue = deque([cand])
                 break
-            if cand.crossing_count > floor + crossing_margin:
+            if cand.crossing_count > floor + _CROSSING_MARGIN:
                 continue
             code = canonical_code(cand)
             if code not in seen:

@@ -262,10 +262,6 @@ def parse_poly(text: str) -> LaurentPoly2:
 # switch children's values that way.
 
 
-class BudgetExceeded(RuntimeError):
-    """A configured node budget ran out before the computation finished."""
-
-
 class HomflyCache:
     """Memo table keyed by canonical diagram code, with usage counters.
 
@@ -333,50 +329,37 @@ def _first_defect(d: OrientedDiagram) -> int | None:
     return None
 
 
-def homfly(
-    d: OrientedDiagram,
-    cache: HomflyCache | None = None,
-    max_nodes: int | None = None,
-) -> LaurentPoly2:
+def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2:
     """The two-variable skein invariant of the link of d.
 
     The skein expansion recurses on the simplified switch and smoothing
     children of each defect crossing.  Results are memoized on canonical
     codes in `cache`, so repeated and nested calls stay cheap; without
-    one, the call uses a fresh table of its own.  max_nodes caps the
-    number of uncached skein expansions; exceeding it raises
-    BudgetExceeded.
+    one, the call uses a fresh table of its own.
     """
-    if cache is None:
-        cache = HomflyCache()
-    budget = [-1 if max_nodes is None else max_nodes]
-    return _homfly(d, cache, budget)
+    return _homfly(d, cache if cache is not None else HomflyCache())
 
 
-def _homfly(d: OrientedDiagram, cache: HomflyCache, budget: list[int]) -> LaurentPoly2:
+def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
     if d.is_crossingless():
         return unlink_value(d.free_loops)
     key = canonical_code(d)
     got = cache.get(key)
     if got is not None:
         return got
-    if budget[0] == 0:
-        raise BudgetExceeded("skein expansion budget exhausted")
-    if budget[0] > 0:
-        budget[0] -= 1
 
     parts = split_components(d)
     if len(parts) > 1:
         value = DELTA ** (len(parts) - 1)
         for part in parts:
-            value = value * _homfly(part, cache, budget)
+            value = value * _homfly(part, cache)
     else:
         i = _first_defect(d)
         if i is None:
             value = unlink_value(component_count(d))
         else:
-            p_sw = _homfly(simplify(switch(d, i)), cache, budget)
-            p_sm = _homfly(simplify(smooth(d, i)), cache, budget)
+            p_sw = _homfly(simplify(switch(d, i)), cache)
+            p_sm = _homfly(simplify(smooth(d, i)), cache)
             if d.crossings[i].sign > 0:
                 value = _A2 * p_sw + _AZ * p_sm
             else:
@@ -388,8 +371,3 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache, budget: list[int]) -> Lauren
 def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, int]:
     """Conway polynomial of the link of d as {z_exp: coeff}."""
     return specialize_conway(homfly(d, cache))
-
-
-def z_degree(p: LaurentPoly2) -> int:
-    """Top z-degree across all terms; errors on the zero polynomial."""
-    return p.z_degree()

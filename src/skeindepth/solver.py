@@ -78,7 +78,8 @@ def tree_depth(tree: SkeinTree) -> int:
 
 
 class SolveContext:
-    """Shared state for one or many solves: caches, memo tables, budgets.
+    """Shared state for one or many solves: caches, memo tables, the
+    search-node count and the deadline.
 
     memo maps canonical codes to certified depth intervals [lo, hi],
     found by this context's searches or loaded from a cache file;
@@ -87,17 +88,11 @@ class SolveContext:
     a file has no witness, and neither has a success that rests on one.
     """
 
-    def __init__(
-        self,
-        cache: HomflyCache | None = None,
-        recognizer_nodes: int = 10000,
-        deadline: float | None = None,
-    ):
+    def __init__(self, cache: HomflyCache | None = None, deadline: float | None = None):
         self.homfly_cache = cache if cache is not None else HomflyCache()
         self.memo: dict[str, tuple[int, int]] = {}
         self.witness: dict[str, tuple[int, tuple]] = {}
         self.verdicts: dict[str, Verdict] = {}
-        self.recognizer_nodes = recognizer_nodes
         self.deadline = deadline
         self.nodes = 0
 
@@ -126,12 +121,7 @@ class SolveContext:
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
         if v is None:
-            v = recognize_unlink(
-                d,
-                homfly_value=self.poly_of(d),
-                node_limit=self.recognizer_nodes,
-                deadline=self.deadline,
-            )
+            v = recognize_unlink(d, homfly_value=self.poly_of(d), deadline=self.deadline)
             # an unknown cut short by the deadline may yet be certified
             # by a later solve with more time
             if not (v.is_unknown and self.out_of_time()):
@@ -276,7 +266,8 @@ def extract_tree(
     Raises LookupError when no witness is available (the search answered
     False or ran out of budget).  A True that rests on a cache-loaded
     interval has no witness; the tree is then searched for as in a cold
-    run, in a fresh context that shares only the polynomial cache.
+    run, in a fresh context that shares only the polynomial cache and
+    the deadline.
     """
     ctx = ctx or _default_context()
     d = simplify(d)
@@ -286,7 +277,7 @@ def extract_tree(
     try:
         return _build_tree(ctx, d)
     except LookupError:
-        cold = SolveContext(ctx.homfly_cache, ctx.recognizer_nodes, ctx.deadline)
+        cold = SolveContext(ctx.homfly_cache, ctx.deadline)
         res = depth_at_most(d, k, budget, cold)
         if res is not True:
             raise LookupError(f"no depth-{k} witness available (search said {res})") from None
@@ -444,30 +435,28 @@ class ResultCache:
         self.loaded: dict[str, tuple[str, str]] = {}
 
     def load_into(self, ctx: SolveContext) -> None:
+        """Load every valid line; a corrupt one is skipped with a warning
+        and contributes nothing."""
         if not os.path.exists(self.path):
             return
         unversioned: list[int] = []
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) == 3 and _UNVERSIONED_CODE.fullmatch(parts[0]):
-                    unversioned.append(lineno)
-                    continue
-                if len(parts) != 4:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno}: wrong field count",
-                        file=sys.stderr,
-                    )
-                    continue
-                version, code, poly_text, interval = parts
                 try:
+                    line = raw.decode("utf-8").rstrip("\n")
+                    if not line:
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) == 3 and _UNVERSIONED_CODE.fullmatch(parts[0]):
+                        unversioned.append(lineno)
+                        continue
+                    if len(parts) != 4:
+                        raise ValueError("wrong field count")
+                    version, code, poly_text, interval = parts
                     if version != CACHE_FORMAT:
                         raise ValueError(f"unknown format marker {version!r}")
-                    if poly_text != "-":
-                        ctx.homfly_cache.table[code] = parse_poly(poly_text)
+                    value = None if poly_text == "-" else parse_poly(poly_text)
+                    bounds = None
                     if interval != "-":
                         lo_s, hi_s = interval.split(",")
                         lo = int(lo_s)
@@ -476,13 +465,17 @@ class ResultCache:
                             raise ValueError("empty interval")
                         # the search only consults the memo for diagrams
                         # that are not certified unlinks, so its floor is 1
-                        ctx.memo[code] = (max(lo, 1), hi)
-                except (ValueError, IndexError) as e:
+                        bounds = (max(lo, 1), hi)
+                except (ValueError, IndexError) as e:  # UnicodeDecodeError too
                     print(
                         f"warning: skipping corrupt cache line {lineno}: {e}",
                         file=sys.stderr,
                     )
                     continue
+                if value is not None:
+                    ctx.homfly_cache.table[code] = value
+                if bounds is not None:
+                    ctx.memo[code] = bounds
                 self.loaded[code] = (poly_text, interval)
         if unversioned:
             print(

@@ -6,7 +6,6 @@ from skeindepth import (
     HomflyCache,
     aggregate_bounds,
     component_count,
-    crossing_upper_bound,
     genus_lower_bound,
     homfly,
     homfly_lower_bound,
@@ -52,16 +51,19 @@ def test_genus_lower_bound_formula():
 
 
 def test_crossing_upper_bound():
-    assert crossing_upper_bound(parse_pd(FIXTURE_PDS["trefoil"][0])) == 2
-    assert crossing_upper_bound(parse_pd(FIXTURE_PDS["K5a2"][0])) == 4
+    def crossing_bound(d):
+        return {n: v for n, v, _ in aggregate_bounds(d).contributions}["crossing count"]
+
+    assert crossing_bound(parse_pd(FIXTURE_PDS["trefoil"][0])) == 2
+    assert crossing_bound(parse_pd(FIXTURE_PDS["K5a2"][0])) == 4
     # simplification happens first: a kinked trefoil still gives 2
     from skeindepth import insert_kink
 
     kinked = insert_kink(parse_pd(FIXTURE_PDS["trefoil"][0]), 1, 0)
-    assert crossing_upper_bound(kinked) == 2
+    assert crossing_bound(kinked) == 2
     for trivial in ("O", "O;O", "X[2,2,1,1]"):
         with pytest.raises(ValueError):
-            crossing_upper_bound(parse_pd(trivial))
+            aggregate_bounds(parse_pd(trivial))
 
 
 def test_homfly_lower_bound_values():

@@ -9,7 +9,6 @@ from skeindepth import (
     HomflyCache,
     SolveContext,
     braid_closure,
-    braid_stats,
     canonical_code,
     component_count,
     compute_td,
@@ -44,10 +43,14 @@ def test_parse_rejects(bad):
 
 
 def test_stats():
-    assert braid_stats(parse_braid("p=2: 1 1 1")) == (3, 3, 0, 2, True)
-    assert braid_stats(parse_braid("p=3: 1 -2 1 -2")) == (4, 2, 2, 3, True)
-    assert braid_stats(parse_braid("p=3: 1 1")) == (2, 2, 0, 3, False)
-    assert braid_stats(parse_braid(K11N183)) == (11, 1, 10, 4, True)
+    def stats(text):
+        w = parse_braid(text)
+        return (w.length, w.positives, w.negatives, w.strands, w.all_indices_used())
+
+    assert stats("p=2: 1 1 1") == (3, 3, 0, 2, True)
+    assert stats("p=3: 1 -2 1 -2") == (4, 2, 2, 3, True)
+    assert stats("p=3: 1 1") == (2, 2, 0, 3, False)
+    assert stats(K11N183) == (11, 1, 10, 4, True)
 
 
 def test_closure_oracles():

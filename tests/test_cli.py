@@ -10,6 +10,7 @@ from skeindepth import (
     canonical_code,
     compute_td,
     extract_tree,
+    homfly,
     parse_braid,
     parse_pd,
     pd_text,
@@ -280,6 +281,26 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert list(ctx.memo.values()) == [(1, 1)]
 
 
+def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
+    # a valid polynomial on a line with an empty interval, and a byte that
+    # is not UTF-8: each line is skipped whole, and the command goes on
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    code = canonical_code(parse_pd(TREFOIL))
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_bytes(f"v2\t{code}\t1\t5,2\n".encode() + b"v2\t\xff\t-\t1,2\n")
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "2\t2\t2\n"
+    assert "warning: skipping corrupt cache line 1: empty interval" in err
+    assert "warning: skipping corrupt cache line 2: 'utf-8' codec" in err
+    # the run saved the trefoil's own value, not the skipped one
+    ctx = SolveContext()
+    ResultCache(str(cache_path)).load_into(ctx)
+    assert ctx.homfly_cache.table[code] == homfly(parse_pd(TREFOIL))
+
+
 def test_cache_skips_unversioned_lines(tmp_path, capsys):
     # lines of the format before the version marker hold codes of the
     # older canonical form: never loaded, one warning for all of them
@@ -355,6 +376,22 @@ def test_tree_warm_cache_writes_the_cold_tree(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert warm.read_text() == cold.read_text()
     assert warm.read_text().count("unlink(") == 3
+
+
+def test_tree_warm_cache_budget_exhaustion_exits_2(tmp_path, monkeypatch, capsys):
+    # the cached interval settles depth 2, but its witness must be searched
+    # for again, and one node of budget is too little: exit 2, as cold
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = str(tmp_path / "cache.tsv")
+    assert main(["td", str(f), "--cache", cache_path]) == 0
+    capsys.readouterr()
+    dot = str(tmp_path / "t.dot")
+    for cache in ([], ["--cache", cache_path]):
+        argv = ["tree", str(f), "--depth", "2", "--dot", dot, "--budget", "1"] + cache
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "budget exhausted before settling depth 2\n"
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Module structure: relative imports sit at module level and form no
-cycle, and the names the benchmark's tracer patches exist."""
+cycle, every exported name exists, and the names the benchmark's tracer
+patches and its worker reads exist."""
 
 import ast
 import importlib.util
 import pathlib
+import re
 
 import skeindepth
 
 PACKAGE = pathlib.Path(skeindepth.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _relative_imports():
@@ -62,7 +65,7 @@ def test_relative_imports_form_no_cycle():
 def test_tracer_patched_names_exist():
     """perfbench/tracer.py wraps module attributes by name; moving a
     function must not silently leave a name for it to patch missing."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = PERFBENCH / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -74,3 +77,26 @@ def test_tracer_patched_names_exist():
         if not callable(getattr(getattr(skeindepth, mod, None), attr, None))
     ]
     assert len(names) > 10 and missing == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from skeindepth import *", namespace)
+    assert [name for name in skeindepth.__all__ if name not in namespace] == []
+
+
+def test_worker_read_names_exist():
+    """perfbench/worker.py reads package attributes such as
+    ``sd.solver._shared_context`` and ``sd.cli.ResultCache``; deleting
+    one must not silently break the benchmark."""
+    text = (PERFBENCH / "worker.py").read_text(encoding="utf-8")
+    chains = sorted(set(re.findall(r"\bsd((?:\.\w+)+)", text)))
+    missing = []
+    for chain in chains:
+        obj = skeindepth
+        for attr in chain.split(".")[1:]:
+            if not hasattr(obj, attr):
+                missing.append("sd" + chain)
+                break
+            obj = getattr(obj, attr)
+    assert any(c.startswith((".solver.", ".cli.")) for c in chains) and missing == []

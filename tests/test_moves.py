@@ -34,8 +34,9 @@ from skeindepth import (
     writhe,
 )
 from skeindepth import moves
-from skeindepth.diagram import _crossing_groups, _poke_pair_through
-from skeindepth.moves import (
+from skeindepth.diagram import (
+    _crossing_groups,
+    _poke_pair_through,
     find_kink,
     find_nugatory,
     find_poke_pair,
