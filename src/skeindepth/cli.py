@@ -341,10 +341,12 @@ def main(argv=None) -> int:
         cache = ResultCache(path) if path else None
         if cache:
             cache.load_into(ctx)
-        code = args.fn(args, ctx)
-        if cache:
-            cache.save_from(ctx)
-        return code
+        try:
+            return args.fn(args, ctx)
+        finally:
+            # the context holds only finished work, even when the verb raised
+            if cache:
+                cache.save_from(ctx)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -14,6 +14,9 @@ under-strand anchors and the succession of labels; the rare text codes
 where both readings are consistent (a two-arc component that never runs
 under) parse with the b -> d reading.  Internally every crossing carries
 its sign explicitly, and all diagram operations preserve it.
+:func:`validate` checks the labels, the succession along each component
+and Euler's count of faces, so :func:`parse_pd` rejects a code that is
+not planar.
 
 Instances are immutable; all operations return new diagrams.  The two
 skein operations at a crossing, :func:`switch` and :func:`smooth`, and
@@ -25,7 +28,10 @@ without importing each other.  Each move's finder is a single linear
 pass; the nugatory test uses a cut-vertex search of the crossing graph.
 A diagram that simplify returned is marked as such, and so is its
 switch at a crossing, which simplify then checks for a poke pair
-through that crossing alone.
+through that crossing alone.  The arc-incidence helpers (each arc's two
+places, where each arc arrives, a union-find over arcs or crossings) are
+defined here once; the polynomial and rewrite modules take them from
+here.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -138,11 +144,33 @@ def pd_text(d: OrientedDiagram) -> str:
 
 
 def _occurrences(tuples: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, int]]]:
+    """arc label -> its places (crossing index, slot), in crossing order.
+
+    A Crossing is a tuple whose first four entries are its slots, so the
+    crossings of a diagram can be passed as they are.
+    """
     occ: dict[int, list[tuple[int, int]]] = {}
     for ci, tup in enumerate(tuples):
         for slot in range(4):
             occ.setdefault(tup[slot], []).append((ci, slot))
     return occ
+
+
+def _other_place(
+    occ: dict[int, list[tuple[int, int]]], arc: int, place: tuple[int, int]
+) -> tuple[int, int]:
+    """The place of arc at its other end from place."""
+    places = occ[arc]
+    return places[1] if places[0] == place else places[0]
+
+
+def _check_labels(occ: dict[int, list[tuple[int, int]]], n: int) -> None:
+    """Each arc label appears twice, and the labels are 1..2n."""
+    for label, places in sorted(occ.items()):
+        if len(places) != 2:
+            raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(places)))
+    if n and set(occ) != set(range(1, 2 * n + 1)):
+        raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
 
 
 def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
@@ -157,20 +185,11 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
     """
     n = len(tuples)
     occ = _occurrences(tuples)
-    for label, places in sorted(occ.items()):
-        if len(places) != 2:
-            raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(places)))
-    expected = set(range(1, 2 * n + 1))
-    if n and set(occ) != expected:
-        raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
+    _check_labels(occ, n)
 
     # role[ci][slot]: True if the arc arrives at this slot, False if it
     # leaves, None if not yet known.
     role: list[list[bool | None]] = [[True, None, False, None] for _ in range(n)]
-
-    def other(ci: int, slot: int) -> tuple[int, int]:
-        places = occ[tuples[ci][slot]]
-        return places[1] if places[0] == (ci, slot) else places[0]
 
     def propagate() -> None:
         changed = True
@@ -181,7 +200,7 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
                     r = role[ci][slot]
                     if r is None:
                         continue
-                    cj, t = other(ci, slot)
+                    cj, t = _other_place(occ, tuples[ci][slot], (ci, slot))
                     if role[cj][t] is None:
                         role[cj][t] = not r
                         changed = True
@@ -267,20 +286,23 @@ def writhe(d: OrientedDiagram) -> int:
 
 
 def validate(d: OrientedDiagram) -> None:
-    """Check the full labeling contract; raises ValueError on violation."""
-    occ = _occurrences(cr.arcs() for cr in d.crossings)
-    n = d.crossing_count
-    for label, places in sorted(occ.items()):
-        if len(places) != 2:
-            raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(places)))
-    if n and set(occ) != set(range(1, 2 * n + 1)):
-        raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
+    """Check the full labeling contract and planarity; raises ValueError on violation.
+
+    Planarity is Euler's count: the counterclockwise tuples embed each
+    connected part of c crossings in a sphere exactly when it has c + 2
+    faces.
+    """
+    _check_labels(_occurrences(d.crossings), d.crossing_count)
     for cycle in component_cycles(d):
         lo = min(cycle)
         k = cycle.index(lo)
         ordered = cycle[k:] + cycle[:k]
         if ordered != list(range(lo, lo + len(cycle))):
             raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
+    found = len(faces(d))
+    need = d.crossing_count + 2 * len(_crossing_groups(d))
+    if found != need:
+        raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))
 
 
 # -- relabeling ---------------------------------------------------------------
@@ -300,9 +322,7 @@ def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagr
     at its smallest current label; crossings are sorted for determinism.
     """
     crossings = tuple(crossings)
-    probe = OrientedDiagram(crossings, free_loops) if (crossings or free_loops) else None
-    if probe is None:
-        raise ValueError("empty diagram: no crossings and no free loops")
+    probe = OrientedDiagram(crossings, free_loops)
     if not crossings:
         return probe
     mapping: dict[int, int] = {}
@@ -396,13 +416,14 @@ def mirror(d: OrientedDiagram) -> OrientedDiagram:
     Arc labels are untouched: the strands and their orientations do not
     move, only their vertical order at each crossing flips.
     """
-    out = []
-    for cr in d.crossings:
-        if cr.sign > 0:
-            out.append(Crossing(cr.b, cr.c, cr.d, cr.a, -1))
-        else:
-            out.append(Crossing(cr.d, cr.a, cr.b, cr.c, 1))
-    return OrientedDiagram(tuple(out), d.free_loops)
+    return OrientedDiagram(tuple(_exchange(cr) for cr in d.crossings), d.free_loops)
+
+
+def _exchange(cr: Crossing) -> Crossing:
+    """cr with its over and under strands exchanged; the sign negates."""
+    if cr.sign > 0:
+        return Crossing(cr.b, cr.c, cr.d, cr.a, -1)
+    return Crossing(cr.d, cr.a, cr.b, cr.c, 1)
 
 
 # -- skein operations ----------------------------------------------------------
@@ -418,11 +439,7 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
-    cr = d.crossings[i]
-    if cr.sign > 0:
-        new = Crossing(cr.b, cr.c, cr.d, cr.a, -1)
-    else:
-        new = Crossing(cr.d, cr.a, cr.b, cr.c, 1)
+    new = _exchange(d.crossings[i])
     out = OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
     if d._simple:
         object.__setattr__(out, "_switched", i)
@@ -433,13 +450,30 @@ def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
     """Oriented resolution: erase crossing i, joining in-arcs to out-arcs."""
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
-    cr = d.crossings[i]
-    if cr.sign > 0:
-        merges = [(cr.a, cr.d), (cr.b, cr.c)]
-    else:
-        merges = [(cr.a, cr.b), (cr.d, cr.c)]
     rest = d.crossings[:i] + d.crossings[i + 1 :]
-    return _rewire(rest, merges, d.free_loops)
+    return _rewire(rest, _smoothing_pairs(d.crossings[i]), d.free_loops)
+
+
+def _smoothing_pairs(cr: Crossing) -> list[tuple[int, int]]:
+    """The arc pairs the oriented smoothing of cr joins, in-arc to out-arc."""
+    if cr.sign > 0:
+        return [(cr.a, cr.d), (cr.b, cr.c)]
+    return [(cr.a, cr.b), (cr.d, cr.c)]
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a path-halving union-find; an unseen x is its own root."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict[int, int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
 
 
 def _rewire(
@@ -455,25 +489,17 @@ def _rewire(
     """
     crossings = tuple(crossings)
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x, y in merges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+        _union(parent, x, y)
 
     relabeled = tuple(
-        Crossing(find(cr.a), find(cr.b), find(cr.c), find(cr.d), cr.sign)
+        Crossing(
+            _find(parent, cr.a), _find(parent, cr.b), _find(parent, cr.c), _find(parent, cr.d), cr.sign
+        )
         for cr in crossings
     )
     used = {arc for cr in relabeled for arc in cr.arcs()}
-    roots = {find(x) for pair in merges for x in pair}
+    roots = {_find(parent, x) for pair in merges for x in pair}
     loops = sum(1 for r in roots if r not in used)
     return renormalize(relabeled, free_loops + loops)
 
@@ -483,27 +509,17 @@ def _rewire(
 
 def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
     """Connected groups of crossing indices (shared arcs connect)."""
-    n = d.crossing_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {}
     by_arc: dict[int, int] = {}
     for ci, cr in enumerate(d.crossings):
         for arc in cr.arcs():
             if arc in by_arc:
-                ra, rb = find(by_arc[arc]), find(ci)
-                if ra != rb:
-                    parent[ra] = rb
+                _union(parent, by_arc[arc], ci)
             else:
                 by_arc[arc] = ci
     groups: dict[int, list[int]] = {}
-    for ci in range(n):
-        groups.setdefault(find(ci), []).append(ci)
+    for ci in range(d.crossing_count):
+        groups.setdefault(_find(parent, ci), []).append(ci)
     return sorted(groups.values(), key=min)
 
 
@@ -631,12 +647,8 @@ def _cut_crossings(d: OrientedDiagram) -> tuple[list[int], list[int]]:
     disconnects its part.  part[k] is the first crossing of k's part.
     """
     n = d.crossing_count
-    ends: dict[int, list[int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for arc in cr.arcs():
-            ends.setdefault(arc, []).append(ci)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for x, y in ends.values():
+    for (x, _), (y, _) in _occurrences(d.crossings).values():
         if x != y:
             adj[x].append(y)
             adj[y].append(x)
@@ -686,37 +698,19 @@ def _side_groups(d: OrientedDiagram, i: int, part: list[int]) -> list[list[int]]
     part lists the crossing indices of i's connected part; the groups
     are sorted by size, then by their indices.
     """
-    cr = d.crossings[i]
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for k in part:
         if k == i:
             continue
         arcs = d.crossings[k].arcs()
         for arc in arcs[1:]:
-            union(arcs[0], arc)
-    if cr.sign > 0:
-        union(cr.a, cr.d)
-        union(cr.b, cr.c)
-    else:
-        union(cr.a, cr.b)
-        union(cr.d, cr.c)
+            _union(parent, arcs[0], arc)
+    for x, y in _smoothing_pairs(d.crossings[i]):
+        _union(parent, x, y)
     groups: dict[int, list[int]] = {}
     for k in part:
         if k != i:
-            groups.setdefault(find(d.crossings[k].a), []).append(k)
+            groups.setdefault(_find(parent, d.crossings[k].a), []).append(k)
     return sorted(groups.values(), key=lambda g: (len(g), g))
 
 
@@ -807,12 +801,7 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     a connected diagram Euler's formula gives c + 2 faces.  Crossingless
     components do not appear.
     """
-    occ = _occurrences(cr.arcs() for cr in d.crossings)
-
-    def other(ci: int, slot: int) -> tuple[int, int]:
-        places = occ[d.crossings[ci].arcs()[slot]]
-        return places[1] if places[0] == (ci, slot) else places[0]
-
+    occ = _occurrences(d.crossings)
     remaining = {(ci, s) for ci in range(d.crossing_count) for s in range(4)}
     out: list[list[tuple[int, int]]] = []
     while remaining:
@@ -822,12 +811,21 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
         while True:
             face.append(cur)
             remaining.discard(cur)
-            cj, t = other(*cur)
+            cj, t = _other_place(occ, d.crossings[cur[0]][cur[1]], cur)
             cur = (cj, (t + 1) % 4)
             if cur == start:
                 break
         out.append(face)
     return out
+
+
+def _heads(d: OrientedDiagram) -> dict[int, tuple[int, int]]:
+    """arc -> (crossing index, slot) where the arc arrives."""
+    heads: dict[int, tuple[int, int]] = {}
+    for ci, cr in enumerate(d.crossings):
+        for slot in arriving_slots(cr):
+            heads[cr[slot]] = (ci, slot)
+    return heads
 
 
 def arriving_slots(cr: Crossing) -> tuple[int, int]:

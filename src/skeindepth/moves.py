@@ -2,13 +2,15 @@
 
 The crossing-increasing pokes, kink insertions and triangle slides here
 never shrink a diagram; they feed the bounded unlink search in
-:func:`recognize_unlink` and the randomized invariance tests.  That
-search restarts from the first diagram it meets with fewer crossings
-than its start (monotone descent), spends one node budget across all
-restarts, and gives up with ``unknown`` once its deadline passes.  The
-crossing-removing moves, their finders and :func:`.diagram.simplify`,
-like the skein operations :func:`.diagram.switch` and
-:func:`.diagram.smooth`, live in :mod:`.diagram`.
+:func:`recognize_unlink` and the randomized invariance tests.  A rewrite
+is kept only when :func:`.diagram.validate`, planarity included, accepts
+it.  The search restarts from the first diagram it meets with fewer
+crossings than its start (monotone descent), spends one node budget
+across all restarts, and gives up with ``unknown`` once its deadline
+passes.  The crossing-removing moves, their finders and
+:func:`.diagram.simplify`, like the skein operations
+:func:`.diagram.switch` and :func:`.diagram.smooth`, live in
+:mod:`.diagram`, and so do the arc-incidence helpers used here.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from typing import Iterator
 from .diagram import (
     Crossing,
     OrientedDiagram,
-    _crossing_groups,
+    _heads,
+    _occurrences,
+    _other_place,
     arriving_slots,
     canonical_code,
     component_count,
@@ -41,25 +45,6 @@ _CROSSING_MARGIN = 2
 
 
 # -- crossing-increasing moves -------------------------------------------------
-
-
-def _planar_valid(d: OrientedDiagram) -> bool:
-    try:
-        validate(d)
-    except ValueError:
-        return False
-    # Euler count, one sphere per connected group of crossings
-    groups = _crossing_groups(d)
-    return len(faces(d)) == d.crossing_count + 2 * len(groups)
-
-
-def _heads(d: OrientedDiagram) -> dict[int, tuple[int, int]]:
-    """arc -> (crossing index, slot) where the arc arrives."""
-    heads: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for slot in arriving_slots(cr):
-            heads[cr.arcs()[slot]] = (ci, slot)
-    return heads
 
 
 def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
@@ -137,9 +122,10 @@ def _poke(
     out.extend(added)
     try:
         nd = renormalize(out, d.free_loops)
+        validate(nd)
     except ValueError:
         return None
-    return nd if _planar_valid(nd) else None
+    return nd
 
 
 def poke_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
@@ -164,21 +150,13 @@ def _build_crossing(sign: int, under: tuple[int, int], over: tuple[int, int]) ->
 def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
     """Slides of an over-over arc across the crossing joining its two
     under-strands; the under-under variant is the mirror conjugate."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for slot in range(4):
-            occ.setdefault(cr.arcs()[slot], []).append((ci, slot))
-
-    def other(arc: int, ci: int, slot: int) -> tuple[int, int]:
-        places = occ[arc]
-        return places[1] if places[0] == (ci, slot) else places[0]
-
+    occ = _occurrences(d.crossings)
     n = d.crossing_count
     for i in range(n):
         X = d.crossings[i]
         eA = X.over_out()
-        slot_out = 3 if X.sign > 0 else 1
-        j, sj = other(eA, i, slot_out)
+        slot_out = leaving_slots(X)[1]
+        j, sj = _other_place(occ, eA, (i, slot_out))
         if j == i or d.crossings[j].over_in() != eA:
             continue
         Y = d.crossings[j]
@@ -186,11 +164,11 @@ def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
             continue
         pT_in, pT_out = X.over_in(), Y.over_out()
         for eB, dirM, xslot in ((X.c, 1, 2), (X.a, -1, 0)):
-            z, sB = other(eB, i, xslot)
+            z, sB = _other_place(occ, eB, (i, xslot))
             if z in (i, j):
                 continue
             for eC, dirB, yslot in ((Y.c, 1, 2), (Y.a, -1, 0)):
-                z2, sC = other(eC, j, yslot)
+                z2, sC = _other_place(occ, eC, (j, yslot))
                 if z2 != z or sB == sC:
                     continue
                 if (sB in (0, 2)) == (sC in (0, 2)):
@@ -240,10 +218,10 @@ def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
                 out[i], out[j], out[z] = xhat, yhat, zhat
                 try:
                     nd = renormalize(out, d.free_loops)
+                    validate(nd)
                 except ValueError:
                     continue
-                if _planar_valid(nd):
-                    yield nd
+                yield nd
 
 
 def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:

@@ -10,10 +10,12 @@ values.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .diagram import (
+    _UNDER_IN,
     OrientedDiagram,
+    _heads,
     canonical_code,
     component_count,
     component_cycles,
@@ -29,13 +31,9 @@ class LaurentPoly2:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+    def __init__(self, terms: Mapping[tuple[int, int], int] = {}):  # the default is only read
         clean: dict[tuple[int, int], int] = {}
-        for (ae, ze), coeff in items:
+        for (ae, ze), coeff in terms.items():
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be ints, got %r" % (coeff,))
             if coeff:
@@ -313,17 +311,14 @@ def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> Lauren
 
 
 def _first_defect(d: OrientedDiagram) -> int | None:
-    heads: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        heads[cr.a] = (ci, 0)
-        heads[cr.over_in()] = (ci, 1)
+    heads = _heads(d)
     visited: set[int] = set()
     for cycle in component_cycles(d):
         for arc in cycle:
-            ci, kind = heads[arc]
+            ci, slot = heads[arc]
             if ci in visited:
                 continue
-            if kind == 0:
+            if slot == _UNDER_IN:
                 return ci
             visited.add(ci)
     return None

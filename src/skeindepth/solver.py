@@ -459,13 +459,13 @@ class ResultCache:
                     bounds = None
                     if interval != "-":
                         lo_s, hi_s = interval.split(",")
-                        lo = int(lo_s)
+                        # the search only consults the memo for diagrams
+                        # that are not certified unlinks, so its floor is 1
+                        lo = max(int(lo_s), 1)
                         hi = _INF if hi_s == "-" else int(hi_s)
                         if lo > hi:
                             raise ValueError("empty interval")
-                        # the search only consults the memo for diagrams
-                        # that are not certified unlinks, so its floor is 1
-                        bounds = (max(lo, 1), hi)
+                        bounds = (lo, hi)
                 except (ValueError, IndexError) as e:  # UnicodeDecodeError too
                     print(
                         f"warning: skipping corrupt cache line {lineno}: {e}",

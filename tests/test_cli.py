@@ -108,6 +108,15 @@ def test_bounds_verb(tmp_path, capsys):
     assert "genus-components=2(lower)" in out
 
 
+def test_td_rejects_a_non_planar_code(tmp_path, capsys):
+    f = tmp_path / "in.pd"
+    f.write_text("X[1,2,1,2]\n")
+    assert main(["td", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: not planar")
+
+
 def test_td_verb_and_budget_exit(tmp_path, capsys):
     f = tmp_path / "in.pd"
     f.write_text(TREFOIL + "\n")
@@ -282,12 +291,15 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
 
 
 def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
-    # a valid polynomial on a line with an empty interval, and a byte that
-    # is not UTF-8: each line is skipped whole, and the command goes on
+    # a valid polynomial on a line with an empty interval, a byte that is
+    # not UTF-8, and an interval that is empty once floored at 1: each
+    # line is skipped whole, and the command goes on
     monkeypatch.delenv("SKEIN_CACHE", raising=False)
     code = canonical_code(parse_pd(TREFOIL))
     cache_path = tmp_path / "cache.tsv"
-    cache_path.write_bytes(f"v2\t{code}\t1\t5,2\n".encode() + b"v2\t\xff\t-\t1,2\n")
+    cache_path.write_bytes(
+        f"v2\t{code}\t1\t5,2\n".encode() + b"v2\t\xff\t-\t1,2\n" + f"v2\t{code}\t-\t0,0\n".encode()
+    )
     f = tmp_path / "tref.pd"
     f.write_text(TREFOIL + "\n")
     assert main(["td", str(f), "--cache", str(cache_path)]) == 0
@@ -295,10 +307,29 @@ def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
     assert out == "2\t2\t2\n"
     assert "warning: skipping corrupt cache line 1: empty interval" in err
     assert "warning: skipping corrupt cache line 2: 'utf-8' codec" in err
+    assert "warning: skipping corrupt cache line 3: empty interval" in err
     # the run saved the trefoil's own value, not the skipped one
     ctx = SolveContext()
     ResultCache(str(cache_path)).load_into(ctx)
     assert ctx.homfly_cache.table[code] == homfly(parse_pd(TREFOIL))
+
+
+def test_cache_saved_when_the_verb_fails(tmp_path, monkeypatch, capsys):
+    # the lines solved before a bad one are saved as a run on them alone
+    # would save them
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    f = tmp_path / "in.pd"
+    f.write_text(TREFOIL + "\nnot-a-pd\n")
+    cache_path = tmp_path / "cache.tsv"
+    assert main(["td", str(f), "--cache", str(cache_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "2\t2\t2\n"
+    assert "error: malformed PD item: 'not-a-pd'" in err
+    g = tmp_path / "tref.pd"
+    g.write_text(TREFOIL + "\n")
+    alone = tmp_path / "alone.tsv"
+    assert main(["td", str(g), "--cache", str(alone)]) == 0
+    assert cache_path.read_bytes() == alone.read_bytes() != b""
 
 
 def test_cache_skips_unversioned_lines(tmp_path, capsys):

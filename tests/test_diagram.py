@@ -58,6 +58,9 @@ def test_parse_whitespace_tolerant():
         "X[1,1,1,1]",  # label multiplicity
         "X[1,3,2,4]",  # labels 3,4 appear once
         "X[1,9,2,4];X[4,2,9,1]",  # labels not 1..2n
+        "X[1,2,1,2]",  # not planar: 1 face where Euler's count needs 3
+        "X[1,3,2,4];X[2,4,1,3]",  # not planar: 2 faces where it needs 4
+        "X[1,4,2,3];X[2,3,1,4]",  # not planar
     ],
 )
 def test_parse_rejects(bad):
@@ -80,9 +83,9 @@ def test_signs_inferred_left_trefoil():
 def test_over_only_component_parses_with_the_b_to_d_reading():
     # nothing anchors the direction of the component on arcs 3 and 4,
     # which never runs under; both crossings must read it the same way
-    text = "X[1,3,2,4];X[2,4,1,3]"
+    text = "X[1,3,2,4];X[2,3,1,4]"
     d = parse_pd(text)
-    assert d == OrientedDiagram((Crossing(1, 3, 2, 4, 1), Crossing(2, 4, 1, 3, 1)))
+    assert d == OrientedDiagram((Crossing(1, 3, 2, 4, 1), Crossing(2, 3, 1, 4, -1)))
     assert pd_text(d) == text
     assert parse_pd(pd_text(d)) == d
 
