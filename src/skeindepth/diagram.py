@@ -29,22 +29,28 @@ pass; the nugatory test uses a cut-vertex search of the crossing graph.
 A diagram that simplify returned is marked as such, and so is its
 switch at a crossing, which simplify then checks for a poke pair
 through that crossing alone.  The arc-incidence helpers (each arc's two
-places, where each arc arrives, a union-find over arcs or crossings) are
-defined here once; the polynomial and rewrite modules take them from
-here.
+places, where each arc arrives, the crossing graph, a union-find over
+arcs) are defined here once; the polynomial and rewrite modules take
+them from here.  A move that removes crossings resolves the union-find
+roots of the few arcs it merges only, then builds the succession of
+arcs once, and that pass both counts the closed loops and renumbers.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
 unlink recognizer all key their tables on it.  It labels each connected
-part by traversal from every candidate start arc and keeps the smallest
-relabeling, so a part with c crossings costs O(c) candidates of O(c log c)
-each.  The code is computed once per diagram object and stored on it.
+part by traversal from a start arc and keeps the smallest relabeling.
+One pass over the part gives every start's first relabeled crossing,
+and only the starts whose first crossing is smallest are labeled in
+full, at O(c log c) each for a part with c crossings; these are few
+except on diagrams with symmetries.  The code is computed once per
+diagram object and stored on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 
@@ -166,10 +172,13 @@ def _other_place(
 
 def _check_labels(occ: dict[int, list[tuple[int, int]]], n: int) -> None:
     """Each arc label appears twice, and the labels are 1..2n."""
-    for label, places in sorted(occ.items()):
-        if len(places) != 2:
-            raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(places)))
-    if n and set(occ) != set(range(1, 2 * n + 1)):
+    bad = [label for label, places in occ.items() if len(places) != 2]
+    if bad:
+        label = min(bad)
+        raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(occ[label])))
+    # 2n labels, each twice, fill the 4n slots: they are 1..2n exactly
+    # when the smallest is 1 and the largest 2n
+    if n and (min(occ) != 1 or max(occ) != 2 * n):
         raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
 
 
@@ -245,20 +254,27 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
 # -- structural queries -------------------------------------------------------
 
 
-def successor_map(d: OrientedDiagram) -> dict[int, int]:
-    """succ[x] = arc following x along its strand (a permutation of arcs)."""
+def _succession(crossings: Iterable[tuple[int, ...]]) -> dict[int, int]:
+    """succ[x] = arc following x along its strand, from (a, b, c, d, sign) tuples."""
     succ: dict[int, int] = {}
-    for cr in d.crossings:
-        for src, dst in ((cr.a, cr.c), (cr.over_in(), cr.over_out())):
-            if src in succ:
-                raise ValueError("arc %d continues in two different ways" % src)
-            succ[src] = dst
+    for a, b, c, d, sign in crossings:
+        if sign < 0:
+            b, d = d, b
+        if a in succ:
+            raise ValueError("arc %d continues in two different ways" % a)
+        succ[a] = c
+        if b in succ:
+            raise ValueError("arc %d continues in two different ways" % b)
+        succ[b] = d
     return succ
 
 
-def component_cycles(d: OrientedDiagram) -> list[list[int]]:
-    """Arc cycles of the crossing-bearing components, ordered by min arc."""
-    succ = successor_map(d)
+def _cycles(succ: dict[int, int]) -> list[list[int]]:
+    """The cycles of succ, ordered by their smallest arc.
+
+    Each cycle is walked from the smallest arc not yet seen, which is the
+    smallest arc of its cycle, so every cycle starts at its smallest arc.
+    """
     seen: set[int] = set()
     cycles: list[list[int]] = []
     for start in sorted(succ):
@@ -277,6 +293,12 @@ def component_cycles(d: OrientedDiagram) -> list[list[int]]:
     return cycles
 
 
+def component_cycles(d: OrientedDiagram) -> list[list[int]]:
+    """Arc cycles of the crossing-bearing components, ordered by min arc,
+    each starting at its min arc."""
+    return _cycles(_succession(d.crossings))
+
+
 def component_count(d: OrientedDiagram) -> int:
     return len(component_cycles(d)) + d.free_loops
 
@@ -292,14 +314,13 @@ def validate(d: OrientedDiagram) -> None:
     connected part of c crossings in a sphere exactly when it has c + 2
     faces.
     """
-    _check_labels(_occurrences(d.crossings), d.crossing_count)
+    occ = _occurrences(d.crossings)
+    _check_labels(occ, d.crossing_count)
     for cycle in component_cycles(d):
-        lo = min(cycle)
-        k = cycle.index(lo)
-        ordered = cycle[k:] + cycle[:k]
-        if ordered != list(range(lo, lo + len(cycle))):
+        lo = cycle[0]
+        if cycle != list(range(lo, lo + len(cycle))):
             raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
-    found = len(faces(d))
+    found = len(faces(d, occ))
     need = d.crossing_count + 2 * len(_crossing_groups(d))
     if found != need:
         raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))
@@ -308,33 +329,24 @@ def validate(d: OrientedDiagram) -> None:
 # -- relabeling ---------------------------------------------------------------
 
 
-def _relabel(crossings: Iterable[Crossing], mapping: dict[int, int]) -> tuple[Crossing, ...]:
-    return tuple(
-        Crossing(mapping[cr.a], mapping[cr.b], mapping[cr.c], mapping[cr.d], cr.sign)
-        for cr in crossings
-    )
-
-
 def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagram:
     """Relabel arbitrary integer arcs to the contiguous 1..2c convention.
 
     Components are ordered by their smallest current label and each starts
     at its smallest current label; crossings are sorted for determinism.
+    Plain (a, b, c, d, sign) tuples are accepted as crossings.
     """
     crossings = tuple(crossings)
-    probe = OrientedDiagram(crossings, free_loops)
-    if not crossings:
-        return probe
-    mapping: dict[int, int] = {}
-    nxt = 1
-    for cycle in component_cycles(probe):
-        lo = min(cycle)
-        k = cycle.index(lo)
-        for label in cycle[k:] + cycle[:k]:
-            mapping[label] = nxt
-            nxt += 1
-    relabeled = sorted(_relabel(crossings, mapping))
-    return OrientedDiagram(tuple(relabeled), free_loops)
+    return _renumbered(crossings, _succession(crossings), free_loops)
+
+
+def _renumbered(
+    crossings: tuple[tuple[int, ...], ...], succ: dict[int, int], free_loops: int
+) -> OrientedDiagram:
+    """renormalize's result, given the succession of crossings."""
+    m = {x: k for k, x in enumerate(chain.from_iterable(_cycles(succ)), 1)}
+    relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
+    return OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
 
 
 def canonical_code(d: OrientedDiagram) -> str:
@@ -366,22 +378,61 @@ def _part_code(crossings: list[Crossing]) -> str:
     start arc; the smallest is serialized.
 
     Only arcs that arrive at an under-passage (some crossing's a slot)
-    are tried as start arcs: those candidates, and no others, contain a
-    crossing that starts with label 1, so the smallest candidate is
-    always among them.
+    can start the smallest candidate: those candidates, and no others,
+    contain a crossing that starts with label 1, and it is their smallest
+    tuple, so candidates compare first by it.  That first tuple is
+    (1, L(b), L(c), L(d), sign) at the start arc's head crossing, and
+    each arc's component and position along it give it without the
+    traversal.  c lies on the start's component, and b and d, one over
+    strand, lie on one component.  An arc on the start's component is
+    labeled by its distance from the start along it.  Otherwise the
+    traversal, done with the start's component of length n, opens the
+    next one at b: L(b) = n + 1, and d is labeled by its distance from
+    b.  Only the starts whose first tuple is the smallest are labeled in
+    full.
     """
     succ: dict[int, int] = {}
     head: dict[int, Crossing] = {}
     for cr in crossings:
-        succ[cr.a] = cr.c
-        succ[cr.over_in()] = cr.over_out()
-        head[cr.a] = head[cr.over_in()] = cr
+        a, b, c, d, sign = cr
+        if sign < 0:
+            b, d = d, b
+        succ[a] = c
+        succ[b] = d
+        head[a] = head[b] = cr
+    # arc -> (component number, position along it); component lengths
+    place: dict[int, tuple[int, int]] = {}
+    length: list[int] = []
+    for x0 in succ:
+        if x0 in place:
+            continue
+        k, n, x = len(length), 0, x0
+        while x not in place:
+            place[x] = (k, n)
+            n += 1
+            x = succ[x]
+        length.append(n)
+    # each start's first tuple
+    keys = []
+    for a, b, c, d, sign in crossings:
+        k, p = place[a]
+        n = length[k]
+        kb, pb = place[b]
+        pd = place[d][1]  # d follows or precedes b: it is on b's component
+        if kb == k:
+            lb, ld = (pb - p) % n + 1, (pd - p) % n + 1
+        else:
+            lb = n + 1
+            ld = lb + (pd - pb) % length[kb]
+        keys.append(((1, lb, (place[c][1] - p) % n + 1, ld, sign), a))
+    first = min(keys)[0]
+    starts = [a for key, a in keys if key == first]
     best = min(
         sorted(
             (label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign)
             for cr in crossings
         )
-        for label in (_traversal_labels(start, succ, head) for start in {cr.a for cr in crossings})
+        for label in (_traversal_labels(start, succ, head) for start in starts)
     )
     return ";".join("%d,%d,%d,%d,%d" % t for t in best)
 
@@ -487,40 +538,63 @@ def _rewire(
     loops (one per chain); arcs of removed crossings that appear in no
     merge vanish outright, which is what kink contraction needs.
     """
-    crossings = tuple(crossings)
     parent: dict[int, int] = {}
     for x, y in merges:
         _union(parent, x, y)
-
+    # only merged arcs move; every other arc is its own root
+    root = {x: _find(parent, x) for x in parent}
+    get = root.get
     relabeled = tuple(
-        Crossing(
-            _find(parent, cr.a), _find(parent, cr.b), _find(parent, cr.c), _find(parent, cr.d), cr.sign
-        )
-        for cr in crossings
+        (get(a, a), get(b, b), get(c, c), get(d, d), sign) for a, b, c, d, sign in crossings
     )
-    used = {arc for cr in relabeled for arc in cr.arcs()}
-    roots = {_find(parent, x) for pair in merges for x in pair}
-    loops = sum(1 for r in roots if r not in used)
-    return renormalize(relabeled, free_loops + loops)
+    succ = _succession(relabeled)
+    # every arc of a crossing continues somewhere, so a root that is not
+    # in succ touches no crossing: its merge chain closed into a loop
+    loops = sum(1 for r in set(root.values()) if r not in succ)
+    return _renumbered(relabeled, succ, free_loops + loops)
 
 
 # -- connectivity -------------------------------------------------------------
 
 
-def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
-    """Connected groups of crossing indices (shared arcs connect)."""
-    parent: dict[int, int] = {}
-    by_arc: dict[int, int] = {}
+def _crossing_graph(d: OrientedDiagram) -> list[list[int]]:
+    """Adjacency lists of the crossing graph, from one pass over the slots.
+
+    The crossings are the vertices; every arc that joins two different
+    crossings is an edge, and an arc with both ends at one crossing is
+    ignored.
+    """
+    first: dict[int, int] = {}
+    adj: list[list[int]] = [[] for _ in d.crossings]
     for ci, cr in enumerate(d.crossings):
-        for arc in cr.arcs():
-            if arc in by_arc:
-                _union(parent, by_arc[arc], ci)
-            else:
-                by_arc[arc] = ci
-    groups: dict[int, list[int]] = {}
-    for ci in range(d.crossing_count):
-        groups.setdefault(_find(parent, ci), []).append(ci)
-    return sorted(groups.values(), key=min)
+        for arc in cr[:4]:
+            cj = first.setdefault(arc, ci)
+            if cj != ci:
+                adj[ci].append(cj)
+                adj[cj].append(ci)
+    return adj
+
+
+def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
+    """Connected groups of crossing indices (shared arcs connect), in
+    ascending order of their first index, each group ascending."""
+    n = d.crossing_count
+    adj = _crossing_graph(d)
+    seen = [False] * n
+    groups: list[list[int]] = []
+    for ci in range(n):
+        if seen[ci]:
+            continue
+        seen[ci] = True
+        group = [ci]
+        for u in group:  # breadth-first: the list grows as it is read
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    group.append(v)
+        group.sort()
+        groups.append(group)
+    return groups
 
 
 def is_split(d: OrientedDiagram) -> bool:
@@ -640,18 +714,13 @@ def _flip(cr: Crossing) -> Crossing:
 def _cut_crossings(d: OrientedDiagram) -> tuple[list[int], list[int]]:
     """Cut crossings of the crossing graph, ascending, and each crossing's part.
 
-    The crossing graph has the crossings as vertices and every arc that
-    joins two different crossings as an edge; an arc with both ends at
-    one crossing is ignored.  One depth-first pass computes lowpoints
-    (Tarjan 1972): a crossing is a cut crossing when removing it
-    disconnects its part.  part[k] is the first crossing of k's part.
+    One depth-first pass over the crossing graph (see _crossing_graph)
+    computes lowpoints (Tarjan 1972): a crossing is a cut crossing when
+    removing it disconnects its part.  part[k] is the first crossing of
+    k's part.
     """
     n = d.crossing_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (x, _), (y, _) in _occurrences(d.crossings).values():
-        if x != y:
-            adj[x].append(y)
-            adj[y].append(x)
+    adj = _crossing_graph(d)
 
     disc = [0] * n  # discovery time, 0 while unvisited
     low = [0] * n
@@ -793,26 +862,35 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
 # -- planar faces -------------------------------------------------------------
 
 
-def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
+def faces(
+    d: OrientedDiagram, occ: dict[int, list[tuple[int, int]]] | None = None
+) -> list[list[tuple[int, int]]]:
     """Faces of the planar embedding encoded by the counterclockwise tuples.
 
     Each face is a cyclic list of half-edges (crossing index, slot); the
     corner (ci, s) walks the arc at that slot away from crossing ci.  For
     a connected diagram Euler's formula gives c + 2 faces.  Crossingless
-    components do not appear.
+    components do not appear.  Faces are listed by their smallest corner,
+    and each starts there.  occ, if given, is _occurrences(d.crossings).
     """
-    occ = _occurrences(d.crossings)
-    remaining = {(ci, s) for ci in range(d.crossing_count) for s in range(4)}
+    if occ is None:
+        occ = _occurrences(d.crossings)
+    # corner 4 * ci + s -> the next corner of its face
+    nxt = [0] * (4 * d.crossing_count)
+    for (ci, s), (cj, t) in occ.values():
+        nxt[4 * ci + s] = 4 * cj + (t + 1) % 4
+        nxt[4 * cj + t] = 4 * ci + (s + 1) % 4
+    seen = [False] * len(nxt)
     out: list[list[tuple[int, int]]] = []
-    while remaining:
-        start = min(remaining)
+    for start in range(len(nxt)):
+        if seen[start]:
+            continue
         face = []
         cur = start
         while True:
-            face.append(cur)
-            remaining.discard(cur)
-            cj, t = _other_place(occ, d.crossings[cur[0]][cur[1]], cur)
-            cur = (cj, (t + 1) % 4)
+            face.append(divmod(cur, 4))
+            seen[cur] = True
+            cur = nxt[cur]
             if cur == start:
                 break
         out.append(face)

@@ -22,6 +22,10 @@ from itertools import chain
 from typing import Iterator
 
 from .diagram import (
+    _OVER_B,
+    _OVER_D,
+    _UNDER_IN,
+    _UNDER_OUT,
     Crossing,
     OrientedDiagram,
     _heads,
@@ -163,38 +167,38 @@ def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
         if Y.arcs()[sj] != eA or sj not in arriving_slots(Y):
             continue
         pT_in, pT_out = X.over_in(), Y.over_out()
-        for eB, dirM, xslot in ((X.c, 1, 2), (X.a, -1, 0)):
+        for eB, dirM, xslot in ((X.c, 1, _UNDER_OUT), (X.a, -1, _UNDER_IN)):
             z, sB = _other_place(occ, eB, (i, xslot))
             if z in (i, j):
                 continue
-            for eC, dirB, yslot in ((Y.c, 1, 2), (Y.a, -1, 0)):
+            for eC, dirB, yslot in ((Y.c, 1, _UNDER_OUT), (Y.a, -1, _UNDER_IN)):
                 z2, sC = _other_place(occ, eC, (j, yslot))
                 if z2 != z or sB == sC:
                     continue
-                if (sB in (0, 2)) == (sC in (0, 2)):
+                m_over_at_z = sB in (_OVER_B, _OVER_D)
+                if m_over_at_z == (sC in (_OVER_B, _OVER_D)):
                     continue  # must attach to the two different strands of Z
                 Z = d.crossings[z]
-                m_over_at_z = sB in (1, 3)
 
                 if dirM > 0:
                     if sB not in arriving_slots(Z):
                         continue
                     mFirst = X.a
-                    mLast = Z.c if sB == 0 else Z.over_out()
+                    mLast = Z.c if sB == _UNDER_IN else Z.over_out()
                 else:
                     if sB not in leaving_slots(Z):
                         continue
-                    mFirst = Z.a if sB == 2 else Z.over_in()
+                    mFirst = Z.a if sB == _UNDER_OUT else Z.over_in()
                     mLast = X.c
                 if dirB > 0:
                     if sC not in arriving_slots(Z):
                         continue
                     bFirst = Y.a
-                    bLast = Z.c if sC == 0 else Z.over_out()
+                    bLast = Z.c if sC == _UNDER_IN else Z.over_out()
                 else:
                     if sC not in leaving_slots(Z):
                         continue
-                    bFirst = Z.a if sC == 2 else Z.over_in()
+                    bFirst = Z.a if sC == _UNDER_OUT else Z.over_in()
                     bLast = Y.c
 
                 xhat = _build_crossing(

@@ -21,7 +21,12 @@ Soundness rules the search lives by:
 The search knows the polynomial of every node it branches on, so each
 switch child's polynomial comes from the skein identity, from the
 node's and the smoothing's (:func:`.poly.switch_value`), not from a
-skein expansion; the smoothing's is looked up or expanded.  Each child
+skein expansion; the smoothing's is looked up or expanded.  The
+smoothing is built before the switch child is searched only when that
+identity needs it: the switch child has crossings and no stored
+polynomial.  Otherwise it is built only once the switch child has
+succeeded, since a switch child that fails or runs out of budget ends
+that branch.  Each child
 is simplified, which on a switch child looks only for a poke pair
 through the switched crossing (see :func:`.diagram.simplify`).
 
@@ -103,20 +108,24 @@ class SolveContext:
         return homfly(d, self.homfly_cache)
 
     def derive_switch_poly(
-        self, sign: int, p: LaurentPoly2, sw: OrientedDiagram, sm: OrientedDiagram
-    ) -> None:
+        self, d: OrientedDiagram, i: int, p: LaurentPoly2, sw: OrientedDiagram
+    ) -> OrientedDiagram | None:
         """Store P(sw) from the skein identity unless it is already known.
 
-        sw and sm are the switch and smoothing, simplified, of a diagram
-        with polynomial p at a crossing of the given sign.  A crossingless
-        sw needs no stored value.
+        sw is the switch, simplified, of d at crossing i, and p is P(d).
+        A crossingless sw needs no stored value.  The identity needs the
+        smoothing's polynomial, so the smoothing is built, simplified and
+        returned only when a value is stored; otherwise None.
         """
         if sw.is_crossingless():
-            return
+            return None
         key = canonical_code(sw)
-        if key not in self.homfly_cache.table:
-            value = switch_value(sign, p, self.poly_of(sm))
-            self.homfly_cache.put(key, value, derived=True)
+        if key in self.homfly_cache.table:
+            return None
+        sm = simplify(smooth(d, i))
+        value = switch_value(d.crossings[i].sign, p, self.poly_of(sm))
+        self.homfly_cache.put(key, value, derived=True)
+        return sm
 
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
@@ -199,14 +208,15 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     saw_unknown = False
     for i in _branch_order(d):
         sw = simplify(switch(d, i))
-        sm = simplify(smooth(d, i))
-        ctx.derive_switch_poly(d.crossings[i].sign, p, sw, sm)
+        sm = ctx.derive_switch_poly(d, i, p, sw)
         r_sw = _search(sw, k - 1, ctx, limit)
         if r_sw is None:
             saw_unknown = True
             continue
         if r_sw is False:
             continue
+        if sm is None:
+            sm = simplify(smooth(d, i))
         r_sm = _search(sm, k - 1, ctx, limit)
         if r_sm is None:
             saw_unknown = True

@@ -12,8 +12,11 @@ from skeindepth import (
     HomflyCache,
     OrientedDiagram,
     braid_closure,
+    disjoint_union,
+    insert_kink,
     parse_braid,
     parse_pd,
+    poke_moves,
     simplify,
     smooth,
     switch,
@@ -51,7 +54,6 @@ ORACLE_WORDS = [
 ]
 
 
-
 def closure_battery():
     """The ORACLE_WORDS closures, simplified, their simplified switch and
     smoothing children, and the simplified closure of T(3,5)."""
@@ -61,6 +63,39 @@ def closure_battery():
         for i in range(d.crossing_count):
             out += [simplify(switch(d, i)), simplify(smooth(d, i))]
     out.append(simplify(braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * 5)))))
+    return out
+
+
+# one central crossing with a kinked lobe on each side: smoothing it
+# disconnects the other crossings, so it is nugatory by definition
+NUGATORY_PD = "X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]"
+
+
+def finder_battery():
+    """Braid closures with their raw and simplified switch and smoothing
+    children, poke and kink insertions, and split unions."""
+    out = []
+    for word in ORACLE_WORDS:
+        d = braid_closure(parse_braid(word))
+        out.append(d)
+        for i in range(d.crossing_count):
+            for child in (switch(d, i), smooth(d, i)):
+                out += [child, simplify(child)]
+    for name in ("hopf+", "trefoil", "fig8"):
+        d = parse_pd(FIXTURE_PDS[name][0])
+        out += list(poke_moves(d))[:8]
+        out += [insert_kink(d, arc, v) for arc in (1, 2) for v in range(4)]
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    hopf = parse_pd(FIXTURE_PDS["hopf+"][0])
+    out += [
+        disjoint_union(tref, tref),
+        disjoint_union(hopf, tref),
+        disjoint_union(insert_kink(tref, 1, 0), hopf),
+        disjoint_union(next(poke_moves(hopf)), tref),
+        disjoint_union(disjoint_union(hopf, parse_pd("O")), insert_kink(hopf, 2, 3)),
+        # a nugatory crossing with sides larger than the other part
+        disjoint_union(parse_pd(NUGATORY_PD), parse_pd(FIXTURE_PDS["kink+"][0])),
+    ]
     return out
 
 

@@ -1,9 +1,12 @@
 """Parsing, validation, canonical codes, and diagram surgery."""
 
+import importlib.resources
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeindepth import (
     Crossing,
@@ -24,9 +27,19 @@ from skeindepth import (
     switch,
     writhe,
 )
-from skeindepth.diagram import faces, validate
+from skeindepth import diagram
+from skeindepth.cli import load_dataset
+from skeindepth.diagram import (
+    _crossing_groups,
+    _part_code,
+    _rewire,
+    _smoothing_pairs,
+    faces,
+    renormalize,
+    validate,
+)
 
-from conftest import FIXTURE_PDS, ORACLE_WORDS, scrambled
+from conftest import FIXTURE_PDS, ORACLE_WORDS, closure_battery, finder_battery, scrambled
 
 
 def test_parse_roundtrip():
@@ -254,3 +267,332 @@ def test_crossing_accessors():
     neg = Crossing(1, 4, 2, 5, -1)
     assert neg.over_in() == 5 and neg.over_out() == 4
     assert set(cr.arcs()) == {1, 4, 2, 5}
+
+
+# -- the kernel against test-only references ----------------------------------
+#
+# The references take the plain road: every start arc labeled in full,
+# cycles rotated to their smallest arc, a union-find root looked up for
+# every slot.  The kernel computes each start arc's first crossing and
+# relabels from one succession pass; it must give the same results.
+
+
+def _reference_labels(start, succ, head):
+    """Traversal labeling of a connected part from start."""
+    label, order = {}, []
+    nxt, scan = start, 0
+    while True:
+        x = nxt
+        while x not in label:
+            order.append(x)
+            label[x] = len(order)
+            x = succ[x]
+        if len(order) == len(succ):
+            return label
+        while True:
+            cr = head[order[scan]]
+            nxt = next((y for y in cr.arcs() if y not in label), None)
+            if nxt is not None:
+                break
+            scan += 1
+
+
+def reference_candidates(crossings):
+    """{start arc: its sorted relabeled crossings}, for every a-slot arc."""
+    succ, head = {}, {}
+    for cr in crossings:
+        succ[cr.a] = cr.c
+        succ[cr.over_in()] = cr.over_out()
+        head[cr.a] = head[cr.over_in()] = cr
+    out = {}
+    for start in {cr.a for cr in crossings}:
+        label = _reference_labels(start, succ, head)
+        out[start] = sorted(
+            (label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign) for cr in crossings
+        )
+    return out
+
+
+def reference_part_code(crossings):
+    best = min(reference_candidates(crossings).values())
+    return ";".join("%d,%d,%d,%d,%d" % t for t in best)
+
+
+def reference_groups(d):
+    """Crossing index groups joined by shared arcs, merged pairwise."""
+    groups = []
+    for ci, cr in enumerate(d.crossings):
+        merged = ([ci], set(cr.arcs()))
+        for g in [g for g in groups if g[1] & merged[1]]:
+            groups.remove(g)
+            merged = (merged[0] + g[0], merged[1] | g[1])
+        groups.append(merged)
+    return sorted(sorted(g[0]) for g in groups)
+
+
+def reference_code(d):
+    parts = sorted(reference_part_code([d.crossings[ci] for ci in g]) for g in reference_groups(d))
+    return "/".join(parts) + "|L%d" % d.free_loops
+
+
+def reference_renormalize(crossings, free_loops):
+    crossings = tuple(crossings)
+    succ = {}
+    for cr in crossings:
+        for src, dst in ((cr.a, cr.c), (cr.over_in(), cr.over_out())):
+            if src in succ:
+                raise ValueError("arc %d continues in two different ways" % src)
+            succ[src] = dst
+    mapping = {}
+    for start in sorted(succ):
+        if start in mapping:
+            continue
+        cycle, x = [start], succ[start]
+        while x != start:
+            if x in cycle or x in mapping or x not in succ:
+                raise ValueError("arc succession does not close into cycles at arc %d" % x)
+            cycle.append(x)
+            x = succ[x]
+        k = cycle.index(min(cycle))
+        for label in cycle[k:] + cycle[:k]:
+            mapping[label] = len(mapping) + 1
+    relabeled = sorted(
+        Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in crossings
+    )
+    return OrientedDiagram(tuple(relabeled), free_loops)
+
+
+def reference_rewire(crossings, merges, free_loops):
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in merges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+    relabeled = [Crossing(find(c.a), find(c.b), find(c.c), find(c.d), c.sign) for c in crossings]
+    used = {arc for c in relabeled for arc in c.arcs()}
+    loops = len({find(x) for pair in merges for x in pair} - used)
+    return reference_renormalize(relabeled, free_loops + loops)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+# multi-component closures: at many start arcs the over arcs of the head
+# crossing lie on other components, one or two of them
+MULTI_WORDS = [
+    "p=2: 1 1 1 1",
+    "p=2: 1 -1 1 1 -1 1",
+    "p=3: 1 1 2 2",
+    "p=3: 1 2 1 2 1 2",
+    "p=3: -1 -1 2 2 -1 2 2",
+    "p=4: 1 1 2 2 3 3",
+    "p=4: 1 2 3 1 2 3 1 2 3 1 2 3",
+    "p=4: 1 -2 3 1 2 -3 -1 2 3 2",
+]
+
+
+def multi_component_battery():
+    out = [parse_pd(FIXTURE_PDS[name][0]) for name in ("hopf+", "L4a1{0}", "L4a1{1}", "L5a1")]
+    for word in MULTI_WORDS:
+        d = braid_closure(parse_braid(word))
+        out.append(d)
+        out += [simplify(smooth(d, i)) for i in range(0, d.crossing_count, 3)]
+        out += [simplify(switch(d, i)) for i in range(1, d.crossing_count, 3)]
+    return out
+
+
+def kernel_battery():
+    """closure_battery, the simplified finder_battery, the multi-component
+    battery, and a scrambled copy of each."""
+    rng = random.Random(11)
+    out = closure_battery() + [simplify(d) for d in finder_battery()] + multi_component_battery()
+    return out + [scrambled(d, rng) for d in out]
+
+
+def _off_component_starts(crossings):
+    """Start arcs whose head crossing has an over arc on another component."""
+    comp = {}
+    for k, cycle in enumerate(_reference_cycles(crossings)):
+        comp.update(dict.fromkeys(cycle, k))
+    return [cr.a for cr in crossings if comp[cr.b] != comp[cr.a] or comp[cr.d] != comp[cr.a]]
+
+
+def _reference_cycles(crossings):
+    succ = {}
+    for cr in crossings:
+        succ[cr.a] = cr.c
+        succ[cr.over_in()] = cr.over_out()
+    cycles, seen = [], set()
+    for start in succ:
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = succ[x]
+            cycles.append(cycle)
+    return cycles
+
+
+def test_canonical_code_matches_the_all_starts_reference():
+    battery = kernel_battery()
+    off = 0
+    for d in battery:
+        groups = _crossing_groups(d)
+        assert groups == reference_groups(d), d
+        for g in groups:
+            crs = [d.crossings[ci] for ci in g]
+            assert _part_code(crs) == reference_part_code(crs), d
+            off += bool(_off_component_starts(crs))
+        assert canonical_code(d) == reference_code(d), d
+    # the battery reaches the off-component labels
+    assert off > 100
+
+
+def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monkeypatch):
+    """Each start's first relabeled crossing is computed exactly, so only
+    the starts whose candidate begins with the smallest one are labeled."""
+    labeled = []
+    real = diagram._traversal_labels
+
+    def recording(start, succ, head):
+        labeled.append(start)
+        return real(start, succ, head)
+
+    monkeypatch.setattr(diagram, "_traversal_labels", recording)
+    total = pruned_off = 0
+    for d in kernel_battery():
+        for g in reference_groups(d):
+            crs = [d.crossings[ci] for ci in g]
+            cands = reference_candidates(crs)
+            first = min(c[0] for c in cands.values())
+            want = sorted(s for s, c in cands.items() if c[0] == first)
+            labeled.clear()
+            _part_code(crs)
+            assert sorted(labeled) == want, crs
+            total += len(cands)
+            pruned_off += len(set(_off_component_starts(crs)) - set(want))
+    assert pruned_off > 100 and total > 2000
+
+
+def test_renormalize_matches_the_reference():
+    rng = random.Random(5)
+    for d in kernel_battery():
+        for _ in range(2):
+            s = scrambled(d, rng)
+            assert renormalize(s.crossings, s.free_loops) == reference_renormalize(s.crossings, s.free_loops)
+    assert renormalize([], 2) == OrientedDiagram((), 2)
+    with pytest.raises(ValueError, match="empty diagram"):
+        renormalize([], 0)
+
+
+def _merge_lists(cr):
+    """Merges of a removed crossing's arcs: the smoothings and chains whose
+    second arcs end up below another root."""
+    a, b, c, d = cr.arcs()
+    return [
+        _smoothing_pairs(cr),
+        [(a, c), (cr.over_in(), cr.over_out())],
+        [(a, b), (a, d)],
+        [(b, a), (b, c), (d, b)],
+        [(c, d), (a, c), (b, a)],
+    ]
+
+
+def test_rewire_matches_the_reference():
+    """Smoothings and merge chains give the reference's diagram, or the
+    same error."""
+    battery = finder_battery() + multi_component_battery()
+    for d in battery:
+        for i, cr in enumerate(d.crossings):
+            rest = d.crossings[:i] + d.crossings[i + 1 :]
+            for merges in _merge_lists(cr):
+                got = _outcome(_rewire, rest, merges, d.free_loops)
+                assert got == _outcome(reference_rewire, rest, merges, d.free_loops), (d, i, merges)
+            want = reference_rewire(rest, _smoothing_pairs(cr), d.free_loops)
+            assert smooth(d, i) == want
+
+
+@given(
+    st.integers(3, 4).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(
+                st.integers(1, p - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                min_size=3,
+                max_size=10,
+            ),
+            st.integers(0, 10**6),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_references_on_random_closures(case):
+    p, letters, seed = case
+    d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
+    rng = random.Random(seed)
+    s = scrambled(d, rng)
+    fl = d.free_loops  # a strand no letter touches closes into a free loop
+    assert renormalize(s.crossings, fl) == reference_renormalize(s.crossings, fl)
+    i = rng.randrange(d.crossing_count)
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    assert smooth(d, i) == reference_rewire(rest, _smoothing_pairs(d.crossings[i]), fl)
+    for x in (d, s, simplify(d), simplify(switch(d, i)), simplify(smooth(d, i))):
+        assert canonical_code(x) == reference_code(x), x
+
+
+# canonical codes of the bundled rows and of torus closures; result
+# cache files are keyed on them, so a kernel change that renames a
+# diagram must fail here
+PINNED_CODES = {
+    "unknot": "|L1",
+    "unlink2": "|L2",
+    "unlink3": "|L3",
+    "unlink4": "|L4",
+    "L2a1": "1,3,2,4,1;4,2,3,1,1|L0",
+    "K3a1": "1,4,2,5,1;3,6,4,1,1;5,2,6,3,1|L0",
+    "K4a1": "1,6,2,7,1;3,1,4,8,-1;5,2,6,3,1;7,5,8,4,-1|L0",
+    "L4a1{0}": "1,5,2,8,-1;3,7,4,6,-1;5,1,6,4,-1;7,3,8,2,-1|L0",
+    "L4a1{1}": "1,5,2,6,1;3,7,4,8,1;6,2,7,3,1;8,4,5,1,1|L0",
+    "K5a1": "1,4,2,5,1;3,8,4,9,1;5,10,6,1,1;7,2,8,3,1;9,6,10,7,1|L0",
+    "K5a2": "1,6,2,7,1;3,8,4,9,1;5,10,6,1,1;7,2,8,3,1;9,4,10,5,1|L0",
+    "L5a1": "1,4,2,5,1;3,8,4,9,1;5,7,6,10,-1;7,2,8,3,1;9,1,10,6,-1|L0",
+    "L6a4": "1,5,2,6,1;2,9,3,10,1;6,10,7,11,1;7,3,8,4,1;11,4,12,1,1;12,8,9,5,1|L0",
+    "T(2,6)": "1,7,2,8,1;3,9,4,10,1;5,11,6,12,1;8,2,9,3,1;10,4,11,5,1;12,6,7,1,1|L0",
+    "K7a7": (
+        "1,8,2,9,1;3,10,4,11,1;5,12,6,13,1;7,14,8,1,1;9,2,10,3,1;11,4,12,5,1;13,6,14,7,1|L0"
+    ),
+    "T(2,3) closure": "1,4,2,5,1;3,6,4,1,1;5,2,6,3,1|L0",
+    "T(2,4) closure": "1,5,2,6,1;3,7,4,8,1;6,2,7,3,1;8,4,5,1,1|L0",
+    "T(2,5) closure": "1,6,2,7,1;3,8,4,9,1;5,10,6,1,1;7,2,8,3,1;9,4,10,5,1|L0",
+    "T(2,6) closure": "1,7,2,8,1;3,9,4,10,1;5,11,6,12,1;8,2,9,3,1;10,4,11,5,1;12,6,7,1,1|L0",
+    "T(3,4) closure": (
+        "1,6,2,7,1;4,15,5,16,1;5,10,6,11,1;8,3,9,4,1;"
+        "9,14,10,15,1;12,7,13,8,1;13,2,14,3,1;16,11,1,12,1|L0"
+    ),
+    "T(3,5) closure": (
+        "1,8,2,9,1;2,15,3,16,1;5,12,6,13,1;6,19,7,20,1;9,16,10,17,1;"
+        "10,3,11,4,1;13,20,14,1,1;14,7,15,8,1;17,4,18,5,1;18,11,19,12,1|L0"
+    ),
+}
+
+
+def test_canonical_codes_are_pinned():
+    path = str(importlib.resources.files("skeindepth").joinpath("datasets/bundled.tsv"))
+    got = {row.name: canonical_code(row.pd) for row in load_dataset(path)}
+    assert len(got) == 15
+    for p, q in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)):
+        word = "p=%d: " % p + " ".join(" ".join(map(str, range(1, p))) for _ in range(q))
+        got["T(%d,%d) closure" % (p, q)] = canonical_code(braid_closure(parse_braid(word)))
+    assert got == PINNED_CODES

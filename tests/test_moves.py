@@ -49,10 +49,12 @@ from skeindepth.poly import _A2, _AZ, DELTA, ONE, _Am2, _AmZ, _first_defect
 from conftest import (
     CROSSED,
     FIXTURE_PDS,
+    NUGATORY_PD,
     ORACLE_WORDS,
     UNKNOT_7_PD,
     UNLINK4_12_PD,
     closure_battery,
+    finder_battery,
     scrambled,
 )
 
@@ -131,11 +133,6 @@ def test_poke_pair_removal():
     out = remove_poke_pair(d, *pair)
     assert out.is_crossingless() and component_count(out) == 2
     assert find_poke_pair(parse_pd(FIXTURE_PDS["fig8"][0])) is None
-
-
-# one central crossing with a kinked lobe on each side: smoothing it
-# disconnects the other crossings, so it is nugatory by definition
-NUGATORY_PD = "X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]"
 
 
 def test_nugatory_detection_and_removal():
@@ -295,34 +292,6 @@ def raw_homfly(d, table):
                 value = _Am2 * sw - _AmZ * sm
     table[key] = value
     return value
-
-
-def finder_battery():
-    """Braid closures with their raw and simplified switch and smoothing
-    children, poke and kink insertions, and split unions."""
-    out = []
-    for word in ORACLE_WORDS:
-        d = braid_closure(parse_braid(word))
-        out.append(d)
-        for i in range(d.crossing_count):
-            for child in (switch(d, i), smooth(d, i)):
-                out += [child, simplify(child)]
-    for name in ("hopf+", "trefoil", "fig8"):
-        d = parse_pd(FIXTURE_PDS[name][0])
-        out += list(poke_moves(d))[:8]
-        out += [insert_kink(d, arc, v) for arc in (1, 2) for v in range(4)]
-    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
-    hopf = parse_pd(FIXTURE_PDS["hopf+"][0])
-    out += [
-        disjoint_union(tref, tref),
-        disjoint_union(hopf, tref),
-        disjoint_union(insert_kink(tref, 1, 0), hopf),
-        disjoint_union(next(poke_moves(hopf)), tref),
-        disjoint_union(disjoint_union(hopf, parse_pd("O")), insert_kink(hopf, 2, 3)),
-        # a nugatory crossing with sides larger than the other part
-        disjoint_union(parse_pd(NUGATORY_PD), parse_pd(FIXTURE_PDS["kink+"][0])),
-    ]
-    return out
 
 
 def _parts(d):

@@ -27,6 +27,7 @@ from skeindepth import (
     tree_depth,
     verify_tree,
 )
+from skeindepth import solver
 from skeindepth.solver import ResultCache
 
 from conftest import FIXTURE_PDS, ORACLE_WORDS, UNKNOT_7_PD, closure_battery
@@ -284,17 +285,21 @@ def test_hard_torus_closures_are_exact(word, depth):
 def test_switch_child_values_are_derived_and_counted_apart():
     """derive_switch_poly stores the switch child's own value, only when
     the child has crossings and no stored value, and counts it in derived;
-    the search stores switch children's values this way."""
+    it returns the simplified smoothing exactly when it stored a value.
+    The search stores switch children's values this way."""
     ctx = SolveContext()
     cache = ctx.homfly_cache
     for d in closure_battery():
         p = ctx.poly_of(d)
-        for i, cr in enumerate(d.crossings):
-            sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
+        for i in range(d.crossing_count):
+            sw = simplify(switch(d, i))
             fresh = not sw.is_crossingless() and canonical_code(sw) not in cache.table
             derived = cache.derived
-            ctx.derive_switch_poly(cr.sign, p, sw, sm)
+            sm = ctx.derive_switch_poly(d, i, p, sw)
             assert cache.derived == derived + fresh
+            assert (sm is not None) == fresh
+            if fresh:
+                assert canonical_code(sm) == canonical_code(simplify(smooth(d, i)))
             # every stored value is counted once, as computed or as derived
             assert len(cache) == cache.computed + cache.derived
             if not sw.is_crossingless():
@@ -304,6 +309,64 @@ def test_switch_child_values_are_derived_and_counted_apart():
         compute_td(braid_closure(parse_braid(w)), ctx=ctx)
     assert ctx.homfly_cache.derived > 0
     assert len(ctx.homfly_cache) == ctx.homfly_cache.computed + ctx.homfly_cache.derived
+
+
+@pytest.mark.parametrize(
+    "link, render, nodes, computed, derived",
+    [
+        (FIXTURE_PDS["trefoil"][0], "2", 2, 2, 0),
+        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 5, 9, 4),
+        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 7, 6, 0),
+    ],
+)
+def test_search_work_is_pinned(link, render, nodes, computed, derived):
+    """Search nodes and polynomial work of a fresh solve, as before the
+    smoothings were built on demand."""
+    d = parse_pd(link) if link.startswith("X") else braid_closure(parse_braid(link))
+    ctx = SolveContext()
+    assert compute_td(d, ctx=ctx).render() == render
+    cache = ctx.homfly_cache
+    assert (ctx.nodes, cache.computed, cache.derived) == (nodes, computed, derived)
+
+
+def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
+    """With every polynomial known, the search builds the smoothing at a
+    crossing only after the switch child there succeeds; a switch child
+    that fails ends its branch with no smoothing built."""
+    d = braid_closure(parse_braid("p=3: 2 2 2 1 -2 1 2"))
+    warm = SolveContext()
+    assert compute_td(d, ctx=warm).render() == "[3, 4]"
+    cache = warm.homfly_cache
+    known = (cache.computed, cache.derived)
+
+    events = []  # [kind, (code, crossing), outcome of the switch child]
+    real_search = solver._search
+
+    def search(node, k, ctx, limit):
+        pending = events[-1] if events and events[-1][2] == "pending" else None
+        result = real_search(node, k, ctx, limit)
+        if pending is not None:
+            pending[2] = result
+        return result
+
+    def recorder(kind, op):
+        def call(node, i):
+            events.append([kind, (canonical_code(node), i), "pending" if kind == "switch" else None])
+            return op(node, i)
+
+        return call
+
+    monkeypatch.setattr(solver, "_search", search)
+    monkeypatch.setattr(solver, "switch", recorder("switch", switch))
+    monkeypatch.setattr(solver, "smooth", recorder("smooth", smooth))
+    ctx = SolveContext(cache)
+    assert depth_at_most(d, 3, ctx=ctx) is False
+    assert (cache.computed, cache.derived) == known and ctx.nodes == 3
+    switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
+    smoothed = [key for kind, key, _ in events if kind == "smooth"]
+    assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
+    # every one of the 10 branches built its smoothing before
+    assert (len(switched), len(smoothed)) == (10, 6)
 
 
 def test_persisted_interval_answers_without_witness():
