@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 from .braid import mixed_braid_upper, positive_braid_td
 from .diagram import OrientedDiagram, component_count, simplify
-from .poly import (
-    _A2,
-    _AZ,
-    _Am2,
-    _AmZ,
-    HomflyCache,
-    LaurentPoly2,
-    homfly,
-    unlink_value,
-)
+from .poly import HomflyCache, LaurentPoly2, homfly, skein_value, unlink_value
 
 # deepest reachability table consulted: depth 2 builds in milliseconds,
 # depth 3 takes about 70 times longer for little extra reach
@@ -79,8 +70,8 @@ def skein_reachable(depth: int, components: int) -> frozenset[LaurentPoly2]:
     depth <= depth can have.
 
     A tree of height 0 is an unlink.  Resolving a crossing of a link L
-    gives P(L) = a^2 P(switch) + a z P(smooth) at a positive crossing and
-    a^-2 P(switch) - a^-1 z P(smooth) at a negative one; the switch child
+    gives P(L) from P(switch) and P(smooth) by the skein identity
+    (:func:`.poly.skein_value`) of the crossing's sign; the switch child
     keeps the r components and the smoothing child has r - 1 or r + 1.
     So the set for depth d is the set for d - 1 plus both skein
     combinations of a depth d - 1 value with r components and one with
@@ -97,10 +88,9 @@ def skein_reachable(depth: int, components: int) -> frozenset[LaurentPoly2]:
         other = other | skein_reachable(depth - 1, components - 1)
     out = set(same)
     for p in same:
-        pos, neg = _A2 * p, _Am2 * p
         for q in other:
-            out.add(pos + _AZ * q)
-            out.add(neg - _AmZ * q)
+            out.add(skein_value(1, p, q))
+            out.add(skein_value(-1, p, q))
     return frozenset(out)
 
 

@@ -25,15 +25,17 @@ lifting a strand poked under or over another, untwisting a crossing
 whose oriented smoothing disconnects its part) are defined here, so the
 polynomial, the rewrite and the search modules all build on this one
 without importing each other.  Each move's finder is a single linear
-pass; the nugatory test uses a cut-vertex search of the crossing graph.
-A diagram that simplify returned is marked as such, and so is its
-switch at a crossing, which simplify then checks for a poke pair
-through that crossing alone.  The arc-incidence helpers (each arc's two
-places, where each arc arrives, the crossing graph, a union-find over
-arcs) are defined here once; the polynomial and rewrite modules take
-them from here.  A move that removes crossings resolves the union-find
-roots of the few arcs it merges only, then builds the succession of
-arcs once, and that pass both counts the closed loops and renumbers.
+pass; the nugatory test takes as candidates the crossings that some
+face meets at two corners, which are the cut crossings of the crossing
+graph and the kink crossings.  A diagram that simplify returned is
+marked as such, and so is its switch at a crossing, which simplify then
+checks for a poke pair through that crossing alone.  The arc-incidence
+helpers (each arc's two places, where each arc arrives, the connected
+groups of crossings, a union-find over arcs) are defined here once; the
+polynomial and rewrite modules take them from here.  A move that
+removes crossings resolves the union-find roots of the few arcs it
+merges only, then builds the succession of arcs once, and that pass
+both counts the closed loops and renumbers.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -187,49 +189,39 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
 
     Directions propagate from the under-strand slots (a arrives, c
     leaves): each arc has one head and one tail occurrence, and each over
-    pair holds one arriving and one leaving arc.  Arc succession settles
-    whatever propagation cannot reach, one unanchored crossing at a time:
-    each reading is propagated before the next crossing is read, so a
-    strand that only runs over gets one direction throughout.
+    pair holds one arriving and one leaving arc.  A worklist carries each
+    newly known place to the other end of its arc and to the opposite
+    slot of its crossing.  Arc succession settles whatever propagation
+    cannot reach, one unanchored crossing at a time: each reading is
+    propagated before the next crossing is read, so a strand that only
+    runs over gets one direction throughout.
     """
     n = len(tuples)
     occ = _occurrences(tuples)
     _check_labels(occ, n)
 
     # role[ci][slot]: True if the arc arrives at this slot, False if it
-    # leaves, None if not yet known.
+    # leaves, None if not yet known.  The under pair is opposite from the
+    # start, so every slot's opposite (slot ^ 2) must take the other role.
     role: list[list[bool | None]] = [[True, None, False, None] for _ in range(n)]
 
-    def propagate() -> None:
-        changed = True
-        while changed:
-            changed = False
-            for ci in range(n):
-                for slot in range(4):
-                    r = role[ci][slot]
-                    if r is None:
-                        continue
-                    cj, t = _other_place(occ, tuples[ci][slot], (ci, slot))
-                    if role[cj][t] is None:
-                        role[cj][t] = not r
-                        changed = True
-                    elif role[cj][t] == r:
-                        raise ValueError(
-                            "arc %d cannot both arrive at and leave its endpoints"
-                            % tuples[ci][slot]
-                        )
-                # within one over pair, one arc arrives and one leaves
-                rb, rd = role[ci][_OVER_B], role[ci][_OVER_D]
-                if rb is None and rd is not None:
-                    role[ci][_OVER_B] = not rd
-                    changed = True
-                elif rd is None and rb is not None:
-                    role[ci][_OVER_D] = not rb
-                    changed = True
-                elif rb is not None and rd is not None and rb == rd:
-                    raise ValueError("over strand at crossing %d has no consistent direction" % ci)
+    def propagate(todo: list[tuple[int, int]]) -> None:
+        while todo:
+            ci, slot = todo.pop()
+            r = role[ci][slot]
+            arc_end = _other_place(occ, tuples[ci][slot], (ci, slot))
+            for cj, t in (arc_end, (ci, slot ^ 2)):
+                if role[cj][t] is None:
+                    role[cj][t] = not r
+                    todo.append((cj, t))
+                elif role[cj][t] == r:
+                    if cj == ci and t == slot ^ 2:
+                        raise ValueError("over strand at crossing %d has no consistent direction" % ci)
+                    raise ValueError(
+                        "arc %d cannot both arrive at and leave its endpoints" % tuples[ci][slot]
+                    )
 
-    propagate()
+    propagate([(ci, slot) for ci in range(n) for slot in (_UNDER_IN, _UNDER_OUT)])
     for ci in range(n):
         if role[ci][_OVER_B] is None:
             # never anchored by an under passage: fall back to label
@@ -245,8 +237,7 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
                 # the succession must wrap a component block: max -> min
                 arrives_at_b = b > d
             role[ci][_OVER_B] = arrives_at_b
-            role[ci][_OVER_D] = not arrives_at_b
-            propagate()
+            propagate([(ci, _OVER_B)])
 
     return [1 if role[ci][_OVER_B] else -1 for ci in range(n)]
 
@@ -557,12 +548,13 @@ def _rewire(
 # -- connectivity -------------------------------------------------------------
 
 
-def _crossing_graph(d: OrientedDiagram) -> list[list[int]]:
-    """Adjacency lists of the crossing graph, from one pass over the slots.
+def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
+    """Connected groups of crossing indices (shared arcs connect), in
+    ascending order of their first index, each group ascending.
 
-    The crossings are the vertices; every arc that joins two different
-    crossings is an edge, and an arc with both ends at one crossing is
-    ignored.
+    The crossings are the vertices of the crossing graph; every arc that
+    joins two different crossings is an edge, and an arc with both ends
+    at one crossing is ignored.
     """
     first: dict[int, int] = {}
     adj: list[list[int]] = [[] for _ in d.crossings]
@@ -572,17 +564,9 @@ def _crossing_graph(d: OrientedDiagram) -> list[list[int]]:
             if cj != ci:
                 adj[ci].append(cj)
                 adj[cj].append(ci)
-    return adj
-
-
-def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
-    """Connected groups of crossing indices (shared arcs connect), in
-    ascending order of their first index, each group ascending."""
-    n = d.crossing_count
-    adj = _crossing_graph(d)
-    seen = [False] * n
+    seen = [False] * len(adj)
     groups: list[list[int]] = []
-    for ci in range(n):
+    for ci in range(len(adj)):
         if seen[ci]:
             continue
         seen[ci] = True
@@ -711,56 +695,6 @@ def _flip(cr: Crossing) -> Crossing:
     return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
 
 
-def _cut_crossings(d: OrientedDiagram) -> tuple[list[int], list[int]]:
-    """Cut crossings of the crossing graph, ascending, and each crossing's part.
-
-    One depth-first pass over the crossing graph (see _crossing_graph)
-    computes lowpoints (Tarjan 1972): a crossing is a cut crossing when
-    removing it disconnects its part.  part[k] is the first crossing of
-    k's part.
-    """
-    n = d.crossing_count
-    adj = _crossing_graph(d)
-
-    disc = [0] * n  # discovery time, 0 while unvisited
-    low = [0] * n
-    part = [0] * n
-    cuts: set[int] = set()
-    t = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        t += 1
-        disc[root] = low[root] = t
-        part[root] = root
-        root_children = 0
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, rest = stack[-1]
-            for v in rest:
-                if not disc[v]:
-                    t += 1
-                    disc[v] = low[v] = t
-                    part[v] = root
-                    stack.append((v, iter(adj[v])))
-                    break
-                # the edge back to u's parent lowers low[u] to at most
-                # disc[parent], which leaves the cut test below unchanged
-                low[u] = min(low[u], disc[v])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p == root:
-                        root_children += 1
-                    elif low[u] >= disc[p]:
-                        cuts.add(p)
-        if root_children > 1:
-            cuts.add(root)
-    return sorted(cuts), part
-
-
 def _side_groups(d: OrientedDiagram, i: int, part: list[int]) -> list[list[int]]:
     """Connected groups of the other crossings of i's part, crossing i smoothed.
 
@@ -787,18 +721,30 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     """A crossing whose oriented smoothing disconnects its own part, plus
     the smaller side within that part.
 
-    Only a cut crossing can qualify: smoothing adds edges between the
-    crossing's neighbours, which never splits a part that stays
-    connected without the crossing.  Candidates are confirmed in index
-    order by the side-group test on their part; on planar diagrams the
-    first candidate always confirms.
+    Only a cut crossing of the crossing graph can qualify: smoothing adds
+    edges between the crossing's neighbours, which never splits a part
+    that stays connected without the crossing.  A crossing separates its
+    part exactly when some face meets it at two corners (Mohar and
+    Thomassen, Graphs on Surfaces, ch. 2).  So does a kink crossing: the
+    face around its loop meets it at both ends of the loop.  A kink never
+    confirms, as its smoothing leaves the other crossings joined, so the
+    side-group test on its part stays and confirms candidates in index
+    order; on planar diagrams the first cut crossing always confirms.
     """
     if d.crossing_count < 2:
         return None
-    cuts, part = _cut_crossings(d)
-    for i in cuts:
-        members = [k for k, p in enumerate(part) if p == part[i]]
-        groups = _side_groups(d, i, members)
+    twice: set[int] = set()
+    for face in faces(d):
+        met: set[int] = set()
+        for ci, _ in face:
+            if ci in met:
+                twice.add(ci)
+            met.add(ci)
+    if not twice:
+        return None
+    part = {ci: group for group in _crossing_groups(d) for ci in group}
+    for i in sorted(twice):
+        groups = _side_groups(d, i, part[i])
         if len(groups) >= 2:
             return (i, groups[0])
     return None

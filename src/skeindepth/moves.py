@@ -28,6 +28,7 @@ from .diagram import (
     _UNDER_OUT,
     Crossing,
     OrientedDiagram,
+    _exchange,
     _heads,
     _occurrences,
     _other_place,
@@ -84,8 +85,9 @@ def _poke(
     """Push arc e across co-facial arc f; None if the rewrite degenerates.
 
     The walk of a face keeps the face on the right of each corner, which
-    fixes the local picture up to the two arc arrows; the eight resulting
-    crossing-pair shapes are spelled out below.
+    fixes the local picture up to the two arc arrows; the four resulting
+    crossing pairs for pushing e over f are spelled out below.  Pushing e
+    under f gives the same pair with both crossings exchanged.
     """
     (eci, es), (fci, fs) = corner_e, corner_f
     e = d.crossings[eci].arcs()[es]
@@ -96,22 +98,14 @@ def _poke(
     f_fwd = fs in leaving_slots(d.crossings[fci])
     top = max(arc for cr in d.crossings for arc in cr.arcs()) + 1
     em, ep, fm, fp = top, top + 1, top + 2, top + 3
-
-    if over:
-        table = {
-            (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
-            (True, True): (Crossing(fm, e, fp, em, 1), Crossing(f, ep, fm, em, -1)),
-            (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
-            (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
-        }
-    else:
-        table = {
-            (True, False): (Crossing(e, f, em, fm, 1), Crossing(em, fp, ep, fm, -1)),
-            (True, True): (Crossing(e, fp, em, fm, -1), Crossing(em, f, ep, fm, 1)),
-            (False, False): (Crossing(e, fm, em, fp, 1), Crossing(em, fm, ep, f, -1)),
-            (False, True): (Crossing(e, fm, em, f, -1), Crossing(em, fm, ep, fp, 1)),
-        }
-    added = table[(e_fwd, f_fwd)]
+    added = {
+        (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
+        (True, True): (Crossing(fm, e, fp, em, 1), Crossing(f, ep, fm, em, -1)),
+        (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
+        (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
+    }[(e_fwd, f_fwd)]
+    if not over:
+        added = tuple(map(_exchange, added))
 
     heads = _heads(d)
     he, hf = heads[e], heads[f]

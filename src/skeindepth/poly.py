@@ -297,6 +297,19 @@ _Am2 = monomial(1, -2, 0)
 _AmZ = monomial(1, -1, 1)
 
 
+def skein_value(sign: int, p_switch: LaurentPoly2, p_smooth: LaurentPoly2) -> LaurentPoly2:
+    """P of a diagram from P of its switch and of its smoothing at a
+    crossing of the given sign.
+
+    The skein identity: at a positive crossing P = a^2 P(switch) +
+    a z P(smooth), at a negative one P = a^-2 P(switch) - a^-1 z
+    P(smooth).  :func:`switch_value` is its inverse.
+    """
+    if sign > 0:
+        return _A2 * p_switch + _AZ * p_smooth
+    return _Am2 * p_switch - _AmZ * p_smooth
+
+
 def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> LaurentPoly2:
     """P of a diagram's switch at a crossing of the given sign, from P of
     the diagram and of its smoothing there.
@@ -355,10 +368,7 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
         else:
             p_sw = _homfly(simplify(switch(d, i)), cache)
             p_sm = _homfly(simplify(smooth(d, i)), cache)
-            if d.crossings[i].sign > 0:
-                value = _A2 * p_sw + _AZ * p_sm
-            else:
-                value = _Am2 * p_sw - _AmZ * p_sm
+            value = skein_value(d.crossings[i].sign, p_sw, p_sm)
     cache.put(key, value)
     return value
 

@@ -32,7 +32,9 @@ through the switched crossing (see :func:`.diagram.simplify`).
 
 Per-diagram results (depth intervals, witnesses, recognizer verdicts,
 polynomials) are memoized on the canonical code inside a SolveContext,
-so the k-sweep and sibling subtrees share work.  :class:`ResultCache`
+so the k-sweep and sibling subtrees share work.  A call without ``ctx``
+solves in a fresh context of its own; calls share work only through a
+context passed to each of them.  :class:`ResultCache`
 persists the polynomials and depth intervals of a context to a file and
 loads them into another.
 """
@@ -138,14 +140,8 @@ class SolveContext:
         return v
 
 
+# always None: perfbench/worker.py's guard still reads it
 _shared_context: SolveContext | None = None
-
-
-def _default_context() -> SolveContext:
-    global _shared_context
-    if _shared_context is None:
-        _shared_context = SolveContext()
-    return _shared_context
 
 
 def _record_leaf(ctx: SolveContext, code: str, components: int) -> None:
@@ -246,7 +242,7 @@ def depth_at_most(
     """
     if k < 0:
         return False
-    ctx = ctx or _default_context()
+    ctx = ctx or SolveContext()
     return _search(simplify(d), k, ctx, ctx.nodes + budget)
 
 
@@ -279,7 +275,7 @@ def extract_tree(
     run, in a fresh context that shares only the polynomial cache and
     the deadline.
     """
-    ctx = ctx or _default_context()
+    ctx = ctx or SolveContext()
     d = simplify(d)
     res = depth_at_most(d, k, budget, ctx)
     if res is not True:
@@ -379,7 +375,7 @@ def compute_td(
     upper still stands).  Budget or time exhaustion widens the answer to
     an interval, never falsifies it.
     """
-    ctx = ctx or _default_context()
+    ctx = ctx or SolveContext()
     saved_deadline = ctx.deadline
     if timeout_secs is not None:
         ctx.deadline = time.monotonic() + timeout_secs

@@ -596,3 +596,58 @@ def test_canonical_codes_are_pinned():
         word = "p=%d: " % p + " ".join(" ".join(map(str, range(1, p))) for _ in range(q))
         got["T(%d,%d) closure" % (p, q)] = canonical_code(braid_closure(parse_braid(word)))
     assert got == PINNED_CODES
+
+
+# -- planar questions answered from the faces ----------------------------------
+
+
+def _reference_cut_crossings(d):
+    """Crossings whose removal splits their part of the crossing graph,
+    by removing each crossing in turn."""
+    cuts = set()
+    for group in reference_groups(d):
+        for i in group if len(group) > 2 else ():
+            rest = tuple(d.crossings[k] for k in group if k != i)
+            if len(reference_groups(OrientedDiagram(rest))) > 1:
+                cuts.add(i)
+    return cuts
+
+
+# a generator used once joins the strands on its two sides at one crossing
+CUT_WORDS = ["p=4: 1 1 1 2 3 3 3", "p=4: 1 -1 1 2 -3 -3", "p=5: 1 -1 1 2 3 4 -3 4 4"]
+
+
+def test_faces_meet_twice_exactly_the_cut_and_kink_crossings():
+    """A crossing separates its part exactly when some face meets it at
+    two corners, and a kink crossing is met twice by the face around its
+    loop; find_nugatory takes its candidates from this."""
+    cut_seen = kink_seen = 0
+    closures = [braid_closure(parse_braid(word)) for word in CUT_WORDS]
+    extra = closures + [switch(d, i) for d in closures for i in range(d.crossing_count)]
+    for d in kernel_battery() + finder_battery() + extra:
+        twice = set()
+        for face in faces(d):
+            corners = [ci for ci, _ in face]
+            twice.update(ci for ci in corners if corners.count(ci) > 1)
+        cuts = _reference_cut_crossings(d)
+        kinks = {i for i, cr in enumerate(d.crossings) if len(set(cr.arcs())) < 4}
+        assert twice == cuts | kinks, d
+        cut_seen += len(cuts)
+        kink_seen += len(kinks)
+    assert cut_seen > 20 and kink_seen > 40
+
+
+def test_pd_text_parses_back_to_the_diagram():
+    """Sign inference recovers every crossing of a diagram labeled 1..2c
+    along its components, when every component runs under somewhere."""
+    checked = 0
+    for d in kernel_battery() + finder_battery():
+        try:
+            validate(d)
+        except ValueError:
+            continue  # labels off the 1..2c convention
+        under = {cr.a for cr in d.crossings}
+        if all(under & set(cycle) for cycle in component_cycles(d)):
+            assert parse_pd(pd_text(d)) == d, d
+            checked += 1
+    assert checked > 300

@@ -1,6 +1,7 @@
 """Module structure: relative imports sit at module level and form no
-cycle, every exported name exists, and the names the benchmark's tracer
-patches and its worker reads exist."""
+cycle, only diagram lends out underscore names, every exported name
+exists, and the names the benchmark's tracer patches and its worker read
+exist."""
 
 import ast
 import importlib.util
@@ -8,13 +9,14 @@ import pathlib
 import re
 
 import skeindepth
+import skeindepth.cli  # binds skeindepth.cli, which the worker reads
 
 PACKAGE = pathlib.Path(skeindepth.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _relative_imports():
-    """{module: [(imported module, enclosing function or None)]}."""
+    """{module: [(imported module, enclosing function or None, imported names)]}."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -27,9 +29,10 @@ def _relative_imports():
                     continue
                 if isinstance(child, ast.ImportFrom) and child.level:
                     if child.module:
-                        found.append((child.module.split(".")[0], func))
+                        names = tuple(alias.name for alias in child.names)
+                        found.append((child.module.split(".")[0], func, names))
                     else:  # from . import name
-                        found.extend((alias.name, func) for alias in child.names)
+                        found.extend((alias.name, func, ()) for alias in child.names)
                 visit(child, func)
 
         visit(tree, None)
@@ -39,14 +42,14 @@ def _relative_imports():
 
 def test_no_relative_import_inside_a_function():
     local = {
-        mod: [f"{target} in {func}" for target, func in found if func is not None]
+        mod: [f"{target} in {func}" for target, func, _ in found if func is not None]
         for mod, found in _relative_imports().items()
     }
     assert {mod: found for mod, found in local.items() if found} == {}
 
 
 def test_relative_imports_form_no_cycle():
-    graph = {mod: {target for target, _ in found} for mod, found in _relative_imports().items()}
+    graph = {mod: {target for target, _, _ in found} for mod, found in _relative_imports().items()}
     state = {}  # 1 on the current path, 2 finished
 
     def walk(mod, path):
@@ -60,6 +63,19 @@ def test_relative_imports_form_no_cycle():
     for mod in sorted(graph):
         if mod not in state:
             walk(mod, [mod])
+
+
+def test_private_names_cross_modules_only_from_diagram():
+    """diagram shares its arc-incidence helpers; every other module keeps
+    its underscore names to itself."""
+    crossing = sorted(
+        f"{mod} imports {target}.{name}"
+        for mod, found in _relative_imports().items()
+        for target, _, names in found
+        for name in names
+        if name.startswith("_") and target != "diagram"
+    )
+    assert crossing == []
 
 
 def test_tracer_patched_names_exist():

@@ -7,7 +7,7 @@ bookkeeping exactly.
 
 import random
 from collections import deque
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 
@@ -37,6 +37,7 @@ from skeindepth import moves
 from skeindepth.diagram import (
     _crossing_groups,
     _poke_pair_through,
+    faces,
     find_kink,
     find_nugatory,
     find_poke_pair,
@@ -399,6 +400,21 @@ def test_poke_moves_invariance():
             assert homfly(child, cache) == base, name
             assert canonical_code(simplify(child)) == canonical_code(d)
         assert count > 0
+
+
+def test_pushing_e_under_f_is_pushing_f_over_e():
+    """Both pokes draw the same bigon, e on top; the under-poke's
+    crossings are the over-poke's, exchanged."""
+    pairs = 0
+    for d in closure_battery() + [simplify(d) for d in finder_battery()]:
+        for face in faces(d):
+            for ce, cf in permutations(face, 2):
+                under, over = moves._poke(d, ce, cf, False), moves._poke(d, cf, ce, True)
+                assert (under is None) == (over is None), (d, ce, cf)
+                if under is not None:
+                    assert canonical_code(under) == canonical_code(over), (d, ce, cf)
+                    pairs += 1
+    assert pairs > 1000
 
 
 def test_triangle_moves_invariance():

@@ -24,7 +24,7 @@ from skeindepth import (
     switch,
     unlink_value,
 )
-from skeindepth.poly import DELTA, ONE, ZERO, monomial, switch_value
+from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value, switch_value
 
 from conftest import CROSSED, FIXTURE_PDS, closure_battery
 
@@ -155,6 +155,13 @@ def test_switch_value_solves_the_skein_identity():
             assert got == homfly(simplify(switch(d, i)), HomflyCache()), (d, i)
             signs.add(cr.sign)
     assert signs == {1, -1}
+
+
+@given(poly_st, poly_st)
+@settings(max_examples=100, deadline=None)
+def test_switch_value_inverts_skein_value(p, q):
+    for sign in (1, -1):
+        assert switch_value(sign, skein_value(sign, p, q), q) == p
 
 
 def test_mirror_rule_on_fixtures():

@@ -137,6 +137,17 @@ def test_compute_td_trivial_cases():
         assert verify_tree(res.witness) == 0
 
 
+def test_calls_without_a_context_share_no_state():
+    """A call without ctx solves in a fresh context and leaves no
+    module-level context behind."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    assert depth_at_most(tref, 1) is False
+    assert depth_at_most(tref, 2) is True
+    assert verify_tree(extract_tree(tref, 2)) == 2
+    assert compute_td(tref).status == "Exact(2)"
+    assert solver._shared_context is None
+
+
 def test_compute_td_exact_rows():
     expected = {
         "hopf+": 1,
