@@ -141,7 +141,8 @@ def aggregate_bounds(
     link; braid_words, when given, is a list of BraidWord presentations
     of the same link.  Both are trusted as stated.  A one-signed word
     using all its generator indices pins the depth exactly, so it enters
-    on both sides.
+    on both sides.  Sound bounds never cross, so a largest lower bound
+    above the smallest upper bound raises ValueError naming both.
     """
     s = simplify(d)
     if s.is_crossingless():
@@ -149,27 +150,25 @@ def aggregate_bounds(
     r = component_count(s)
     p = homfly(s, cache)
 
-    contribs: list[tuple[str, int, str]] = []
-    lowers: list[int] = []
-    uppers: list[int] = []
-
-    def add(name: str, value: int, kind: str):
-        contribs.append((name, value, kind))
-        (lowers if kind == "lower" else uppers).append(value)
-
-    for name, value in polynomial_contributions(p, r):
-        add(name, value, "lower")
+    contribs = [(name, value, "lower") for name, value in polynomial_contributions(p, r)]
     if genus is not None:
-        add("genus-components", genus_lower_bound(genus, r), "lower")
-    add("crossing count", s.crossing_count - 1, "upper")
+        contribs.append(("genus-components", genus_lower_bound(genus, r), "lower"))
+    contribs.append(("crossing count", s.crossing_count - 1, "upper"))
     if braid_words:
-        add("mixed braid", mixed_braid_upper(list(braid_words)), "upper")
+        contribs.append(("mixed braid", mixed_braid_upper(list(braid_words)), "upper"))
         exact = None
         for w in braid_words:
             if w.all_indices_used() and (w.positives == 0 or w.negatives == 0):
                 v = positive_braid_td(w)
                 exact = v if exact is None else min(exact, v)
         if exact is not None:
-            add("one-signed braid", exact, "lower")
-            add("one-signed braid", exact, "upper")
-    return BoundsReport(max(lowers), min(uppers), tuple(contribs))
+            contribs.append(("one-signed braid", exact, "lower"))
+            contribs.append(("one-signed braid", exact, "upper"))
+    lo = max((c for c in contribs if c[2] == "lower"), key=lambda c: c[1])
+    hi = min((c for c in contribs if c[2] == "upper"), key=lambda c: c[1])
+    if lo[1] > hi[1]:
+        raise ValueError(
+            f"contradictory bounds: {lo[0]} lower bound {lo[1]} "
+            f"exceeds {hi[0]} upper bound {hi[1]}"
+        )
+    return BoundsReport(lo[1], hi[1], tuple(contribs))

@@ -2,15 +2,16 @@
 
 The crossing-increasing pokes, kink insertions and triangle slides here
 never shrink a diagram; they feed the bounded unlink search in
-:func:`recognize_unlink` and the randomized invariance tests.  A rewrite
-is kept only when :func:`.diagram.validate`, planarity included, accepts
-it.  The search restarts from the first diagram it meets with fewer
-crossings than its start (monotone descent), spends one node budget
-across all restarts, and gives up with ``unknown`` once its deadline
-passes.  The crossing-removing moves, their finders and
-:func:`.diagram.simplify`, like the skein operations
-:func:`.diagram.switch` and :func:`.diagram.smooth`, live in
-:mod:`.diagram`, and so do the arc-incidence helpers used here.
+:func:`recognize_unlink` and the randomized invariance tests.  Each poke
+and each slide is generated once, and a rewrite is kept only when
+:func:`.diagram.validate`, planarity included, accepts it.  The search
+restarts from the first diagram it meets with fewer crossings than its
+start (monotone descent), spends one node budget across all restarts,
+and gives up with ``unknown`` once its deadline passes.  The
+crossing-removing moves, their finders and :func:`.diagram.simplify`,
+like the skein operations :func:`.diagram.switch` and
+:func:`.diagram.smooth`, live in :mod:`.diagram`, and so do the
+arc-incidence helpers used here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator
 
 from .diagram import (
@@ -28,7 +29,6 @@ from .diagram import (
     _UNDER_OUT,
     Crossing,
     OrientedDiagram,
-    _exchange,
     _heads,
     _occurrences,
     _other_place,
@@ -37,7 +37,6 @@ from .diagram import (
     component_count,
     faces,
     leaving_slots,
-    mirror,
     renormalize,
     simplify,
     validate,
@@ -77,17 +76,14 @@ def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
 
 
 def _poke(
-    d: OrientedDiagram,
-    corner_e: tuple[int, int],
-    corner_f: tuple[int, int],
-    over: bool,
+    d: OrientedDiagram, corner_e: tuple[int, int], corner_f: tuple[int, int]
 ) -> OrientedDiagram | None:
-    """Push arc e across co-facial arc f; None if the rewrite degenerates.
+    """Push arc e over co-facial arc f; None if the rewrite degenerates.
 
     The walk of a face keeps the face on the right of each corner, which
     fixes the local picture up to the two arc arrows; the four resulting
-    crossing pairs for pushing e over f are spelled out below.  Pushing e
-    under f gives the same pair with both crossings exchanged.
+    crossing pairs are spelled out below.  Pushing e under f draws the
+    same bigon as pushing f over e, so no under-poke is built.
     """
     (eci, es), (fci, fs) = corner_e, corner_f
     e = d.crossings[eci].arcs()[es]
@@ -104,8 +100,6 @@ def _poke(
         (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
         (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
     }[(e_fwd, f_fwd)]
-    if not over:
-        added = tuple(map(_exchange, added))
 
     heads = _heads(d)
     he, hf = heads[e], heads[f]
@@ -127,16 +121,15 @@ def _poke(
 
 
 def poke_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
-    """All single pokes of one arc across a co-facial arc, over and under."""
+    """Every bigon a poke draws between two corners of one face, once:
+    for corners e before f in the face walk, e pushed over f and then f
+    pushed over e."""
     for face in faces(d):
-        for corner_e in face:
-            for corner_f in face:
-                if corner_e == corner_f:
-                    continue
-                for over in (True, False):
-                    nd = _poke(d, corner_e, corner_f, over)
-                    if nd is not None:
-                        yield nd
+        for corner_e, corner_f in combinations(face, 2):
+            for pair in ((corner_e, corner_f), (corner_f, corner_e)):
+                nd = _poke(d, *pair)
+                if nd is not None:
+                    yield nd
 
 
 def _build_crossing(sign: int, under: tuple[int, int], over: tuple[int, int]) -> Crossing:
@@ -145,20 +138,23 @@ def _build_crossing(sign: int, under: tuple[int, int], over: tuple[int, int]) ->
     return Crossing(under[0], over[1], under[1], over[0], -1)
 
 
-def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
-    """Slides of an over-over arc across the crossing joining its two
-    under-strands; the under-under variant is the mirror conjugate."""
+def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
+    """All slides of a triangle's top strand, the arc over both its
+    crossings, across the crossing joining its two under-strands.
+
+    Each triangle is slid once: sliding its bottom strand across the
+    crossing above it turns the same triangle over and draws the same
+    diagram, up to arc labels.
+    """
     occ = _occurrences(d.crossings)
     n = d.crossing_count
     for i in range(n):
         X = d.crossings[i]
         eA = X.over_out()
         slot_out = leaving_slots(X)[1]
-        j, sj = _other_place(occ, eA, (i, slot_out))
-        if j == i or d.crossings[j].over_in() != eA:
-            continue
+        j, _ = _other_place(occ, eA, (i, slot_out))
         Y = d.crossings[j]
-        if Y.arcs()[sj] != eA or sj not in arriving_slots(Y):
+        if j == i or Y.over_in() != eA:
             continue
         pT_in, pT_out = X.over_in(), Y.over_out()
         for eB, dirM, xslot in ((X.c, 1, _UNDER_OUT), (X.a, -1, _UNDER_IN)):
@@ -220,13 +216,6 @@ def _r3_over(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
                 except ValueError:
                     continue
                 yield nd
-
-
-def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
-    """All strand-across-crossing slides, both above and below."""
-    yield from _r3_over(d)
-    for nd in _r3_over(mirror(d)):
-        yield mirror(nd)
 
 
 # -- unlink recognition ---------------------------------------------------------

@@ -5,6 +5,8 @@ orientations/mirrors); every polynomial, writhe, and depth claim about
 them is re-derived in the tests rather than trusted.
 """
 
+from itertools import islice, permutations
+
 import pytest
 
 from skeindepth import (
@@ -12,15 +14,20 @@ from skeindepth import (
     HomflyCache,
     OrientedDiagram,
     braid_closure,
+    canonical_code,
     disjoint_union,
     insert_kink,
+    mirror,
     parse_braid,
     parse_pd,
     poke_moves,
     simplify,
     smooth,
     switch,
+    triangle_moves,
 )
+from skeindepth import moves
+from skeindepth.diagram import faces
 
 # name -> (pd text, components)
 FIXTURE_PDS = {
@@ -66,6 +73,45 @@ def closure_battery():
     return out
 
 
+def reference_pokes(d):
+    """Every ordered pair of corners e, f of each face: e pushed over f,
+    then e pushed under f, drawn as f pushed over e.  Each poke comes
+    twice, keyed by its (upper corner, lower corner), and is built once."""
+    made = {}
+    for face in faces(d):
+        for ce, cf in permutations(face, 2):
+            for key in ((ce, cf), (cf, ce)):
+                if key not in made:
+                    made[key] = moves._poke(d, *key)
+                if made[key] is not None:
+                    yield key, made[key]
+
+
+def check_pokes_once(d):
+    """poke_moves(d) is reference_pokes(d) without its repeats, in
+    first-occurrence order; returns how many pokes that is."""
+    once = {}
+    for key, nd in reference_pokes(d):
+        once.setdefault(key, nd)
+    assert list(poke_moves(d)) == list(once.values()), d
+    return len(once)
+
+
+def check_slides_once(d):
+    """The bottom-strand slides, the top-strand slides of the mirror
+    mirrored back, have triangle_moves(d)'s codes, and each simplifies to
+    its top-strand twin's code; returns how many slides there are."""
+    top = list(triangle_moves(d))
+    bottom = [mirror(nd) for nd in triangle_moves(mirror(d))]
+    assert sorted(map(canonical_code, bottom)) == sorted(map(canonical_code, top)), d
+    twins = {}
+    for nd in top:
+        twins.setdefault(canonical_code(nd), set()).add(canonical_code(simplify(nd)))
+    for nd in bottom:
+        assert twins[canonical_code(nd)] == {canonical_code(simplify(nd))}, d
+    return len(bottom)
+
+
 # one central crossing with a kinked lobe on each side: smoothing it
 # disconnects the other crossings, so it is nugatory by definition
 NUGATORY_PD = "X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]"
@@ -83,7 +129,7 @@ def finder_battery():
                 out += [child, simplify(child)]
     for name in ("hopf+", "trefoil", "fig8"):
         d = parse_pd(FIXTURE_PDS[name][0])
-        out += list(poke_moves(d))[:8]
+        out += [nd for _, nd in islice(reference_pokes(d), 8)]
         out += [insert_kink(d, arc, v) for arc in (1, 2) for v in range(4)]
     tref = parse_pd(FIXTURE_PDS["trefoil"][0])
     hopf = parse_pd(FIXTURE_PDS["hopf+"][0])

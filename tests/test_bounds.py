@@ -176,6 +176,17 @@ def test_aggregate_rejects_trivial():
         aggregate_bounds(parse_pd("X[2,2,1,1]"))
 
 
+def test_contradictory_claims_are_an_input_error():
+    """A genus or braid claim whose bound crosses a sound one names both."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    with pytest.raises(ValueError) as err:
+        aggregate_bounds(tref, genus=5)
+    assert "genus-components lower bound 10 exceeds crossing count upper bound 2" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        aggregate_bounds(tref, braid_words=[parse_braid("p=3: 1 2")])
+    assert "homfly z-degree lower bound 2 exceeds mixed braid upper bound 0" in str(err.value)
+
+
 def test_render_row():
     rep = aggregate_bounds(parse_pd(FIXTURE_PDS["trefoil"][0]), genus=1)
     row = rep.render_row("K3a1")

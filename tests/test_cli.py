@@ -108,6 +108,26 @@ def test_bounds_verb(tmp_path, capsys):
     assert "genus-components=2(lower)" in out
 
 
+def test_contradictory_claims_are_input_errors(tmp_path, capsys):
+    f = tmp_path / "in.pd"
+    f.write_text(TREFOIL + "\n")
+    assert main(["bounds", str(f), "--genus", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: contradictory bounds: genus-components lower bound 10")
+    b = tmp_path / "words.txt"
+    b.write_text("p=3: 1 2\n")
+    assert main(["bounds", str(f), "--braids", str(b)]) == 1
+    assert capsys.readouterr().err.startswith("error: contradictory bounds: homfly z-degree")
+    data = tmp_path / "d.tsv"
+    data.write_text(f"tref\t{TREFOIL}\t5\t\t\nwords\t{TREFOIL}\t\tp=3: 1 2\t\ngood\t{TREFOIL}\t1\t\t2\n")
+    assert main(["tabulate", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("tref\t-\t-\terror: contradictory bounds: genus-components")
+    assert lines[2].startswith("words\t-\t-\terror: contradictory bounds: homfly z-degree")
+    assert lines[3] == "good\t2\t2\t2"
+
+
 def test_td_rejects_a_non_planar_code(tmp_path, capsys):
     f = tmp_path / "in.pd"
     f.write_text("X[1,2,1,2]\n")

@@ -39,7 +39,15 @@ from skeindepth.diagram import (
     validate,
 )
 
-from conftest import FIXTURE_PDS, ORACLE_WORDS, closure_battery, finder_battery, scrambled
+from conftest import (
+    FIXTURE_PDS,
+    ORACLE_WORDS,
+    check_pokes_once,
+    check_slides_once,
+    closure_battery,
+    finder_battery,
+    scrambled,
+)
 
 
 def test_parse_roundtrip():
@@ -550,6 +558,8 @@ def test_kernel_matches_the_references_on_random_closures(case):
     assert smooth(d, i) == reference_rewire(rest, _smoothing_pairs(d.crossings[i]), fl)
     for x in (d, s, simplify(d), simplify(switch(d, i)), simplify(smooth(d, i))):
         assert canonical_code(x) == reference_code(x), x
+    check_pokes_once(s)
+    check_slides_once(s)
 
 
 # canonical codes of the bundled rows and of torus closures; result

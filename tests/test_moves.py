@@ -7,7 +7,7 @@ bookkeeping exactly.
 
 import random
 from collections import deque
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 
 import pytest
 
@@ -21,6 +21,7 @@ from skeindepth import (
     disjoint_union,
     homfly,
     insert_kink,
+    mirror,
     parse_braid,
     parse_pd,
     poke_moves,
@@ -54,10 +55,14 @@ from conftest import (
     ORACLE_WORDS,
     UNKNOT_7_PD,
     UNLINK4_12_PD,
+    check_pokes_once,
+    check_slides_once,
     closure_battery,
     finder_battery,
+    reference_pokes,
     scrambled,
 )
+from test_diagram import kernel_battery
 
 
 def _cycle_index(cycles, label):
@@ -402,19 +407,43 @@ def test_poke_moves_invariance():
         assert count > 0
 
 
+def _mirror_corner(d, corner):
+    """corner of d as a corner of mirror(d): exchanging a crossing's
+    strands turns its slot labels by one place."""
+    ci, slot = corner
+    return (ci, (slot - d.crossings[ci].sign) % 4)
+
+
 def test_pushing_e_under_f_is_pushing_f_over_e():
-    """Both pokes draw the same bigon, e on top; the under-poke's
-    crossings are the over-poke's, exchanged."""
+    """Both pokes draw the same bigon, f on top.  The under-poke is built
+    as the over-poke on the mirror, mirrored back, whose faces are d's."""
     pairs = 0
     for d in closure_battery() + [simplify(d) for d in finder_battery()]:
+        md = mirror(d)
+        assert {frozenset(_mirror_corner(d, c) for c in face) for face in faces(d)} == {
+            frozenset(face) for face in faces(md)
+        }
         for face in faces(d):
             for ce, cf in permutations(face, 2):
-                under, over = moves._poke(d, ce, cf, False), moves._poke(d, cf, ce, True)
+                under = moves._poke(md, _mirror_corner(d, ce), _mirror_corner(d, cf))
+                over = moves._poke(d, cf, ce)
                 assert (under is None) == (over is None), (d, ce, cf)
                 if under is not None:
-                    assert canonical_code(under) == canonical_code(over), (d, ce, cf)
+                    assert canonical_code(mirror(under)) == canonical_code(over), (d, ce, cf)
                     pairs += 1
     assert pairs > 1000
+
+
+def test_poke_moves_push_each_pair_once():
+    """e over f and f over e once per pair of corners, in face order; the
+    reference meets every pair twice."""
+    assert sum(map(check_pokes_once, kernel_battery())) > 10000
+
+
+def test_triangle_moves_slide_each_triangle_once():
+    """Sliding a triangle's bottom strand draws its top-strand slide, so
+    the battery's 710 triangles give 710 slides, not twice as many."""
+    assert sum(map(check_slides_once, kernel_battery())) == 710
 
 
 def test_triangle_moves_invariance():
@@ -424,7 +453,7 @@ def test_triangle_moves_invariance():
     for name in ("trefoil", "fig8"):
         d = parse_pd(FIXTURE_PDS[name][0])
         base = homfly(d, cache)
-        for child in list(poke_moves(d))[:6]:
+        for _, child in islice(reference_pokes(d), 6):
             for slid in triangle_moves(child):
                 total += 1
                 assert slid.crossing_count == child.crossing_count
