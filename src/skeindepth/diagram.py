@@ -771,6 +771,10 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     round is linear in the crossing count; a diagram on which no move
     fires is returned as the same object.
 
+    The moves are looked for in the crossings sorted, so listing the
+    same crossings in another order gives the same result.  Removals
+    return sorted crossings, so only the first round sorts.
+
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
     s can fire: a switch keeps every arc, so the crossing graph, every
@@ -781,28 +785,32 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     """
     if d._simple:
         return d
+    ordered = tuple(sorted(d.crossings))
+    work = d if ordered == d.crossings else OrientedDiagram(ordered, d.free_loops)
     if d._switched is not None:
-        pair = _poke_pair_through(d, d._switched)
+        pair = _poke_pair_through(work, ordered.index(d.crossings[d._switched]))
         if pair is None:
             object.__setattr__(d, "_simple", True)
             return d
-        d = remove_poke_pair(d, *pair)
-    while d.crossings:
-        i = find_kink(d)
+        work = remove_poke_pair(work, *pair)
+    while work.crossings:
+        i = find_kink(work)
         if i is not None:
-            d = remove_kink(d, i)
+            work = remove_kink(work, i)
             continue
-        pair = find_poke_pair(d)
+        pair = find_poke_pair(work)
         if pair is not None:
-            d = remove_poke_pair(d, *pair)
+            work = remove_poke_pair(work, *pair)
             continue
-        nug = find_nugatory(d)
+        nug = find_nugatory(work)
         if nug is not None:
-            d = remove_nugatory(d, *nug)
+            work = remove_nugatory(work, *nug)
             continue
         break
-    object.__setattr__(d, "_simple", True)
-    return d
+    if work.crossing_count == d.crossing_count:
+        work = d  # nothing fired
+    object.__setattr__(work, "_simple", True)
+    return work
 
 
 # -- planar faces -------------------------------------------------------------

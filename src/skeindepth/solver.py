@@ -30,13 +30,19 @@ that branch.  Each child
 is simplified, which on a switch child looks only for a poke pair
 through the switched crossing (see :func:`.diagram.simplify`).
 
-Per-diagram results (depth intervals, witnesses, recognizer verdicts,
-polynomials) are memoized on the canonical code inside a SolveContext,
-so the k-sweep and sibling subtrees share work.  A call without ``ctx``
-solves in a fresh context of its own; calls share work only through a
-context passed to each of them.  :class:`ResultCache`
+A SolveContext keeps one search record per canonical code, ``(lo, hi,
+tree)``: the certified depth interval and the tree of height hi that
+proves its upper end, built when the search proves the node.  Each
+write merges with the record as it stands, so a deeper visit of the
+same code (switching a crossing twice gives the node back) is never
+undone.  The k-sweep and sibling subtrees share these records, the
+recognizer verdicts and the polynomials.  The search tries a node's
+crossings in index order.
+
+A call without ``ctx`` solves in a fresh context of its own; calls share
+work only through a context passed to each of them.  :class:`ResultCache`
 persists the polynomials and depth intervals of a context to a file and
-loads them into another.
+loads them into another, as records without a tree.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ class SkeinBranch:
 
 
 SkeinTree = Union[SkeinLeaf, SkeinBranch]
+# the record of a code nothing is known about yet
+_OPEN = (1, _INF, None)
 
 
 def tree_depth(tree: SkeinTree) -> int:
@@ -88,17 +96,17 @@ class SolveContext:
     """Shared state for one or many solves: caches, memo tables, the
     search-node count and the deadline.
 
-    memo maps canonical codes to certified depth intervals [lo, hi],
-    found by this context's searches or loaded from a cache file;
-    witness keeps, per code, the shallowest recorded resolution step so
-    a tree can be rebuilt without re-searching.  An interval loaded from
-    a file has no witness, and neither has a success that rests on one.
+    memo holds one record per canonical code of a diagram the search has
+    met that is not a certified unlink: ``(lo, hi, tree)``, the depth
+    interval [lo, hi] certified for it and the SkeinTree of height hi
+    that proves the upper end.  tree is None when hi comes from a cache
+    file's interval, or from a success that rests on one.  verdicts holds
+    the unlink recognizer's answer per code.
     """
 
     def __init__(self, cache: HomflyCache | None = None, deadline: float | None = None):
         self.homfly_cache = cache if cache is not None else HomflyCache()
-        self.memo: dict[str, tuple[int, int]] = {}
-        self.witness: dict[str, tuple[int, tuple]] = {}
+        self.memo: dict[str, tuple[int, int, Optional[SkeinTree]]] = {}
         self.verdicts: dict[str, Verdict] = {}
         self.deadline = deadline
         self.nodes = 0
@@ -144,49 +152,45 @@ class SolveContext:
 _shared_context: SolveContext | None = None
 
 
-def _record_leaf(ctx: SolveContext, code: str, components: int) -> None:
-    if code not in ctx.witness or ctx.witness[code][0] > 0:
-        ctx.witness[code] = (0, ("leaf", components))
+def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None) -> None:
+    """Merge what a search proved about code into its record as it stands
+    now: lo only rises, hi only falls, and the tree goes with its hi."""
+    old_lo, old_hi, old_tree = ctx.memo.get(code, _OPEN)
+    if hi > old_hi or (hi == old_hi and old_tree is not None):
+        hi, tree = old_hi, old_tree
+    ctx.memo[code] = (max(lo, old_lo), hi, tree)
 
 
-def _record_branch(ctx, code, i, d, sw, sm) -> None:
-    w_sw = ctx.witness.get(canonical_code(sw))
-    w_sm = ctx.witness.get(canonical_code(sm))
-    if w_sw is None or w_sm is None:
-        return  # a child proven only by a cache-loaded interval
-    h = 1 + max(w_sw[0], w_sm[0])
-    if code not in ctx.witness or h < ctx.witness[code][0]:
-        ctx.witness[code] = (h, ("branch", i, d, sw, sm))
-
-
-def _branch_order(d: OrientedDiagram) -> list[int]:
-    """Try minority-sign crossings first, then by index.  Pure heuristic —
-    any order is sound — but it finds descending resolutions early on
-    mixed diagrams."""
-    pos = sum(1 for cr in d.crossings if cr.sign > 0)
-    neg = d.crossing_count - pos
-    minority = 1 if pos < neg else (-1 if neg < pos else 0)
-    return sorted(range(d.crossing_count), key=lambda i: (d.crossings[i].sign != minority, i))
+def _proof(ctx: SolveContext, d: OrientedDiagram) -> tuple[int, Optional[SkeinTree]]:
+    """Height and tree of the proof of d, which the search has proven: a
+    leaf for an unlink, else d's record (its tree may be None)."""
+    if d.is_crossingless():
+        return 0, SkeinLeaf(d, component_count(d))
+    code = canonical_code(d)
+    v = ctx.verdicts.get(code)
+    if v is not None and v.is_unlink:
+        return 0, SkeinLeaf(d, v.components)
+    _, hi, tree = ctx.memo[code]
+    return hi, tree
 
 
 def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     """True / False / None for: some certified tree of height <= k exists.
 
     d must be simplified; the children searched are simplified in turn.
+    A True leaves d's proof where :func:`_proof` reads it.
     """
-    code = canonical_code(d)
     if d.is_crossingless():
-        _record_leaf(ctx, code, component_count(d))
         return True
+    code = canonical_code(d)
     v = ctx.verdict_of(code, d)
     if v.is_unlink:
-        _record_leaf(ctx, code, v.components)
         return True
     if v.is_unknown and ctx.out_of_time():
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
-    lo, hi = ctx.memo.get(code, (1, _INF))
+    lo, hi, _ = ctx.memo.get(code, _OPEN)
     if hi <= k:
         return True
     if k < lo:
@@ -194,7 +198,7 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     p = ctx.poly_of(d)
     self_lb = polynomial_lower_bound(p, component_count(d))
     if self_lb > k:
-        ctx.memo[code] = (max(lo, self_lb), hi)
+        _record(ctx, code, lo=self_lb)
         return False
 
     if ctx.nodes >= limit or ctx.out_of_time():
@@ -202,29 +206,26 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     ctx.nodes += 1
 
     saw_unknown = False
-    for i in _branch_order(d):
+    for i in range(d.crossing_count):
         sw = simplify(switch(d, i))
         sm = ctx.derive_switch_poly(d, i, p, sw)
         r_sw = _search(sw, k - 1, ctx, limit)
-        if r_sw is None:
-            saw_unknown = True
-            continue
-        if r_sw is False:
+        if r_sw is not True:
+            saw_unknown |= r_sw is None
             continue
         if sm is None:
             sm = simplify(smooth(d, i))
         r_sm = _search(sm, k - 1, ctx, limit)
-        if r_sm is None:
-            saw_unknown = True
+        if r_sm is not True:
+            saw_unknown |= r_sm is None
             continue
-        if r_sm is False:
-            continue
-        _record_branch(ctx, code, i, d, sw, sm)
-        ctx.memo[code] = (lo, min(hi, k))
+        (h_sw, t_sw), (h_sm, t_sm) = _proof(ctx, sw), _proof(ctx, sm)
+        tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
+        _record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
         return True
     if saw_unknown:
         return None
-    ctx.memo[code] = (max(lo, k + 1), hi)
+    _record(ctx, code, lo=k + 1)
     return False
 
 
@@ -246,21 +247,6 @@ def depth_at_most(
     return _search(simplify(d), k, ctx, ctx.nodes + budget)
 
 
-def _build_tree(ctx: SolveContext, d: OrientedDiagram) -> SkeinTree:
-    """The recorded witness for d, which must be simplified (as every
-    diagram the search records is)."""
-    code = canonical_code(d)
-    entry = ctx.witness.get(code)
-    if entry is None:
-        raise LookupError(f"no witness recorded for {d!r}")
-    payload = entry[1]
-    if payload[0] == "leaf":
-        return SkeinLeaf(d, payload[1])
-    _, i, node, sw, sm = payload
-    # rebuild on the recorded node diagram: equal link, same canonical code
-    return SkeinBranch(node, i, _build_tree(ctx, sw), _build_tree(ctx, sm))
-
-
 def extract_tree(
     d: OrientedDiagram,
     k: int,
@@ -277,17 +263,13 @@ def extract_tree(
     """
     ctx = ctx or SolveContext()
     d = simplify(d)
-    res = depth_at_most(d, k, budget, ctx)
-    if res is not True:
-        raise LookupError(f"no depth-{k} witness available (search said {res})")
-    try:
-        return _build_tree(ctx, d)
-    except LookupError:
-        cold = SolveContext(ctx.homfly_cache, ctx.deadline)
-        res = depth_at_most(d, k, budget, cold)
+    for c in (ctx, SolveContext(ctx.homfly_cache, ctx.deadline)):
+        res = depth_at_most(d, k, budget, c)
         if res is not True:
-            raise LookupError(f"no depth-{k} witness available (search said {res})") from None
-        return _build_tree(cold, d)
+            raise LookupError(f"no depth-{k} witness available (search said {res})")
+        tree = _proof(c, d)[1]
+        if tree is not None:
+            return tree
 
 
 def verify_tree(tree: SkeinTree) -> int:
@@ -381,10 +363,7 @@ def compute_td(
         ctx.deadline = time.monotonic() + timeout_secs
     try:
         work = simplify(d)
-        if work.is_crossingless():
-            return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
-        code = canonical_code(work)
-        if ctx.verdict_of(code, work).is_unlink:
+        if work.is_crossingless() or ctx.verdict_of(canonical_code(work), work).is_unlink:
             return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
 
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
@@ -395,12 +374,8 @@ def compute_td(
         for k in range(lower, kmax + 1):
             res = depth_at_most(work, k, budget, ctx)
             if res is True:
-                try:
-                    witness = _build_tree(ctx, work)
-                    upper = tree_depth(witness)
-                except LookupError:
-                    # success came from a cache-loaded interval: no tree
-                    upper = min(upper, k)
+                # witness is None when the proof rests on a cache-loaded interval
+                upper, witness = _proof(ctx, work)
                 break
             if res is None:
                 exhausted = True
@@ -433,7 +408,7 @@ class ResultCache:
     Lines are tab-separated: the format marker, then the three values; a
     missing value is "-".  Later lines win on reload, so appending an
     improved interval supersedes the old one.  Loaded intervals go into
-    the context's memo, where they carry no witness.
+    the context's memo as records without a tree.
     """
 
     def __init__(self, path: str):
@@ -471,7 +446,7 @@ class ResultCache:
                         hi = _INF if hi_s == "-" else int(hi_s)
                         if lo > hi:
                             raise ValueError("empty interval")
-                        bounds = (lo, hi)
+                        bounds = (lo, hi, None)
                 except (ValueError, IndexError) as e:  # UnicodeDecodeError too
                     print(
                         f"warning: skipping corrupt cache line {lineno}: {e}",
@@ -496,7 +471,7 @@ class ResultCache:
         for code in sorted(set(ctx.homfly_cache.table) | set(ctx.memo)):
             value = ctx.homfly_cache.table.get(code)
             poly_text = render_poly(value) if value is not None else "-"
-            lo, hi = ctx.memo.get(code, (1, _INF))
+            lo, hi, _ = ctx.memo.get(code, _OPEN)
             if (lo, hi) == (1, _INF):
                 interval = "-"
             else:

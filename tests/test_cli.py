@@ -307,7 +307,7 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("warning: skipping corrupt cache line") == 2
     assert len(ctx.homfly_cache.table) == 1
-    assert list(ctx.memo.values()) == [(1, 1)]
+    assert list(ctx.memo.values()) == [(1, 1, None)]
 
 
 def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):

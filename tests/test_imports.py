@@ -116,3 +116,19 @@ def test_worker_read_names_exist():
                 break
             obj = getattr(obj, attr)
     assert any(c.startswith((".solver.", ".cli.")) for c in chains) and missing == []
+
+
+def test_worker_read_context_attributes_exist():
+    """The traced pass of perfbench/worker.py reads ``ctx.`` attributes of
+    a SolveContext and ``cache.`` attributes of its polynomial cache;
+    renaming one must not silently break ``run.py --trace 1``."""
+    text = (PERFBENCH / "worker.py").read_text(encoding="utf-8")
+    ctx = skeindepth.SolveContext()
+    missing = [
+        f"{name}.{attr}"
+        for name, obj in (("ctx", ctx), ("cache", ctx.homfly_cache))
+        for attr in sorted(set(re.findall(rf"\b{name}\.(\w+)", text)))
+        if not hasattr(obj, attr)
+    ]
+    read = set(re.findall(r"\b(?:ctx|cache)\.(\w+)", text))
+    assert {"memo", "verdicts", "homfly_cache", "nodes", "computed", "hits"} <= read and missing == []

@@ -13,6 +13,7 @@ import pytest
 
 from skeindepth import (
     HomflyCache,
+    OrientedDiagram,
     Verdict,
     braid_closure,
     canonical_code,
@@ -238,6 +239,10 @@ def oracle_find_poke_pair(d):
 
 
 def oracle_simplify(d):
+    """simplify's moves, tried in the sorted crossings; start itself
+    when none fires."""
+    start = d
+    d = OrientedDiagram(tuple(sorted(d.crossings)), d.free_loops)
     while d.crossings:
         i = find_kink(d)
         if i is not None:
@@ -252,7 +257,7 @@ def oracle_simplify(d):
             d = remove_nugatory(d, *nug)
             continue
         break
-    return d
+    return start if d.crossing_count == start.crossing_count else d
 
 
 def full_simplify(d):
@@ -302,6 +307,31 @@ def raw_homfly(d, table):
 
 def _parts(d):
     return len(_crossing_groups(d))
+
+
+def test_simplify_ignores_crossing_order():
+    """The same crossings listed in another order simplify to the same
+    crossings, also on the switch of a simplified diagram, where simplify
+    looks only for poke pairs through the switched crossing; they come
+    sorted unless no move fires."""
+    rng = random.Random(12)
+    fired = 0
+    for d in finder_battery():
+        marked = simplify(d)
+        for v in [d] + [switch(marked, i) for i in range(marked.crossing_count)]:
+            want = simplify(v)
+            for _ in range(3):
+                crs = list(v.crossings)
+                rng.shuffle(crs)
+                got = simplify(OrientedDiagram(tuple(crs), v.free_loops))
+                assert (sorted(got.crossings), got.free_loops) == (
+                    sorted(want.crossings),
+                    want.free_loops,
+                ), v
+            if want.crossing_count < v.crossing_count:
+                assert list(want.crossings) == sorted(want.crossings), v
+                fired += 1
+    assert fired > 100
 
 
 def test_linear_finders_match_the_quadratic_oracles():

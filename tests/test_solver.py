@@ -90,8 +90,8 @@ def test_failed_search_memoizes_refutation():
     tref = parse_pd(FIXTURE_PDS["trefoil"][0])
     assert depth_at_most(tref, 1, ctx=ctx) is False
     code = canonical_code(simplify(tref))
-    lo, hi = ctx.memo[code]
-    assert lo >= 2
+    lo, hi, tree = ctx.memo[code]
+    assert lo >= 2 and (hi, tree) == (INF, None)
 
 
 def test_extract_and_verify_trefoil_witness():
@@ -326,13 +326,13 @@ def test_switch_child_values_are_derived_and_counted_apart():
     "link, render, nodes, computed, derived",
     [
         (FIXTURE_PDS["trefoil"][0], "2", 2, 2, 0),
-        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 5, 9, 4),
-        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 7, 6, 0),
+        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 5, 9, 2),
+        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 6, 6, 0),
     ],
 )
 def test_search_work_is_pinned(link, render, nodes, computed, derived):
-    """Search nodes and polynomial work of a fresh solve, as before the
-    smoothings were built on demand."""
+    """Search nodes and polynomial work of a fresh solve, which tries
+    crossings in index order and keeps one record per code."""
     d = parse_pd(link) if link.startswith("X") else braid_closure(parse_braid(link))
     ctx = SolveContext()
     assert compute_td(d, ctx=ctx).render() == render
@@ -376,8 +376,8 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
     switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
     smoothed = [key for kind, key, _ in events if kind == "smooth"]
     assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
-    # every one of the 10 branches built its smoothing before
-    assert (len(switched), len(smoothed)) == (10, 6)
+    # every one of the 9 branches built its smoothing before
+    assert (len(switched), len(smoothed)) == (9, 6)
 
 
 def test_persisted_interval_answers_without_witness():
@@ -386,10 +386,58 @@ def test_persisted_interval_answers_without_witness():
     assert depth_at_most(tref, 2, ctx=ctx1) is True
     code = canonical_code(simplify(tref))
     ctx2 = SolveContext()
-    ctx2.memo[code] = ctx1.memo[code]
+    lo, hi, _ = ctx1.memo[code]
+    ctx2.memo[code] = (lo, hi, None)  # as ResultCache loads it
     assert depth_at_most(tref, 2, budget=0, ctx=ctx2) is True
     res = compute_td(tref, ctx=ctx2)
     assert res.is_exact and res.value == 2 and res.witness is None
+
+
+class TighteningMemo(dict):
+    """A memo that fails on any write lowering a record's lo or raising
+    its hi."""
+
+    def __setitem__(self, code, record):
+        if code in self:
+            (lo, hi), (new_lo, new_hi) = self[code][:2], record[:2]
+            assert new_lo >= lo and new_hi <= hi, (code, (lo, hi), (new_lo, new_hi))
+        super().__setitem__(code, record)
+
+
+def test_no_record_is_loosened():
+    """Switching one crossing twice gives the node back, so a deeper visit
+    of a code can tighten its record while the outer visit is open; the
+    outer visit's write must keep what the deeper one proved."""
+    ctx = SolveContext()
+    ctx.memo = TighteningMemo()
+    for n, depth in ((3, 4), (5, 8)):  # T(3,3), then T(3,5) in its context
+        d = braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * n)))
+        assert compute_td(d, ctx=ctx).status == f"Exact({depth})"
+    assert len(ctx.memo) > 10
+
+
+def test_every_recorded_tree_replays(tmp_path):
+    """A record's tree proves its hi for the diagram its code names; a
+    record loaded from a cache file has no tree."""
+    battery = closure_battery() + [braid_closure(parse_braid(w)) for w in ORACLE_WORDS]
+    # alone in its context, T(3,6) replaces a record's tree by a shallower one
+    t36 = [braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * 6)))]
+    for diagrams in (t36, battery):
+        ctx = SolveContext()
+        for d in diagrams:
+            compute_td(d, ctx=ctx)
+        trees = [(code, hi, tree) for code, (_, hi, tree) in ctx.memo.items() if tree is not None]
+        assert len(trees) > 20
+        for code, hi, tree in trees:
+            assert canonical_code(tree.diagram) == code
+            assert verify_tree(tree) == hi
+    path = str(tmp_path / "cache.tsv")
+    ResultCache(path).save_from(ctx)
+    warm = SolveContext()
+    ResultCache(path).load_into(warm)
+    assert warm.memo == {
+        code: (lo, hi, None) for code, (lo, hi, _) in ctx.memo.items() if (lo, hi) != (1, INF)
+    }
 
 
 def test_warm_cache_answers_match_cold(tmp_path):
