@@ -67,9 +67,9 @@ from .solver import (
     compute_td,
     depth_at_most,
     extract_tree,
-    tree_depth,
     verify_tree,
 )
+from .tree import tree_depth
 
 __version__ = "0.1.0"
 

@@ -24,10 +24,13 @@ the crossing-removing moves behind :func:`simplify` (kink removal,
 lifting a strand poked under or over another, untwisting a crossing
 whose oriented smoothing disconnects its part) are defined here, so the
 polynomial, the rewrite and the search modules all build on this one
-without importing each other.  Each move's finder is a single linear
-pass; the nugatory test takes as candidates the crossings that some
-face meets at two corners, which are the cut crossings of the crossing
-graph and the kink crossings.  A diagram that simplify returned is
+without importing each other.  :func:`first_defect` finds the first
+crossing a diagram's walk meets on its under-strand; a diagram without
+one is descending, a diagram of the unlink, which both the polynomial
+expansion and the unlink recognizer rely on.  Each move's finder is a
+single linear pass; the nugatory test takes as candidates the crossings
+that some face meets at two corners, which are the cut crossings of the
+crossing graph and the kink crossings.  A diagram that simplify returned is
 marked as such, and so is its switch at a crossing, which simplify then
 checks for a poke pair through that crossing alone.  The arc-incidence
 helpers (each arc's two places, where each arc arrives, the connected
@@ -296,6 +299,29 @@ def component_count(d: OrientedDiagram) -> int:
 
 def writhe(d: OrientedDiagram) -> int:
     return sum(cr.sign for cr in d.crossings)
+
+
+def first_defect(d: OrientedDiagram) -> int | None:
+    """The first crossing met on its under-strand, or None: d is descending.
+
+    The walk takes the components in order of their smallest arc, each
+    from that arc (component_cycles), and a crossing counts when it is
+    first met.  With no defect every component passes over each later
+    one and over itself where it first meets itself, so d is a diagram
+    of the unlink.  Switching the first defect keeps the arcs, hence the
+    walk, and moves the first defect strictly later.
+    """
+    heads = _heads(d)
+    visited: set[int] = set()
+    for cycle in component_cycles(d):
+        for arc in cycle:
+            ci, slot = heads[arc]
+            if ci in visited:
+                continue
+            if slot == _UNDER_IN:
+                return ci
+            visited.add(ci)
+    return None
 
 
 def validate(d: OrientedDiagram) -> None:

@@ -36,6 +36,7 @@ from .diagram import (
     canonical_code,
     component_count,
     faces,
+    first_defect,
     leaving_slots,
     renormalize,
     simplify,
@@ -269,8 +270,10 @@ def recognize_unlink(
 ) -> Verdict:
     """Three-valued unlink test; unlink/not_unlink answers are never wrong.
 
-    Simplification settles most inputs; a polynomial mismatch against the
-    split-union value certifies not_unlink; otherwise a bounded search
+    Simplification settles most inputs; a simplified diagram with no
+    defect (:func:`.diagram.first_defect`) is descending, hence an
+    unlink; a polynomial mismatch against the split-union value
+    certifies not_unlink; otherwise a bounded search
     over slides and pokes (allowing _CROSSING_MARGIN extra crossings over
     the diagram it started from) hunts for a crossingless diagram.  The
     search descends greedily: the first candidate with fewer crossings
@@ -284,7 +287,7 @@ def recognize_unlink(
     """
     start = simplify(d)
     r = component_count(start)
-    if start.is_crossingless():
+    if start.is_crossingless() or first_defect(start) is None:
         return Verdict.unlink(r)
     value = homfly_value if homfly_value is not None else homfly(start)
     if value != unlink_value(r):

@@ -6,6 +6,12 @@ pairs ``(a_exp, z_exp)`` to nonzero integer coefficients.  No floats
 anywhere; equality is exact map equality.  Instances are immutable and
 hashable, so they can be shared freely between threads and used as cache
 values.
+
+:func:`homfly` computes the HOMFLY-PT polynomial by a skein expansion
+that resolves each diagram at its first defect crossing, split or not,
+into simplified children, down to descending diagrams.  That expansion
+is a skein resolution tree, and :class:`HomflyCache` keeps it, with its
+height, for each code it expands.
 """
 
 from __future__ import annotations
@@ -13,17 +19,15 @@ from __future__ import annotations
 from typing import Mapping
 
 from .diagram import (
-    _UNDER_IN,
     OrientedDiagram,
-    _heads,
     canonical_code,
     component_count,
-    component_cycles,
+    first_defect,
     simplify,
     smooth,
-    split_components,
     switch,
 )
+from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
 
 class LaurentPoly2:
@@ -238,14 +242,14 @@ def parse_poly(text: str) -> LaurentPoly2:
 
 # -- the skein invariant -------------------------------------------------------
 #
-# Computed by repairing descending order: walk the components (ordered by
-# smallest arc, each from its smallest arc) and find the first crossing
-# entered on its under-strand before it was ever entered on its
-# over-strand.  Switching that crossing moves the first defect strictly
-# later in the traversal (switching preserves arcs, hence the traversal);
-# smoothing drops a crossing.  Defect-free diagrams are unlinks.  At a
-# positive defect  P = a^2 * P(switched) + a*z * P(smoothed),  at a
-# negative one  P = a^-2 * P(switched) - a^-1*z * P(smoothed).
+# Computed by repairing descending order: resolve the diagram at its
+# first defect (diagram.first_defect), the first crossing its walk
+# enters on the under-strand.  Switching that crossing moves the first
+# defect strictly later; smoothing drops a crossing.  Defect-free
+# diagrams are unlinks.  At a positive defect  P = a^2 * P(switched) +
+# a*z * P(smoothed),  at a negative one  P = a^-2 * P(switched) -
+# a^-1*z * P(smoothed).  A split diagram is resolved like any other: its
+# first defect lies in one of its parts.
 #
 # Both children are simplified before they are expanded, so the
 # expansion meets the same diagrams, under the same keys, as the search.
@@ -253,6 +257,13 @@ def parse_poly(text: str) -> LaurentPoly2:
 # simplify either drops crossings or returns its input unchanged, so
 # each step drops a crossing or keeps the diagram's arcs and moves the
 # first defect later.
+#
+# The expansion is itself a skein resolution tree with descending
+# leaves, so each code it expands also records that tree and its
+# height, an upper bound on the code's depth that the search starts
+# from.  A code gets no tree when one of its children has none: a
+# value derived from the skein identity or loaded from a file comes
+# without one.
 #
 # The same identity solved for the switched child (switch_value) gives
 # its value from the diagram's and the smoothing's without an expansion:
@@ -265,11 +276,14 @@ class HomflyCache:
 
     computed counts the values stored by a skein expansion, derived the
     values stored from the skein identity (see switch_value); hits counts
-    lookups that found a value.
+    lookups that found a value.  trees holds, per code the expansion
+    resolved down to its leaves, the height of that resolution and its
+    tree.
     """
 
     def __init__(self):
         self.table: dict[str, LaurentPoly2] = {}
+        self.trees: dict[str, tuple[int, SkeinTree]] = {}
         self.hits = 0
         self.computed = 0
         self.derived = 0
@@ -323,20 +337,6 @@ def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> Lauren
     return _A2 * (p + _AmZ * p_smoothed)
 
 
-def _first_defect(d: OrientedDiagram) -> int | None:
-    heads = _heads(d)
-    visited: set[int] = set()
-    for cycle in component_cycles(d):
-        for arc in cycle:
-            ci, slot = heads[arc]
-            if ci in visited:
-                continue
-            if slot == _UNDER_IN:
-                return ci
-            visited.add(ci)
-    return None
-
-
 def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2:
     """The two-variable skein invariant of the link of d.
 
@@ -356,21 +356,31 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
     if got is not None:
         return got
 
-    parts = split_components(d)
-    if len(parts) > 1:
-        value = DELTA ** (len(parts) - 1)
-        for part in parts:
-            value = value * _homfly(part, cache)
+    i = first_defect(d)
+    if i is None:
+        r = component_count(d)
+        value = unlink_value(r)
+        cache.trees[key] = (0, SkeinLeaf(d, r))
     else:
-        i = _first_defect(d)
-        if i is None:
-            value = unlink_value(component_count(d))
-        else:
-            p_sw = _homfly(simplify(switch(d, i)), cache)
-            p_sm = _homfly(simplify(smooth(d, i)), cache)
-            value = skein_value(d.crossings[i].sign, p_sw, p_sm)
+        sw = simplify(switch(d, i))
+        p_sw = _homfly(sw, cache)
+        sm = simplify(smooth(d, i))
+        p_sm = _homfly(sm, cache)
+        value = skein_value(d.crossings[i].sign, p_sw, p_sm)
+        proof_sw, proof_sm = _expansion_tree(sw, cache), _expansion_tree(sm, cache)
+        if proof_sw is not None and proof_sm is not None:
+            height = 1 + max(proof_sw[0], proof_sm[0])
+            cache.trees[key] = (height, SkeinBranch(d, i, proof_sw[1], proof_sm[1]))
     cache.put(key, value)
     return value
+
+
+def _expansion_tree(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinTree] | None:
+    """Height and tree of the expansion of d, expanded or crossingless;
+    None when its value was derived or loaded."""
+    if d.is_crossingless():
+        return 0, SkeinLeaf(d, d.free_loops)
+    return cache.trees.get(canonical_code(d))
 
 
 def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, int]:

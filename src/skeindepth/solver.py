@@ -32,11 +32,14 @@ through the switched crossing (see :func:`.diagram.simplify`).
 
 A SolveContext keeps one search record per canonical code, ``(lo, hi,
 tree)``: the certified depth interval and the tree of height hi that
-proves its upper end, built when the search proves the node.  Each
-write merges with the record as it stands, so a deeper visit of the
-same code (switching a crossing twice gives the node back) is never
-undone.  The k-sweep and sibling subtrees share these records, the
-recognizer verdicts and the polynomials.  The search tries a node's
+proves its upper end.  A record starts from the HOMFLY-PT expansion's
+tree for its code (see :mod:`.poly`), merged in when the search first
+reaches the node, so a depth at least the expansion's height is proved
+without a search; a success of the search replaces it by a shallower
+tree.  Each write merges with the record as it stands, so a deeper
+visit of the same code (switching a crossing twice gives the node back)
+is never undone.  The k-sweep and sibling subtrees share these records,
+the recognizer verdicts and the polynomials.  The search tries a node's
 crossings in index order.
 
 A call without ``ctx`` solves in a fresh context of its own; calls share
@@ -52,44 +55,20 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
 from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
 from .moves import Verdict, recognize_unlink
 from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly, switch_value
+from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
 DEFAULT_BUDGET = 5_000_000
 _INF = 10**9
 
 
-@dataclass(frozen=True)
-class SkeinLeaf:
-    """A certified unlink with the given component count."""
-
-    diagram: OrientedDiagram
-    components: int
-
-
-@dataclass(frozen=True)
-class SkeinBranch:
-    """Resolution at one crossing: both children are simplified."""
-
-    diagram: OrientedDiagram
-    crossing: int
-    switched: "SkeinTree"
-    smoothed: "SkeinTree"
-
-
-SkeinTree = Union[SkeinLeaf, SkeinBranch]
 # the record of a code nothing is known about yet
 _OPEN = (1, _INF, None)
-
-
-def tree_depth(tree: SkeinTree) -> int:
-    if isinstance(tree, SkeinLeaf):
-        return 0
-    return 1 + max(tree_depth(tree.switched), tree_depth(tree.smoothed))
 
 
 class SolveContext:
@@ -99,9 +78,10 @@ class SolveContext:
     memo holds one record per canonical code of a diagram the search has
     met that is not a certified unlink: ``(lo, hi, tree)``, the depth
     interval [lo, hi] certified for it and the SkeinTree of height hi
-    that proves the upper end.  tree is None when hi comes from a cache
-    file's interval, or from a success that rests on one.  verdicts holds
-    the unlink recognizer's answer per code.
+    that proves the upper end: the HOMFLY-PT expansion's tree, or a
+    shallower one the search found.  tree is None when hi comes from a
+    cache file's interval, or from a success that rests on one.
+    verdicts holds the unlink recognizer's answer per code.
     """
 
     def __init__(self, cache: HomflyCache | None = None, deadline: float | None = None):
@@ -178,7 +158,8 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     """True / False / None for: some certified tree of height <= k exists.
 
     d must be simplified; the children searched are simplified in turn.
-    A True leaves d's proof where :func:`_proof` reads it.
+    The expansion's tree for d, when there is one, is merged into d's
+    record first.  A True leaves d's proof where :func:`_proof` reads it.
     """
     if d.is_crossingless():
         return True
@@ -190,6 +171,9 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
+    expanded = ctx.homfly_cache.trees.get(code)
+    if expanded is not None:
+        _record(ctx, code, hi=expanded[0], tree=expanded[1])
     lo, hi, _ = ctx.memo.get(code, _OPEN)
     if hi <= k:
         return True
@@ -277,30 +261,41 @@ def verify_tree(tree: SkeinTree) -> int:
 
     Checks, per node: leaves are certified unlinks with the stated
     component count, branch children are exactly the simplified switch
-    and smoothing of the node diagram at the stored crossing.  Raises
+    and smoothing of the node diagram at the stored crossing.  A subtree
+    object shared by several branches is checked once per call.  Raises
     ValueError on the first violation.
     """
-    if isinstance(tree, SkeinLeaf):
-        d = tree.diagram
-        v = recognize_unlink(d)
-        if not v.is_unlink:
-            raise ValueError(f"leaf not certified as an unlink: {d!r}")
-        if v.components != tree.components:
-            raise ValueError(
-                f"leaf claims {tree.components} components, recognizer says {v.components}"
-            )
-        return 0
-    d = tree.diagram
-    if not 0 <= tree.crossing < d.crossing_count:
-        raise ValueError(f"branch crossing index {tree.crossing} out of range")
-    for child, op, name in (
-        (tree.switched, switch, "switch"),
-        (tree.smoothed, smooth, "smoothing"),
-    ):
-        want = canonical_code(simplify(op(d, tree.crossing)))
-        if canonical_code(child.diagram) != want:
-            raise ValueError(f"{name} child does not match the recorded move")
-    return 1 + max(verify_tree(tree.switched), verify_tree(tree.smoothed))
+    heights: dict[int, int] = {}
+
+    def replay(t: SkeinTree) -> int:
+        h = heights.get(id(t))
+        if h is not None:
+            return h
+        d = t.diagram
+        if isinstance(t, SkeinLeaf):
+            v = recognize_unlink(d)
+            if not v.is_unlink:
+                raise ValueError(f"leaf not certified as an unlink: {d!r}")
+            if v.components != t.components:
+                raise ValueError(
+                    f"leaf claims {t.components} components, recognizer says {v.components}"
+                )
+            h = 0
+        else:
+            if not 0 <= t.crossing < d.crossing_count:
+                raise ValueError(f"branch crossing index {t.crossing} out of range")
+            for child, op, name in (
+                (t.switched, switch, "switch"),
+                (t.smoothed, smooth, "smoothing"),
+            ):
+                want = canonical_code(simplify(op(d, t.crossing)))
+                if canonical_code(child.diagram) != want:
+                    raise ValueError(f"{name} child does not match the recorded move")
+            h = 1 + max(replay(t.switched), replay(t.smoothed))
+        heights[id(t)] = h
+        return h
+
+    return replay(tree)
 
 
 @dataclass

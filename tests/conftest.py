@@ -61,6 +61,15 @@ ORACLE_WORDS = [
 ]
 
 
+# closures whose HOMFLY-PT expansion is taller than their resolution
+# trees, so that solving them needs the depth search: depth 2 (expansion
+# height 6), the interval [4, 5] (height 5, the lower end 4), and depth 3
+# (height 8)
+DEPTH2_WORD = "p=3: -2 -2 1 2 1 -2 1 -2"
+GAP_WORD = "p=3: 1 1 2 2 2 -1 2 1"
+SEARCH_WORDS = [DEPTH2_WORD, GAP_WORD, "p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3"]
+
+
 def closure_battery():
     """The ORACLE_WORDS closures, simplified, their simplified switch and
     smoothing children, and the simplified closure of T(3,5)."""

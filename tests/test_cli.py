@@ -23,7 +23,7 @@ from skeindepth.cli import (
     parse_dataset_row,
 )
 
-from conftest import FIXTURE_PDS
+from conftest import DEPTH2_WORD, FIXTURE_PDS, GAP_WORD
 
 TREFOIL = FIXTURE_PDS["trefoil"][0]
 
@@ -142,11 +142,12 @@ def test_td_verb_and_budget_exit(tmp_path, capsys):
     f.write_text(TREFOIL + "\n")
     assert main(["td", str(f)]) == 0
     assert capsys.readouterr().out == "2\t2\t2\n"
-    g = tmp_path / "k5.pd"
-    g.write_text(FIXTURE_PDS["K5a1"][0] + "\n")
+    # its HOMFLY-PT expansion has height 5, so depth 4 is searched for
+    g = tmp_path / "gap.pd"
+    g.write_text(pd_text(braid_closure(parse_braid(GAP_WORD))) + "\n")
     assert main(["td", str(g), "--budget", "2"]) == 2
     out = capsys.readouterr().out
-    assert out == "3\t4\t[3, 4]\n"  # interval printed despite exhaustion
+    assert out == "4\t7\t[4, 7]\n"  # interval printed despite exhaustion
 
 
 @pytest.mark.parametrize(
@@ -431,10 +432,11 @@ def test_tree_warm_cache_writes_the_cold_tree(tmp_path, capsys):
 
 def test_tree_warm_cache_budget_exhaustion_exits_2(tmp_path, monkeypatch, capsys):
     # the cached interval settles depth 2, but its witness must be searched
-    # for again, and one node of budget is too little: exit 2, as cold
+    # for again, and one node of budget is too little: exit 2, as cold,
+    # where the HOMFLY-PT expansion's tree has height 6
     monkeypatch.delenv("SKEIN_CACHE", raising=False)
-    f = tmp_path / "tref.pd"
-    f.write_text(TREFOIL + "\n")
+    f = tmp_path / "depth2.pd"
+    f.write_text(pd_text(braid_closure(parse_braid(DEPTH2_WORD))) + "\n")
     cache_path = str(tmp_path / "cache.tsv")
     assert main(["td", str(f), "--cache", cache_path]) == 0
     capsys.readouterr()

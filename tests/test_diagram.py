@@ -35,6 +35,7 @@ from skeindepth.diagram import (
     _rewire,
     _smoothing_pairs,
     faces,
+    first_defect,
     renormalize,
     validate,
 )
@@ -426,6 +427,37 @@ def kernel_battery():
     rng = random.Random(11)
     out = closure_battery() + [simplify(d) for d in finder_battery()] + multi_component_battery()
     return out + [scrambled(d, rng) for d in out]
+
+
+def reference_first_defect(d):
+    """first_defect read per crossing: place each arc by (component, step)
+    along the walk from each component's smallest arc, components in
+    order of their smallest arcs; a crossing is a defect when its
+    under-strand arrives before its over-strand, and the first defect is
+    the one whose under-strand arrives first."""
+    place = {}
+    for cycle in _reference_cycles(d.crossings):
+        m = cycle.index(min(cycle))
+        place.update((arc, (min(cycle), step)) for step, arc in enumerate(cycle[m:] + cycle[:m]))
+    defects = [(place[cr.a], i) for i, cr in enumerate(d.crossings) if place[cr.a] < place[cr.over_in()]]
+    return min(defects)[1] if defects else None
+
+
+def test_first_defect_matches_the_reference():
+    """Each diagram of the kernel battery and its mirror, switched at its
+    first defect until it is descending, as the HOMFLY-PT expansion
+    switches it."""
+    descending = 0
+    for d in kernel_battery():
+        for e in (d, mirror(d)):
+            while True:
+                i = first_defect(e)
+                assert i == reference_first_defect(e), pd_text(e)
+                if i is None:
+                    break
+                e = switch(e, i)
+            descending += e.crossing_count > 0
+    assert descending > 1000
 
 
 def _off_component_starts(crossings):

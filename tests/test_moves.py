@@ -25,6 +25,7 @@ from skeindepth import (
     mirror,
     parse_braid,
     parse_pd,
+    pd_text,
     poke_moves,
     recognize_unlink,
     simplify,
@@ -42,12 +43,13 @@ from skeindepth.diagram import (
     faces,
     find_kink,
     find_nugatory,
+    first_defect,
     find_poke_pair,
     remove_kink,
     remove_nugatory,
     remove_poke_pair,
 )
-from skeindepth.poly import _A2, _AZ, DELTA, ONE, _Am2, _AmZ, _first_defect
+from skeindepth.poly import _A2, _AZ, DELTA, ONE, ZERO, _Am2, _AmZ
 
 from conftest import (
     CROSSED,
@@ -292,7 +294,7 @@ def raw_homfly(d, table):
         for part in parts:
             value = value * raw_homfly(part, table)
     else:
-        i = _first_defect(d)
+        i = first_defect(d)
         if i is None:
             value = unlink_value(component_count(d))
         else:
@@ -615,7 +617,10 @@ def _count_expansions(monkeypatch):
 
 
 def test_descent_shares_one_node_budget(monkeypatch, shared_cache):
-    d = parse_pd(UNLINK4_12_PD)
+    # UNLINK4_12_PD is descending, so the recognizer certifies it without
+    # a search; its mirror has a defect at every crossing it meets first
+    d = mirror(parse_pd(UNLINK4_12_PD))
+    assert first_defect(simplify(d)) is not None
     value = homfly(d, shared_cache)
     assert oracle_recognize_unlink(d, value, node_limit=4).is_unknown
     expanded = _count_expansions(monkeypatch)
@@ -625,6 +630,30 @@ def test_descent_shares_one_node_budget(monkeypatch, shared_cache):
     expanded.clear()
     assert recognize_unlink(d, value, node_limit=3).is_unknown
     assert len(expanded) <= 3
+
+
+def _descending(d):
+    """d switched at its first defect until it has none."""
+    while (i := first_defect(d)) is not None:
+        d = switch(d, i)
+    return d
+
+
+def test_recognizer_certifies_exactly_the_descending_diagrams():
+    """The descending certificate runs after simplify and before the
+    polynomial test: given a polynomial that no link has and no node
+    budget, the recognizer certifies a diagram exactly when its
+    simplification has crossings and no defect."""
+    certified = 0
+    for d in finder_battery() + [parse_pd(UNLINK4_12_PD)]:
+        for e in (d, mirror(d), _descending(d), _descending(mirror(d))):
+            s = simplify(e)
+            if s.is_crossingless():
+                continue
+            want = Verdict.unlink(component_count(s)) if first_defect(s) is None else Verdict.not_unlink()
+            assert recognize_unlink(e, homfly_value=ZERO, node_limit=0) == want, pd_text(e)
+            certified += want.is_unlink
+    assert certified > 20
 
 
 def test_descent_certifies_the_named_unlinks_under_renaming(shared_cache):

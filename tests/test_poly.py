@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from skeindepth import (
     HomflyCache,
     LaurentPoly2,
+    braid_closure,
+    canonical_code,
     conway,
     homfly,
     mirror,
+    parse_braid,
     parse_pd,
     parse_poly,
     render_poly,
@@ -24,6 +27,7 @@ from skeindepth import (
     switch,
     unlink_value,
 )
+from skeindepth.diagram import first_defect
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value, switch_value
 
 from conftest import CROSSED, FIXTURE_PDS, closure_battery
@@ -212,3 +216,30 @@ def test_cache_counters():
     homfly(d, cache)
     assert cache.computed == computed  # pure cache hit second time
     assert cache.hits > 0
+
+
+# -- the expansion's trees -----------------------------------------------------
+
+
+def test_expansion_records_a_tree_only_over_children_that_have_one():
+    """Each code the expansion resolves stores its tree, rooted at its
+    first defect, and the tree's height; a child whose value was derived
+    or loaded has no tree, so neither has its parent."""
+    d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
+    i = first_defect(d)
+    sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
+    cache = HomflyCache()
+    p = homfly(d, cache)
+    height, tree = cache.trees[canonical_code(d)]
+    assert height == 4 and (tree.diagram, tree.crossing) == (d, i)
+    assert {canonical_code(tree.switched.diagram), canonical_code(tree.smoothed.diagram)} == {
+        canonical_code(sw),
+        canonical_code(sm),
+    }
+    assert not sw.is_crossingless() and not sm.is_crossingless()
+
+    for child in (sw, sm):
+        known = HomflyCache()
+        known.put(canonical_code(child), homfly(child), derived=True)
+        assert homfly(d, known) == p
+        assert canonical_code(d) not in known.trees

@@ -21,6 +21,7 @@ from skeindepth import (
     parse_braid,
     parse_pd,
     polynomial_lower_bound,
+    recognize_unlink,
     simplify,
     smooth,
     switch,
@@ -30,7 +31,15 @@ from skeindepth import (
 from skeindepth import solver
 from skeindepth.solver import ResultCache
 
-from conftest import FIXTURE_PDS, ORACLE_WORDS, UNKNOT_7_PD, closure_battery
+from conftest import (
+    DEPTH2_WORD,
+    FIXTURE_PDS,
+    GAP_WORD,
+    ORACLE_WORDS,
+    SEARCH_WORDS,
+    UNKNOT_7_PD,
+    closure_battery,
+)
 
 INF = 10**9
 
@@ -78,18 +87,22 @@ def test_crossingless_is_depth_zero():
 
 
 def test_budget_exhaustion_returns_none_and_is_not_cached():
-    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    # depth 2, but the HOMFLY-PT expansion's tree has height 6
+    d = braid_closure(parse_braid(DEPTH2_WORD))
     ctx = SolveContext()
-    assert depth_at_most(tref, 2, budget=0, ctx=ctx) is None
+    assert depth_at_most(d, 2, budget=0, ctx=ctx) is None
     # the same context must still be able to answer once given budget
-    assert depth_at_most(tref, 2, ctx=ctx) is True
+    assert depth_at_most(d, 2, ctx=ctx) is True
 
 
 def test_failed_search_memoizes_refutation():
     ctx = SolveContext()
     tref = parse_pd(FIXTURE_PDS["trefoil"][0])
-    assert depth_at_most(tref, 1, ctx=ctx) is False
     code = canonical_code(simplify(tref))
+    # a polynomial loaded from a cache file comes with no expansion tree,
+    # so nothing but the search writes the record
+    ctx.homfly_cache.table[code] = homfly(tref)
+    assert depth_at_most(tref, 1, ctx=ctx) is False
     lo, hi, tree = ctx.memo[code]
     assert lo >= 2 and (hi, tree) == (INF, None)
 
@@ -127,6 +140,62 @@ def test_verify_tree_rejects_tampering():
     # a leaf that is not an unlink at all
     with pytest.raises(ValueError):
         verify_tree(SkeinLeaf(parse_pd(FIXTURE_PDS["trefoil"][0]), 1))
+
+
+def _share_leaves(tree, leaves):
+    """tree with one leaf object per leaf code, taken from or put into
+    leaves."""
+    if isinstance(tree, SkeinLeaf):
+        return leaves.setdefault(canonical_code(tree.diagram), tree)
+    return SkeinBranch(
+        tree.diagram,
+        tree.crossing,
+        _share_leaves(tree.switched, leaves),
+        _share_leaves(tree.smoothed, leaves),
+    )
+
+
+def test_verify_tree_checks_a_shared_subtree_once(monkeypatch):
+    tree = extract_tree(parse_pd(FIXTURE_PDS["trefoil"][0]), 2, ctx=SolveContext())
+    leaves = {}
+    shared = _share_leaves(tree, leaves)
+    unknot = canonical_code(parse_pd("O"))
+    # the unknot ends both the switch at the root and a smoothing below it
+    assert shared.switched is leaves[unknot] is shared.smoothed.smoothed
+
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return recognize_unlink(d)
+
+    monkeypatch.setattr(solver, "recognize_unlink", counted)
+    assert verify_tree(shared) == 2 and len(calls) == len(leaves) == 2
+    # the same leaf object tampered with, in both places
+    tampered = _share_leaves(tree, {unknot: SkeinLeaf(parse_pd("O"), 2)})
+    with pytest.raises(ValueError):
+        verify_tree(tampered)
+
+
+def test_expansion_trees_are_upper_ends():
+    """An expansion tree is a resolution tree of its diagram, split or
+    not: its height is at least the fewest any tree needs."""
+    cache = HomflyCache()
+    for text, _ in FIXTURE_PDS.values():
+        d = simplify(parse_pd(text))
+        if d.is_crossingless():
+            continue
+        homfly(d, cache)
+        height, tree = cache.trees[canonical_code(d)]
+        assert verify_tree(tree) == height
+        if d.crossing_count <= 4:
+            assert height >= brute_min_height(d, d.crossing_count)
+    tref = braid_closure(parse_braid("p=2: 1 1 1"))
+    for d in (disjoint_union(tref, tref), disjoint_union(parse_pd(FIXTURE_PDS["hopf+"][0]), tref)):
+        d = simplify(d)
+        p = homfly(d, cache)
+        height, tree = cache.trees[canonical_code(d)]
+        assert verify_tree(tree) == height >= polynomial_lower_bound(p, component_count(d)) == 3
 
 
 def test_compute_td_trivial_cases():
@@ -227,13 +296,12 @@ def test_formula_path_survives_starved_budget():
 
 
 def test_starved_budget_flags_interval():
-    res = compute_td(
-        parse_pd(FIXTURE_PDS["K5a1"][0]), budget=2, ctx=SolveContext()
-    )
+    # [4, 5] with budget; the HOMFLY-PT expansion's tree has height 5
+    res = compute_td(braid_closure(parse_braid(GAP_WORD)), budget=2, ctx=SolveContext())
     assert not res.is_exact
     assert res.budget_exhausted
     # exhaustion widens, never falsifies: the honest answer fits inside
-    assert res.link_lower <= 3 <= res.diagram_upper
+    assert res.link_lower <= 4 and 5 <= res.diagram_upper
 
 
 def test_max_depth_caps_search_not_claim():
@@ -245,7 +313,7 @@ def test_max_depth_caps_search_not_claim():
 
 def test_timeout_produces_interval():
     res = compute_td(
-        parse_pd(FIXTURE_PDS["K5a1"][0]), timeout_secs=0.0, ctx=SolveContext()
+        braid_closure(parse_braid(GAP_WORD)), timeout_secs=0.0, ctx=SolveContext()
     )
     assert res.budget_exhausted and not res.is_exact
 
@@ -273,7 +341,10 @@ def test_deadline_passing_mid_search_refutes_nothing():
                 self.deadline = time.monotonic() - 1.0
             return super().verdict_of(code, diagram)
 
+    # with the root's polynomial loaded from a cache file, its record
+    # carries no expansion tree
     ctx = DeadlineAfterRoot()
+    ctx.homfly_cache.table[root] = homfly(d)
     assert depth_at_most(d, 1, ctx=ctx) is None
     assert root not in ctx.memo
     assert depth_at_most(d, 1, ctx=SolveContext()) is True
@@ -284,6 +355,9 @@ def test_deadline_passing_mid_search_refutes_nothing():
     [
         ("p=4: " + " ".join(["1 2 3"] * 4), 9),  # (s1 s2 s3)^4
         ("p=3: " + " ".join(["1 2"] * 6), 10),  # T(3,6)
+        # the frontier: the HOMFLY-PT expansion's trees meet the lower end
+        ("p=4: " + " ".join(["1 2 3"] * 6), 15),  # T(4,6)
+        ("p=3: " + " ".join(["1 2"] * 9), 16),  # T(3,9)
     ],
 )
 def test_hard_torus_closures_are_exact(word, depth):
@@ -316,7 +390,7 @@ def test_switch_child_values_are_derived_and_counted_apart():
             if not sw.is_crossingless():
                 assert cache.table[canonical_code(sw)] == homfly(sw, HomflyCache()), (d, i)
     ctx = SolveContext()
-    for w in ORACLE_WORDS:
+    for w in SEARCH_WORDS:
         compute_td(braid_closure(parse_braid(w)), ctx=ctx)
     assert ctx.homfly_cache.derived > 0
     assert len(ctx.homfly_cache) == ctx.homfly_cache.computed + ctx.homfly_cache.derived
@@ -325,14 +399,17 @@ def test_switch_child_values_are_derived_and_counted_apart():
 @pytest.mark.parametrize(
     "link, render, nodes, computed, derived",
     [
-        (FIXTURE_PDS["trefoil"][0], "2", 2, 2, 0),
-        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 5, 9, 2),
-        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 6, 6, 0),
+        (FIXTURE_PDS["trefoil"][0], "2", 0, 2, 0),
+        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 1, 9, 2),
+        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6, 0),
+        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 38, 11),
     ],
 )
 def test_search_work_is_pinned(link, render, nodes, computed, derived):
     """Search nodes and polynomial work of a fresh solve, which tries
-    crossings in index order and keeps one record per code."""
+    crossings in index order, keeps one record per code and starts each
+    record from the HOMFLY-PT expansion's tree: a solve whose expansion
+    meets the lower end searches no node."""
     d = parse_pd(link) if link.startswith("X") else braid_closure(parse_braid(link))
     ctx = SolveContext()
     assert compute_td(d, ctx=ctx).render() == render
@@ -372,24 +449,25 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
     monkeypatch.setattr(solver, "smooth", recorder("smooth", smooth))
     ctx = SolveContext(cache)
     assert depth_at_most(d, 3, ctx=ctx) is False
-    assert (cache.computed, cache.derived) == known and ctx.nodes == 3
+    assert (cache.computed, cache.derived) == known and ctx.nodes == 1
     switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
     smoothed = [key for kind, key, _ in events if kind == "smooth"]
     assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
-    # every one of the 9 branches built its smoothing before
-    assert (len(switched), len(smoothed)) == (9, 6)
+    # every one of the 7 branches built its smoothing before
+    assert (len(switched), len(smoothed)) == (7, 4)
 
 
 def test_persisted_interval_answers_without_witness():
+    # depth 2; the HOMFLY-PT expansion's tree, of height 6, is no witness
     ctx1 = SolveContext()
-    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
-    assert depth_at_most(tref, 2, ctx=ctx1) is True
-    code = canonical_code(simplify(tref))
+    d = braid_closure(parse_braid(DEPTH2_WORD))
+    assert depth_at_most(d, 2, ctx=ctx1) is True
+    code = canonical_code(simplify(d))
     ctx2 = SolveContext()
     lo, hi, _ = ctx1.memo[code]
     ctx2.memo[code] = (lo, hi, None)  # as ResultCache loads it
-    assert depth_at_most(tref, 2, budget=0, ctx=ctx2) is True
-    res = compute_td(tref, ctx=ctx2)
+    assert depth_at_most(d, 2, budget=0, ctx=ctx2) is True
+    res = compute_td(d, ctx=ctx2)
     assert res.is_exact and res.value == 2 and res.witness is None
 
 
@@ -410,27 +488,43 @@ def test_no_record_is_loosened():
     outer visit's write must keep what the deeper one proved."""
     ctx = SolveContext()
     ctx.memo = TighteningMemo()
-    for n, depth in ((3, 4), (5, 8)):  # T(3,3), then T(3,5) in its context
-        d = braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * n)))
-        assert compute_td(d, ctx=ctx).status == f"Exact({depth})"
+    # the HOMFLY-PT expansions of both have height 5, so both are searched
+    for word, render in (("p=4: 2 1 3 2 2 3 2 -3", "3"), ("p=4: 1 -2 1 1 -2 -1 3 2", "3")):
+        assert compute_td(braid_closure(parse_braid(word)), ctx=ctx).render() == render
     assert len(ctx.memo) > 10
 
 
+def _replay_every_tree(ctx):
+    """Replay every record's tree and every expansion tree of ctx; the
+    numbers of each."""
+    trees = [(code, hi, tree) for code, (_, hi, tree) in ctx.memo.items() if tree is not None]
+    expanded = [(code, h, tree) for code, (h, tree) in ctx.homfly_cache.trees.items()]
+    for code, hi, tree in trees + expanded:
+        assert canonical_code(tree.diagram) == code
+        assert verify_tree(tree) == hi
+    return len(trees), len(expanded)
+
+
 def test_every_recorded_tree_replays(tmp_path):
-    """A record's tree proves its hi for the diagram its code names; a
-    record loaded from a cache file has no tree."""
-    battery = closure_battery() + [braid_closure(parse_braid(w)) for w in ORACLE_WORDS]
-    # alone in its context, T(3,6) replaces a record's tree by a shallower one
-    t36 = [braid_closure(parse_braid("p=3: " + " ".join(["1 2"] * 6)))]
-    for diagrams in (t36, battery):
-        ctx = SolveContext()
-        for d in diagrams:
-            compute_td(d, ctx=ctx)
-        trees = [(code, hi, tree) for code, (_, hi, tree) in ctx.memo.items() if tree is not None]
-        assert len(trees) > 20
-        for code, hi, tree in trees:
-            assert canonical_code(tree.diagram) == code
-            assert verify_tree(tree) == hi
+    """A record's tree proves its hi for the diagram its code names, and
+    so does each expansion tree its height; a record loaded from a cache
+    file has no tree."""
+    # alone in its context, this closure's search replaces its expansion
+    # tree, of height 6, by a tree of height 2
+    depth2 = simplify(braid_closure(parse_braid(DEPTH2_WORD)))
+    root = canonical_code(depth2)
+    ctx = SolveContext()
+    compute_td(depth2, ctx=ctx)
+    assert (ctx.homfly_cache.trees[root][0], ctx.memo[root][1]) == (6, 2)
+    records, expanded = _replay_every_tree(ctx)
+    assert records > 5 and expanded > 5
+
+    words = ORACLE_WORDS + SEARCH_WORDS + ["p=4: 2 1 3 2 2 3 2 -3", "p=4: 1 -2 1 1 -2 -1 3 2"]
+    ctx = SolveContext()
+    for d in closure_battery() + [braid_closure(parse_braid(w)) for w in words]:
+        compute_td(d, ctx=ctx)
+    records, expanded = _replay_every_tree(ctx)
+    assert records > 20 and expanded > 20
     path = str(tmp_path / "cache.tsv")
     ResultCache(path).save_from(ctx)
     warm = SolveContext()
