@@ -126,15 +126,18 @@ def export_dot(tree: SkeinTree) -> str:
 
     Nodes carry the PD text; the switch child comes first so it lands on
     the left.  Edge labels: "±" toward the switched child, "0" toward
-    the smoothing; leaves show their unlink component count.
+    the smoothing; leaves show their unlink component count.  Each
+    distinct subtree object is one node, emitted once, so a subtree
+    shared by several branches has an edge from each of them.
     """
     lines = ["digraph skein {", '  node [shape=box fontname="monospace"];']
-    counter = 0
+    ids: dict[int, int] = {}
 
     def visit(t: SkeinTree) -> int:
-        nonlocal counter
-        my = counter
-        counter += 1
+        my = ids.get(id(t))
+        if my is not None:
+            return my
+        my = ids[id(t)] = len(ids)
         if isinstance(t, SkeinLeaf):
             lines.append(f'  n{my} [label="{pd_text(t.diagram)}\\nunlink({t.components})"];')
             return my

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 
@@ -279,12 +278,16 @@ def _cycles(succ: dict[int, int]) -> list[list[int]]:
         x = succ[start]
         while x != start:
             if x in seen or x not in succ:
-                raise ValueError("arc succession does not close into cycles at arc %d" % x)
+                raise _not_closed(x)
             cycle.append(x)
             seen.add(x)
             x = succ[x]
         cycles.append(cycle)
     return cycles
+
+
+def _not_closed(x: int) -> ValueError:
+    return ValueError("arc succession does not close into cycles at arc %d" % x)
 
 
 def component_cycles(d: OrientedDiagram) -> list[list[int]]:
@@ -337,7 +340,7 @@ def validate(d: OrientedDiagram) -> None:
         lo = cycle[0]
         if cycle != list(range(lo, lo + len(cycle))):
             raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
-    found = len(faces(d, occ))
+    found = len(faces(d))
     need = d.crossing_count + 2 * len(_crossing_groups(d))
     if found != need:
         raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))
@@ -360,8 +363,25 @@ def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagr
 def _renumbered(
     crossings: tuple[tuple[int, ...], ...], succ: dict[int, int], free_loops: int
 ) -> OrientedDiagram:
-    """renormalize's result, given the succession of crossings."""
-    m = {x: k for k, x in enumerate(chain.from_iterable(_cycles(succ)), 1)}
+    """renormalize's result, given the succession of crossings.
+
+    Arcs are numbered 1, 2, ... in the walk that finds the cycles of
+    succ, with :func:`_cycles`' order and closure check.
+    """
+    m: dict[int, int] = {}
+    k = 0
+    for start in sorted(succ):
+        if start in m:
+            continue
+        k += 1
+        m[start] = k
+        x = succ[start]
+        while x != start:
+            if x in m or x not in succ:
+                raise _not_closed(x)
+            k += 1
+            m[x] = k
+            x = succ[x]
     relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
     return OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
 
@@ -756,16 +776,12 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     confirms, as its smoothing leaves the other crossings joined, so the
     side-group test on its part stays and confirms candidates in index
     order; on planar diagrams the first cut crossing always confirms.
+    The candidates come from one walk of the corner table
+    (:func:`_met_twice`), which lists no faces.
     """
     if d.crossing_count < 2:
         return None
-    twice: set[int] = set()
-    for face in faces(d):
-        met: set[int] = set()
-        for ci, _ in face:
-            if ci in met:
-                twice.add(ci)
-            met.add(ci)
+    twice = _met_twice(d)
     if not twice:
         return None
     part = {ci: group for group in _crossing_groups(d) for ci in group}
@@ -842,24 +858,38 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
 # -- planar faces -------------------------------------------------------------
 
 
-def faces(
-    d: OrientedDiagram, occ: dict[int, list[tuple[int, int]]] | None = None
-) -> list[list[tuple[int, int]]]:
+def _corner_successors(d: OrientedDiagram) -> list[int]:
+    """The corner table: corner 4 * ci + s -> the next corner of its face.
+
+    The corner (ci, s) walks the arc at slot s away from crossing ci; at
+    the arc's other place (cj, t) its face turns to the corner (cj, t + 1).
+    The labels must each appear twice.
+    """
+    nxt = [0] * (4 * d.crossing_count)
+    first: dict[int, int] = {}
+    k = 0
+    for cr in d.crossings:
+        for arc in cr[:4]:
+            j = first.pop(arc, None)
+            if j is None:
+                first[arc] = k
+            else:
+                nxt[k] = (j & ~3) | ((j + 1) & 3)
+                nxt[j] = (k & ~3) | ((k + 1) & 3)
+            k += 1
+    return nxt
+
+
+def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     """Faces of the planar embedding encoded by the counterclockwise tuples.
 
     Each face is a cyclic list of half-edges (crossing index, slot); the
     corner (ci, s) walks the arc at that slot away from crossing ci.  For
     a connected diagram Euler's formula gives c + 2 faces.  Crossingless
     components do not appear.  Faces are listed by their smallest corner,
-    and each starts there.  occ, if given, is _occurrences(d.crossings).
+    and each starts there.
     """
-    if occ is None:
-        occ = _occurrences(d.crossings)
-    # corner 4 * ci + s -> the next corner of its face
-    nxt = [0] * (4 * d.crossing_count)
-    for (ci, s), (cj, t) in occ.values():
-        nxt[4 * ci + s] = 4 * cj + (t + 1) % 4
-        nxt[4 * cj + t] = 4 * ci + (s + 1) % 4
+    nxt = _corner_successors(d)
     seen = [False] * len(nxt)
     out: list[list[tuple[int, int]]] = []
     for start in range(len(nxt)):
@@ -875,6 +905,28 @@ def faces(
                 break
         out.append(face)
     return out
+
+
+def _met_twice(d: OrientedDiagram) -> set[int]:
+    """The crossings that some face meets at two corners.
+
+    One walk of the corner table, face after face: a crossing met again
+    in the face that met it last is met twice.
+    """
+    nxt = _corner_successors(d)
+    seen = [False] * len(nxt)
+    last_face = [-1] * d.crossing_count
+    twice: set[int] = set()
+    for start in range(len(nxt)):
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            ci = cur >> 2
+            if last_face[ci] == start:
+                twice.add(ci)
+            last_face[ci] = start
+            cur = nxt[cur]
+    return twice
 
 
 def _heads(d: OrientedDiagram) -> dict[int, tuple[int, int]]:

@@ -5,7 +5,15 @@ bounds) is built on :class:`LaurentPoly2`: a sparse map from exponent
 pairs ``(a_exp, z_exp)`` to nonzero integer coefficients.  No floats
 anywhere; equality is exact map equality.  Instances are immutable and
 hashable, so they can be shared freely between threads and used as cache
-values.
+values.  The public constructor checks its coefficients and drops zeros;
+the arithmetic here builds its term dicts without zeros itself and wraps
+them with the private ``LaurentPoly2._of``, which checks nothing.
+
+The skein identity at a crossing multiplies its two known values by
+monomials only, so :func:`skein_value` and its inverse
+:func:`switch_value` each compute one merge of two exponent-shifted term
+dicts, with no polynomials in between.  :func:`unlink_value` is the
+binomial expansion of ``DELTA ** (r - 1)``.
 
 :func:`homfly` computes the HOMFLY-PT polynomial by a skein expansion
 that resolves each diagram at its first defect crossing, split or not,
@@ -16,6 +24,7 @@ height, for each code it expands.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Mapping
 
 from .diagram import (
@@ -28,6 +37,24 @@ from .diagram import (
     switch,
 )
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
+
+
+def _merged(
+    out: dict[tuple[int, int], int], terms: Mapping[tuple[int, int], int], da: int, dz: int, sign: int
+) -> dict[tuple[int, int], int]:
+    """out plus sign * a^da z^dz * terms, merged into out, which is returned.
+
+    Both are term dicts without zeros, and so is the result: a sum that
+    cancels drops its key.
+    """
+    for (ae, ze), c in terms.items():
+        key = (ae + da, ze + dz)
+        s = out.get(key, 0) + sign * c
+        if s:
+            out[key] = s
+        else:
+            del out[key]  # c is not zero, so key was in out
+    return out
 
 
 class LaurentPoly2:
@@ -47,6 +74,18 @@ class LaurentPoly2:
                     del clean[key]
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly2":
+        """The private constructor: wraps terms as they are.
+
+        For term dicts this module built itself, with int exponents, int
+        coefficients and no zero among them; the dict is not copied.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly2 is immutable")
@@ -71,22 +110,15 @@ class LaurentPoly2:
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return LaurentPoly2(out)
+        return LaurentPoly2._of(_merged(dict(self._terms), other._terms, 0, 0, 1))
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        return self + (-other)
+        return LaurentPoly2._of(_merged(dict(self._terms), other._terms, 0, 0, -1))
 
     def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -c for k, c in self._terms.items()})
+        return LaurentPoly2._of({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly2":
         if isinstance(other, int):
@@ -102,7 +134,7 @@ class LaurentPoly2:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        return LaurentPoly2(out)
+        return LaurentPoly2._of(out)
 
     __rmul__ = __mul__
 
@@ -169,9 +201,12 @@ DELTA = LaurentPoly2({(-1, -1): 1, (1, -1): -1})
 
 
 def unlink_value(components: int) -> LaurentPoly2:
+    """DELTA ** (components - 1), from the binomial expansion: with
+    n = components - 1, the sum over k of (-1)^k C(n, k) a^(2k-n) z^-n."""
     if components < 1:
         raise ValueError("an unlink has at least one component")
-    return DELTA ** (components - 1)
+    n = components - 1
+    return LaurentPoly2._of({(2 * k - n, -n): (-1) ** k * comb(n, k) for k in range(n + 1)})
 
 
 def specialize_conway(p: LaurentPoly2) -> dict[int, int]:
@@ -305,10 +340,12 @@ class HomflyCache:
         return len(self.table)
 
 
-_A2 = monomial(1, 2, 0)
-_AZ = monomial(1, 1, 1)
-_Am2 = monomial(1, -2, 0)
-_AmZ = monomial(1, -1, 1)
+def _shifted_sum(
+    p: LaurentPoly2, dp: int, q: LaurentPoly2, dq: int, sign: int
+) -> LaurentPoly2:
+    """a^dp P + sign a^dq z Q, as one merge of the two shifted term dicts."""
+    out = {(ae + dp, ze): c for (ae, ze), c in p._terms.items()}
+    return LaurentPoly2._of(_merged(out, q._terms, dq, 1, sign))
 
 
 def skein_value(sign: int, p_switch: LaurentPoly2, p_smooth: LaurentPoly2) -> LaurentPoly2:
@@ -320,8 +357,8 @@ def skein_value(sign: int, p_switch: LaurentPoly2, p_smooth: LaurentPoly2) -> La
     P(smooth).  :func:`switch_value` is its inverse.
     """
     if sign > 0:
-        return _A2 * p_switch + _AZ * p_smooth
-    return _Am2 * p_switch - _AmZ * p_smooth
+        return _shifted_sum(p_switch, 2, p_smooth, 1, 1)
+    return _shifted_sum(p_switch, -2, p_smooth, -1, -1)
 
 
 def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> LaurentPoly2:
@@ -329,12 +366,12 @@ def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> Lauren
     the diagram and of its smoothing there.
 
     The skein identity solved for the switched child: at a positive
-    crossing P(switch) = a^-2 (P - a z P(smooth)), at a negative one
-    P(switch) = a^2 (P + a^-1 z P(smooth)).  Only exponents shift.
+    crossing P(switch) = a^-2 P - a^-1 z P(smooth), at a negative one
+    P(switch) = a^2 P + a z P(smooth).
     """
     if sign > 0:
-        return _Am2 * (p - _AZ * p_smoothed)
-    return _A2 * (p + _AmZ * p_smoothed)
+        return _shifted_sum(p, -2, p_smoothed, -1, -1)
+    return _shifted_sum(p, 2, p_smoothed, 1, 1)
 
 
 def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2:

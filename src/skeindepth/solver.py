@@ -350,7 +350,8 @@ def compute_td(
     claims about the link of d).  budget caps search nodes per depth
     probe; max_depth caps how deep the sweep probes (the bound-derived
     upper still stands).  Budget or time exhaustion widens the answer to
-    an interval, never falsifies it.
+    an interval, never falsifies it; its upper end is still the root's
+    record where that is lower than the bound report's.
     """
     ctx = ctx or SolveContext()
     saved_deadline = ctx.deadline
@@ -368,13 +369,17 @@ def compute_td(
         exhausted = False
         for k in range(lower, kmax + 1):
             res = depth_at_most(work, k, budget, ctx)
-            if res is True:
-                # witness is None when the proof rests on a cache-loaded interval
-                upper, witness = _proof(ctx, work)
+            if res is not False:
+                exhausted = res is None
                 break
-            if res is None:
-                exhausted = True
-                break
+        # however the sweep ended, the root's record holds the best proof
+        # found: a success's tree, else the HOMFLY-PT expansion's, which
+        # narrows an interval the budget, the deadline or max_depth left
+        # open.  The tree is None when the proof rests on a cache-loaded
+        # interval.
+        _, hi, tree = ctx.memo.get(canonical_code(work), _OPEN)
+        if hi <= upper:
+            upper, witness = hi, tree
         return TdResult(
             lower,
             upper,

@@ -28,6 +28,7 @@ from skeindepth import (
 )
 from skeindepth import moves
 from skeindepth.diagram import faces
+from skeindepth.poly import monomial
 
 # name -> (pd text, components)
 FIXTURE_PDS = {
@@ -43,6 +44,11 @@ FIXTURE_PDS = {
     "K5a2": ("X[1,6,2,7];X[3,8,4,9];X[5,10,6,1];X[7,2,8,3];X[9,4,10,5]", 1),
     "L5a1": ("X[2,5,3,6];X[4,7,5,8];X[6,10,1,9];X[8,2,9,1];X[10,3,7,4]", 2),
 }
+
+# the monomials of the skein identity, for references built from ring
+# operations: P = A2 P(switch) + AZ P(smooth) at a positive crossing,
+# P = Am2 P(switch) - AmZ P(smooth) at a negative one
+A2, AZ, Am2, AmZ = monomial(1, 2, 0), monomial(1, 1, 1), monomial(1, -2, 0), monomial(1, -1, 1)
 
 # the ones with at least one crossing, for move/skein batteries
 CROSSED = [k for k in FIXTURE_PDS if k not in ("unknot", "unlink2")]

@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, cache file, DOT export."""
 
 import importlib.resources
+import re
 
 import pytest
 
@@ -147,7 +148,8 @@ def test_td_verb_and_budget_exit(tmp_path, capsys):
     g.write_text(pd_text(braid_closure(parse_braid(GAP_WORD))) + "\n")
     assert main(["td", str(g), "--budget", "2"]) == 2
     out = capsys.readouterr().out
-    assert out == "4\t7\t[4, 7]\n"  # interval printed despite exhaustion
+    # interval printed despite exhaustion; the expansion's tree sets hi
+    assert out == "4\t5\t[4, 5]\n"
 
 
 @pytest.mark.parametrize(
@@ -472,3 +474,27 @@ def test_export_dot_single_leaf():
     assert dot.count("label=") == 1  # exactly one node, zero edges
     assert "->" not in dot
     assert "unlink(1)" in dot
+
+
+def test_export_dot_emits_each_shared_subtree_once():
+    from skeindepth import SkeinBranch
+
+    tree = compute_td(braid_closure(parse_braid("p=2: 1 1 1 1 1 1 1")), ctx=SolveContext()).witness
+    distinct: dict[int, object] = {}
+    visits = 0
+    todo = [tree]
+    while todo:
+        t = todo.pop()
+        visits += 1
+        if id(t) not in distinct:
+            distinct[id(t)] = t
+            if isinstance(t, SkeinBranch):
+                todo += [t.switched, t.smoothed]
+    assert visits > len(distinct)  # the witness shares subtrees
+    lines = export_dot(tree).splitlines()
+    nodes = [l for l in lines if re.match(r"  n\d+ \[label=", l)]
+    edges = [l for l in lines if "->" in l]
+    branches = sum(isinstance(t, SkeinBranch) for t in distinct.values())
+    assert len(nodes) == len(distinct)
+    assert len(edges) == 2 * branches
+    assert len(set(edges)) == len(edges)

@@ -16,6 +16,7 @@ from skeindepth import (
     component_count,
     component_cycles,
     disjoint_union,
+    insert_kink,
     is_split,
     mirror,
     parse_braid,
@@ -31,6 +32,7 @@ from skeindepth import diagram
 from skeindepth.cli import load_dataset
 from skeindepth.diagram import (
     _crossing_groups,
+    _met_twice,
     _part_code,
     _rewire,
     _smoothing_pairs,
@@ -661,24 +663,55 @@ def _reference_cut_crossings(d):
 CUT_WORDS = ["p=4: 1 1 1 2 3 3 3", "p=4: 1 -1 1 2 -3 -3", "p=5: 1 -1 1 2 3 4 -3 4 4"]
 
 
+def _met_twice_by_faces(d):
+    twice = set()
+    for face in faces(d):
+        corners = [ci for ci, _ in face]
+        twice.update(ci for ci in corners if corners.count(ci) > 1)
+    return twice
+
+
 def test_faces_meet_twice_exactly_the_cut_and_kink_crossings():
     """A crossing separates its part exactly when some face meets it at
     two corners, and a kink crossing is met twice by the face around its
-    loop; find_nugatory takes its candidates from this."""
+    loop; find_nugatory takes its candidates from this, by one walk of
+    the corner table."""
     cut_seen = kink_seen = 0
     closures = [braid_closure(parse_braid(word)) for word in CUT_WORDS]
     extra = closures + [switch(d, i) for d in closures for i in range(d.crossing_count)]
     for d in kernel_battery() + finder_battery() + extra:
-        twice = set()
-        for face in faces(d):
-            corners = [ci for ci, _ in face]
-            twice.update(ci for ci in corners if corners.count(ci) > 1)
+        twice = _met_twice_by_faces(d)
+        assert _met_twice(d) == twice, d
         cuts = _reference_cut_crossings(d)
         kinks = {i for i, cr in enumerate(d.crossings) if len(set(cr.arcs())) < 4}
         assert twice == cuts | kinks, d
         cut_seen += len(cuts)
         kink_seen += len(kinks)
     assert cut_seen > 20 and kink_seen > 40
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(
+                st.integers(1, p - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                min_size=1,
+                max_size=12,
+            ),
+            st.integers(0, 10**6),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_corner_walk_on_random_closures(case):
+    p, letters, seed = case
+    d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
+    if d.is_crossingless():
+        return
+    i = random.Random(seed).randrange(d.crossing_count)
+    for x in (d, switch(d, i), smooth(d, i), simplify(d), insert_kink(d, 1 + 2 * i, 1)):
+        assert _met_twice(x) == _met_twice_by_faces(x), x
 
 
 def test_pd_text_parses_back_to_the_diagram():

@@ -49,15 +49,19 @@ from skeindepth.diagram import (
     remove_nugatory,
     remove_poke_pair,
 )
-from skeindepth.poly import _A2, _AZ, DELTA, ONE, ZERO, _Am2, _AmZ
+from skeindepth.poly import DELTA, ONE, ZERO
 
 from conftest import (
+    A2,
+    AZ,
     CROSSED,
     FIXTURE_PDS,
     NUGATORY_PD,
     ORACLE_WORDS,
     UNKNOT_7_PD,
     UNLINK4_12_PD,
+    Am2,
+    AmZ,
     check_pokes_once,
     check_slides_once,
     closure_battery,
@@ -300,9 +304,9 @@ def raw_homfly(d, table):
         else:
             sw, sm = raw_homfly(switch(d, i), table), raw_homfly(smooth(d, i), table)
             if d.crossings[i].sign > 0:
-                value = _A2 * sw + _AZ * sm
+                value = A2 * sw + AZ * sm
             else:
-                value = _Am2 * sw - _AmZ * sm
+                value = Am2 * sw - AmZ * sm
     table[key] = value
     return value
 

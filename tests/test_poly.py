@@ -30,7 +30,7 @@ from skeindepth import (
 from skeindepth.diagram import first_defect
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value, switch_value
 
-from conftest import CROSSED, FIXTURE_PDS, closure_battery
+from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -166,6 +166,73 @@ def test_switch_value_solves_the_skein_identity():
 def test_switch_value_inverts_skein_value(p, q):
     for sign in (1, -1):
         assert switch_value(sign, skein_value(sign, p, q), q) == p
+
+
+# -- the fast paths against the ring operations ------------------------------------
+
+
+def assert_clean(p):
+    """p's own term dict holds int coefficients and no zero."""
+    assert all(type(c) is int and c != 0 for c in p._terms.values()), p._terms
+
+
+def assert_same(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert_clean(got)
+
+
+def reference_skein(sign, p_switch, p_smooth):
+    if sign > 0:
+        return A2 * p_switch + AZ * p_smooth
+    return Am2 * p_switch - AmZ * p_smooth
+
+
+def reference_switch(sign, p, p_smoothed):
+    if sign > 0:
+        return Am2 * (p - AZ * p_smoothed)
+    return A2 * (p + AmZ * p_smoothed)
+
+
+@given(poly_st, poly_st, poly_st)
+@settings(max_examples=150, deadline=None)
+def test_skein_identities_match_the_ring_operations(p, q, r):
+    for sign in (1, -1):
+        assert_same(skein_value(sign, p, q), reference_skein(sign, p, q))
+        assert_same(switch_value(sign, p, q), reference_switch(sign, p, q))
+        # p_switch that cancels the smoothing's term, up to r: the merge
+        # drops every cancelled term, and cancels to ZERO when r is ZERO
+        if sign > 0:
+            cancel_skein, cancel_switch = -(Am2 * AZ * q), AZ * q
+        else:
+            cancel_skein, cancel_switch = A2 * AmZ * q, -(AmZ * q)
+        got = skein_value(sign, cancel_skein + r, q)
+        assert_same(got, reference_skein(sign, cancel_skein + r, q))
+        assert_same(got, (A2 if sign > 0 else Am2) * r)
+        got = switch_value(sign, cancel_switch + r, q)
+        assert_same(got, reference_switch(sign, cancel_switch + r, q))
+        assert_same(got, (Am2 if sign > 0 else A2) * r)
+        assert_same(skein_value(sign, cancel_skein, q), ZERO)
+        assert_same(switch_value(sign, cancel_switch, q), ZERO)
+
+
+@given(poly_st, poly_st)
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_build_no_zero_coefficient(p, q):
+    for got in (p + q, p - q, -p, p * q, p - p, p + (-p), p * ZERO, p * 0, p.mirror()):
+        assert_clean(got)
+    assert_same(p - p, ZERO)
+    assert_same(p + (-p), ZERO)
+    assert_same(p * 0, ZERO)
+    assert_same(p - q, p + (-q))
+
+
+def test_unlink_value_is_the_power_of_delta():
+    for r in range(1, 13):
+        assert_same(unlink_value(r), DELTA ** (r - 1))
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            unlink_value(r)
 
 
 def test_mirror_rule_on_fixtures():

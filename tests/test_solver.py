@@ -304,6 +304,20 @@ def test_starved_budget_flags_interval():
     assert res.link_lower <= 4 and 5 <= res.diagram_upper
 
 
+@pytest.mark.parametrize("limits", [{"budget": 2}, {"max_depth": 4}])
+def test_cut_short_sweep_answers_the_root_record(limits):
+    """However the sweep ends, the upper end is the root's record, and
+    the witness returned with it replays at that height."""
+    d = braid_closure(parse_braid(GAP_WORD))
+    ctx = SolveContext()
+    res = compute_td(d, ctx=ctx, **limits)
+    lo, hi, tree = ctx.memo[canonical_code(simplify(d))]
+    assert (res.link_lower, res.diagram_upper) == (4, 5) == (4, hi)
+    assert res.witness is tree
+    assert verify_tree(res.witness) == res.diagram_upper
+    assert res.bounds.upper == 7  # the bound report alone says [4, 7]
+
+
 def test_max_depth_caps_search_not_claim():
     res = compute_td(
         parse_pd(FIXTURE_PDS["K5a2"][0]), max_depth=1, ctx=SolveContext()
