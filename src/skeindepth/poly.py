@@ -10,16 +10,16 @@ the arithmetic here builds its term dicts without zeros itself and wraps
 them with the private ``LaurentPoly2._of``, which checks nothing.
 
 The skein identity at a crossing multiplies its two known values by
-monomials only, so :func:`skein_value` and its inverse
-:func:`switch_value` each compute one merge of two exponent-shifted term
-dicts, with no polynomials in between.  :func:`unlink_value` is the
-binomial expansion of ``DELTA ** (r - 1)``.
+monomials only, so :func:`skein_value` computes one merge of two
+exponent-shifted term dicts, with no polynomials in between.
+:func:`unlink_value` is the binomial expansion of ``DELTA ** (r - 1)``.
 
 :func:`homfly` computes the HOMFLY-PT polynomial by a skein expansion
 that resolves each diagram at its first defect crossing, split or not,
 into simplified children, down to descending diagrams.  That expansion
 is a skein resolution tree, and :class:`HomflyCache` keeps it, with its
-height, for each code it expands.
+height, for each code it expands.  A value has one of two sources: the
+expansion, which records its tree, or a cache file, which records none.
 """
 
 from __future__ import annotations
@@ -297,23 +297,17 @@ def parse_poly(text: str) -> LaurentPoly2:
 # leaves, so each code it expands also records that tree and its
 # height, an upper bound on the code's depth that the search starts
 # from.  A code gets no tree when one of its children has none: a
-# value derived from the skein identity or loaded from a file comes
-# without one.
-#
-# The same identity solved for the switched child (switch_value) gives
-# its value from the diagram's and the smoothing's without an expansion:
-# the search, which knows P of every node it branches on, stores its
-# switch children's values that way.
+# value loaded from a cache file comes without one.
 
 
 class HomflyCache:
     """Memo table keyed by canonical diagram code, with usage counters.
 
-    computed counts the values stored by a skein expansion, derived the
-    values stored from the skein identity (see switch_value); hits counts
+    computed counts the values stored by a skein expansion; hits counts
     lookups that found a value.  trees holds, per code the expansion
     resolved down to its leaves, the height of that resolution and its
-    tree.
+    tree.  A code in table with no tree has a value loaded from a cache
+    file, or one whose expansion met such a value.
     """
 
     def __init__(self):
@@ -321,7 +315,6 @@ class HomflyCache:
         self.trees: dict[str, tuple[int, SkeinTree]] = {}
         self.hits = 0
         self.computed = 0
-        self.derived = 0
 
     def get(self, key: str) -> LaurentPoly2 | None:
         value = self.table.get(key)
@@ -329,12 +322,9 @@ class HomflyCache:
             self.hits += 1
         return value
 
-    def put(self, key: str, value: LaurentPoly2, derived: bool = False) -> None:
+    def put(self, key: str, value: LaurentPoly2) -> None:
         self.table[key] = value
-        if derived:
-            self.derived += 1
-        else:
-            self.computed += 1
+        self.computed += 1
 
     def __len__(self) -> int:
         return len(self.table)
@@ -354,24 +344,11 @@ def skein_value(sign: int, p_switch: LaurentPoly2, p_smooth: LaurentPoly2) -> La
 
     The skein identity: at a positive crossing P = a^2 P(switch) +
     a z P(smooth), at a negative one P = a^-2 P(switch) - a^-1 z
-    P(smooth).  :func:`switch_value` is its inverse.
+    P(smooth).
     """
     if sign > 0:
         return _shifted_sum(p_switch, 2, p_smooth, 1, 1)
     return _shifted_sum(p_switch, -2, p_smooth, -1, -1)
-
-
-def switch_value(sign: int, p: LaurentPoly2, p_smoothed: LaurentPoly2) -> LaurentPoly2:
-    """P of a diagram's switch at a crossing of the given sign, from P of
-    the diagram and of its smoothing there.
-
-    The skein identity solved for the switched child: at a positive
-    crossing P(switch) = a^-2 P - a^-1 z P(smooth), at a negative one
-    P(switch) = a^2 P + a z P(smooth).
-    """
-    if sign > 0:
-        return _shifted_sum(p, -2, p_smoothed, -1, -1)
-    return _shifted_sum(p, 2, p_smoothed, 1, 1)
 
 
 def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2:
@@ -414,7 +391,7 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
 
 def _expansion_tree(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinTree] | None:
     """Height and tree of the expansion of d, expanded or crossingless;
-    None when its value was derived or loaded."""
+    None when its value was loaded from a cache file."""
     if d.is_crossingless():
         return 0, SkeinLeaf(d, d.free_loops)
     return cache.trees.get(canonical_code(d))

@@ -18,17 +18,13 @@ Soundness rules the search lives by:
   passed, refutes nothing — it surfaces as None and widens the
   reported interval.
 
-The search knows the polynomial of every node it branches on, so each
-switch child's polynomial comes from the skein identity, from the
-node's and the smoothing's (:func:`.poly.switch_value`), not from a
-skein expansion; the smoothing's is looked up or expanded.  The
-smoothing is built before the switch child is searched only when that
-identity needs it: the switch child has crossings and no stored
-polynomial.  Otherwise it is built only once the switch child has
+Every polynomial the search needs comes from the HOMFLY-PT expansion
+(see :mod:`.poly`), which records its tree, or from a cache file.  The
+smoothing at a crossing is built only once the switch child there has
 succeeded, since a switch child that fails or runs out of budget ends
-that branch.  Each child
-is simplified, which on a switch child looks only for a poke pair
-through the switched crossing (see :func:`.diagram.simplify`).
+that branch.  Each child is simplified, which on a switch child looks
+only for a poke pair through the switched crossing (see
+:func:`.diagram.simplify`).
 
 A SolveContext keeps one search record per canonical code, ``(lo, hi,
 tree)``: the certified depth interval and the tree of height hi that
@@ -60,7 +56,7 @@ from typing import Optional
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
 from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
 from .moves import Verdict, recognize_unlink
-from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly, switch_value
+from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
 DEFAULT_BUDGET = 5_000_000
@@ -97,26 +93,6 @@ class SolveContext:
     def poly_of(self, d: OrientedDiagram) -> LaurentPoly2:
         return homfly(d, self.homfly_cache)
 
-    def derive_switch_poly(
-        self, d: OrientedDiagram, i: int, p: LaurentPoly2, sw: OrientedDiagram
-    ) -> OrientedDiagram | None:
-        """Store P(sw) from the skein identity unless it is already known.
-
-        sw is the switch, simplified, of d at crossing i, and p is P(d).
-        A crossingless sw needs no stored value.  The identity needs the
-        smoothing's polynomial, so the smoothing is built, simplified and
-        returned only when a value is stored; otherwise None.
-        """
-        if sw.is_crossingless():
-            return None
-        key = canonical_code(sw)
-        if key in self.homfly_cache.table:
-            return None
-        sm = simplify(smooth(d, i))
-        value = switch_value(d.crossings[i].sign, p, self.poly_of(sm))
-        self.homfly_cache.put(key, value, derived=True)
-        return sm
-
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
         if v is None:
@@ -139,6 +115,14 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
     if hi > old_hi or (hi == old_hi and old_tree is not None):
         hi, tree = old_hi, old_tree
     ctx.memo[code] = (max(lo, old_lo), hi, tree)
+
+
+def _merge_expansion(ctx: SolveContext, code: str) -> None:
+    """Merge the HOMFLY-PT expansion's tree for code, when there is one,
+    into code's record."""
+    expanded = ctx.homfly_cache.trees.get(code)
+    if expanded is not None:
+        _record(ctx, code, hi=expanded[0], tree=expanded[1])
 
 
 def _proof(ctx: SolveContext, d: OrientedDiagram) -> tuple[int, Optional[SkeinTree]]:
@@ -171,16 +155,13 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
-    expanded = ctx.homfly_cache.trees.get(code)
-    if expanded is not None:
-        _record(ctx, code, hi=expanded[0], tree=expanded[1])
+    _merge_expansion(ctx, code)
     lo, hi, _ = ctx.memo.get(code, _OPEN)
     if hi <= k:
         return True
     if k < lo:
         return False
-    p = ctx.poly_of(d)
-    self_lb = polynomial_lower_bound(p, component_count(d))
+    self_lb = polynomial_lower_bound(ctx.poly_of(d), component_count(d))
     if self_lb > k:
         _record(ctx, code, lo=self_lb)
         return False
@@ -192,13 +173,11 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     saw_unknown = False
     for i in range(d.crossing_count):
         sw = simplify(switch(d, i))
-        sm = ctx.derive_switch_poly(d, i, p, sw)
         r_sw = _search(sw, k - 1, ctx, limit)
         if r_sw is not True:
             saw_unknown |= r_sw is None
             continue
-        if sm is None:
-            sm = simplify(smooth(d, i))
+        sm = simplify(smooth(d, i))
         r_sm = _search(sm, k - 1, ctx, limit)
         if r_sm is not True:
             saw_unknown |= r_sm is None
@@ -364,6 +343,10 @@ def compute_td(
 
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
+        root = canonical_code(work)
+        # the expansion's tree holds even when max_depth stops the sweep
+        # before its first probe
+        _merge_expansion(ctx, root)
         kmax = upper if max_depth is None else min(upper, max_depth)
         witness = None
         exhausted = False
@@ -377,7 +360,7 @@ def compute_td(
         # narrows an interval the budget, the deadline or max_depth left
         # open.  The tree is None when the proof rests on a cache-loaded
         # interval.
-        _, hi, tree = ctx.memo.get(canonical_code(work), _OPEN)
+        _, hi, tree = ctx.memo.get(root, _OPEN)
         if hi <= upper:
             upper, witness = hi, tree
         return TdResult(

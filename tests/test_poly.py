@@ -28,9 +28,9 @@ from skeindepth import (
     unlink_value,
 )
 from skeindepth.diagram import first_defect
-from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value, switch_value
+from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
-from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery
+from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -145,29 +145,6 @@ def test_skein_relation_at_every_crossing():
             assert Ainv * plus - A * minus == Z * zero, (name, i)
 
 
-def test_switch_value_solves_the_skein_identity():
-    """The switch child's value from the diagram's and the smoothing's
-    equals its own expansion, at every crossing of the ORACLE_WORDS
-    closures, of their simplified switch and smoothing children, and of
-    T(3,5)."""
-    cache = HomflyCache()
-    signs = set()
-    for d in closure_battery():
-        p = homfly(d, cache)
-        for i, cr in enumerate(d.crossings):
-            got = switch_value(cr.sign, p, homfly(simplify(smooth(d, i)), cache))
-            assert got == homfly(simplify(switch(d, i)), HomflyCache()), (d, i)
-            signs.add(cr.sign)
-    assert signs == {1, -1}
-
-
-@given(poly_st, poly_st)
-@settings(max_examples=100, deadline=None)
-def test_switch_value_inverts_skein_value(p, q):
-    for sign in (1, -1):
-        assert switch_value(sign, skein_value(sign, p, q), q) == p
-
-
 # -- the fast paths against the ring operations ------------------------------------
 
 
@@ -188,32 +165,18 @@ def reference_skein(sign, p_switch, p_smooth):
     return Am2 * p_switch - AmZ * p_smooth
 
 
-def reference_switch(sign, p, p_smoothed):
-    if sign > 0:
-        return Am2 * (p - AZ * p_smoothed)
-    return A2 * (p + AmZ * p_smoothed)
-
-
 @given(poly_st, poly_st, poly_st)
 @settings(max_examples=150, deadline=None)
 def test_skein_identities_match_the_ring_operations(p, q, r):
     for sign in (1, -1):
         assert_same(skein_value(sign, p, q), reference_skein(sign, p, q))
-        assert_same(switch_value(sign, p, q), reference_switch(sign, p, q))
         # p_switch that cancels the smoothing's term, up to r: the merge
         # drops every cancelled term, and cancels to ZERO when r is ZERO
-        if sign > 0:
-            cancel_skein, cancel_switch = -(Am2 * AZ * q), AZ * q
-        else:
-            cancel_skein, cancel_switch = A2 * AmZ * q, -(AmZ * q)
-        got = skein_value(sign, cancel_skein + r, q)
-        assert_same(got, reference_skein(sign, cancel_skein + r, q))
+        cancel = -(Am2 * AZ * q) if sign > 0 else A2 * AmZ * q
+        got = skein_value(sign, cancel + r, q)
+        assert_same(got, reference_skein(sign, cancel + r, q))
         assert_same(got, (A2 if sign > 0 else Am2) * r)
-        got = switch_value(sign, cancel_switch + r, q)
-        assert_same(got, reference_switch(sign, cancel_switch + r, q))
-        assert_same(got, (Am2 if sign > 0 else A2) * r)
-        assert_same(skein_value(sign, cancel_skein, q), ZERO)
-        assert_same(switch_value(sign, cancel_switch, q), ZERO)
+        assert_same(skein_value(sign, cancel, q), ZERO)
 
 
 @given(poly_st, poly_st)
@@ -290,8 +253,8 @@ def test_cache_counters():
 
 def test_expansion_records_a_tree_only_over_children_that_have_one():
     """Each code the expansion resolves stores its tree, rooted at its
-    first defect, and the tree's height; a child whose value was derived
-    or loaded has no tree, so neither has its parent."""
+    first defect, and the tree's height; a child whose value was loaded
+    from a cache file has no tree, so neither has its parent."""
     d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
     i = first_defect(d)
     sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
@@ -307,6 +270,6 @@ def test_expansion_records_a_tree_only_over_children_that_have_one():
 
     for child in (sw, sm):
         known = HomflyCache()
-        known.put(canonical_code(child), homfly(child), derived=True)
+        known.table[canonical_code(child)] = homfly(child)  # as load_into stores it
         assert homfly(d, known) == p
         assert canonical_code(d) not in known.trees

@@ -28,7 +28,7 @@ from skeindepth import (
     tree_depth,
     verify_tree,
 )
-from skeindepth import solver
+from skeindepth import poly, solver
 from skeindepth.solver import ResultCache
 
 from conftest import (
@@ -304,10 +304,13 @@ def test_starved_budget_flags_interval():
     assert res.link_lower <= 4 and 5 <= res.diagram_upper
 
 
-@pytest.mark.parametrize("limits", [{"budget": 2}, {"max_depth": 4}])
+@pytest.mark.parametrize(
+    "limits", [{"budget": 2}, {"max_depth": 4}, {"max_depth": 0}, {"max_depth": 3}]
+)
 def test_cut_short_sweep_answers_the_root_record(limits):
-    """However the sweep ends, the upper end is the root's record, and
-    the witness returned with it replays at that height."""
+    """However the sweep ends, even before its first probe when max_depth
+    is below the lower end, the upper end is the root's record, and the
+    witness returned with it replays at that height."""
     d = braid_closure(parse_braid(GAP_WORD))
     ctx = SolveContext()
     res = compute_td(d, ctx=ctx, **limits)
@@ -381,45 +384,16 @@ def test_hard_torus_closures_are_exact(word, depth):
     assert verify_tree(res.witness) == depth
 
 
-def test_switch_child_values_are_derived_and_counted_apart():
-    """derive_switch_poly stores the switch child's own value, only when
-    the child has crossings and no stored value, and counts it in derived;
-    it returns the simplified smoothing exactly when it stored a value.
-    The search stores switch children's values this way."""
-    ctx = SolveContext()
-    cache = ctx.homfly_cache
-    for d in closure_battery():
-        p = ctx.poly_of(d)
-        for i in range(d.crossing_count):
-            sw = simplify(switch(d, i))
-            fresh = not sw.is_crossingless() and canonical_code(sw) not in cache.table
-            derived = cache.derived
-            sm = ctx.derive_switch_poly(d, i, p, sw)
-            assert cache.derived == derived + fresh
-            assert (sm is not None) == fresh
-            if fresh:
-                assert canonical_code(sm) == canonical_code(simplify(smooth(d, i)))
-            # every stored value is counted once, as computed or as derived
-            assert len(cache) == cache.computed + cache.derived
-            if not sw.is_crossingless():
-                assert cache.table[canonical_code(sw)] == homfly(sw, HomflyCache()), (d, i)
-    ctx = SolveContext()
-    for w in SEARCH_WORDS:
-        compute_td(braid_closure(parse_braid(w)), ctx=ctx)
-    assert ctx.homfly_cache.derived > 0
-    assert len(ctx.homfly_cache) == ctx.homfly_cache.computed + ctx.homfly_cache.derived
-
-
 @pytest.mark.parametrize(
-    "link, render, nodes, computed, derived",
+    "link, render, nodes, computed",
     [
-        (FIXTURE_PDS["trefoil"][0], "2", 0, 2, 0),
-        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 1, 9, 2),
-        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6, 0),
-        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 38, 11),
+        (FIXTURE_PDS["trefoil"][0], "2", 0, 2),
+        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 1, 10),
+        ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6),
+        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 58),
     ],
 )
-def test_search_work_is_pinned(link, render, nodes, computed, derived):
+def test_search_work_is_pinned(link, render, nodes, computed):
     """Search nodes and polynomial work of a fresh solve, which tries
     crossings in index order, keeps one record per code and starts each
     record from the HOMFLY-PT expansion's tree: a solve whose expansion
@@ -428,18 +402,17 @@ def test_search_work_is_pinned(link, render, nodes, computed, derived):
     ctx = SolveContext()
     assert compute_td(d, ctx=ctx).render() == render
     cache = ctx.homfly_cache
-    assert (ctx.nodes, cache.computed, cache.derived) == (nodes, computed, derived)
+    assert (ctx.nodes, cache.computed) == (nodes, computed)
 
 
 def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
-    """With every polynomial known, the search builds the smoothing at a
-    crossing only after the switch child there succeeds; a switch child
-    that fails ends its branch with no smoothing built."""
+    """Whether the polynomials are known or not, the search builds the
+    smoothing at a crossing only after the switch child there succeeds;
+    a switch child that fails ends its branch with no smoothing built."""
     d = braid_closure(parse_braid("p=3: 2 2 2 1 -2 1 2"))
     warm = SolveContext()
     assert compute_td(d, ctx=warm).render() == "[3, 4]"
-    cache = warm.homfly_cache
-    known = (cache.computed, cache.derived)
+    known = warm.homfly_cache.computed
 
     events = []  # [kind, (code, crossing), outcome of the switch child]
     real_search = solver._search
@@ -461,14 +434,16 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
     monkeypatch.setattr(solver, "_search", search)
     monkeypatch.setattr(solver, "switch", recorder("switch", switch))
     monkeypatch.setattr(solver, "smooth", recorder("smooth", smooth))
-    ctx = SolveContext(cache)
-    assert depth_at_most(d, 3, ctx=ctx) is False
-    assert (cache.computed, cache.derived) == known and ctx.nodes == 1
-    switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
-    smoothed = [key for kind, key, _ in events if kind == "smooth"]
-    assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
-    # every one of the 7 branches built its smoothing before
-    assert (len(switched), len(smoothed)) == (7, 4)
+    for cache in (warm.homfly_cache, HomflyCache()):
+        events.clear()
+        ctx = SolveContext(cache)
+        assert depth_at_most(d, 3, ctx=ctx) is False
+        assert ctx.nodes == 1
+        switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
+        smoothed = [key for kind, key, _ in events if kind == "smooth"]
+        assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
+        assert (len(switched), len(smoothed)) == (7, 4)
+    assert warm.homfly_cache.computed == known
 
 
 def test_persisted_interval_answers_without_witness():
@@ -546,6 +521,54 @@ def test_every_recorded_tree_replays(tmp_path):
     assert warm.memo == {
         code: (lo, hi, None) for code, (lo, hi, _) in ctx.memo.items() if (lo, hi) != (1, INF)
     }
+
+
+def test_a_polynomial_without_a_tree_came_from_a_cache_file(tmp_path, monkeypatch):
+    """Every polynomial a solve computes comes from the HOMFLY-PT
+    expansion, with its tree.  After a cache file is loaded, a code has
+    no tree only when its value was loaded, or when its expansion met a
+    code with no tree."""
+    links = [braid_closure(parse_braid(w)) for w in SEARCH_WORDS + [GAP_WORD]] + closure_battery()
+    ctx = SolveContext()
+    for d in links:
+        compute_td(d, ctx=ctx)
+    assert set(ctx.homfly_cache.table) == set(ctx.homfly_cache.trees)
+
+    half = SolveContext()
+    for d in links[::2]:
+        compute_td(d, ctx=half)
+    path = str(tmp_path / "cache.tsv")
+    ResultCache(path).save_from(half)
+    warm = SolveContext()
+    ResultCache(path).load_into(warm)
+    cache = warm.homfly_cache
+    loaded = set(cache.table)
+    assert loaded and not cache.trees
+
+    met: dict[str, set[str]] = {}  # code -> codes its expansion met
+    stack: list[str] = []
+    expand = poly._homfly
+
+    def spy(d, cache):
+        if d.is_crossingless():
+            return expand(d, cache)
+        code = canonical_code(d)
+        if stack:
+            met[stack[-1]].add(code)
+        met.setdefault(code, set())
+        stack.append(code)
+        try:
+            return expand(d, cache)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(poly, "_homfly", spy)
+    for d in links:
+        compute_td(d, ctx=warm)
+    treeless = set(cache.table) - set(cache.trees)
+    assert loaded <= treeless and treeless - loaded
+    for code in treeless - loaded:
+        assert met[code] & treeless, code
 
 
 def test_warm_cache_answers_match_cold(tmp_path):
