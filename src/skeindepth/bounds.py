@@ -1,16 +1,32 @@
 """Certified lower and upper estimates for the resolution depth of a link.
 
 Lower bounds read off the polynomial live in one place,
-:func:`polynomial_contributions`: the top z-degree (with a floor of 1
-unless the polynomial is the unlink value) and skein reachability (the
-polynomial is not one that any link of depth <= d with the same
-component count can have, see :func:`skein_reachable`).  The bound
-report lists each of them, and the search in :mod:`.solver` prunes with
-their maximum, :func:`polynomial_lower_bound`.  Genus and component
-count give 2g + r - 1.  Upper bounds come from the simplified crossing
-number minus one and from braid presentations.  ``aggregate_bounds``
-collects every applicable estimate into one report; the search then
-only has to close the gap.
+:func:`polynomial_contributions`, and the bound report lists each of
+them; the search in :mod:`.solver` prunes with their maximum,
+:func:`polynomial_lower_bound`.  With d the z-degree of P:
+
+* homfly z-degree: max(d, 1), or 0 when P is the unlink value.  A tree
+  of height h gives P a z-degree of at most h, since each skein step
+  raises it by at most one and an unlink leaf has z-degree <= 0.
+* leading coefficient: d when ``[z^d]P`` is the single term
+  ``(-1)^((d - m)/2) a^m`` with |m| <= d (so m = d mod 2), d + 1 for any
+  other coefficient, and 0 when d < 0.  In a tree of height <= h the
+  switch child of the root has height <= h - 1 and so adds nothing to
+  ``[z^h]P``; the smoothing child adds ``a z`` (positive crossing) or
+  ``-a^-1 z`` (negative) times its own ``[z^(h-1)]``, and so on down to
+  a leaf, which leaves 1 (the unknot at h = 0) or 0.  So ``[z^h]P`` of a
+  link of depth <= h is 0 or that signed monomial, and a link of depth
+  exactly d has the monomial on top.  This is the leading-term
+  bookkeeping of Morton, "Seifert circles and knot polynomials" (1986),
+  which also gives the z-degree bound.
+* skein reachability: the polynomial is not one that any link of depth
+  <= d with the same component count can have, see
+  :func:`skein_reachable`.
+
+Genus and component count give 2g + r - 1.  Upper bounds come from the
+simplified crossing number minus one and from braid presentations.
+``aggregate_bounds`` collects every applicable estimate into one
+report; the search then only has to close the gap.
 """
 
 from __future__ import annotations
@@ -61,7 +77,8 @@ def homfly_lower_bound(d: OrientedDiagram, cache: HomflyCache | None = None) -> 
     s = simplify(d)
     if s.is_crossingless():
         raise ValueError("diagram simplifies to an unlink; lower bound floor does not apply")
-    return _z_degree_bound(homfly(s, cache), component_count(s))
+    p = homfly(s, cache)
+    return _z_degree_bound(p, p.z_degree(), component_count(s))
 
 
 @functools.cache
@@ -107,18 +124,33 @@ def skein_reach_lower_bound(p: LaurentPoly2, components: int) -> int:
     return REACH_DEPTH + 1
 
 
-def _z_degree_bound(p: LaurentPoly2, components: int) -> int:
+def _z_degree_bound(p: LaurentPoly2, degree: int, components: int) -> int:
     # the floor of 1 needs a nontriviality certificate, which the
     # polynomial itself supplies unless it matches the unlink value
-    floor = 1 if p != unlink_value(components) else 0
-    return max(p.z_degree(), floor)
+    if degree >= 1:
+        return degree
+    return 0 if p == unlink_value(components) else 1
+
+
+def _leading_coefficient_bound(degree: int, top: dict[int, int]) -> int:
+    """The leading-coefficient bound of a polynomial with z-degree degree
+    and coefficient top of z^degree, as {a exponent: coefficient}."""
+    if degree < 0:
+        return 0
+    if len(top) == 1:
+        ((m, c),) = top.items()
+        if abs(m) <= degree and (degree - m) % 2 == 0 and c == (-1) ** ((degree - m) // 2):
+            return degree
+    return degree + 1
 
 
 def polynomial_contributions(p: LaurentPoly2, components: int) -> tuple[tuple[str, int], ...]:
     """Named lower bounds on the depth of a link with polynomial p and
     that many components, in the order the bound report lists them."""
+    degree, top = p.z_top()
     return (
-        ("homfly z-degree", _z_degree_bound(p, components)),
+        ("homfly z-degree", _z_degree_bound(p, degree, components)),
+        ("leading coefficient", _leading_coefficient_bound(degree, top)),
         ("skein reachability", skein_reach_lower_bound(p, components)),
     )
 

@@ -173,9 +173,24 @@ class LaurentPoly2:
         The zero polynomial has no terms; callers must check is_zero()
         first (we raise to avoid silently inventing a degree).
         """
+        return self.z_top()[0]
+
+    def z_top(self) -> tuple[int, dict[int, int]]:
+        """The z-degree and the coefficient of z to that power, as
+        {a_exp: coeff}, from one pass over the terms.
+
+        Raises ValueError on the zero polynomial, as z_degree does.
+        """
         if not self._terms:
             raise ValueError("z_degree of the zero polynomial is undefined")
-        return max(z for (_, z) in self._terms)
+        degree = None
+        top: dict[int, int] = {}
+        for (ae, ze), c in self._terms.items():
+            if degree is None or ze > degree:
+                degree, top = ze, {ae: c}
+            elif ze == degree:
+                top[ae] = c
+        return degree, top
 
     def mirror(self) -> "LaurentPoly2":
         """The substitution a -> 1/a, z -> -z.
@@ -307,14 +322,26 @@ class HomflyCache:
     lookups that found a value.  trees holds, per code the expansion
     resolved down to its leaves, the height of that resolution and its
     tree.  A code in table with no tree has a value loaded from a cache
-    file, or one whose expansion met such a value.
+    file, or one whose expansion met such a value.  codes holds the
+    canonical code of each labeled diagram met, for :meth:`code_of`.
     """
 
     def __init__(self):
         self.table: dict[str, LaurentPoly2] = {}
         self.trees: dict[str, tuple[int, SkeinTree]] = {}
+        self.codes: dict[tuple[tuple, int], str] = {}
         self.hits = 0
         self.computed = 0
+
+    def code_of(self, d: OrientedDiagram) -> str:
+        """canonical_code(d), computed once per labeled diagram: distinct
+        objects with the same crossings and free loops share one
+        computation.  The code is a function of exactly these two."""
+        key = (d.crossings, d.free_loops)
+        code = self.codes.get(key)
+        if code is None:
+            code = self.codes[key] = canonical_code(d)
+        return code
 
     def get(self, key: str) -> LaurentPoly2 | None:
         value = self.table.get(key)
@@ -365,7 +392,7 @@ def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2
 def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
     if d.is_crossingless():
         return unlink_value(d.free_loops)
-    key = canonical_code(d)
+    key = cache.code_of(d)
     got = cache.get(key)
     if got is not None:
         return got
@@ -394,7 +421,7 @@ def _expansion_tree(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinT
     None when its value was loaded from a cache file."""
     if d.is_crossingless():
         return 0, SkeinLeaf(d, d.free_loops)
-    return cache.trees.get(canonical_code(d))
+    return cache.trees.get(cache.code_of(d))
 
 
 def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, int]:

@@ -36,7 +36,11 @@ tree.  Each write merges with the record as it stands, so a deeper
 visit of the same code (switching a crossing twice gives the node back)
 is never undone.  The k-sweep and sibling subtrees share these records,
 the recognizer verdicts and the polynomials.  The search tries a node's
-crossings in index order.
+crossings in index order.  It and the expansion take codes from
+:meth:`.poly.HomflyCache.code_of`, which codes each labeled diagram once
+per context; :func:`verify_tree` codes with the bare
+:func:`.diagram.canonical_code`, so a replay rests on nothing the solve
+stored.
 
 A call without ``ctx`` solves in a fresh context of its own; calls share
 work only through a context passed to each of them.  :class:`ResultCache`
@@ -130,7 +134,7 @@ def _proof(ctx: SolveContext, d: OrientedDiagram) -> tuple[int, Optional[SkeinTr
     leaf for an unlink, else d's record (its tree may be None)."""
     if d.is_crossingless():
         return 0, SkeinLeaf(d, component_count(d))
-    code = canonical_code(d)
+    code = ctx.homfly_cache.code_of(d)
     v = ctx.verdicts.get(code)
     if v is not None and v.is_unlink:
         return 0, SkeinLeaf(d, v.components)
@@ -147,7 +151,7 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     """
     if d.is_crossingless():
         return True
-    code = canonical_code(d)
+    code = ctx.homfly_cache.code_of(d)
     v = ctx.verdict_of(code, d)
     if v.is_unlink:
         return True
@@ -338,12 +342,12 @@ def compute_td(
         ctx.deadline = time.monotonic() + timeout_secs
     try:
         work = simplify(d)
-        if work.is_crossingless() or ctx.verdict_of(canonical_code(work), work).is_unlink:
+        if work.is_crossingless() or ctx.verdict_of(ctx.homfly_cache.code_of(work), work).is_unlink:
             return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
 
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
-        root = canonical_code(work)
+        root = ctx.homfly_cache.code_of(work)
         # the expansion's tree holds even when max_depth stops the sweep
         # before its first probe
         _merge_expansion(ctx, root)

@@ -69,11 +69,37 @@ ORACLE_WORDS = [
 
 # closures whose HOMFLY-PT expansion is taller than their resolution
 # trees, so that solving them needs the depth search: depth 2 (expansion
-# height 6), the interval [4, 5] (height 5, the lower end 4), and depth 3
-# (height 8)
+# height 6), depth 5 (height 5; the z-degree gives 4 and the leading
+# coefficient 5), and depth 3 (height 8)
 DEPTH2_WORD = "p=3: -2 -2 1 2 1 -2 1 -2"
 GAP_WORD = "p=3: 1 1 2 2 2 -1 2 1"
 SEARCH_WORDS = [DEPTH2_WORD, GAP_WORD, "p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3"]
+
+# a closure whose answer stays open: the leading coefficient gives 6,
+# the expansion's tree has height 9, and a search of 6 nodes finds a
+# tree of height 7 and refutes 6 for this diagram, so [6, 7]
+INTERVAL_WORD = "p=4: 2 2 3 3 3 2 1 -3 2 3 -2 3 -1 1"
+
+INF = 10**9
+
+
+def brute_min_height(d, cap):
+    """Minimum height over every resolution tree with crossingless
+    leaves — no memo, no pruning, no recognizer.  The independent oracle
+    for diagram_upper and for the lower bounds on small inputs."""
+    d = simplify(d)
+    if d.is_crossingless():
+        return 0
+    if cap == 0:
+        return INF
+    best = INF
+    for i in range(d.crossing_count):
+        a = brute_min_height(switch(d, i), cap - 1)
+        if a >= INF:
+            continue
+        b = brute_min_height(smooth(d, i), cap - 1)
+        best = min(best, 1 + max(a, b))
+    return best
 
 
 def closure_battery():

@@ -37,8 +37,7 @@ from skeindepth import (
 )
 from skeindepth.poly import DELTA, HomflyCache, ONE, monomial
 
-from conftest import CROSSED, FIXTURE_PDS
-from test_solver import brute_min_height
+from conftest import CROSSED, FIXTURE_PDS, brute_min_height
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)

@@ -5,7 +5,9 @@ import pytest
 from skeindepth import (
     HomflyCache,
     aggregate_bounds,
+    braid_closure,
     component_count,
+    disjoint_union,
     genus_lower_bound,
     homfly,
     homfly_lower_bound,
@@ -20,10 +22,10 @@ from skeindepth import (
     switch,
     unlink_value,
 )
+from skeindepth.bounds import polynomial_contributions
 from skeindepth.poly import ONE
 
-from conftest import CROSSED, FIXTURE_PDS
-from test_solver import INF, brute_min_height
+from conftest import CROSSED, FIXTURE_PDS, GAP_WORD, INF, ORACLE_WORDS, brute_min_height
 
 # (fixture, genus) for the knowledge-assisted rows
 GENERA = {
@@ -124,14 +126,77 @@ def test_skein_reach_bound_is_sound_on_small_diagrams():
             assert polynomial_lower_bound(p, r) <= height, name
 
 
+def _closure(word):
+    return simplify(braid_closure(parse_braid(word)))
+
+
+def test_leading_coefficient_bound_is_sound():
+    """No resolution tree down to crossingless leaves is shorter than the
+    leading-coefficient bound, or than the largest polynomial bound, on
+    every fixture with at most 4 crossings, every ORACLE_WORDS closure,
+    each of their simplified switch and smoothing children, and the
+    mirrors of all of these."""
+    cache = HomflyCache()
+    roots = [simplify(parse_pd(text)) for text, _ in FIXTURE_PDS.values()]
+    roots = [d for d in roots if d.crossing_count <= 4] + [_closure(w) for w in ORACLE_WORDS]
+    battery = []
+    for d in roots:
+        battery.append(d)
+        for i in range(d.crossing_count):
+            battery += [simplify(switch(d, i)), simplify(smooth(d, i))]
+    battery += [mirror(d) for d in battery]
+    raised = 0
+    for d in battery:
+        if d.is_crossingless():
+            continue
+        p, r = homfly(d, cache), component_count(d)
+        contributions = dict(polynomial_contributions(p, r))
+        lead, best = contributions["leading coefficient"], polynomial_lower_bound(p, r)
+        assert lead <= best, d
+        # brute_min_height(d, best - 1) is INF exactly when no tree of
+        # height below best exists
+        assert best == 0 or brute_min_height(d, best - 1) >= INF, d
+        raised += lead > contributions["homfly z-degree"]
+    assert len(battery) > 150 and raised >= 6
+
+
+def test_leading_coefficient_values():
+    """The top coefficient of P at its z-degree d proves d only when it is
+    the one signed monomial (-1)^((d - m)/2) a^m with |m| <= d."""
+    tref = braid_closure(parse_braid("p=2: 1 1 1"))
+    links = [
+        # two terms: a^6 + a^4 at z^4
+        (_closure(GAP_WORD), 4, {6: 1, 4: 1}, 5),
+        # two terms: a^3 - a^5 at z^3
+        (simplify(disjoint_union(tref, tref)), 3, {3: 1, 5: -1}, 4),
+        # the wrong sign: -a^-4 at z^4, where (-1)^((4 + 4)/2) = 1
+        (_closure("p=3: -1 -1 -2 1 -2 -1 -2 2 2 -1"), 4, {-4: -1}, 5),
+        # the right sign, but |m| = 4 > 2: -a^4 at z^2
+        (_closure("p=4: -2 2 -1 3 -1 3 2 1 -3 1 2"), 2, {4: -1}, 3),
+        # the trefoil's a^2 at z^2 is the signed monomial
+        (simplify(tref), 2, {2: 1}, 2),
+        # and so is the figure eight's -1 at z^2
+        (simplify(parse_pd(FIXTURE_PDS["fig8"][0])), 2, {0: -1}, 2),
+    ]
+    for d, degree, top, want in links:
+        p = homfly(d)
+        assert p.z_top() == (degree, top), d
+        for e, q in ((d, p), (mirror(d), p.mirror())):
+            assert dict(polynomial_contributions(q, component_count(e)))["leading coefficient"] == want
+    # unlinks: the unknot's 1 is the signed monomial at z^0, and r > 1
+    # components give the z-degree 1 - r < 0
+    for r in (1, 2, 3):
+        assert dict(polynomial_contributions(unlink_value(r), r))["leading coefficient"] == 0
+
+
 def test_skein_reach_bound_closes_table_gaps():
-    # the z-degree stops one short on these rows; the reachability
-    # contribution alone sets the lower end
+    # with a free loop beside them, the z-degree and the leading
+    # coefficient stop short on these rows (at 1, and at 1 and 2); the
+    # reachability contribution alone sets the lower end.  No genus is
+    # claimed: 2g + r - 1 would also reach it
     cache = HomflyCache()
     for name, want in {"L4a1{0}": 2, "K5a1": 3}.items():
-        rep = aggregate_bounds(
-            parse_pd(FIXTURE_PDS[name][0]), genus=GENERA[name], cache=cache
-        )
+        rep = aggregate_bounds(parse_pd(FIXTURE_PDS[name][0] + ";O"), cache=cache)
         lowers = {n: v for n, v, k in rep.contributions if k == "lower"}
         assert rep.lower == lowers["skein reachability"] == want, name
         assert all(v < want for n, v in lowers.items() if n != "skein reachability")

@@ -24,7 +24,7 @@ from skeindepth.cli import (
     parse_dataset_row,
 )
 
-from conftest import DEPTH2_WORD, FIXTURE_PDS, GAP_WORD
+from conftest import DEPTH2_WORD, FIXTURE_PDS, INTERVAL_WORD
 
 TREFOIL = FIXTURE_PDS["trefoil"][0]
 
@@ -143,13 +143,13 @@ def test_td_verb_and_budget_exit(tmp_path, capsys):
     f.write_text(TREFOIL + "\n")
     assert main(["td", str(f)]) == 0
     assert capsys.readouterr().out == "2\t2\t2\n"
-    # its HOMFLY-PT expansion has height 5, so depth 4 is searched for
+    # its HOMFLY-PT expansion has height 9, so depth 6 is searched for
     g = tmp_path / "gap.pd"
-    g.write_text(pd_text(braid_closure(parse_braid(GAP_WORD))) + "\n")
+    g.write_text(pd_text(braid_closure(parse_braid(INTERVAL_WORD))) + "\n")
     assert main(["td", str(g), "--budget", "2"]) == 2
     out = capsys.readouterr().out
     # interval printed despite exhaustion; the expansion's tree sets hi
-    assert out == "4\t5\t[4, 5]\n"
+    assert out == "6\t9\t[6, 9]\n"
 
 
 @pytest.mark.parametrize(
@@ -166,7 +166,7 @@ def test_td_verb_and_budget_exit(tmp_path, capsys):
     ],
 )
 def test_negative_limits_are_input_errors(tmp_path, capsys, verb, flag, value):
-    # the closure of p=3: 1 1 2 2 2 -1 2 1 is [4, 5]; --max-depth -3 once
+    # on the closure of p=3: 1 1 2 2 2 -1 2 1, --max-depth -3 once
     # printed [4, 7] and exited 0
     f = tmp_path / "in.pd"
     f.write_text(pd_text(braid_closure(parse_braid("p=3: 1 1 2 2 2 -1 2 1"))) + "\n")

@@ -5,6 +5,8 @@ defining relation, completely independently of the traversal the
 implementation uses.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,11 @@ from skeindepth import (
     switch,
     unlink_value,
 )
-from skeindepth.diagram import first_defect
+from skeindepth import poly
+from skeindepth.diagram import OrientedDiagram, first_defect
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
-from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ
+from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, scrambled
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -88,6 +91,14 @@ def test_z_degree():
     assert DELTA.z_degree() == -1
     with pytest.raises(ValueError):
         ZERO.z_degree()
+
+
+def test_z_top():
+    assert (Z * Z + A).z_top() == (2, {0: 1})
+    assert (A * Z * Z - Ainv * Z * Z * 3 + Z).z_top() == (2, {1: 1, -1: -3})
+    assert DELTA.z_top() == (-1, {-1: 1, 1: -1})
+    with pytest.raises(ValueError):
+        ZERO.z_top()
 
 
 # -- hand-derived oracle values --------------------------------------------------
@@ -246,6 +257,33 @@ def test_cache_counters():
     homfly(d, cache)
     assert cache.computed == computed  # pure cache hit second time
     assert cache.hits > 0
+
+
+def test_code_of_codes_each_labeled_diagram_once(monkeypatch):
+    """Distinct objects with the same crossings and free loops cost one
+    canonical_code call between them, and code_of agrees with
+    canonical_code on every diagram, relabeled or not."""
+    calls = []
+    real = poly.canonical_code
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(poly, "canonical_code", counted)
+    d = parse_pd(FIXTURE_PDS["fig8"][0])
+    twin = OrientedDiagram(d.crossings, d.free_loops)
+    cache = HomflyCache()
+    assert twin is not d and cache.code_of(d) == cache.code_of(twin)
+    assert calls == [d]
+    monkeypatch.undo()
+
+    rng = random.Random(17)
+    cache = HomflyCache()
+    for d in closure_battery():
+        want = canonical_code(OrientedDiagram(d.crossings, d.free_loops))
+        for e in (d, OrientedDiagram(d.crossings, d.free_loops), scrambled(d, rng), scrambled(d, rng)):
+            assert cache.code_of(e) == want, d
 
 
 # -- the expansion's trees -----------------------------------------------------

@@ -35,33 +35,14 @@ from conftest import (
     DEPTH2_WORD,
     FIXTURE_PDS,
     GAP_WORD,
+    INF,
+    INTERVAL_WORD,
     ORACLE_WORDS,
     SEARCH_WORDS,
     UNKNOT_7_PD,
+    brute_min_height,
     closure_battery,
 )
-
-INF = 10**9
-
-
-def brute_min_height(d, cap):
-    """Minimum height over every resolution tree with crossingless
-    leaves — no memo, no pruning, no recognizer.  The independent oracle
-    for diagram_upper on small inputs."""
-    d = simplify(d)
-    if d.is_crossingless():
-        return 0
-    if cap == 0:
-        return INF
-    best = INF
-    for i in range(d.crossing_count):
-        a = brute_min_height(switch(d, i), cap - 1)
-        if a >= INF:
-            continue
-        b = brute_min_height(smooth(d, i), cap - 1)
-        best = min(best, 1 + max(a, b))
-    return best
-
 
 def test_depth_ladder_hopf():
     ctx = SolveContext()
@@ -191,11 +172,16 @@ def test_expansion_trees_are_upper_ends():
         if d.crossing_count <= 4:
             assert height >= brute_min_height(d, d.crossing_count)
     tref = braid_closure(parse_braid("p=2: 1 1 1"))
-    for d in (disjoint_union(tref, tref), disjoint_union(parse_pd(FIXTURE_PDS["hopf+"][0]), tref)):
+    # the top coefficients a^3 - a^5 and a^2 - a^4 are not one signed
+    # monomial, so the lower bound is one above the z-degree
+    for d, lower in (
+        (disjoint_union(tref, tref), 4),
+        (disjoint_union(parse_pd(FIXTURE_PDS["hopf+"][0]), tref), 3),
+    ):
         d = simplify(d)
         p = homfly(d, cache)
         height, tree = cache.trees[canonical_code(d)]
-        assert verify_tree(tree) == height >= polynomial_lower_bound(p, component_count(d)) == 3
+        assert verify_tree(tree) == height >= polynomial_lower_bound(p, component_count(d)) == lower
 
 
 def test_compute_td_trivial_cases():
@@ -234,14 +220,14 @@ def test_compute_td_exact_rows():
 
 
 def test_compute_td_interval_rows():
-    # the bounds stop at 4 (z-degree) and the search refutes height 4
-    # for this diagram, which says nothing about the link's other
-    # diagrams; the result must stay an honest interval with a verified
-    # witness upper
+    # the bounds stop at 6 (leading coefficient) and the search refutes
+    # height 6 for this diagram, which says nothing about the link's
+    # other diagrams; the result must stay an honest interval with a
+    # verified witness upper
     from skeindepth import braid_closure
 
-    w = parse_braid("p=3: 1 1 2 2 2 -1 2 1")
-    lo, hi = 4, 5
+    w = parse_braid(INTERVAL_WORD)
+    lo, hi = 6, 7
     res = compute_td(braid_closure(w), braid_words=[w], ctx=SolveContext())
     assert not res.is_exact
     assert not res.budget_exhausted
@@ -268,13 +254,15 @@ def test_compute_td_brute_oracle_small():
 
 
 @pytest.mark.parametrize(
-    "left, right, wrong",
+    "left, right, wrong, lower",
     [
-        ("p=2: 1 1 1", "p=2: 1 1 1", "2"),  # trefoil and trefoil
-        ("p=2: 1 1", "p=2: 1 1 1", "0"),  # Hopf link and trefoil
+        # trefoil and trefoil; the top coefficient a^3 - a^5 proves 4
+        pytest.param("p=2: 1 1 1", "p=2: 1 1 1", "2", 4, id="p=2: 1 1 1-p=2: 1 1 1-2"),
+        # Hopf link and trefoil
+        pytest.param("p=2: 1 1", "p=2: 1 1 1", "0", 3, id="p=2: 1 1-p=2: 1 1 1-0"),
     ],
 )
-def test_split_links_keep_their_crossings(left, right, wrong):
+def test_split_links_keep_their_crossings(left, right, wrong, lower):
     """Simplifying a split diagram must not untwist one part against
     another; doing so once answered `wrong` for these links."""
     d = disjoint_union(braid_closure(parse_braid(left)), braid_closure(parse_braid(right)))
@@ -282,7 +270,7 @@ def test_split_links_keep_their_crossings(left, right, wrong):
     assert homfly(simplify(d)) == p
     res = compute_td(d, ctx=SolveContext())
     assert res.render() != wrong
-    assert res.link_lower >= polynomial_lower_bound(p, component_count(d)) == 3
+    assert res.link_lower >= polynomial_lower_bound(p, component_count(d)) == lower
     assert verify_tree(res.witness) == res.diagram_upper
 
 
@@ -296,29 +284,30 @@ def test_formula_path_survives_starved_budget():
 
 
 def test_starved_budget_flags_interval():
-    # [4, 5] with budget; the HOMFLY-PT expansion's tree has height 5
-    res = compute_td(braid_closure(parse_braid(GAP_WORD)), budget=2, ctx=SolveContext())
+    # [6, 7] with budget; the HOMFLY-PT expansion's tree has height 9
+    res = compute_td(braid_closure(parse_braid(INTERVAL_WORD)), budget=2, ctx=SolveContext())
     assert not res.is_exact
     assert res.budget_exhausted
     # exhaustion widens, never falsifies: the honest answer fits inside
-    assert res.link_lower <= 4 and 5 <= res.diagram_upper
+    assert res.link_lower <= 6 and 7 <= res.diagram_upper
 
 
 @pytest.mark.parametrize(
-    "limits", [{"budget": 2}, {"max_depth": 4}, {"max_depth": 0}, {"max_depth": 3}]
+    "limits", [{"budget": 2}, {"max_depth": 6}, {"max_depth": 0}, {"max_depth": 5}]
 )
 def test_cut_short_sweep_answers_the_root_record(limits):
     """However the sweep ends, even before its first probe when max_depth
     is below the lower end, the upper end is the root's record, and the
-    witness returned with it replays at that height."""
-    d = braid_closure(parse_braid(GAP_WORD))
+    witness returned with it replays at that height: here the HOMFLY-PT
+    expansion's tree, of height 9."""
+    d = braid_closure(parse_braid(INTERVAL_WORD))
     ctx = SolveContext()
     res = compute_td(d, ctx=ctx, **limits)
     lo, hi, tree = ctx.memo[canonical_code(simplify(d))]
-    assert (res.link_lower, res.diagram_upper) == (4, 5) == (4, hi)
+    assert (res.link_lower, res.diagram_upper) == (6, 9) == (6, hi)
     assert res.witness is tree
     assert verify_tree(res.witness) == res.diagram_upper
-    assert res.bounds.upper == 7  # the bound report alone says [4, 7]
+    assert res.bounds.upper == 10  # the bound report alone says [6, 10]
 
 
 def test_max_depth_caps_search_not_claim():
@@ -330,7 +319,7 @@ def test_max_depth_caps_search_not_claim():
 
 def test_timeout_produces_interval():
     res = compute_td(
-        braid_closure(parse_braid(GAP_WORD)), timeout_secs=0.0, ctx=SolveContext()
+        braid_closure(parse_braid(INTERVAL_WORD)), timeout_secs=0.0, ctx=SolveContext()
     )
     assert res.budget_exhausted and not res.is_exact
 
@@ -384,11 +373,24 @@ def test_hard_torus_closures_are_exact(word, depth):
     assert verify_tree(res.witness) == depth
 
 
+def test_leading_coefficient_closes_a_gap_without_search():
+    """The top coefficient of this closure's polynomial proves 10, which
+    its HOMFLY-PT expansion's tree meets: no search node is spent on the
+    depth 9 that the z-degree alone leaves open."""
+    d = braid_closure(parse_braid("p=4: -3 2 2 2 3 1 -2 1 2 3 2 3 2 3 2 3"))
+    ctx = SolveContext()
+    res = compute_td(d, ctx=ctx)
+    assert res.status == "Exact(10)" and ctx.nodes == 0
+    assert verify_tree(res.witness) == 10
+
+
 @pytest.mark.parametrize(
     "link, render, nodes, computed",
     [
         (FIXTURE_PDS["trefoil"][0], "2", 0, 2),
-        ("p=3: 2 2 2 1 -2 1 2", "[3, 4]", 1, 10),
+        # the top coefficient a^5 + a^3 proves 4, the expansion's height
+        ("p=3: 2 2 2 1 -2 1 2", "4", 0, 4),
+        ("p=4: -2 2 -1 3 -1 3 2 1 -3 1 2", "[3, 4]", 1, 15),
         ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6),
         ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 58),
     ],
@@ -409,7 +411,7 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
     """Whether the polynomials are known or not, the search builds the
     smoothing at a crossing only after the switch child there succeeds;
     a switch child that fails ends its branch with no smoothing built."""
-    d = braid_closure(parse_braid("p=3: 2 2 2 1 -2 1 2"))
+    d = braid_closure(parse_braid("p=4: -2 3 -3 1 -1 -1 -1 -2 1 1 1"))
     warm = SolveContext()
     assert compute_td(d, ctx=warm).render() == "[3, 4]"
     known = warm.homfly_cache.computed
@@ -442,7 +444,7 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
         switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
         smoothed = [key for kind, key, _ in events if kind == "smooth"]
         assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
-        assert (len(switched), len(smoothed)) == (7, 4)
+        assert (len(switched), len(smoothed)) == (7, 3)
     assert warm.homfly_cache.computed == known
 
 
