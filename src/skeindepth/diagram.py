@@ -24,14 +24,18 @@ the crossing-removing moves behind :func:`simplify` (kink removal,
 lifting a strand poked under or over another, untwisting a crossing
 whose oriented smoothing disconnects its part) are defined here, so the
 polynomial, the rewrite and the search modules all build on this one
-without importing each other.  :func:`first_defect` finds the first
-crossing a diagram's walk meets on its under-strand; a diagram without
-one is descending, a diagram of the unlink, which both the polynomial
-expansion and the unlink recognizer rely on.  Each move's finder is a
-single linear pass; the nugatory test takes as candidates the crossings
-that some face meets at two corners, which are the cut crossings of the
-crossing graph and the kink crossings.  A diagram that simplify returned is
-marked as such, and so is its switch at a crossing, which simplify then
+without importing each other.  :func:`defects` lists, in walk order,
+the crossings a diagram's walk first meets on their under-strand, and
+:func:`first_defect` is the first of them; a diagram without one is
+descending, a diagram of the unlink, which both the polynomial
+expansion and the unlink recognizer rely on.  :func:`switch_sheds`
+tells, in O(1) per crossing, whether simplify sheds crossings from a
+simplified diagram's switch there, which is how the expansion picks
+the defect it resolves.  Each move's finder is a single linear pass;
+the nugatory test takes as candidates the crossings that some face
+meets at two corners, which are the cut crossings of the crossing graph
+and the kink crossings.  A diagram that simplify returned is marked as
+such, and so is its switch at a crossing, which simplify then
 checks for a poke pair through that crossing alone.  The arc-incidence
 helpers (each arc's two places, where each arc arrives, the connected
 groups of crossings, a union-find over arcs) are defined here once; the
@@ -45,17 +49,19 @@ reordering its crossings; the solver, the polynomial cache and the
 unlink recognizer all key their tables on it.  It labels each connected
 part by traversal from a start arc and keeps the smallest relabeling.
 One pass over the part gives every start's first relabeled crossing,
-and only the starts whose first crossing is smallest are labeled in
-full, at O(c log c) each for a part with c crossings; these are few
-except on diagrams with symmetries.  The code is computed once per
-diagram object and stored on it.
+and only the starts whose first crossing is smallest can give the
+code.  Two of those that relabel the part alike give a symmetry of the
+part, so only one start in each symmetry class is labeled in full, at
+O(c log c) for a part with c crossings: a torus closure, with one tied
+start per turn of its braid, is labeled twice.  The code is computed
+once per diagram object and stored on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class Crossing(NamedTuple):
@@ -304,27 +310,66 @@ def writhe(d: OrientedDiagram) -> int:
     return sum(cr.sign for cr in d.crossings)
 
 
-def first_defect(d: OrientedDiagram) -> int | None:
-    """The first crossing met on its under-strand, or None: d is descending.
+def defects(d: OrientedDiagram) -> list[int]:
+    """The crossings first met on their under-strand, in walk order.
 
     The walk takes the components in order of their smallest arc, each
     from that arc (component_cycles), and a crossing counts when it is
     first met.  With no defect every component passes over each later
     one and over itself where it first meets itself, so d is a diagram
-    of the unlink.  Switching the first defect keeps the arcs, hence the
-    walk, and moves the first defect strictly later.
+    of the unlink.  Switching a defect keeps the arcs, hence the walk:
+    that crossing is then first met on its over-strand, every other
+    crossing keeps its status, and the defects drop by one.
     """
     heads = _heads(d)
     visited: set[int] = set()
+    found: list[int] = []
     for cycle in component_cycles(d):
         for arc in cycle:
             ci, slot = heads[arc]
             if ci in visited:
                 continue
             if slot == _UNDER_IN:
-                return ci
+                found.append(ci)
             visited.add(ci)
-    return None
+    return found
+
+
+def first_defect(d: OrientedDiagram) -> int | None:
+    """The first of :func:`defects`, or None: d is descending."""
+    found = defects(d)
+    return found[0] if found else None
+
+
+def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:
+    """A test, O(1) per crossing j, of whether the switch of d at j has a
+    poke pair through j; the over-strand maps it reads are built once.
+
+    On a diagram simplify returned this is exactly whether simplify
+    sheds crossings from that switch: no other move can fire there
+    (see :func:`simplify`).  The switch at j runs over along j's old
+    under-strand a -> c and under along its old over-strand.  So a
+    crossing k whose over-strand arrives by c pokes with it when k's
+    under-strand leaves by j's old over-in or arrives by its old
+    over-out; a crossing whose over-strand leaves by a pokes with it
+    when its under-strand leaves by the old over-in or arrives by the
+    old over-out.
+    """
+    crossings = d.crossings
+    by_over_in = {cr.over_in(): k for k, cr in enumerate(crossings)}
+    by_over_out = {cr.over_out(): k for k, cr in enumerate(crossings)}
+
+    def sheds(j: int) -> bool:
+        cj = crossings[j]
+        over_in, over_out = cj.over_in(), cj.over_out()
+        for k in (by_over_in.get(cj.c), by_over_out.get(cj.a)):
+            if k is not None and k != j:
+                ck = crossings[k]
+                if ck.c == over_in or ck.a == over_out:
+                    return True
+        return False
+
+    return sheds
 
 
 def validate(d: OrientedDiagram) -> None:
@@ -425,8 +470,18 @@ def _part_code(crossings: list[Crossing]) -> str:
     labeled by its distance from the start along it.  Otherwise the
     traversal, done with the start's component of length n, opens the
     next one at b: L(b) = n + 1, and d is labeled by its distance from
-    b.  Only the starts whose first tuple is the smallest are labeled in
-    full.
+    b.  Only the starts whose first tuple is the smallest, the tied
+    starts, can give the code.
+
+    Two starts whose candidates are equal, s first and t, give the map
+    psi = L_s^-1 . L_t, taking t to s.  It maps each crossing's arcs to a
+    crossing's arcs, in slot order and with its sign, so it is an
+    automorphism of the part: it keeps succ and head, and hence every
+    traversal, so a start and its image under psi have equal candidates.
+    The automorphisms found so far, restricted to the tied starts, close
+    the labeled starts into orbits, and a tied start in one of them is
+    not labeled: its candidate is already known.  The automorphisms stay
+    automorphisms whichever candidate turns out smallest.
     """
     succ: dict[int, int] = {}
     head: dict[int, Crossing] = {}
@@ -464,14 +519,31 @@ def _part_code(crossings: list[Crossing]) -> str:
         keys.append(((1, lb, (place[c][1] - p) % n + 1, ld, sign), a))
     first = min(keys)[0]
     starts = [a for key, a in keys if key == first]
-    best = min(
-        sorted(
-            (label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign)
-            for cr in crossings
+    labelings: dict[tuple, dict[int, int]] = {}  # candidate -> a labeling giving it
+    automorphisms: list[dict[int, int]] = []  # on the tied starts
+    known: set[int] = set()  # the orbits of the labeled starts
+    for start in starts:
+        if start in known:
+            continue
+        label = _traversal_labels(start, succ, head)
+        candidate = tuple(
+            sorted((label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign) for cr in crossings)
         )
-        for label in (_traversal_labels(start, succ, head) for start in starts)
-    )
-    return ";".join("%d,%d,%d,%d,%d" % t for t in best)
+        known.add(start)
+        grow = [start]  # close start's orbit, or every orbit under a new psi
+        other = labelings.setdefault(candidate, label)
+        if other is not label:
+            arc_of = {lab: x for x, lab in other.items()}
+            automorphisms.append({x: arc_of[label[x]] for x in starts})
+            grow = list(known)
+        while grow:
+            x = grow.pop()
+            for psi in automorphisms:
+                y = psi[x]
+                if y not in known:
+                    known.add(y)
+                    grow.append(y)
+    return ";".join("%d,%d,%d,%d,%d" % t for t in min(labelings))
 
 
 def _traversal_labels(start: int, succ: dict[int, int], head: dict[int, Crossing]) -> dict[int, int]:

@@ -15,11 +15,14 @@ exponent-shifted term dicts, with no polynomials in between.
 :func:`unlink_value` is the binomial expansion of ``DELTA ** (r - 1)``.
 
 :func:`homfly` computes the HOMFLY-PT polynomial by a skein expansion
-that resolves each diagram at its first defect crossing, split or not,
-into simplified children, down to descending diagrams.  That expansion
-is a skein resolution tree, and :class:`HomflyCache` keeps it, with its
-height, for each code it expands.  A value has one of two sources: the
-expansion, which records its tree, or a cache file, which records none.
+that resolves each diagram, split or not, at a defect crossing into
+simplified children, down to descending diagrams.  The defect is the
+first, in walk order, whose simplified switch sheds crossings, or the
+first defect when none does, so the switch child is smaller where it
+can be.  That expansion is a skein resolution tree, and
+:class:`HomflyCache` keeps it, with its height, for each code it
+expands.  A value has one of two sources: the expansion, which records
+its tree, or a cache file, which records none.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .diagram import (
     OrientedDiagram,
     canonical_code,
     component_count,
-    first_defect,
+    defects,
     simplify,
     smooth,
     switch,
+    switch_sheds,
 )
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
@@ -292,21 +296,24 @@ def parse_poly(text: str) -> LaurentPoly2:
 
 # -- the skein invariant -------------------------------------------------------
 #
-# Computed by repairing descending order: resolve the diagram at its
-# first defect (diagram.first_defect), the first crossing its walk
-# enters on the under-strand.  Switching that crossing moves the first
-# defect strictly later; smoothing drops a crossing.  Defect-free
-# diagrams are unlinks.  At a positive defect  P = a^2 * P(switched) +
-# a*z * P(smoothed),  at a negative one  P = a^-2 * P(switched) -
-# a^-1*z * P(smoothed).  A split diagram is resolved like any other: its
-# first defect lies in one of its parts.
+# Computed by repairing descending order: resolve the diagram at one of
+# its defects (diagram.defects), the crossings its walk first enters on
+# the under-strand.  Defect-free diagrams are unlinks.  At a positive
+# defect  P = a^2 * P(switched) + a*z * P(smoothed),  at a negative one
+# P = a^-2 * P(switched) - a^-1*z * P(smoothed).  A split diagram is
+# resolved like any other: its defects lie in its parts.
+#
+# The defect resolved is the first, in walk order, whose switch
+# simplify shrinks (diagram.switch_sheds reads that in O(1) per
+# defect), or else the first defect; only the chosen switch is built.
+# P does not depend on which crossing is resolved.
 #
 # Both children are simplified before they are expanded, so the
 # expansion meets the same diagrams, under the same keys, as the search.
 # P is a link invariant, so no value changes.  The recursion still ends:
-# simplify either drops crossings or returns its input unchanged, so
-# each step drops a crossing or keeps the diagram's arcs and moves the
-# first defect later.
+# smoothing drops a crossing; switching any defect keeps the arcs, hence
+# the walk, so it lowers the number of defects by one; and simplify
+# either drops crossings or returns its input unchanged.
 #
 # The expansion is itself a skein resolution tree with descending
 # leaves, so each code it expands also records that tree and its
@@ -382,9 +389,10 @@ def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2
     """The two-variable skein invariant of the link of d.
 
     The skein expansion recurses on the simplified switch and smoothing
-    children of each defect crossing.  Results are memoized on canonical
-    codes in `cache`, so repeated and nested calls stay cheap; without
-    one, the call uses a fresh table of its own.
+    children of a defect crossing, chosen as the module says.  Results
+    are memoized on canonical codes in `cache`, so repeated and nested
+    calls stay cheap; without one, the call uses a fresh table of its
+    own.
     """
     return _homfly(d, cache if cache is not None else HomflyCache())
 
@@ -397,12 +405,14 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
     if got is not None:
         return got
 
-    i = first_defect(d)
-    if i is None:
+    found = defects(d)
+    if not found:
         r = component_count(d)
         value = unlink_value(r)
         cache.trees[key] = (0, SkeinLeaf(d, r))
     else:
+        sheds = switch_sheds(d)
+        i = next((j for j in found if sheds(j)), found[0])
         sw = simplify(switch(d, i))
         p_sw = _homfly(sw, cache)
         sm = simplify(smooth(d, i))

@@ -36,9 +36,11 @@ from skeindepth.diagram import (
     _part_code,
     _rewire,
     _smoothing_pairs,
+    defects,
     faces,
     first_defect,
     renormalize,
+    switch_sheds,
     validate,
 )
 
@@ -431,35 +433,77 @@ def kernel_battery():
     return out + [scrambled(d, rng) for d in out]
 
 
-def reference_first_defect(d):
-    """first_defect read per crossing: place each arc by (component, step)
+def reference_defects(d):
+    """defects read per crossing: place each arc by (component, step)
     along the walk from each component's smallest arc, components in
     order of their smallest arcs; a crossing is a defect when its
-    under-strand arrives before its over-strand, and the first defect is
-    the one whose under-strand arrives first."""
+    under-strand arrives before its over-strand, and the defects are met
+    in the order their under-strands arrive."""
     place = {}
     for cycle in _reference_cycles(d.crossings):
         m = cycle.index(min(cycle))
         place.update((arc, (min(cycle), step)) for step, arc in enumerate(cycle[m:] + cycle[:m]))
-    defects = [(place[cr.a], i) for i, cr in enumerate(d.crossings) if place[cr.a] < place[cr.over_in()]]
-    return min(defects)[1] if defects else None
+    found = [(place[cr.a], i) for i, cr in enumerate(d.crossings) if place[cr.a] < place[cr.over_in()]]
+    return [i for _, i in sorted(found)]
+
+
+def reference_first_defect(d):
+    found = reference_defects(d)
+    return found[0] if found else None
 
 
 def test_first_defect_matches_the_reference():
     """Each diagram of the kernel battery and its mirror, switched at its
-    first defect until it is descending, as the HOMFLY-PT expansion
-    switches it."""
+    first defect until it is descending, and at its last defect on the
+    way: the walk-order defects match the per-crossing reading, the
+    first of them is first_defect, and switching any defect removes it
+    and keeps the others, which ends the HOMFLY-PT expansion."""
     descending = 0
     for d in kernel_battery():
         for e in (d, mirror(d)):
             while True:
-                i = first_defect(e)
-                assert i == reference_first_defect(e), pd_text(e)
-                if i is None:
+                found = defects(e)
+                assert found == reference_defects(e), pd_text(e)
+                assert first_defect(e) == reference_first_defect(e), pd_text(e)
+                if not found:
                     break
-                e = switch(e, i)
+                assert defects(switch(e, found[-1])) == found[:-1], pd_text(e)
+                e = switch(e, found[0])
             descending += e.crossing_count > 0
     assert descending > 1000
+
+
+def _shed_battery():
+    """The kernel battery simplified, the simplified switch and smoothing
+    children of every fourth of them, and the mirrors of all these."""
+    out = []
+    for n, d in enumerate(kernel_battery()):
+        s = simplify(d)
+        out.append(s)
+        if n % 4 == 0:
+            for i in range(s.crossing_count):
+                out += [simplify(switch(s, i)), simplify(smooth(s, i))]
+    return out + [simplify(mirror(d)) for d in out]
+
+
+def test_switch_sheds_exactly_when_simplify_shrinks_the_switch():
+    """The O(1) test agrees with building and simplifying the switch at
+    every crossing, and both poke directions of the switched crossing
+    are met: its new over-strand running into a bigon and out of one."""
+    pairs = shed = 0
+    directions = set()
+    for d in _shed_battery():
+        sheds = switch_sheds(d)
+        for j in range(d.crossing_count):
+            want = simplify(switch(d, j)).crossing_count < d.crossing_count
+            assert sheds(j) == want, (pd_text(d), j)
+            pairs += 1
+            if want:
+                shed += 1
+                pair = diagram._poke_pair_through(switch(d, j), j)
+                directions.add(pair.index(j))
+    assert directions == {0, 1}
+    assert pairs > 10000 and shed > 5000
 
 
 def _off_component_starts(crossings):
@@ -487,8 +531,23 @@ def _reference_cycles(crossings):
     return cycles
 
 
+def _torus_closure(p, q):
+    return braid_closure(parse_braid("p=%d: %s" % (p, " ".join([" ".join(map(str, range(1, p)))] * q))))
+
+
+def symmetric_battery():
+    """The closures of T(2,13), T(3,5), T(4,4) and T(5,7), whose parts
+    have many symmetric starts, their simplified switch children and the
+    mirrors of all these."""
+    out = []
+    for p, q in ((2, 13), (3, 5), (4, 4), (5, 7)):
+        d = _torus_closure(p, q)
+        out += [d] + [simplify(switch(d, i)) for i in range(d.crossing_count)]
+    return out + [mirror(d) for d in out]
+
+
 def test_canonical_code_matches_the_all_starts_reference():
-    battery = kernel_battery()
+    battery = kernel_battery() + symmetric_battery()
     off = 0
     for d in battery:
         groups = _crossing_groups(d)
@@ -502,9 +561,8 @@ def test_canonical_code_matches_the_all_starts_reference():
     assert off > 100
 
 
-def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monkeypatch):
-    """Each start's first relabeled crossing is computed exactly, so only
-    the starts whose candidate begins with the smallest one are labeled."""
+def _recording_labels(monkeypatch):
+    """The start of every full labeling _part_code does, in a list."""
     labeled = []
     real = diagram._traversal_labels
 
@@ -513,19 +571,47 @@ def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monke
         return real(start, succ, head)
 
     monkeypatch.setattr(diagram, "_traversal_labels", recording)
-    total = pruned_off = 0
-    for d in kernel_battery():
+    return labeled
+
+
+def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monkeypatch):
+    """Each start's first relabeled crossing is computed exactly, so only
+    the tied starts, whose candidates begin with the smallest one, are
+    labeled, each at most once.  Two tied starts with equal candidates
+    give an automorphism of the part, and no start in the orbit of a
+    labeled one is labeled: every tied start has the candidate of a
+    labeled start."""
+    labeled = _recording_labels(monkeypatch)
+    total = pruned_off = skipped = 0
+    for d in kernel_battery() + symmetric_battery():
         for g in reference_groups(d):
             crs = [d.crossings[ci] for ci in g]
             cands = reference_candidates(crs)
             first = min(c[0] for c in cands.values())
-            want = sorted(s for s, c in cands.items() if c[0] == first)
+            tied = {s for s, c in cands.items() if c[0] == first}
             labeled.clear()
             _part_code(crs)
-            assert sorted(labeled) == want, crs
+            assert len(set(labeled)) == len(labeled) and set(labeled) <= tied, crs
+            assert {tuple(cands[s]) for s in tied} == {tuple(cands[s]) for s in labeled}, crs
             total += len(cands)
-            pruned_off += len(set(_off_component_starts(crs)) - set(want))
-    assert pruned_off > 100 and total > 2000
+            pruned_off += len(set(_off_component_starts(crs)) - tied)
+            skipped += len(tied) - len(labeled)
+    assert pruned_off > 100 and total > 2000 and skipped > 300
+
+
+@pytest.mark.parametrize("p, q, tied", [(2, 13, 13), (5, 7, 7)])
+def test_a_torus_closure_is_labeled_twice(monkeypatch, p, q, tied):
+    """The q tied starts of a torus closure, one per turn of the braid,
+    have one candidate, and the second labeling gives the rotation that
+    carries the first start to every other one."""
+    d = _torus_closure(p, q)
+    cands = reference_candidates(d.crossings)
+    first = min(c[0] for c in cands.values())
+    ties = [tuple(c) for c in cands.values() if c[0] == first]
+    assert len(ties) == tied and len(set(ties)) == 1
+    labeled = _recording_labels(monkeypatch)
+    assert canonical_code(d) == reference_code(d)
+    assert len(labeled) == 2
 
 
 def test_renormalize_matches_the_reference():

@@ -30,7 +30,7 @@ from skeindepth import (
     unlink_value,
 )
 from skeindepth import poly
-from skeindepth.diagram import OrientedDiagram, first_defect
+from skeindepth.diagram import OrientedDiagram, defects, first_defect, pd_text, switch_sheds
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
 from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, scrambled
@@ -290,11 +290,13 @@ def test_code_of_codes_each_labeled_diagram_once(monkeypatch):
 
 
 def test_expansion_records_a_tree_only_over_children_that_have_one():
-    """Each code the expansion resolves stores its tree, rooted at its
-    first defect, and the tree's height; a child whose value was loaded
-    from a cache file has no tree, so neither has its parent."""
+    """Each code the expansion resolves stores its tree, rooted at the
+    crossing it resolved (here the first defect, whose switch sheds a
+    bigon), and the tree's height; a child whose value was loaded from a
+    cache file has no tree, so neither has its parent."""
     d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
     i = first_defect(d)
+    assert switch_sheds(d)(i)
     sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
     cache = HomflyCache()
     p = homfly(d, cache)
@@ -311,3 +313,22 @@ def test_expansion_records_a_tree_only_over_children_that_have_one():
         known.table[canonical_code(child)] = homfly(child)  # as load_into stores it
         assert homfly(d, known) == p
         assert canonical_code(d) not in known.trees
+
+
+def test_expansion_resolves_the_first_defect_whose_switch_sheds():
+    """Of this closure's six defects, the switches at the third and the
+    fourth shed a poke pair; the expansion resolves the third, and its
+    value is the one a first-defect expansion gives."""
+    d = simplify(braid_closure(parse_braid("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3")))
+    assert pd_text(d) == (
+        "X[1,16,2,17];X[2,9,3,10];X[4,12,5,11];X[6,14,7,13];X[8,15,9,16];"
+        "X[10,18,11,17];X[12,6,13,5];X[14,8,1,7];X[18,3,15,4]"
+    )
+    sheds = switch_sheds(d)
+    assert defects(d) == [0, 1, 2, 3, 4, 5]
+    assert [j for j in defects(d) if sheds(j)] == [2, 3]
+    cache = HomflyCache()
+    p = homfly(d, cache)
+    assert cache.trees[canonical_code(d)][1].crossing == 2
+    first = simplify(switch(d, 0)), simplify(smooth(d, 0))
+    assert p == skein_value(d.crossings[0].sign, homfly(first[0]), homfly(first[1]))

@@ -364,6 +364,8 @@ def test_deadline_passing_mid_search_refutes_nothing():
         # the frontier: the HOMFLY-PT expansion's trees meet the lower end
         ("p=4: " + " ".join(["1 2 3"] * 6), 15),  # T(4,6)
         ("p=3: " + " ".join(["1 2"] * 9), 16),  # T(3,9)
+        ("p=4: " + " ".join(["1 2 3"] * 7), 18),  # T(4,7)
+        ("p=5: " + " ".join(["1 2 3 4"] * 5), 16),  # T(5,5)
     ],
 )
 def test_hard_torus_closures_are_exact(word, depth):
@@ -392,7 +394,7 @@ def test_leading_coefficient_closes_a_gap_without_search():
         ("p=3: 2 2 2 1 -2 1 2", "4", 0, 4),
         ("p=4: -2 2 -1 3 -1 3 2 1 -3 1 2", "[3, 4]", 1, 15),
         ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6),
-        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 58),
+        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 32),
     ],
 )
 def test_search_work_is_pinned(link, render, nodes, computed):
@@ -479,20 +481,42 @@ def test_no_record_is_loosened():
     outer visit's write must keep what the deeper one proved."""
     ctx = SolveContext()
     ctx.memo = TighteningMemo()
-    # the HOMFLY-PT expansions of both have height 5, so both are searched
-    for word, render in (("p=4: 2 1 3 2 2 3 2 -3", "3"), ("p=4: 1 -2 1 1 -2 -1 3 2", "3")):
+    # the HOMFLY-PT expansions of both miss the lower end, so both are
+    # searched
+    for word, render in (("p=4: 2 1 3 2 2 3 2 -3", "3"), ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3")):
         assert compute_td(braid_closure(parse_braid(word)), ctx=ctx).render() == render
     assert len(ctx.memo) > 10
 
 
 def _replay_every_tree(ctx):
     """Replay every record's tree and every expansion tree of ctx; the
-    numbers of each."""
+    numbers of each.
+
+    verify_tree checks each subtree of a tree it replays, so a tree
+    inside another recorded tree is replayed as part of that one; every
+    tree's height is read from one walk over them all.
+    """
     trees = [(code, hi, tree) for code, (_, hi, tree) in ctx.memo.items() if tree is not None]
     expanded = [(code, h, tree) for code, (h, tree) in ctx.homfly_cache.trees.items()]
+    heights: dict[int, int] = {}
+    inner: set[int] = set()
+
+    def height(t):
+        h = heights.get(id(t))
+        if h is None:
+            h = 0
+            if isinstance(t, SkeinBranch):
+                inner.update((id(t.switched), id(t.smoothed)))
+                h = 1 + max(height(t.switched), height(t.smoothed))
+            heights[id(t)] = h
+        return h
+
     for code, hi, tree in trees + expanded:
         assert canonical_code(tree.diagram) == code
-        assert verify_tree(tree) == hi
+        assert height(tree) == hi
+    for code, hi, tree in trees + expanded:
+        if id(tree) not in inner:
+            assert verify_tree(tree) == hi
     return len(trees), len(expanded)
 
 
@@ -511,11 +535,12 @@ def test_every_recorded_tree_replays(tmp_path):
     assert records > 5 and expanded > 5
 
     words = ORACLE_WORDS + SEARCH_WORDS + ["p=4: 2 1 3 2 2 3 2 -3", "p=4: 1 -2 1 1 -2 -1 3 2"]
+    words.append("p=4: " + " ".join(["1 2 3"] * 7))  # T(4,7)
     ctx = SolveContext()
     for d in closure_battery() + [braid_closure(parse_braid(w)) for w in words]:
         compute_td(d, ctx=ctx)
     records, expanded = _replay_every_tree(ctx)
-    assert records > 20 and expanded > 20
+    assert records > 20 and expanded > 2000
     path = str(tmp_path / "cache.tsv")
     ResultCache(path).save_from(ctx)
     warm = SolveContext()
