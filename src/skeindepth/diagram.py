@@ -2,10 +2,8 @@
 
 A crossing is a tuple (a, b, c, d) of arc labels listed counterclockwise
 starting from the incoming under-strand arc a; c is the outgoing
-under-strand arc.  Arc labels run 1..2c, each appearing exactly twice,
-and increase along the orientation within each link component (with a
-single wrap-around per component).  Crossingless components are carried
-as a bare free-loop count.
+under-strand arc.  Each arc label appears exactly twice.  Crossingless
+components are carried as a bare free-loop count.
 
 The over-strand direction at a crossing follows arc succession: the
 crossing is positive when the over-strand runs b -> d.  Text codes do not
@@ -17,6 +15,26 @@ its sign explicitly, and all diagram operations preserve it.
 :func:`validate` checks the labels, the succession along each component
 and Euler's count of faces, so :func:`parse_pd` rejects a code that is
 not planar.
+
+Every diagram the library builds is labeled in walk order: its labels
+are 1..2c, and each component is a block of labels that runs up by one
+and wraps from its last label to its first, the blocks in order of
+their smallest labels.  :func:`validate` enforces this, renumbering
+after a move produces it, and :func:`switch`, :func:`mirror` and
+:func:`simplify` keep the labels.  So the walk of a diagram is read
+from its labels, in one O(c) pass with no sort: a block's last arc is
+the only one not followed by the next label.  That pass gives the
+label-block table (each block's first label), computed once per diagram
+object and stored on it; renumbering fills it in as it numbers, and the
+switch, the mirror and the sorted copy simplify works on take their
+parent's.  Every reader of the walk takes it from the table:
+:func:`defects` walks labels 1..2c, :func:`component_count` counts the
+blocks, and :func:`canonical_code`, :func:`is_split`,
+:func:`split_components`, :func:`find_nugatory` and validate's Euler
+count split the parts by joining the blocks that share a crossing.  A
+diagram with renamed arcs, which only a caller building one by hand
+has, is relabeled in walk order first, its crossings kept in their
+order, so the readers return its own crossing indices.
 
 Instances are immutable; all operations return new diagrams.  The two
 skein operations at a crossing, :func:`switch` and :func:`smooth`, and
@@ -37,30 +55,33 @@ meets at two corners, which are the cut crossings of the crossing graph
 and the kink crossings.  A diagram that simplify returned is marked as
 such, and so is its switch at a crossing, which simplify then
 checks for a poke pair through that crossing alone.  The arc-incidence
-helpers (each arc's two places, where each arc arrives, the connected
-groups of crossings, a union-find over arcs) are defined here once; the
-polynomial and rewrite modules take them from here.  A move that
-removes crossings resolves the union-find roots of the few arcs it
-merges only, then builds the succession of arcs once, and that pass
-both counts the closed loops and renumbers.
+helpers (each arc's two places, where each arc arrives, a union-find
+over arcs) are defined here once; the polynomial and rewrite modules
+take them from here.  A move that removes crossings resolves the
+union-find roots of the few arcs it merges only, then builds the
+succession of arcs once, and that pass both counts the closed loops and
+renumbers.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
 unlink recognizer all key their tables on it.  It labels each connected
 part by traversal from a start arc and keeps the smallest relabeling.
-One pass over the part gives every start's first relabeled crossing,
-and only the starts whose first crossing is smallest can give the
-code.  Two of those that relabel the part alike give a symmetry of the
-part, so only one start in each symmetry class is labeled in full, at
-O(c log c) for a part with c crossings: a torus closure, with one tied
-start per turn of its braid, is labeled twice.  The code is computed
-once per diagram object and stored on it.
+Each arc's block and place in it give every start's first relabeled
+crossing in one pass over the part, and only the starts whose first
+crossing is smallest can give the code.  Two of those that relabel the
+part alike give a symmetry of the part, so only one start in each
+symmetry class is labeled in full, at O(c log c) for a part with c
+crossings, in label-indexed lists: a torus closure, with one tied start
+per turn of its braid, is labeled twice.  The code is computed once per
+diagram object and stored on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from typing import Callable, Iterable, NamedTuple
 
 
@@ -98,6 +119,8 @@ class OrientedDiagram:
     # hidden like _code
     _simple: bool = field(default=False, init=False, repr=False, compare=False)
     _switched: int | None = field(default=None, init=False, repr=False, compare=False)
+    # the label-block table (_walk_of); hidden like _code
+    _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_loops < 0:
@@ -268,42 +291,25 @@ def _succession(crossings: Iterable[tuple[int, ...]]) -> dict[int, int]:
     return succ
 
 
-def _cycles(succ: dict[int, int]) -> list[list[int]]:
-    """The cycles of succ, ordered by their smallest arc.
-
-    Each cycle is walked from the smallest arc not yet seen, which is the
-    smallest arc of its cycle, so every cycle starts at its smallest arc.
-    """
-    seen: set[int] = set()
-    cycles: list[list[int]] = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        x = succ[start]
-        while x != start:
-            if x in seen or x not in succ:
-                raise _not_closed(x)
-            cycle.append(x)
-            seen.add(x)
-            x = succ[x]
-        cycles.append(cycle)
-    return cycles
-
-
 def _not_closed(x: int) -> ValueError:
     return ValueError("arc succession does not close into cycles at arc %d" % x)
 
 
 def component_cycles(d: OrientedDiagram) -> list[list[int]]:
-    """Arc cycles of the crossing-bearing components, ordered by min arc,
-    each starting at its min arc."""
-    return _cycles(_succession(d.crossings))
+    """Arc cycles of the crossing-bearing components, in d's own labels,
+    ordered by min arc, each starting at its min arc: the blocks of the
+    walk-order numbering, read back in d's labels."""
+    m, first = _walk_numbers(_succession(d.crossings))
+    arcs = sorted(m, key=m.__getitem__)  # in walk order
+    return [arcs[first[k] - 1 : first[k + 1] - 1] for k in range(len(first) - 1)]
 
 
 def component_count(d: OrientedDiagram) -> int:
-    return len(component_cycles(d)) + d.free_loops
+    """The number of link components: one per block of the label-block
+    table (:func:`_walk_of`), each a component with crossings, plus the
+    free loops.  O(1) once the table is read, and a diagram the library
+    built has it read already."""
+    return len(_walk_of(d).first) - 1 + d.free_loops
 
 
 def writhe(d: OrientedDiagram) -> int:
@@ -314,25 +320,23 @@ def defects(d: OrientedDiagram) -> list[int]:
     """The crossings first met on their under-strand, in walk order.
 
     The walk takes the components in order of their smallest arc, each
-    from that arc (component_cycles), and a crossing counts when it is
-    first met.  With no defect every component passes over each later
-    one and over itself where it first meets itself, so d is a diagram
-    of the unlink.  Switching a defect keeps the arcs, hence the walk:
-    that crossing is then first met on its over-strand, every other
-    crossing keeps its status, and the defects drop by one.
+    from that arc, which on labels in walk order is labels 1..2c in
+    order (a renamed diagram is read relabeled, see :func:`_walk_of`,
+    with its crossings' indices).  A crossing is met first by the
+    smaller of its two arriving labels, so it is a defect when its
+    under-in label a is below its over-in label.  With no defect every
+    component passes over each later one and over itself where it first
+    meets itself, so d is a diagram of the unlink.  Switching a defect
+    keeps the arcs, hence the walk: that crossing is then first met on
+    its over-strand, every other crossing keeps its status, and the
+    defects drop by one.
     """
-    heads = _heads(d)
-    visited: set[int] = set()
-    found: list[int] = []
-    for cycle in component_cycles(d):
-        for arc in cycle:
-            ci, slot = heads[arc]
-            if ci in visited:
-                continue
-            if slot == _UNDER_IN:
-                found.append(ci)
-            visited.add(ci)
-    return found
+    crossings = _walk_of(d).crossings
+    at = [-1] * (2 * len(crossings) + 1)  # label -> the defect it arrives under
+    for i, (a, b, _, dd, sign) in enumerate(crossings):
+        if a < (b if sign > 0 else dd):
+            at[a] = i
+    return [i for i in at if i >= 0]
 
 
 def first_defect(d: OrientedDiagram) -> int | None:
@@ -381,14 +385,119 @@ def validate(d: OrientedDiagram) -> None:
     """
     occ = _occurrences(d.crossings)
     _check_labels(occ, d.crossing_count)
-    for cycle in component_cycles(d):
-        lo = cycle[0]
-        if cycle != list(range(lo, lo + len(cycle))):
-            raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
+    first = _read_blocks(d.crossings)
+    if first is None:
+        # the labels do not run in walk order: name the first component
+        # where they break (its walk raises if the succession is broken)
+        for cycle in component_cycles(d):
+            lo = cycle[0]
+            if cycle != list(range(lo, lo + len(cycle))):
+                raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
+    w = _Walk(d.crossings, first)
+    object.__setattr__(d, "_walk", w)
     found = len(faces(d))
-    need = d.crossing_count + 2 * len(_crossing_groups(d))
+    need = d.crossing_count + 2 * len(_parts(w))
     if found != need:
         raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))
+
+
+# -- the walk, read from the labels -------------------------------------------
+
+
+class _Walk(NamedTuple):
+    """A diagram's label-block table.
+
+    crossings are the diagram's own when its labels run in walk order,
+    else the same crossings, in the same order, relabeled so; first
+    lists each block's first label, in label order, then 2c + 1.
+    """
+
+    crossings: tuple[Crossing, ...]
+    first: list[int]
+
+
+def _walk_of(d: OrientedDiagram) -> _Walk:
+    """d's label-block table, read once per diagram object and kept on it.
+
+    A diagram whose labels do not run in walk order (only a hand-renamed
+    one) is relabeled with :func:`_renumbered`'s walk, its crossings
+    kept in their order, so every reader gets labels in walk order and
+    the caller's crossing indices.
+    """
+    w = d._walk
+    if w is None:
+        first = _read_blocks(d.crossings)
+        if first is None:
+            m, first = _walk_numbers(_succession(d.crossings))
+            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in d.crossings)
+            w = _Walk(relabeled, first)
+        else:
+            w = _Walk(d.crossings, first)
+        object.__setattr__(d, "_walk", w)
+    return w
+
+
+def _read_blocks(crossings: tuple[Crossing, ...]) -> list[int] | None:
+    """Each block's first label, then 2c + 1; None unless the labels run
+    in walk order.
+
+    In walk order the labels are 1..2c and each component is a block of
+    labels that runs up by one, so a block's last arc is the only one
+    not followed by the next label, and it is followed by the block's
+    first.  One pass over the crossings and one over the labels check
+    that; each arc is taken to continue once, as in every diagram the
+    library builds and every one validate accepts.
+    """
+    n = 2 * len(crossings)
+    succ = [0] * (n + 2)
+    try:
+        for a, b, c, d, sign in crossings:
+            succ[a] = c
+            if sign > 0:
+                succ[b] = d
+            else:
+                succ[d] = b
+    except IndexError:  # a label above n
+        return None
+    first = [1]
+    for end in compress(range(1, n + 1), map(ne, succ[1 : n + 1], range(2, n + 2))):
+        if succ[end] != first[-1]:
+            return None
+        first.append(end + 1)
+    return first if first[-1] == n + 1 else None
+
+
+def _block_index(first: list[int]) -> list[int]:
+    """label -> the index of its block; entry 0 stands for no label."""
+    block = [0]
+    for k in range(len(first) - 1):
+        block += [k] * (first[k + 1] - first[k])
+    return block
+
+
+def _parts(w: _Walk) -> list[list[int]]:
+    """The connected parts' crossing indices, in ascending order of their
+    first index, each ascending.
+
+    Each block, a component with crossings, lies in one part, and the
+    blocks that share a crossing are joined; a diagram of one block, or
+    of blocks that all join, is one part.
+    """
+    crossings, first = w.crossings, w.first
+    if len(first) <= 2:
+        return [list(range(len(crossings)))] if crossings else []
+    block = _block_index(first)
+    part = list(range(len(first) - 1))  # block -> the name of its part
+    for x, y in {(block[a], block[b]) for a, b, _, _, _ in crossings}:
+        x, y = part[x], part[y]
+        if x != y:
+            part = [x if p == y else p for p in part]
+    if part.count(part[0]) == len(part):
+        return [list(range(len(crossings)))]
+    groups: dict[int, list[int]] = {}
+    for i, cr in enumerate(crossings):
+        groups.setdefault(part[block[cr[0]]], []).append(i)
+    return list(groups.values())
 
 
 # -- relabeling ---------------------------------------------------------------
@@ -408,18 +517,32 @@ def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagr
 def _renumbered(
     crossings: tuple[tuple[int, ...], ...], succ: dict[int, int], free_loops: int
 ) -> OrientedDiagram:
-    """renormalize's result, given the succession of crossings.
+    """renormalize's result, given the succession of crossings, with its
+    label-block table filled in."""
+    m, first = _walk_numbers(succ)
+    relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
+    out = OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
+    object.__setattr__(out, "_walk", _Walk(out.crossings, first))
+    return out
 
-    Arcs are numbered 1, 2, ... in the walk that finds the cycles of
-    succ, with :func:`_cycles`' order and closure check.
+
+def _walk_numbers(succ: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    """Arc -> its label in walk order, and each block's first label, then
+    the label after the last.
+
+    The cycles of succ are taken in order of their smallest arc, each
+    walked from that arc, and their arcs numbered 1, 2, ... as walked;
+    an arc met twice, or one that does not continue, raises.
     """
     m: dict[int, int] = {}
+    first: list[int] = []
     k = 0
     for start in sorted(succ):
         if start in m:
             continue
         k += 1
         m[start] = k
+        first.append(k)
         x = succ[start]
         while x != start:
             if x in m or x not in succ:
@@ -427,31 +550,39 @@ def _renumbered(
             k += 1
             m[x] = k
             x = succ[x]
-    relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
-    return OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
+    first.append(k + 1)
+    return m, first
 
 
 def canonical_code(d: OrientedDiagram) -> str:
     """Label-independent serialization of the diagram.
 
     Two diagrams get the same code exactly when one is the other with
-    its arcs renamed and its crossings listed in another order.  Each
-    connected part is coded by :func:`_part_code`; the part codes are
-    sorted and joined with "/", and "|L<n>" counts the free loops.  The
-    code is computed once per diagram object and kept on it.
+    its arcs renamed and its crossings listed in another order.  The
+    parts are read from the label-block table (:func:`_walk_of`, which
+    relabels a renamed diagram in walk order first): the blocks that
+    share a crossing make one part.  Each part is coded by
+    :func:`_part_code`; the part codes are sorted and joined with "/",
+    and "|L<n>" counts the free loops.  The code is computed once per
+    diagram object and kept on it.
     """
     code = d._code
     if code is None:
-        parts = sorted(_part_code([d.crossings[ci] for ci in g]) for g in _crossing_groups(d))
+        w = _walk_of(d)
+        block = _block_index(w.first)
+        crossings = w.crossings
+        parts = sorted(_part_code([crossings[i] for i in g], w.first, block) for g in _parts(w))
         code = "/".join(parts) + "|L%d" % d.free_loops
         object.__setattr__(d, "_code", code)
     return code
 
 
-def _part_code(crossings: list[Crossing]) -> str:
+def _part_code(crossings: list[Crossing], first: list[int], block: list[int]) -> str:
     """Canonical code of one connected part, by traversal labeling.
 
-    From a start arc, label that arc's component 1, 2, ... along its
+    The part's crossings are labeled in walk order; first and block are
+    the diagram's label-block table and its label -> block index.  From
+    a start arc, label that arc's component 1, 2, ... along its
     orientation.  Then, scanning the labeled arcs in label order, open
     the next component at the first unlabeled arc met at a labeled
     arc's head crossing (slots in a, b, c, d order) and label it the
@@ -464,14 +595,14 @@ def _part_code(crossings: list[Crossing]) -> str:
     contain a crossing that starts with label 1, and it is their smallest
     tuple, so candidates compare first by it.  That first tuple is
     (1, L(b), L(c), L(d), sign) at the start arc's head crossing, and
-    each arc's component and position along it give it without the
-    traversal.  c lies on the start's component, and b and d, one over
-    strand, lie on one component.  An arc on the start's component is
-    labeled by its distance from the start along it.  Otherwise the
-    traversal, done with the start's component of length n, opens the
-    next one at b: L(b) = n + 1, and d is labeled by its distance from
-    b.  Only the starts whose first tuple is the smallest, the tied
-    starts, can give the code.
+    each arc's block and place in it give it without the traversal.
+    c lies on the start's component, and b and d, one over strand, lie
+    on one component.  An arc on the start's component is labeled by its
+    distance from the start along it, its label difference modulo the
+    block's length.  Otherwise the traversal, done with the start's
+    component of length n, opens the next one at b: L(b) = n + 1, and d
+    is labeled by its distance from b.  Only the starts whose first
+    tuple is the smallest, the tied starts, can give the code.
 
     Two starts whose candidates are equal, s first and t, give the map
     psi = L_s^-1 . L_t, taking t to s.  It maps each crossing's arcs to a
@@ -483,57 +614,45 @@ def _part_code(crossings: list[Crossing]) -> str:
     not labeled: its candidate is already known.  The automorphisms stay
     automorphisms whichever candidate turns out smallest.
     """
-    succ: dict[int, int] = {}
-    head: dict[int, Crossing] = {}
-    for cr in crossings:
-        a, b, c, d, sign = cr
-        if sign < 0:
-            b, d = d, b
-        succ[a] = c
-        succ[b] = d
-        head[a] = head[b] = cr
-    # arc -> (component number, position along it); component lengths
-    place: dict[int, tuple[int, int]] = {}
-    length: list[int] = []
-    for x0 in succ:
-        if x0 in place:
-            continue
-        k, n, x = len(length), 0, x0
-        while x not in place:
-            place[x] = (k, n)
-            n += 1
-            x = succ[x]
-        length.append(n)
     # each start's first tuple
     keys = []
     for a, b, c, d, sign in crossings:
-        k, p = place[a]
-        n = length[k]
-        kb, pb = place[b]
-        pd = place[d][1]  # d follows or precedes b: it is on b's component
+        k = block[a]
+        n = first[k + 1] - first[k]
+        kb = block[b]  # d follows or precedes b: it is on b's block
         if kb == k:
-            lb, ld = (pb - p) % n + 1, (pd - p) % n + 1
+            lb, ld = (b - a) % n + 1, (d - a) % n + 1
         else:
             lb = n + 1
-            ld = lb + (pd - pb) % length[kb]
-        keys.append(((1, lb, (place[c][1] - p) % n + 1, ld, sign), a))
-    first = min(keys)[0]
-    starts = [a for key, a in keys if key == first]
-    labelings: dict[tuple, dict[int, int]] = {}  # candidate -> a labeling giving it
+            ld = lb + (d - b) % (first[kb + 1] - first[kb])
+        keys.append(((1, lb, (c - a) % n + 1, ld, sign), a))
+    least = min(keys)[0]
+    starts = [a for key, a in keys if key == least]
+    # label -> the crossing it arrives at, for the traversal's scan; a
+    # part with one block is labeled without one
+    head: list[Crossing | None] | None = None
+    if len(first) > 2:
+        head = [None] * len(block)
+        for cr in crossings:
+            head[cr[0]] = head[cr[1] if cr[4] > 0 else cr[3]] = cr
+    size = 2 * len(crossings)
+    labelings: dict[tuple, list[int]] = {}  # candidate -> a labeling giving it
     automorphisms: list[dict[int, int]] = []  # on the tied starts
     known: set[int] = set()  # the orbits of the labeled starts
     for start in starts:
         if start in known:
             continue
-        label = _traversal_labels(start, succ, head)
+        label = _traversal_labels(start, first, block, head, size)
         candidate = tuple(
-            sorted((label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign) for cr in crossings)
+            sorted([(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings])
         )
         known.add(start)
         grow = [start]  # close start's orbit, or every orbit under a new psi
         other = labelings.setdefault(candidate, label)
         if other is not label:
-            arc_of = {lab: x for x, lab in other.items()}
+            arc_of = [0] * (size + 1)
+            for x, lab in enumerate(other):
+                arc_of[lab] = x
             automorphisms.append({x: arc_of[label[x]] for x in starts})
             grow = list(known)
         while grow:
@@ -543,29 +662,39 @@ def _part_code(crossings: list[Crossing]) -> str:
                 if y not in known:
                     known.add(y)
                     grow.append(y)
-    return ";".join("%d,%d,%d,%d,%d" % t for t in min(labelings))
+    return ";".join(map("%d,%d,%d,%d,%d".__mod__, min(labelings)))
 
 
-def _traversal_labels(start: int, succ: dict[int, int], head: dict[int, Crossing]) -> dict[int, int]:
-    """Arc -> label for the traversal labeling of a connected part from start."""
-    label: dict[int, int] = {}
-    order: list[int] = []
-    nxt = start
-    scan = 0
+def _traversal_labels(
+    start: int, first: list[int], block: list[int], head: list | None, size: int
+) -> list[int]:
+    """Label-indexed list, arc -> label, of the traversal labeling from
+    start of a connected part of size arcs; 0 off the part.
+
+    Each component is a block, so it is labeled in two slices: from the
+    arc it is entered by to the block's end, then from the block's start.
+    """
+    label = [0] * len(block)
+    order: list[int] = []  # the labeled arcs, in label order
+    done = scan = 0
+    x = start
     while True:
-        x = nxt
-        while x not in label:
-            order.append(x)
-            label[x] = len(order)
-            x = succ[x]
-        if len(order) == len(succ):
+        k = block[x]
+        s, e = first[k], first[k + 1]
+        label[x:e] = range(done + 1, done + 1 + e - x)
+        label[s:x] = range(done + 1 + e - x, done + 1 + e - s)
+        done += e - s
+        if done == size:
             return label
+        order += range(x, e)
+        order += range(s, x)
         # the first labeled arc whose head crossing still has an
-        # unlabeled arc; arcs before it have fully labeled heads
+        # unlabeled arc, the first in slot order: a and c lie on one
+        # block, b and d on one; arcs before it have fully labeled heads
         while True:
-            cr = head[order[scan]]
-            nxt = next((y for y in (cr.a, cr.b, cr.c, cr.d) if y not in label), None)
-            if nxt is not None:
+            a, b = head[order[scan]][:2]
+            x = b if label[a] else a
+            if not label[x]:
                 break
             scan += 1
 
@@ -574,9 +703,10 @@ def mirror(d: OrientedDiagram) -> OrientedDiagram:
     """Exchange over and under strands at every crossing (negates signs).
 
     Arc labels are untouched: the strands and their orientations do not
-    move, only their vertical order at each crossing flips.
+    move, only their vertical order at each crossing flips, so the
+    label-block table is d's.
     """
-    return OrientedDiagram(tuple(_exchange(cr) for cr in d.crossings), d.free_loops)
+    return _with_walk_of(d, OrientedDiagram(tuple(_exchange(cr) for cr in d.crossings), d.free_loops))
 
 
 def _exchange(cr: Crossing) -> Crossing:
@@ -586,6 +716,15 @@ def _exchange(cr: Crossing) -> Crossing:
     return Crossing(cr.d, cr.a, cr.b, cr.c, 1)
 
 
+def _with_walk_of(d: OrientedDiagram, out: OrientedDiagram) -> OrientedDiagram:
+    """out, which has d's labels and succession, given d's label-block
+    table if d's labels run in walk order and the table is read."""
+    w = d._walk
+    if w is not None and w.crossings is d.crossings:
+        object.__setattr__(out, "_walk", _Walk(out.crossings, w.first))
+    return out
+
+
 # -- skein operations ----------------------------------------------------------
 
 
@@ -593,14 +732,14 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
     """Exchange over and under strands at crossing i (negates its sign).
 
     Arc labels and strand succession are untouched, so the result needs
-    no relabeling and traversal order is stable under repeated switches.
-    The switch of a diagram that simplify returned remembers i, so that
+    no relabeling, keeps d's label-block table, and traversal order is
+    stable under repeated switches.  The switch of a diagram that simplify returned remembers i, so that
     simplify need only look for poke pairs through crossing i.
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
     new = _exchange(d.crossings[i])
-    out = OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops)
+    out = _with_walk_of(d, OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops))
     if d._simple:
         object.__setattr__(out, "_switched", i)
     return out
@@ -666,50 +805,15 @@ def _rewire(
 # -- connectivity -------------------------------------------------------------
 
 
-def _crossing_groups(d: OrientedDiagram) -> list[list[int]]:
-    """Connected groups of crossing indices (shared arcs connect), in
-    ascending order of their first index, each group ascending.
-
-    The crossings are the vertices of the crossing graph; every arc that
-    joins two different crossings is an edge, and an arc with both ends
-    at one crossing is ignored.
-    """
-    first: dict[int, int] = {}
-    adj: list[list[int]] = [[] for _ in d.crossings]
-    for ci, cr in enumerate(d.crossings):
-        for arc in cr[:4]:
-            cj = first.setdefault(arc, ci)
-            if cj != ci:
-                adj[ci].append(cj)
-                adj[cj].append(ci)
-    seen = [False] * len(adj)
-    groups: list[list[int]] = []
-    for ci in range(len(adj)):
-        if seen[ci]:
-            continue
-        seen[ci] = True
-        group = [ci]
-        for u in group:  # breadth-first: the list grows as it is read
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    group.append(v)
-        group.sort()
-        groups.append(group)
-    return groups
-
-
 def is_split(d: OrientedDiagram) -> bool:
-    groups = _crossing_groups(d)
-    parts = len(groups) + d.free_loops
-    return parts > 1
+    return len(_parts(_walk_of(d))) + d.free_loops > 1
 
 
 def split_components(d: OrientedDiagram) -> list[OrientedDiagram]:
     """Maximal connected subdiagrams, free loops last as singletons."""
     parts = [
         renormalize((d.crossings[ci] for ci in group), 0)
-        for group in _crossing_groups(d)
+        for group in _parts(_walk_of(d))
     ]
     parts.extend(OrientedDiagram((), 1) for _ in range(d.free_loops))
     return parts
@@ -856,7 +960,7 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     twice = _met_twice(d)
     if not twice:
         return None
-    part = {ci: group for group in _crossing_groups(d) for ci in group}
+    part = {ci: group for group in _parts(_walk_of(d)) for ci in group}
     for i in sorted(twice):
         groups = _side_groups(d, i, part[i])
         if len(groups) >= 2:
@@ -900,7 +1004,7 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     if d._simple:
         return d
     ordered = tuple(sorted(d.crossings))
-    work = d if ordered == d.crossings else OrientedDiagram(ordered, d.free_loops)
+    work = d if ordered == d.crossings else _with_walk_of(d, OrientedDiagram(ordered, d.free_loops))
     if d._switched is not None:
         pair = _poke_pair_through(work, ordered.index(d.crossings[d._switched]))
         if pair is None:

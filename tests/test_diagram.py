@@ -31,11 +31,14 @@ from skeindepth import (
 from skeindepth import diagram
 from skeindepth.cli import load_dataset
 from skeindepth.diagram import (
-    _crossing_groups,
+    _block_index,
     _met_twice,
     _part_code,
+    _parts,
+    _read_blocks,
     _rewire,
     _smoothing_pairs,
+    _walk_of,
     defects,
     faces,
     first_defect,
@@ -47,6 +50,7 @@ from skeindepth.diagram import (
 from conftest import (
     FIXTURE_PDS,
     ORACLE_WORDS,
+    SEARCH_WORDS,
     check_pokes_once,
     check_slides_once,
     closure_battery,
@@ -453,14 +457,21 @@ def reference_first_defect(d):
 
 
 def test_first_defect_matches_the_reference():
-    """Each diagram of the kernel battery and its mirror, switched at its
-    first defect until it is descending, and at its last defect on the
-    way: the walk-order defects match the per-crossing reading, the
-    first of them is first_defect, and switching any defect removes it
-    and keeps the others, which ends the HOMFLY-PT expansion."""
-    descending = 0
+    """Each diagram of the kernel battery, its mirror and a renamed copy,
+    switched at its first defect until it is descending, and at its last
+    defect on the way: the walk-order defects match the per-crossing
+    reading, the first of them is first_defect, and switching any defect
+    removes it and keeps the others, which ends the HOMFLY-PT expansion.
+    A renamed copy is read through the relabel step, so its defects are
+    its own crossing indices; the components and the split test, read
+    from the same table, match the cycles and the reference parts."""
+    rng = random.Random(19)
+    descending = renamed = 0
     for d in kernel_battery():
-        for e in (d, mirror(d)):
+        for e in (d, mirror(d), scrambled(d, rng)):
+            renamed += _read_blocks(e.crossings) is None
+            assert component_count(e) == len(component_cycles(e)) + e.free_loops, pd_text(e)
+            assert is_split(e) == (len(reference_groups(e)) + e.free_loops > 1), pd_text(e)
             while True:
                 found = defects(e)
                 assert found == reference_defects(e), pd_text(e)
@@ -470,7 +481,58 @@ def test_first_defect_matches_the_reference():
                 assert defects(switch(e, found[-1])) == found[:-1], pd_text(e)
                 e = switch(e, found[0])
             descending += e.crossing_count > 0
-    assert descending > 1000
+    assert descending > 1500 and renamed > 900
+
+
+def _walk_order_blocks(d):
+    """Each block's first label, then 2c + 1, when d's labels are 1..2c
+    and each component's cycle, from its smallest label, runs up by one;
+    else None."""
+    n = 2 * d.crossing_count
+    cycles = []
+    for cycle in _reference_cycles(d.crossings):  # the test's own walk
+        k = cycle.index(min(cycle))
+        cycles.append(cycle[k:] + cycle[:k])
+    cycles.sort()
+    if sorted(x for cycle in cycles for x in cycle) != list(range(1, n + 1)):
+        return None
+    if any(cycle != list(range(cycle[0], cycle[0] + len(cycle))) for cycle in cycles):
+        return None
+    return [cycle[0] for cycle in cycles] + [n + 1]
+
+
+def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
+    """The fast readers take the walk from the labels; only a renamed
+    diagram, which no library function returns, is relabeled first.
+    Covered: parse_pd on the fixtures, braid_closure on the test words,
+    renormalize of every kernel diagram (renamed ones included), smooth
+    and every remove_* through simplify, switch and mirror, over the
+    kernel battery, the children of its simplified diagrams and their
+    mirrors.  Each carries its label-block table already, its own and
+    right, so no reader reads it again."""
+    checked = 0
+
+    def check(built):
+        nonlocal checked
+        for d in built + [mirror(d) for d in built]:
+            want = _walk_order_blocks(d)
+            assert want is not None, pd_text(d)
+            assert _read_blocks(d.crossings) == want, pd_text(d)
+            assert d._walk is not None and d._walk.crossings is d.crossings, pd_text(d)
+            assert d._walk.first == want, pd_text(d)
+            checked += 1
+
+    check([parse_pd(text) for text, _ in FIXTURE_PDS.values()])
+    check([braid_closure(parse_braid(w)) for w in ORACLE_WORDS + MULTI_WORDS + SEARCH_WORDS])
+    check(finder_battery())
+    for d in kernel_battery():
+        r = renormalize(d.crossings, d.free_loops)
+        s = simplify(r)
+        built = [r, s]
+        for i in range(s.crossing_count):
+            built += [switch(s, i), smooth(s, i), simplify(switch(s, i)), simplify(smooth(s, i))]
+        check(built)
+    assert checked > 15000
 
 
 def _shed_battery():
@@ -550,11 +612,12 @@ def test_canonical_code_matches_the_all_starts_reference():
     battery = kernel_battery() + symmetric_battery()
     off = 0
     for d in battery:
-        groups = _crossing_groups(d)
+        w = _walk_of(d)
+        groups = _parts(w)
         assert groups == reference_groups(d), d
         for g in groups:
-            crs = [d.crossings[ci] for ci in g]
-            assert _part_code(crs) == reference_part_code(crs), d
+            crs = [w.crossings[ci] for ci in g]
+            assert _part_code(crs, w.first, _block_index(w.first)) == reference_part_code(crs), d
             off += bool(_off_component_starts(crs))
         assert canonical_code(d) == reference_code(d), d
     # the battery reaches the off-component labels
@@ -566,9 +629,9 @@ def _recording_labels(monkeypatch):
     labeled = []
     real = diagram._traversal_labels
 
-    def recording(start, succ, head):
+    def recording(start, *table):
         labeled.append(start)
-        return real(start, succ, head)
+        return real(start, *table)
 
     monkeypatch.setattr(diagram, "_traversal_labels", recording)
     return labeled
@@ -584,13 +647,14 @@ def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monke
     labeled = _recording_labels(monkeypatch)
     total = pruned_off = skipped = 0
     for d in kernel_battery() + symmetric_battery():
+        w = _walk_of(d)  # the starts are named in walk-order labels
         for g in reference_groups(d):
-            crs = [d.crossings[ci] for ci in g]
+            crs = [w.crossings[ci] for ci in g]
             cands = reference_candidates(crs)
             first = min(c[0] for c in cands.values())
             tied = {s for s, c in cands.items() if c[0] == first}
             labeled.clear()
-            _part_code(crs)
+            _part_code(crs, w.first, _block_index(w.first))
             assert len(set(labeled)) == len(labeled) and set(labeled) <= tied, crs
             assert {tuple(cands[s]) for s in tied} == {tuple(cands[s]) for s in labeled}, crs
             total += len(cands)

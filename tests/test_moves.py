@@ -38,7 +38,6 @@ from skeindepth import (
 )
 from skeindepth import moves
 from skeindepth.diagram import (
-    _crossing_groups,
     _poke_pair_through,
     faces,
     find_kink,
@@ -69,7 +68,7 @@ from conftest import (
     reference_pokes,
     scrambled,
 )
-from test_diagram import kernel_battery
+from test_diagram import kernel_battery, reference_groups
 
 
 def _cycle_index(cycles, label):
@@ -312,7 +311,7 @@ def raw_homfly(d, table):
 
 
 def _parts(d):
-    return len(_crossing_groups(d))
+    return len(reference_groups(d))
 
 
 def test_simplify_ignores_crossing_order():
@@ -366,7 +365,7 @@ def test_linear_finders_match_the_quadratic_oracles():
                 nugatory_hits += 1
                 i, side = hit
                 assert i == splitting[0], v
-                own_part = next(g for g in _crossing_groups(v) if i in g)
+                own_part = next(g for g in reference_groups(v) if i in g)
                 assert set(side) < set(own_part), v
     assert nugatory_hits > 10 and poke_hits > 10 and split_seen >= 15
 
