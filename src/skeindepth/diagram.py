@@ -24,12 +24,12 @@ after a move produces it, and :func:`switch`, :func:`mirror` and
 :func:`simplify` keep the labels.  So the walk of a diagram is read
 from its labels, in one O(c) pass with no sort: a block's last arc is
 the only one not followed by the next label.  That pass gives the
-label-block table (each block's first label), computed once per diagram
-object and stored on it; renumbering fills it in as it numbers, and the
-switch, the mirror and the sorted copy simplify works on take their
-parent's.  Every reader of the walk takes it from the table:
-:func:`defects` walks labels 1..2c, :func:`component_count` counts the
-blocks, and :func:`canonical_code`, :func:`is_split`,
+label-block table (each block's first label), a mark on the diagram
+(see below) read at most once per object; renumbering fills it in as
+it numbers, and the switch, the mirror and the sorted copy simplify
+works on take their parent's.  Every reader of the walk takes it from
+the table: :func:`defects` walks labels 1..2c, :func:`component_count`
+counts the blocks, and :func:`canonical_code`, :func:`is_split`,
 :func:`split_components`, :func:`find_nugatory` and validate's Euler
 count split the parts by joining the blocks that share a crossing.  A
 diagram with renamed arcs, which only a caller building one by hand
@@ -52,15 +52,23 @@ simplified diagram's switch there, which is how the expansion picks
 the defect it resolves.  Each move's finder is a single linear pass;
 the nugatory test takes as candidates the crossings that some face
 meets at two corners, which are the cut crossings of the crossing graph
-and the kink crossings.  A diagram that simplify returned is marked as
-such, and so is its switch at a crossing, which simplify then
-checks for a poke pair through that crossing alone.  The arc-incidence
-helpers (each arc's two places, where each arc arrives, a union-find
-over arcs) are defined here once; the polynomial and rewrite modules
-take them from here.  A move that removes crossings resolves the
-union-find roots of the few arcs it merges only, then builds the
-succession of arcs once, and that pass both counts the closed loops and
-renumbers.
+and the kink crossings.
+
+A diagram carries two marks, each a function of its crossings and free
+loops alone and neither part of its equality, hash or repr: the
+label-block table, and whether no move fires on it, so that simplify
+returns it as it is.  simplify marks what it returns, and switch marks
+the switch of such a diagram at a crossing when :func:`switch_sheds`
+finds no poke pair through that crossing.  A copy built from the same
+crossings carries no marks, and reading them again gives the same ones:
+nothing a diagram carries records how it was made.
+
+The arc-incidence helpers (each arc's two places, where each arc
+arrives, a union-find over arcs) are defined here once; the polynomial
+and rewrite modules take them from here.  A move that removes crossings
+resolves the union-find roots of the few arcs it merges only, then
+builds the succession of arcs once, and that pass both counts the
+closed loops and renumbers.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -72,8 +80,8 @@ crossing is smallest can give the code.  Two of those that relabel the
 part alike give a symmetry of the part, so only one start in each
 symmetry class is labeled in full, at O(c log c) for a part with c
 crossings, in label-indexed lists: a torus closure, with one tied start
-per turn of its braid, is labeled twice.  The code is computed once per
-diagram object and stored on it.
+per turn of its braid, is labeled twice.  The code is stored nowhere:
+:meth:`.poly.HomflyCache.code_of` is its one memo.
 """
 
 from __future__ import annotations
@@ -112,14 +120,11 @@ class OrientedDiagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
-    # filled in by canonical_code; not part of equality, hash or repr
-    _code: str | None = field(default=None, init=False, repr=False, compare=False)
-    # set by simplify on what it returns (no move fires on it), and by
-    # switch on the switch of such a diagram (the switched crossing);
-    # hidden like _code
+    # marks that are functions of the crossings and free loops alone, not
+    # part of equality, hash or repr: no move fires on the diagram (set by
+    # simplify on what it returns, and by switch), and the label-block
+    # table (_walk_of)
     _simple: bool = field(default=False, init=False, repr=False, compare=False)
-    _switched: int | None = field(default=None, init=False, repr=False, compare=False)
-    # the label-block table (_walk_of); hidden like _code
     _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -563,18 +568,15 @@ def canonical_code(d: OrientedDiagram) -> str:
     relabels a renamed diagram in walk order first): the blocks that
     share a crossing make one part.  Each part is coded by
     :func:`_part_code`; the part codes are sorted and joined with "/",
-    and "|L<n>" counts the free loops.  The code is computed once per
-    diagram object and kept on it.
+    and "|L<n>" counts the free loops.  The code is computed afresh on
+    every call and stored nowhere; callers that code one diagram often
+    memoize it themselves (:meth:`.poly.HomflyCache.code_of`).
     """
-    code = d._code
-    if code is None:
-        w = _walk_of(d)
-        block = _block_index(w.first)
-        crossings = w.crossings
-        parts = sorted(_part_code([crossings[i] for i in g], w.first, block) for g in _parts(w))
-        code = "/".join(parts) + "|L%d" % d.free_loops
-        object.__setattr__(d, "_code", code)
-    return code
+    w = _walk_of(d)
+    block = _block_index(w.first)
+    crossings = w.crossings
+    parts = sorted(_part_code([crossings[i] for i in g], w.first, block) for g in _parts(w))
+    return "/".join(parts) + "|L%d" % d.free_loops
 
 
 def _part_code(crossings: list[Crossing], first: list[int], block: list[int]) -> str:
@@ -733,15 +735,20 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
 
     Arc labels and strand succession are untouched, so the result needs
     no relabeling, keeps d's label-block table, and traversal order is
-    stable under repeated switches.  The switch of a diagram that simplify returned remembers i, so that
-    simplify need only look for poke pairs through crossing i.
+    stable under repeated switches.
+
+    On a diagram that simplify returned, only a poke pair through i can
+    fire on the switch (see :func:`simplify`).  So when
+    :func:`switch_sheds` finds none, the switch is marked as simplify's
+    own result, and simplify returns it at once; otherwise it is left
+    unmarked, and simplify's rounds remove that pair first.
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
     new = _exchange(d.crossings[i])
     out = _with_walk_of(d, OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops))
-    if d._simple:
-        object.__setattr__(out, "_switched", i)
+    if d._simple and not switch_sheds(d)(i):
+        object.__setattr__(out, "_simple", True)
     return out
 
 
@@ -879,20 +886,6 @@ def _under_joined(ci: Crossing, cj: Crossing) -> bool:
     return ci.c == cj.a or cj.c == ci.a
 
 
-def _poke_pair_through(d: OrientedDiagram, s: int) -> tuple[int, int] | None:
-    """find_poke_pair's answer on a diagram whose poke pairs all include
-    crossing s: the pairs through s, tried in find_poke_pair's order."""
-    cs = d.crossings[s]
-    for i, ci in enumerate(d.crossings):
-        if i == s:
-            j = next((k for k, ck in enumerate(d.crossings) if ck.over_in() == cs.over_out()), None)
-        else:
-            j = s if ci.over_out() == cs.over_in() else None
-        if j is not None and j != i and _under_joined(ci, d.crossings[j]):
-            return (i, j)
-    return None
-
-
 def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
     ci, cj = d.crossings[i], d.crossings[j]
     e1 = ci.over_out()
@@ -997,20 +990,14 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     the switch of a marked diagram at crossing s only a poke pair through
     s can fire: a switch keeps every arc, so the crossing graph, every
     kink test, every crossing's oriented smoothing and every poke test
-    between two other crossings are those of the marked diagram.  The
-    first round there looks for those pairs alone; the full rounds start
-    after a removal.
+    between two other crossings are those of the marked diagram.
+    :func:`switch` marks that switch when it has no such pair; when it
+    has one, the first round finds no kink and removes that pair.
     """
     if d._simple:
         return d
     ordered = tuple(sorted(d.crossings))
     work = d if ordered == d.crossings else _with_walk_of(d, OrientedDiagram(ordered, d.free_loops))
-    if d._switched is not None:
-        pair = _poke_pair_through(work, ordered.index(d.crossings[d._switched]))
-        if pair is None:
-            object.__setattr__(d, "_simple", True)
-            return d
-        work = remove_poke_pair(work, *pair)
     while work.crossings:
         i = find_kink(work)
         if i is not None:

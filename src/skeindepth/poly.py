@@ -271,26 +271,30 @@ def render_poly(p: LaurentPoly2) -> str:
 
 
 def parse_poly(text: str) -> LaurentPoly2:
-    """Inverse of render_poly (used when reloading cached results)."""
+    """Inverse of render_poly (used when reloading cached results).
+
+    Raises ValueError on text that render_poly never writes and that
+    would read as some other polynomial: a term that repeats its
+    coefficient, its a^ or its z^ factor, or a monomial in two terms.
+    """
     text = text.strip()
     if text == "0":
         return ZERO
     terms: dict[tuple[int, int], int] = {}
     for chunk in text.split(" + "):
-        coeff = None
-        a_exp = 0
-        z_exp = 0
+        factors: dict[str, int] = {}
         for factor in chunk.split("*"):
             factor = factor.strip()
-            if factor.startswith("a^"):
-                a_exp = int(factor[2:])
-            elif factor.startswith("z^"):
-                z_exp = int(factor[2:])
-            else:
-                coeff = int(factor)
-        if coeff is None:
+            kind = factor[:2] if factor[:2] in ("a^", "z^") else ""
+            if kind in factors:
+                raise ValueError("repeated %s factor in polynomial term: %r" % (kind or "coefficient", chunk))
+            factors[kind] = int(factor[len(kind) :])
+        if "" not in factors:
             raise ValueError("malformed polynomial term: %r" % chunk)
-        terms[(a_exp, z_exp)] = terms.get((a_exp, z_exp), 0) + coeff
+        key = (factors.get("a^", 0), factors.get("z^", 0))
+        if key in terms:
+            raise ValueError("repeated monomial in polynomial: %r" % chunk)
+        terms[key] = factors[""]
     return LaurentPoly2(terms)
 
 

@@ -22,9 +22,9 @@ Every polynomial the search needs comes from the HOMFLY-PT expansion
 (see :mod:`.poly`), which records its tree, or from a cache file.  The
 smoothing at a crossing is built only once the switch child there has
 succeeded, since a switch child that fails or runs out of budget ends
-that branch.  Each child is simplified, which on a switch child looks
-only for a poke pair through the switched crossing (see
-:func:`.diagram.simplify`).
+that branch.  Each child is simplified; a switch child that
+:func:`.diagram.switch` marked, having no poke pair through the switched
+crossing, comes back from simplify at once.
 
 A SolveContext keeps one search record per canonical code, ``(lo, hi,
 tree)``: the certified depth interval and the tree of height hi that
@@ -38,9 +38,10 @@ is never undone.  The k-sweep and sibling subtrees share these records,
 the recognizer verdicts and the polynomials.  The search tries a node's
 crossings in index order.  It and the expansion take codes from
 :meth:`.poly.HomflyCache.code_of`, which codes each labeled diagram once
-per context; :func:`verify_tree` codes with the bare
-:func:`.diagram.canonical_code`, so a replay rests on nothing the solve
-stored.
+per context.  :func:`verify_tree` replays a fresh copy of each diagram
+of the tree, built from its crossings and free loops, and codes it with
+the bare :func:`.diagram.canonical_code`, so a replay rests on nothing
+the solve stored, in a context or on a diagram object.
 
 A call without ``ctx`` solves in a fresh context of its own; calls share
 work only through a context passed to each of them.  :class:`ResultCache`
@@ -244,17 +245,22 @@ def verify_tree(tree: SkeinTree) -> int:
 
     Checks, per node: leaves are certified unlinks with the stated
     component count, branch children are exactly the simplified switch
-    and smoothing of the node diagram at the stored crossing.  A subtree
-    object shared by several branches is checked once per call.  Raises
-    ValueError on the first violation.
+    and smoothing of the node diagram at the stored crossing.  Every
+    diagram is read as a fresh copy, ``OrientedDiagram(crossings,
+    free_loops)``, so nothing stored on the tree's diagram objects is
+    trusted.  A subtree object shared by several branches is checked
+    once per call.  Raises ValueError on the first violation.
     """
     heights: dict[int, int] = {}
+
+    def fresh(d: OrientedDiagram) -> OrientedDiagram:
+        return OrientedDiagram(d.crossings, d.free_loops)
 
     def replay(t: SkeinTree) -> int:
         h = heights.get(id(t))
         if h is not None:
             return h
-        d = t.diagram
+        d = fresh(t.diagram)
         if isinstance(t, SkeinLeaf):
             v = recognize_unlink(d)
             if not v.is_unlink:
@@ -272,7 +278,7 @@ def verify_tree(tree: SkeinTree) -> int:
                 (t.smoothed, smooth, "smoothing"),
             ):
                 want = canonical_code(simplify(op(d, t.crossing)))
-                if canonical_code(child.diagram) != want:
+                if canonical_code(fresh(child.diagram)) != want:
                     raise ValueError(f"{name} child does not match the recorded move")
             h = 1 + max(replay(t.switched), replay(t.smoothed))
         heights[id(t)] = h

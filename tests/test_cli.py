@@ -337,6 +337,28 @@ def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
     assert ctx.homfly_cache.table[code] == homfly(parse_pd(TREFOIL))
 
 
+def test_cache_skips_a_polynomial_with_a_repeated_factor(tmp_path, monkeypatch, capsys):
+    # a cached trefoil value whose first term repeats its a^ factor was
+    # once read as 1*a^2 + 1*a^2*z^2, which made td and bounds report
+    # contradictory bounds; it is skipped, and the true value recomputed
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = tmp_path / "cache.tsv"
+    assert main(["poly", str(f), "--cache", str(cache_path)]) == 0
+    true_value = "-1*a^4 + 2*a^2 + 1*a^2*z^2"
+    assert capsys.readouterr().out == true_value + "\n"
+    text = cache_path.read_text()
+    assert text.count(true_value) == 1
+    cache_path.write_text(text.replace(true_value, "-1*a^4*a^2 + 2*a^2 + 1*a^2*z^2"))
+    warning = "warning: skipping corrupt cache line 2: repeated a^ factor"
+    for verb, want in (("poly", true_value + "\n"), ("td", "2\t2\t2\n"), ("bounds", "row1\t2\t2\t")):
+        assert main([verb, str(f), "--cache", str(cache_path)]) == 0, verb
+        out, err = capsys.readouterr()
+        assert out.startswith(want), (verb, out)
+        assert warning in err, (verb, err)
+
+
 def test_cache_saved_when_the_verb_fails(tmp_path, monkeypatch, capsys):
     # the lines solved before a bad one are saved as a run on them alone
     # would save them

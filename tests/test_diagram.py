@@ -1,5 +1,6 @@
 """Parsing, validation, canonical codes, and diagram surgery."""
 
+import dataclasses
 import importlib.resources
 import itertools
 import random
@@ -41,6 +42,7 @@ from skeindepth.diagram import (
     _walk_of,
     defects,
     faces,
+    find_poke_pair,
     first_defect,
     renormalize,
     switch_sheds,
@@ -204,32 +206,77 @@ def test_canonical_code_relabeling_invariant():
 
 
 def test_stored_code_is_invisible():
-    text = FIXTURE_PDS["trefoil"][0]
-    coded, plain = parse_pd(text), parse_pd(text)
-    before = (repr(coded), pd_text(coded))
-    code = canonical_code(coded)
-    assert coded == plain and hash(coded) == hash(plain)
-    assert len({coded, plain}) == 1
-    assert (repr(coded), pd_text(coded)) == before
-    # plain is still uncoded, so its children are coded from scratch;
-    # the coded parent's children must not carry its code either
-    for i in range(coded.crossing_count):
-        for op in (switch, smooth):
-            child = op(coded, i)
-            assert canonical_code(child) == canonical_code(op(plain, i)) != code
-    # the marks of simplify and switch are just as invisible, and only
-    # the switch of a diagram simplify returned carries one
-    marked = simplify(parse_pd(text))
-    assert marked._simple and not plain._simple
-    for i in range(marked.crossing_count):
-        child, twin = switch(marked, i), switch(plain, i)
-        assert child._switched == i and not child._simple
-        assert twin._switched is None and not twin._simple
-        for d, same in ((marked, plain), (child, twin)):
-            assert d == same and hash(d) == hash(same) and len({d, same}) == 1
-            assert (repr(d), pd_text(d)) == (repr(same), pd_text(same))
-        for other in (switch(child, i), switch(twin, i), smooth(marked, i)):
-            assert other._switched is None and not other._simple
+    marked_switches = 0
+    for name in ("trefoil", "L5a1"):
+        text = FIXTURE_PDS[name][0]
+        coded, plain = parse_pd(text), parse_pd(text)
+        before = (repr(coded), pd_text(coded), dict(vars(coded)))
+        code = canonical_code(coded)
+        # canonical_code stores nothing on the diagram it codes
+        assert (repr(coded), pd_text(coded), vars(coded)) == before
+        assert coded == plain and hash(coded) == hash(plain)
+        assert len({coded, plain}) == 1
+        for i in range(coded.crossing_count):
+            for op in (switch, smooth):
+                child = op(coded, i)
+                assert canonical_code(child) == canonical_code(op(plain, i)) != code
+        # the marks simplify and switch leave are just as invisible; only
+        # a diagram simplify returned, and its switches that shed nothing,
+        # carry the simple mark
+        marked = simplify(parse_pd(text))
+        assert marked._simple and not plain._simple
+        sheds = switch_sheds(marked)
+        for i in range(marked.crossing_count):
+            child, twin = switch(marked, i), switch(plain, i)
+            assert child._simple == (not sheds(i)) and not twin._simple
+            marked_switches += child._simple
+            for d, same in ((marked, plain), (child, twin)):
+                assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+                assert (repr(d), pd_text(d)) == (repr(same), pd_text(same))
+            for other in (switch(twin, i), smooth(marked, i)):
+                assert not other._simple
+            # switching back gives the simplified diagram, marked when the
+            # switch was: then no move fires on either
+            back = switch(child, i)
+            assert back == marked and back._simple == child._simple
+    assert marked_switches > 0
+
+
+def test_the_marks_on_a_diagram_are_its_recomputed_state():
+    """A diagram holds nothing beyond its crossings and free loops but
+    two marks, _simple and _walk, and each is what the crossings give: a
+    set _walk is the table a fresh copy reads, and the switch of a
+    simplified diagram is marked exactly when simplify removes nothing
+    from it.  Checked on the closure battery and the simplified finder
+    battery, each also renamed and reordered, and on every switch of
+    them."""
+    hidden = {f.name for f in dataclasses.fields(OrientedDiagram) if not f.init}
+    assert hidden == {"_simple", "_walk"}
+    rng = random.Random(7)
+    walks = marked = unmarked = 0
+
+    def fresh(d):
+        return OrientedDiagram(d.crossings, d.free_loops)
+
+    def check_walk(d):
+        nonlocal walks
+        if d._walk is not None:
+            assert d._walk == _walk_of(fresh(d)), pd_text(d)
+            walks += 1
+
+    for d in closure_battery() + [simplify(d) for d in finder_battery()]:
+        for s in (d, simplify(scrambled(d, rng))):
+            assert s._simple
+            check_walk(s)
+            for i in range(s.crossing_count):
+                sw = switch(s, i)
+                check_walk(sw)
+                keeps = simplify(fresh(sw)).crossing_count == sw.crossing_count
+                assert sw._simple == keeps, (pd_text(s), i)
+                assert (simplify(sw).crossing_count == sw.crossing_count) == keeps, (pd_text(s), i)
+                marked += keeps
+                unmarked += not keeps
+    assert walks > 900 and marked > 300 and unmarked > 1000
 
 
 def test_canonical_separates_fixtures():
@@ -562,7 +609,7 @@ def test_switch_sheds_exactly_when_simplify_shrinks_the_switch():
             pairs += 1
             if want:
                 shed += 1
-                pair = diagram._poke_pair_through(switch(d, j), j)
+                pair = find_poke_pair(switch(d, j))
                 directions.add(pair.index(j))
     assert directions == {0, 1}
     assert pairs > 10000 and shed > 5000

@@ -79,6 +79,21 @@ def test_render_parse_roundtrip(p):
     assert parse_poly(render_poly(p)) == p
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-1*a^4*a^2 + 2*a^2 + 1*a^2*z^2",  # a repeated a^ factor
+        "1*z^2*z^-1",  # a repeated z^ factor
+        "2*3*a^2",  # a repeated coefficient
+        "1*a^2 + 1*a^2",  # a repeated monomial
+        "1*a^2*z^2 + 3*z^2*a^2",  # the same monomial, factors reordered
+    ],
+)
+def test_parse_poly_rejects_text_render_poly_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
 def test_pow():
     assert DELTA**0 == ONE
     assert DELTA**3 == DELTA * DELTA * DELTA

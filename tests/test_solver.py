@@ -29,6 +29,7 @@ from skeindepth import (
     verify_tree,
 )
 from skeindepth import poly, solver
+from skeindepth.diagram import _walk_of
 from skeindepth.solver import ResultCache
 
 from conftest import (
@@ -121,6 +122,24 @@ def test_verify_tree_rejects_tampering():
     # a leaf that is not an unlink at all
     with pytest.raises(ValueError):
         verify_tree(SkeinLeaf(parse_pd(FIXTURE_PDS["trefoil"][0]), 1))
+
+
+def test_verify_tree_trusts_nothing_stored_on_a_diagram():
+    """A T(2,5) witness whose switch child is replaced by a kinked unknot
+    leaf, the kinked unknot carrying the real child's label-block table
+    and code, is rejected: the replay reads a fresh copy of each
+    diagram, not what a diagram object has stored."""
+    res = compute_td(braid_closure(parse_braid("p=2: 1 1 1 1 1")))
+    tree = res.witness
+    assert res.status == "Exact(4)" and verify_tree(tree) == 4
+    assert isinstance(tree.switched, SkeinBranch)
+    real = tree.switched.diagram
+    kinked = parse_pd(FIXTURE_PDS["kink+"][0])
+    object.__setattr__(kinked, "_walk", _walk_of(real))
+    object.__setattr__(kinked, "_code", canonical_code(real))
+    planted = SkeinBranch(tree.diagram, tree.crossing, SkeinLeaf(kinked, 1), tree.smoothed)
+    with pytest.raises(ValueError, match="switch child does not match"):
+        verify_tree(planted)
 
 
 def _share_leaves(tree, leaves):
