@@ -730,7 +730,7 @@ def _with_walk_of(d: OrientedDiagram, out: OrientedDiagram) -> OrientedDiagram:
 # -- skein operations ----------------------------------------------------------
 
 
-def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
+def switch(d: OrientedDiagram, i: int, sheds: Callable[[int], bool] | None = None) -> OrientedDiagram:
     """Exchange over and under strands at crossing i (negates its sign).
 
     Arc labels and strand succession are untouched, so the result needs
@@ -741,13 +741,14 @@ def switch(d: OrientedDiagram, i: int) -> OrientedDiagram:
     fire on the switch (see :func:`simplify`).  So when
     :func:`switch_sheds` finds none, the switch is marked as simplify's
     own result, and simplify returns it at once; otherwise it is left
-    unmarked, and simplify's rounds remove that pair first.
+    unmarked, and simplify's rounds remove that pair first.  sheds is
+    switch_sheds(d), when the caller has built it already.
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
     new = _exchange(d.crossings[i])
     out = _with_walk_of(d, OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops))
-    if d._simple and not switch_sheds(d)(i):
+    if d._simple and not (sheds or switch_sheds(d))(i):
         object.__setattr__(out, "_simple", True)
     return out
 

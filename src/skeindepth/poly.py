@@ -22,11 +22,16 @@ first defect when none does, so the switch child is smaller where it
 can be.  That expansion is a skein resolution tree, and
 :class:`HomflyCache` keeps it, with its height, for each code it
 expands.  A value has one of two sources: the expansion, which records
-its tree, or a cache file, which records none.
+its tree, or a cache file, which records none.  A loaded value answers
+a call of :func:`homfly` on its code, but an expansion that meets it
+as a child resolves that child as it would any other, and
+:func:`expansion` expands a code for its tree.  So every value the
+expansion computes has its tree.
 """
 
 from __future__ import annotations
 
+import re
 from math import comb
 from typing import Mapping
 
@@ -270,6 +275,22 @@ def render_poly(p: LaurentPoly2) -> str:
     return " + ".join(_render_term(a, z, p.coeff(a, z)) for a, z in keys)
 
 
+_NUMBER = r"-?[1-9][0-9]*"  # as %d writes a nonzero int
+_TERM = rf"{_NUMBER}(?:\*a\^{_NUMBER})?(?:\*z\^{_NUMBER})?"
+_RENDERED = re.compile(rf"0|{_TERM}(?: \+ {_TERM})*")
+
+
+def is_rendered(text: str, p: LaurentPoly2) -> bool:
+    """Whether text is render_poly(p), for p = parse_poly(text), read
+    without rendering p: each term is written as render_poly writes one,
+    and the terms, which parse_poly keeps in the text's order, come in
+    render_poly's order."""
+    if _RENDERED.fullmatch(text) is None:
+        return False
+    keys = [(ze, -ae) for ae, ze in p._terms]
+    return keys == sorted(keys)  # parse_poly rejects a repeated monomial
+
+
 def parse_poly(text: str) -> LaurentPoly2:
     """Inverse of render_poly (used when reloading cached results).
 
@@ -322,18 +343,21 @@ def parse_poly(text: str) -> LaurentPoly2:
 # The expansion is itself a skein resolution tree with descending
 # leaves, so each code it expands also records that tree and its
 # height, an upper bound on the code's depth that the search starts
-# from.  A code gets no tree when one of its children has none: a
-# value loaded from a cache file comes without one.
+# from.  A value loaded from a cache file comes without a tree, so a
+# child with such a value is expanded all the same; the value it
+# computes replaces the loaded one, which a correct file gives equal.
 
 
 class HomflyCache:
     """Memo table keyed by canonical diagram code, with usage counters.
 
-    computed counts the values stored by a skein expansion; hits counts
-    lookups that found a value.  trees holds, per code the expansion
+    computed counts the values stored by a skein expansion, a loaded
+    value it re-derives included; hits counts the calls of
+    :func:`homfly` answered from table and the children an expansion
+    found expanded already.  trees holds, per code the expansion
     resolved down to its leaves, the height of that resolution and its
     tree.  A code in table with no tree has a value loaded from a cache
-    file, or one whose expansion met such a value.  codes holds the
+    file that nothing has expanded again.  codes holds the
     canonical code of each labeled diagram met, for :meth:`code_of`.
     """
 
@@ -396,46 +420,50 @@ def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2
     children of a defect crossing, chosen as the module says.  Results
     are memoized on canonical codes in `cache`, so repeated and nested
     calls stay cheap; without one, the call uses a fresh table of its
-    own.
+    own.  A value in the table answers at once, loaded or computed.
     """
-    return _homfly(d, cache if cache is not None else HomflyCache())
+    if cache is None:
+        cache = HomflyCache()
+    if not d.is_crossingless():
+        got = cache.get(cache.code_of(d))
+        if got is not None:
+            return got
+    return _homfly(d, cache)[0]
 
 
-def _homfly(d: OrientedDiagram, cache: HomflyCache) -> LaurentPoly2:
+def expansion(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinTree]:
+    """Height and tree of the skein expansion of d, expanding d when its
+    code has no tree yet, a value loaded from a cache file included."""
+    _, height, tree = _homfly(d, cache)
+    return height, tree
+
+
+def _homfly(d: OrientedDiagram, cache: HomflyCache) -> tuple[LaurentPoly2, int, SkeinTree]:
+    """The value of d, and the height and tree of its expansion: from the
+    cache when d's code has a tree, else expanded, a loaded value
+    replaced."""
     if d.is_crossingless():
-        return unlink_value(d.free_loops)
+        return unlink_value(d.free_loops), 0, SkeinLeaf(d, d.free_loops)
     key = cache.code_of(d)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    expanded = cache.trees.get(key)
+    if expanded is not None:
+        cache.hits += 1
+        return cache.table[key], expanded[0], expanded[1]
 
     found = defects(d)
     if not found:
         r = component_count(d)
-        value = unlink_value(r)
-        cache.trees[key] = (0, SkeinLeaf(d, r))
+        value, height, tree = unlink_value(r), 0, SkeinLeaf(d, r)
     else:
         sheds = switch_sheds(d)
         i = next((j for j in found if sheds(j)), found[0])
-        sw = simplify(switch(d, i))
-        p_sw = _homfly(sw, cache)
-        sm = simplify(smooth(d, i))
-        p_sm = _homfly(sm, cache)
+        p_sw, h_sw, t_sw = _homfly(simplify(switch(d, i, sheds)), cache)
+        p_sm, h_sm, t_sm = _homfly(simplify(smooth(d, i)), cache)
         value = skein_value(d.crossings[i].sign, p_sw, p_sm)
-        proof_sw, proof_sm = _expansion_tree(sw, cache), _expansion_tree(sm, cache)
-        if proof_sw is not None and proof_sm is not None:
-            height = 1 + max(proof_sw[0], proof_sm[0])
-            cache.trees[key] = (height, SkeinBranch(d, i, proof_sw[1], proof_sm[1]))
+        height, tree = 1 + max(h_sw, h_sm), SkeinBranch(d, i, t_sw, t_sm)
+    cache.trees[key] = (height, tree)
     cache.put(key, value)
-    return value
-
-
-def _expansion_tree(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinTree] | None:
-    """Height and tree of the expansion of d, expanded or crossingless;
-    None when its value was loaded from a cache file."""
-    if d.is_crossingless():
-        return 0, SkeinLeaf(d, d.free_loops)
-    return cache.trees.get(cache.code_of(d))
+    return value, height, tree
 
 
 def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, int]:

@@ -19,12 +19,15 @@ Soundness rules the search lives by:
   reported interval.
 
 Every polynomial the search needs comes from the HOMFLY-PT expansion
-(see :mod:`.poly`), which records its tree, or from a cache file.  The
-smoothing at a crossing is built only once the switch child there has
-succeeded, since a switch child that fails or runs out of budget ends
-that branch.  Each child is simplified; a switch child that
-:func:`.diagram.switch` marked, having no poke pair through the switched
-crossing, comes back from simplify at once.
+(see :mod:`.poly`), which records its tree, or from a cache file.
+:func:`compute_td` on a diagram whose polynomial was loaded expands it
+for its tree, as a cold solve has, unless a loaded record already
+reaches the bound report's lower end.  The smoothing at a crossing is
+built only once the switch child there has succeeded, since a switch
+child that fails or runs out of budget ends that branch.  Each child
+is simplified; a switch child that :func:`.diagram.switch` marked,
+having no poke pair through the switched crossing, comes back from
+simplify at once.
 
 A SolveContext keeps one search record per canonical code, ``(lo, hi,
 tree)``: the certified depth interval and the tree of height hi that
@@ -61,7 +64,7 @@ from typing import Optional
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
 from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
 from .moves import Verdict, recognize_unlink
-from .poly import HomflyCache, LaurentPoly2, homfly, parse_poly, render_poly
+from .poly import HomflyCache, LaurentPoly2, expansion, homfly, is_rendered, parse_poly, render_poly
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
 DEFAULT_BUDGET = 5_000_000
@@ -354,6 +357,10 @@ def compute_td(
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
         root = ctx.homfly_cache.code_of(work)
+        if ctx.memo.get(root, _OPEN)[1] > lower and root not in ctx.homfly_cache.trees:
+            # the root's value was loaded from a cache file, and no loaded
+            # record reaches the lower end: expand it, as a cold solve has
+            expansion(work, ctx.homfly_cache)
         # the expansion's tree holds even when max_depth stops the sweep
         # before its first probe
         _merge_expansion(ctx, root)
@@ -401,12 +408,19 @@ class ResultCache:
     Lines are tab-separated: the format marker, then the three values; a
     missing value is "-".  Later lines win on reload, so appending an
     improved interval supersedes the old one.  Loaded intervals go into
-    the context's memo as records without a tree.
+    the context's memo as records without a tree.  A save appends a line
+    for each code whose polynomial or interval differs from its loaded
+    line; a polynomial the expansion recomputed, right or wrong in the
+    file, is rendered again, and one still loaded keeps its line's text
+    when render_poly wrote that text.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.loaded: dict[str, tuple[str, str]] = {}
+        # per code, a loaded polynomial whose line held render_poly's
+        # text of it, and that text: saving it again needs no render
+        self._rendered: dict[str, tuple[LaurentPoly2, str]] = {}
 
     def load_into(self, ctx: SolveContext) -> None:
         """Load every valid line; a corrupt one is skipped with a warning
@@ -448,6 +462,8 @@ class ResultCache:
                     continue
                 if value is not None:
                     ctx.homfly_cache.table[code] = value
+                    if is_rendered(poly_text, value):
+                        self._rendered[code] = (value, poly_text)
                 if bounds is not None:
                     ctx.memo[code] = bounds
                 self.loaded[code] = (poly_text, interval)
@@ -463,7 +479,13 @@ class ResultCache:
         rows = []
         for code in sorted(set(ctx.homfly_cache.table) | set(ctx.memo)):
             value = ctx.homfly_cache.table.get(code)
-            poly_text = render_poly(value) if value is not None else "-"
+            kept = self._rendered.get(code)
+            if value is None:
+                poly_text = "-"
+            elif kept is not None and kept[0] is value:
+                poly_text = kept[1]
+            else:
+                poly_text = render_poly(value)
             lo, hi, _ = ctx.memo.get(code, _OPEN)
             if (lo, hi) == (1, _INF):
                 interval = "-"

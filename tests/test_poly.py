@@ -31,7 +31,7 @@ from skeindepth import (
 )
 from skeindepth import poly
 from skeindepth.diagram import OrientedDiagram, defects, first_defect, pd_text, switch_sheds
-from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
+from skeindepth.poly import DELTA, ONE, ZERO, is_rendered, monomial, skein_value
 
 from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, scrambled
 
@@ -77,6 +77,35 @@ def test_mirror_map_is_ring_hom_and_involution(p, q):
 @settings(max_examples=100, deadline=None)
 def test_render_parse_roundtrip(p):
     assert parse_poly(render_poly(p)) == p
+
+
+@given(poly_st)
+@settings(max_examples=100, deadline=None)
+def test_is_rendered_on_render_poly_text(p):
+    text = render_poly(p)
+    assert is_rendered(text, parse_poly(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2*a^2 + -1*a^4 + 1*a^2*z^2",  # terms out of order
+        "1*a^2*z^2 + -1*a^4 + 2*a^2",
+        "+2*a^2",  # a sign render_poly does not write
+        "02*a^2",  # a leading zero
+        "2*a^02",
+        "2*a^0*z^2",  # an exponent 0 factor
+        "2*z^2*a^2",  # factors out of order
+        "2 * a^2",  # spaces inside a term
+        " 2*a^2",
+        "2*a^2 +  1*z^2",
+        "1*a^2 + 0*z^2",  # a zero coefficient
+        "2*a^\u0662",  # a digit outside 0-9
+    ],
+)
+def test_is_rendered_rejects_text_render_poly_does_not_write(text):
+    p = parse_poly(text)
+    assert render_poly(p) != text and not is_rendered(text, p)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +303,29 @@ def test_cache_counters():
     assert cache.hits > 0
 
 
+def test_cache_counters_on_a_warm_table():
+    """A call on a loaded code is a hit; a loaded child that an expansion
+    re-derives counts as computed, as it does in a cold table, not as a
+    hit, so the expansion's counters are those of a cold one."""
+    d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
+    root = canonical_code(d)
+    cold = HomflyCache()
+    p = homfly(d, cold)
+    assert cold.computed > 2
+
+    warm = HomflyCache()
+    warm.table.update(cold.table)  # as load_into stores them: no trees
+    assert homfly(d, warm) == p and (warm.computed, warm.hits) == (0, 1)
+
+    warm = HomflyCache()
+    warm.table.update((code, value) for code, value in cold.table.items() if code != root)
+    assert homfly(d, warm) == p
+    assert (warm.computed, warm.hits) == (cold.computed, cold.hits)
+    assert warm.table == cold.table and set(warm.trees) == set(cold.trees)
+    homfly(d, warm)
+    assert (warm.computed, warm.hits) == (cold.computed, cold.hits + 1)
+
+
 def test_code_of_codes_each_labeled_diagram_once(monkeypatch):
     """Distinct objects with the same crossings and free loops cost one
     canonical_code call between them, and code_of agrees with
@@ -304,11 +356,12 @@ def test_code_of_codes_each_labeled_diagram_once(monkeypatch):
 # -- the expansion's trees -----------------------------------------------------
 
 
-def test_expansion_records_a_tree_only_over_children_that_have_one():
+def test_expansion_records_a_tree_over_loaded_children():
     """Each code the expansion resolves stores its tree, rooted at the
     crossing it resolved (here the first defect, whose switch sheds a
     bigon), and the tree's height; a child whose value was loaded from a
-    cache file has no tree, so neither has its parent."""
+    cache file, with no tree, is expanded all the same, and its computed
+    value replaces the loaded one, right or wrong."""
     d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
     i = first_defect(d)
     assert switch_sheds(d)(i)
@@ -324,10 +377,14 @@ def test_expansion_records_a_tree_only_over_children_that_have_one():
     assert not sw.is_crossingless() and not sm.is_crossingless()
 
     for child in (sw, sm):
-        known = HomflyCache()
-        known.table[canonical_code(child)] = homfly(child)  # as load_into stores it
-        assert homfly(d, known) == p
-        assert canonical_code(d) not in known.trees
+        code = canonical_code(child)
+        for loaded in (homfly(child), homfly(child) + ONE):  # as load_into stores it
+            known = HomflyCache()
+            known.table[code] = loaded
+            assert homfly(d, known) == p
+            assert known.trees[canonical_code(d)][0] == height
+            assert known.table[code] == cache.table[code] and known.trees[code][0] == cache.trees[code][0]
+            assert set(known.table) == set(known.trees)
 
 
 def test_expansion_resolves_the_first_defect_whose_switch_sheds():

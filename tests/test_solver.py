@@ -569,52 +569,186 @@ def test_every_recorded_tree_replays(tmp_path):
     }
 
 
+def _cold_half_cache(links, path):
+    """A warm context loaded from a cache file that a cold solve of every
+    other link of links saved to path."""
+    half = SolveContext()
+    for d in links[::2]:
+        compute_td(d, ctx=half)
+    ResultCache(path).save_from(half)
+    warm = SolveContext()
+    ResultCache(path).load_into(warm)
+    return warm
+
+
 def test_a_polynomial_without_a_tree_came_from_a_cache_file(tmp_path, monkeypatch):
     """Every polynomial a solve computes comes from the HOMFLY-PT
     expansion, with its tree.  After a cache file is loaded, a code has
-    no tree only when its value was loaded, or when its expansion met a
-    code with no tree."""
+    no tree only when its value was loaded and no expansion met it as a
+    child: a loaded child is expanded again, to the loaded value."""
     links = [braid_closure(parse_braid(w)) for w in SEARCH_WORDS + [GAP_WORD]] + closure_battery()
     ctx = SolveContext()
     for d in links:
         compute_td(d, ctx=ctx)
     assert set(ctx.homfly_cache.table) == set(ctx.homfly_cache.trees)
 
-    half = SolveContext()
-    for d in links[::2]:
-        compute_td(d, ctx=half)
-    path = str(tmp_path / "cache.tsv")
-    ResultCache(path).save_from(half)
-    warm = SolveContext()
-    ResultCache(path).load_into(warm)
+    warm = _cold_half_cache(links, str(tmp_path / "cache.tsv"))
     cache = warm.homfly_cache
-    loaded = set(cache.table)
+    loaded = dict(cache.table)
     assert loaded and not cache.trees
 
-    met: dict[str, set[str]] = {}  # code -> codes its expansion met
-    stack: list[str] = []
+    children: set[str] = set()  # codes an expansion met as a child
+    depth = [0]
     expand = poly._homfly
 
     def spy(d, cache):
-        if d.is_crossingless():
-            return expand(d, cache)
-        code = canonical_code(d)
-        if stack:
-            met[stack[-1]].add(code)
-        met.setdefault(code, set())
-        stack.append(code)
+        if depth[0] and not d.is_crossingless():
+            children.add(canonical_code(d))
+        depth[0] += 1
         try:
             return expand(d, cache)
         finally:
-            stack.pop()
+            depth[0] -= 1
 
     monkeypatch.setattr(poly, "_homfly", spy)
     for d in links:
         compute_td(d, ctx=warm)
     treeless = set(cache.table) - set(cache.trees)
-    assert loaded <= treeless and treeless - loaded
-    for code in treeless - loaded:
-        assert met[code] & treeless, code
+    assert treeless and treeless <= set(loaded) and not treeless & children
+    assert children <= set(cache.trees)
+    rederived = set(loaded) & children
+    assert rederived
+    for code in rederived:
+        assert cache.table[code] == loaded[code] and cache.table[code] is not loaded[code], code
+
+
+def test_a_warm_context_searches_no_more_than_a_cold_one(tmp_path):
+    """A context loaded from half a cache searches no more nodes than a
+    fresh one on the same links in the same order: a loaded value that
+    an expansion meets as a child, or that a solve's own diagram has
+    while no loaded record answers it, is expanded again for its tree,
+    as a cold solve expands it."""
+    words = SEARCH_WORDS + [GAP_WORD] + [
+        "p=4: 2 1 3 2 2 3 2 -3",
+        "p=4: -2 2 -1 3 -1 3 2 1 -3 1 2",
+        "p=4: -2 3 -3 1 -1 -1 -1 -2 1 1 1",
+        "p=4: 1 -2 1 1 -2 -1 3 2",
+    ]
+    links = [braid_closure(parse_braid(w)) for w in words] + closure_battery()
+    cold = SolveContext()
+    answers = [compute_td(d, ctx=cold).render() for d in links]
+    warm = _cold_half_cache(links, str(tmp_path / "cache.tsv"))
+    assert [compute_td(d, ctx=warm).render() for d in links] == answers
+    assert cold.nodes > 0 and warm.nodes <= cold.nodes
+
+
+def test_a_solve_expands_its_loaded_diagram_unless_a_record_answers():
+    """A solve whose diagram has a loaded polynomial and no loaded record
+    expands the diagram for its tree, as a cold solve does: the same
+    answer, witness height and polynomial work, and no search.  A loaded
+    record that reaches the lower end answers with no expansion."""
+    d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
+    code = canonical_code(d)
+    cold = SolveContext()
+    want = compute_td(d, ctx=cold)
+    assert (want.render(), cold.nodes) == ("4", 0)
+    value = cold.homfly_cache.table[code]
+
+    warm = SolveContext()
+    warm.homfly_cache.table[code] = value  # as load_into stores it
+    got = compute_td(d, ctx=warm)
+    assert (got.render(), warm.nodes) == ("4", 0) and verify_tree(got.witness) == 4
+    assert warm.homfly_cache.computed == cold.homfly_cache.computed
+
+    warm = SolveContext()
+    warm.homfly_cache.table[code] = value
+    warm.memo[code] = (4, 4, None)
+    got = compute_td(d, ctx=warm)
+    assert (got.render(), got.witness, warm.nodes, warm.homfly_cache.computed) == ("4", None, 0, 0)
+
+
+def test_a_wrong_loaded_polynomial_is_replaced_and_saved(tmp_path):
+    """A cache line with a parseable but wrong polynomial for a code the
+    root's expansion meets: the warm answer is the cold one, and the
+    saved file's last line for that code carries the computed value."""
+    d = simplify(braid_closure(parse_braid(GAP_WORD)))
+    cold = SolveContext()
+    want = compute_td(d, ctx=cold)
+    tree = cold.homfly_cache.trees[canonical_code(d)][1]
+    child = tree.switched.diagram
+    assert not child.is_crossingless()
+    code = canonical_code(child)
+    right = cold.homfly_cache.table[code]
+    wrong = right + poly.ONE
+    path = tmp_path / "cache.tsv"
+    path.write_text(f"{solver.CACHE_FORMAT}\t{code}\t{poly.render_poly(wrong)}\t-\n")
+
+    warm = SolveContext()
+    store = ResultCache(str(path))
+    store.load_into(warm)
+    assert warm.homfly_cache.table[code] == wrong
+    got = compute_td(d, ctx=warm)
+    assert (got.render(), got.status) == (want.render(), want.status)
+    assert verify_tree(got.witness) == verify_tree(want.witness)
+    assert warm.homfly_cache.table[code] == right
+    store.save_from(warm)
+    lines = [line.split("\t") for line in path.read_text().splitlines()]
+    assert [fields[2] for fields in lines if fields[1] == code][-1] == poly.render_poly(right)
+    again = SolveContext()
+    ResultCache(str(path)).load_into(again)
+    assert again.homfly_cache.table[code] == right
+
+
+def test_a_save_renders_only_what_was_not_loaded_as_written(tmp_path, monkeypatch):
+    """save_from writes a polynomial it loaded, the very object, with the
+    text of its line when that is render_poly's text, without rendering
+    it; what it appends is byte for byte what rendering every polynomial
+    appends, for a line in another form, a later line without a
+    polynomial and a loaded value the expansion replaced too."""
+    words = [GAP_WORD, DEPTH2_WORD, "p=4: 2 1 3 2 2 3 2 -3"]
+    links = [braid_closure(parse_braid(w)) for w in words]
+    path = tmp_path / "cache.tsv"
+    _cold_half_cache(links, str(path))
+    lines = path.read_text().splitlines()
+    rendered = []
+    monkeypatch.setattr(solver, "render_poly", lambda p: rendered.append(p) or poly.render_poly(p))
+    store, warm = ResultCache(str(path)), SolveContext()
+    store.load_into(warm)
+    store.save_from(warm)
+    assert rendered == [] and path.read_text().splitlines() == lines
+
+    # a child of the expansion of links[1], which the file does not answer
+    cold = SolveContext()
+    compute_td(links[1], ctx=cold)
+    child = cold.homfly_cache.trees[canonical_code(simplify(links[1]))][1].switched.diagram
+    replaced = canonical_code(child)
+    right = poly.render_poly(cold.homfly_cache.table[replaced])
+    first, second = (line.split("\t") for line in lines[:2])
+    terms = first[2].split(" + ")
+    assert len(terms) > 1
+    edited = ["\t".join(first[:2] + [" + ".join(terms[::-1])] + first[3:])] + lines[1:]  # out of order
+    edited.append("\t".join(second[:2] + ["-", "1,-"]))  # a later line without a polynomial
+    wrong = poly.render_poly(cold.homfly_cache.table[replaced] + poly.ONE)
+    edited.append("\t".join([solver.CACHE_FORMAT, replaced, wrong, "-"]))
+    saved = []
+    for every in (False, True):
+        path.write_text("\n".join(edited) + "\n")
+        if every:  # as a save that renders every polynomial writes
+            monkeypatch.setattr(solver, "is_rendered", lambda text, p: False)
+        warm = SolveContext()
+        store = ResultCache(str(path))
+        store.load_into(warm)
+        for d in links:
+            compute_td(d, ctx=warm)
+        store.save_from(warm)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    appended = {}
+    for line in saved[0].decode().splitlines()[len(edited) :]:
+        fields = line.split("\t")
+        appended[fields[1]] = fields[2:]
+    assert appended[first[1]][0] == first[2] and appended[second[1]][0] == second[2]
+    assert appended[replaced][0] == right
 
 
 def test_warm_cache_answers_match_cold(tmp_path):
