@@ -25,13 +25,13 @@ expands.  A value has one of two sources: the expansion, which records
 its tree, or a cache file, which records none.  A loaded value answers
 a call of :func:`homfly` on its code, but an expansion that meets it
 as a child resolves that child as it would any other, and
-:func:`expansion` expands a code for its tree.  So every value the
-expansion computes has its tree.
+:func:`expansion` expands a code for its tree: the depth search calls
+it on each node it reaches with a loaded value that no loaded record
+answers.  So every value the expansion computes has its tree.
 """
 
 from __future__ import annotations
 
-import re
 from math import comb
 from typing import Mapping
 
@@ -275,22 +275,6 @@ def render_poly(p: LaurentPoly2) -> str:
     return " + ".join(_render_term(a, z, p.coeff(a, z)) for a, z in keys)
 
 
-_NUMBER = r"-?[1-9][0-9]*"  # as %d writes a nonzero int
-_TERM = rf"{_NUMBER}(?:\*a\^{_NUMBER})?(?:\*z\^{_NUMBER})?"
-_RENDERED = re.compile(rf"0|{_TERM}(?: \+ {_TERM})*")
-
-
-def is_rendered(text: str, p: LaurentPoly2) -> bool:
-    """Whether text is render_poly(p), for p = parse_poly(text), read
-    without rendering p: each term is written as render_poly writes one,
-    and the terms, which parse_poly keeps in the text's order, come in
-    render_poly's order."""
-    if _RENDERED.fullmatch(text) is None:
-        return False
-    keys = [(ze, -ae) for ae, ze in p._terms]
-    return keys == sorted(keys)  # parse_poly rejects a repeated monomial
-
-
 def parse_poly(text: str) -> LaurentPoly2:
     """Inverse of render_poly (used when reloading cached results).
 
@@ -357,8 +341,9 @@ class HomflyCache:
     found expanded already.  trees holds, per code the expansion
     resolved down to its leaves, the height of that resolution and its
     tree.  A code in table with no tree has a value loaded from a cache
-    file that nothing has expanded again.  codes holds the
-    canonical code of each labeled diagram met, for :meth:`code_of`.
+    file that neither an expansion nor the depth search has expanded
+    again.  codes holds the canonical code of each labeled diagram met,
+    for :meth:`code_of`.
     """
 
     def __init__(self):
@@ -377,19 +362,6 @@ class HomflyCache:
         if code is None:
             code = self.codes[key] = canonical_code(d)
         return code
-
-    def get(self, key: str) -> LaurentPoly2 | None:
-        value = self.table.get(key)
-        if value is not None:
-            self.hits += 1
-        return value
-
-    def put(self, key: str, value: LaurentPoly2) -> None:
-        self.table[key] = value
-        self.computed += 1
-
-    def __len__(self) -> int:
-        return len(self.table)
 
 
 def _shifted_sum(
@@ -425,8 +397,9 @@ def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2
     if cache is None:
         cache = HomflyCache()
     if not d.is_crossingless():
-        got = cache.get(cache.code_of(d))
+        got = cache.table.get(cache.code_of(d))
         if got is not None:
+            cache.hits += 1
             return got
     return _homfly(d, cache)[0]
 
@@ -462,7 +435,8 @@ def _homfly(d: OrientedDiagram, cache: HomflyCache) -> tuple[LaurentPoly2, int, 
         value = skein_value(d.crossings[i].sign, p_sw, p_sm)
         height, tree = 1 + max(h_sw, h_sm), SkeinBranch(d, i, t_sw, t_sm)
     cache.trees[key] = (height, tree)
-    cache.put(key, value)
+    cache.table[key] = value
+    cache.computed += 1
     return value, height, tree
 
 

@@ -19,12 +19,13 @@ Soundness rules the search lives by:
   reported interval.
 
 Every polynomial the search needs comes from the HOMFLY-PT expansion
-(see :mod:`.poly`), which records its tree, or from a cache file.
-:func:`compute_td` on a diagram whose polynomial was loaded expands it
-for its tree, as a cold solve has, unless a loaded record already
-reaches the bound report's lower end.  The smoothing at a crossing is
-built only once the switch child there has succeeded, since a switch
-child that fails or runs out of budget ends that branch.  Each child
+(see :mod:`.poly`), which records its tree, or from a cache file.  A
+node whose polynomial was loaded is expanded for its tree, as a cold
+solve has expanded it, unless a loaded record already proves the depth
+asked of it: the bound report's lower end at the root of
+:func:`compute_td`, k at a node the search reaches.  The smoothing at
+a crossing is built only once the switch child there has succeeded,
+since a switch child that fails or runs out of budget ends that branch.  Each child
 is simplified; a switch child that :func:`.diagram.switch` marked,
 having no poke pair through the switched crossing, comes back from
 simplify at once.
@@ -64,7 +65,7 @@ from typing import Optional
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
 from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
 from .moves import Verdict, recognize_unlink
-from .poly import HomflyCache, LaurentPoly2, expansion, homfly, is_rendered, parse_poly, render_poly
+from .poly import HomflyCache, expansion, homfly, parse_poly, render_poly
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
 
 DEFAULT_BUDGET = 5_000_000
@@ -98,13 +99,10 @@ class SolveContext:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def poly_of(self, d: OrientedDiagram) -> LaurentPoly2:
-        return homfly(d, self.homfly_cache)
-
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
         if v is None:
-            v = recognize_unlink(d, homfly_value=self.poly_of(d), deadline=self.deadline)
+            v = recognize_unlink(d, homfly_value=homfly(d, self.homfly_cache), deadline=self.deadline)
             # an unknown cut short by the deadline may yet be certified
             # by a later solve with more time
             if not (v.is_unknown and self.out_of_time()):
@@ -125,12 +123,17 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
     ctx.memo[code] = (max(lo, old_lo), hi, tree)
 
 
-def _merge_expansion(ctx: SolveContext, code: str) -> None:
-    """Merge the HOMFLY-PT expansion's tree for code, when there is one,
-    into code's record."""
+def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, k: int) -> None:
+    """Merge the HOMFLY-PT expansion's tree for d, whose code is code, into
+    code's record.  A value loaded from a cache file has no tree: d is
+    expanded for one, as a cold solve has, unless the record already
+    proves a depth <= k."""
     expanded = ctx.homfly_cache.trees.get(code)
-    if expanded is not None:
-        _record(ctx, code, hi=expanded[0], tree=expanded[1])
+    if expanded is None:
+        if ctx.memo.get(code, _OPEN)[1] <= k:
+            return
+        expanded = expansion(d, ctx.homfly_cache)
+    _record(ctx, code, hi=expanded[0], tree=expanded[1])
 
 
 def _proof(ctx: SolveContext, d: OrientedDiagram) -> tuple[int, Optional[SkeinTree]]:
@@ -150,8 +153,9 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     """True / False / None for: some certified tree of height <= k exists.
 
     d must be simplified; the children searched are simplified in turn.
-    The expansion's tree for d, when there is one, is merged into d's
-    record first.  A True leaves d's proof where :func:`_proof` reads it.
+    The expansion's tree for d is merged into d's record first (see
+    :func:`_merge_expansion`).  A True leaves d's proof where
+    :func:`_proof` reads it.
     """
     if d.is_crossingless():
         return True
@@ -163,13 +167,13 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
-    _merge_expansion(ctx, code)
+    _merge_expansion(ctx, d, code, k)
     lo, hi, _ = ctx.memo.get(code, _OPEN)
     if hi <= k:
         return True
     if k < lo:
         return False
-    self_lb = polynomial_lower_bound(ctx.poly_of(d), component_count(d))
+    self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
     if self_lb > k:
         _record(ctx, code, lo=self_lb)
         return False
@@ -357,13 +361,9 @@ def compute_td(
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
         root = ctx.homfly_cache.code_of(work)
-        if ctx.memo.get(root, _OPEN)[1] > lower and root not in ctx.homfly_cache.trees:
-            # the root's value was loaded from a cache file, and no loaded
-            # record reaches the lower end: expand it, as a cold solve has
-            expansion(work, ctx.homfly_cache)
         # the expansion's tree holds even when max_depth stops the sweep
         # before its first probe
-        _merge_expansion(ctx, root)
+        _merge_expansion(ctx, work, root, lower)
         kmax = upper if max_depth is None else min(upper, max_depth)
         witness = None
         exhausted = False
@@ -408,19 +408,16 @@ class ResultCache:
     Lines are tab-separated: the format marker, then the three values; a
     missing value is "-".  Later lines win on reload, so appending an
     improved interval supersedes the old one.  Loaded intervals go into
-    the context's memo as records without a tree.  A save appends a line
-    for each code whose polynomial or interval differs from its loaded
-    line; a polynomial the expansion recomputed, right or wrong in the
-    file, is rendered again, and one still loaded keeps its line's text
-    when render_poly wrote that text.
+    the context's memo as records without a tree.  A save writes every
+    polynomial as render_poly does, and appends a line for each code
+    whose text or interval differs from its loaded line: so a value the
+    expansion corrected, and a loaded line render_poly did not write, are
+    appended in render_poly's form.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.loaded: dict[str, tuple[str, str]] = {}
-        # per code, a loaded polynomial whose line held render_poly's
-        # text of it, and that text: saving it again needs no render
-        self._rendered: dict[str, tuple[LaurentPoly2, str]] = {}
 
     def load_into(self, ctx: SolveContext) -> None:
         """Load every valid line; a corrupt one is skipped with a warning
@@ -462,8 +459,6 @@ class ResultCache:
                     continue
                 if value is not None:
                     ctx.homfly_cache.table[code] = value
-                    if is_rendered(poly_text, value):
-                        self._rendered[code] = (value, poly_text)
                 if bounds is not None:
                     ctx.memo[code] = bounds
                 self.loaded[code] = (poly_text, interval)
@@ -479,13 +474,7 @@ class ResultCache:
         rows = []
         for code in sorted(set(ctx.homfly_cache.table) | set(ctx.memo)):
             value = ctx.homfly_cache.table.get(code)
-            kept = self._rendered.get(code)
-            if value is None:
-                poly_text = "-"
-            elif kept is not None and kept[0] is value:
-                poly_text = kept[1]
-            else:
-                poly_text = render_poly(value)
+            poly_text = "-" if value is None else render_poly(value)
             lo, hi, _ = ctx.memo.get(code, _OPEN)
             if (lo, hi) == (1, _INF):
                 interval = "-"

@@ -1,5 +1,6 @@
 """Depth search: decision procedure, witnesses, and the exactness sweep."""
 
+import random
 import time
 
 import pytest
@@ -81,12 +82,12 @@ def test_failed_search_memoizes_refutation():
     ctx = SolveContext()
     tref = parse_pd(FIXTURE_PDS["trefoil"][0])
     code = canonical_code(simplify(tref))
-    # a polynomial loaded from a cache file comes with no expansion tree,
-    # so nothing but the search writes the record
+    # a polynomial loaded from a cache file comes with no expansion tree;
+    # the search expands it for one, and the refutation raises lo
     ctx.homfly_cache.table[code] = homfly(tref)
     assert depth_at_most(tref, 1, ctx=ctx) is False
     lo, hi, tree = ctx.memo[code]
-    assert lo >= 2 and (hi, tree) == (INF, None)
+    assert lo >= 2 and hi == 2 and verify_tree(tree) == 2
 
 
 def test_extract_and_verify_trefoil_witness():
@@ -366,12 +367,12 @@ def test_deadline_passing_mid_search_refutes_nothing():
                 self.deadline = time.monotonic() - 1.0
             return super().verdict_of(code, diagram)
 
-    # with the root's polynomial loaded from a cache file, its record
-    # carries no expansion tree
+    # with the root's polynomial loaded from a cache file, the search
+    # expands the root for its tree, which proves only its hi
     ctx = DeadlineAfterRoot()
     ctx.homfly_cache.table[root] = homfly(d)
     assert depth_at_most(d, 1, ctx=ctx) is None
-    assert root not in ctx.memo
+    assert ctx.memo[root][:2] == (1, 4)
     assert depth_at_most(d, 1, ctx=SolveContext()) is True
 
 
@@ -622,24 +623,46 @@ def test_a_polynomial_without_a_tree_came_from_a_cache_file(tmp_path, monkeypatc
         assert cache.table[code] == loaded[code] and cache.table[code] is not loaded[code], code
 
 
+def _random_words(seed, count):
+    """The braid words among count drawn from random.Random(seed), on 3
+    or 4 strands and of length 7-9, that use every generator."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        p = rng.choice((3, 4))
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(7, 9))]
+        if {abs(g) for g in letters} == set(range(1, p)):
+            words.append(f"p={p}: " + " ".join(map(str, letters)))
+    return words
+
+
 def test_a_warm_context_searches_no_more_than_a_cold_one(tmp_path):
     """A context loaded from half a cache searches no more nodes than a
     fresh one on the same links in the same order: a loaded value that
-    an expansion meets as a child, or that a solve's own diagram has
-    while no loaded record answers it, is expanded again for its tree,
-    as a cold solve expands it."""
+    an expansion meets as a child, or that a search node has while no
+    loaded record answers it, is expanded again for its tree, as a cold
+    solve expands it."""
     words = SEARCH_WORDS + [GAP_WORD] + [
         "p=4: 2 1 3 2 2 3 2 -3",
         "p=4: -2 2 -1 3 -1 3 2 1 -3 1 2",
         "p=4: -2 3 -3 1 -1 -1 -1 -2 1 1 1",
         "p=4: 1 -2 1 1 -2 -1 3 2",
     ]
-    links = [braid_closure(parse_braid(w)) for w in words] + closure_battery()
-    cold = SolveContext()
-    answers = [compute_td(d, ctx=cold).render() for d in links]
-    warm = _cold_half_cache(links, str(tmp_path / "cache.tsv"))
-    assert [compute_td(d, ctx=warm).render() for d in links] == answers
-    assert cold.nodes > 0 and warm.nodes <= cold.nodes
+    drawn = _random_words(107, 60)
+    # the search of this closure meets a node below its root whose
+    # polynomial the file gives and no record answers; without that
+    # node's tree, the warm context searches one node more than the cold
+    assert "p=3: -1 1 -1 2 -1 -2 1 2" in drawn
+    inputs = (
+        [braid_closure(parse_braid(w)) for w in words] + closure_battery(),
+        [braid_closure(parse_braid(w)) for w in drawn],
+    )
+    for i, links in enumerate(inputs):
+        cold = SolveContext()
+        answers = [compute_td(d, ctx=cold).render() for d in links]
+        warm = _cold_half_cache(links, str(tmp_path / f"cache-{i}.tsv"))
+        assert [compute_td(d, ctx=warm).render() for d in links] == answers
+        assert cold.nodes > 0 and warm.nodes <= cold.nodes
 
 
 def test_a_solve_expands_its_loaded_diagram_unless_a_record_answers():
@@ -699,23 +722,38 @@ def test_a_wrong_loaded_polynomial_is_replaced_and_saved(tmp_path):
     assert again.homfly_cache.table[code] == right
 
 
-def test_a_save_renders_only_what_was_not_loaded_as_written(tmp_path, monkeypatch):
-    """save_from writes a polynomial it loaded, the very object, with the
-    text of its line when that is render_poly's text, without rendering
-    it; what it appends is byte for byte what rendering every polynomial
-    appends, for a line in another form, a later line without a
-    polynomial and a loaded value the expansion replaced too."""
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2*a^2 + -1*a^4 + 1*a^2*z^2",  # terms out of order
+        "1*a^2*z^2 + -1*a^4 + 2*a^2",
+        "+2*a^2",  # a sign render_poly does not write
+        "02*a^2",  # a leading zero
+        "2*a^02",
+        "2*a^0*z^2",  # an exponent 0 factor
+        "2*z^2*a^2",  # factors out of order
+        "2 * a^2",  # spaces inside a term
+        " 2*a^2",
+        "2*a^2 +  1*z^2",
+        "1*a^2 + 0*z^2",  # a zero coefficient
+        "2*a^\u0662",  # a digit outside 0-9
+    ],
+)
+def test_a_save_appends_only_what_was_not_loaded_as_written(tmp_path, text):
+    """save_from writes every polynomial as render_poly writes it, and
+    appends a line only for a code whose loaded line differs: a line in
+    another form, a later line without a polynomial and a loaded value
+    the expansion replaced.  A line render_poly wrote is not appended
+    again."""
     words = [GAP_WORD, DEPTH2_WORD, "p=4: 2 1 3 2 2 3 2 -3"]
     links = [braid_closure(parse_braid(w)) for w in words]
     path = tmp_path / "cache.tsv"
     _cold_half_cache(links, str(path))
     lines = path.read_text().splitlines()
-    rendered = []
-    monkeypatch.setattr(solver, "render_poly", lambda p: rendered.append(p) or poly.render_poly(p))
     store, warm = ResultCache(str(path)), SolveContext()
     store.load_into(warm)
     store.save_from(warm)
-    assert rendered == [] and path.read_text().splitlines() == lines
+    assert path.read_text().splitlines() == lines
 
     # a child of the expansion of links[1], which the file does not answer
     cold = SolveContext()
@@ -730,25 +768,25 @@ def test_a_save_renders_only_what_was_not_loaded_as_written(tmp_path, monkeypatc
     edited.append("\t".join(second[:2] + ["-", "1,-"]))  # a later line without a polynomial
     wrong = poly.render_poly(cold.homfly_cache.table[replaced] + poly.ONE)
     edited.append("\t".join([solver.CACHE_FORMAT, replaced, wrong, "-"]))
-    saved = []
-    for every in (False, True):
-        path.write_text("\n".join(edited) + "\n")
-        if every:  # as a save that renders every polynomial writes
-            monkeypatch.setattr(solver, "is_rendered", lambda text, p: False)
-        warm = SolveContext()
-        store = ResultCache(str(path))
-        store.load_into(warm)
-        for d in links:
-            compute_td(d, ctx=warm)
-        store.save_from(warm)
-        saved.append(path.read_bytes())
-    assert saved[0] == saved[1]
+    # text in another form, and render_poly's text of it, under codes no
+    # diagram has, so no solve replaces their values
+    as_rendered = poly.render_poly(poly.parse_poly(text))
+    assert as_rendered != text
+    edited += [f"{solver.CACHE_FORMAT}\tno-diagram-{i}\t{t}\t-" for i, t in enumerate((text, as_rendered))]
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    warm = SolveContext()
+    store = ResultCache(str(path))
+    store.load_into(warm)
+    for d in links:
+        compute_td(d, ctx=warm)
+    store.save_from(warm)
     appended = {}
-    for line in saved[0].decode().splitlines()[len(edited) :]:
+    for line in path.read_text(encoding="utf-8").splitlines()[len(edited) :]:
         fields = line.split("\t")
         appended[fields[1]] = fields[2:]
     assert appended[first[1]][0] == first[2] and appended[second[1]][0] == second[2]
     assert appended[replaced][0] == right
+    assert appended["no-diagram-0"] == [as_rendered, "-"] and "no-diagram-1" not in appended
 
 
 def test_warm_cache_answers_match_cold(tmp_path):
