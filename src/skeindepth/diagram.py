@@ -20,14 +20,14 @@ Every diagram the library builds is labeled in walk order: its labels
 are 1..2c, and each component is a block of labels that runs up by one
 and wraps from its last label to its first, the blocks in order of
 their smallest labels.  :func:`validate` enforces this, renumbering
-after a move produces it, and :func:`switch`, :func:`mirror` and
-:func:`simplify` keep the labels.  So the walk of a diagram is read
-from its labels, in one O(c) pass with no sort: a block's last arc is
-the only one not followed by the next label.  That pass gives the
-label-block table (each block's first label), a mark on the diagram
-(see below) read at most once per object; renumbering fills it in as
-it numbers, and the switch, the mirror and the sorted copy simplify
-works on take their parent's.  Every reader of the walk takes it from
+after a move produces it, and :func:`switch` and :func:`mirror` keep
+the labels.  So the walk of a diagram is read from its labels, in one
+O(c) pass with no sort: a block's last arc is the only one not followed
+by the next label.  That pass gives the label-block table (each block's
+first label), a mark on the diagram (see below) read at most once per
+object; renumbering fills it in as it numbers, the switch and the
+mirror take their parent's, and :func:`simplify` builds its result's
+from its input's.  Every reader of the walk takes it from
 the table: :func:`defects` walks labels 1..2c, :func:`component_count`
 counts the blocks, and :func:`canonical_code`, :func:`is_split`,
 :func:`split_components`, :func:`find_nugatory` and validate's Euler
@@ -66,9 +66,15 @@ nothing a diagram carries records how it was made.
 The arc-incidence helpers (each arc's two places, where each arc
 arrives, a union-find over arcs) are defined here once; the polynomial
 and rewrite modules take them from here.  A move that removes crossings
-resolves the union-find roots of the few arcs it merges only, then
-builds the succession of arcs once, and that pass both counts the
-closed loops and renumbers.
+keeps every label it does not merge away.  Along each strand it
+shortens, the arcs it joins make one run, named by the arc leaving the
+run; only the crossings that hold a renamed arc are rebuilt, and a run
+that meets no crossing left closed into a free loop.  :func:`simplify`
+makes its whole run of removals in these kept labels.  Each block keeps
+its labels in its own range, increasing from its smallest, so one pass
+at the end that gives each label its rank numbers the walk, and builds
+the label-block table from the input's.  The removals called on their
+own, and a smoothing, renumber at once.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -88,7 +94,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from operator import ne
 from typing import Callable, Iterable, NamedTuple
 
@@ -486,7 +492,9 @@ def _parts(w: _Walk) -> list[list[int]]:
 
     Each block, a component with crossings, lies in one part, and the
     blocks that share a crossing are joined; a diagram of one block, or
-    of blocks that all join, is one part.
+    of blocks that all join, is one part.  simplify's run of removals
+    pairs the crossings whose labels it kept with the first list of the
+    diagram it kept them from: each label stays in its block's range.
     """
     crossings, first = w.crossings, w.first
     if len(first) <= 2:
@@ -850,7 +858,13 @@ def find_kink(d: OrientedDiagram) -> int | None:
 
 
 def remove_kink(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    cr = d.crossings[i]
+    rest, loops = _kink_removal(d.crossings, i)
+    return renormalize(rest, d.free_loops + loops)
+
+
+def _kink_removal(crossings: tuple[Crossing, ...], i: int) -> tuple[list[Crossing], int]:
+    """The kink at crossing i contracted, in the kept labels (:func:`_merge_runs`)."""
+    cr = crossings[i]
     if cr.b == cr.c:
         merge = (cr.a, cr.d)
     elif cr.a == cr.d:
@@ -861,8 +875,7 @@ def remove_kink(d: OrientedDiagram, i: int) -> OrientedDiagram:
         merge = (cr.d, cr.c)
     else:
         raise ValueError("crossing %d carries no kink" % i)
-    rest = d.crossings[:i] + d.crossings[i + 1 :]
-    return _rewire(rest, [merge], d.free_loops)
+    return _merge_runs(crossings[:i] + crossings[i + 1 :], (cr,), [merge])
 
 
 def find_poke_pair(d: OrientedDiagram) -> tuple[int, int] | None:
@@ -888,7 +901,14 @@ def _under_joined(ci: Crossing, cj: Crossing) -> bool:
 
 
 def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
-    ci, cj = d.crossings[i], d.crossings[j]
+    rest, loops = _poke_removal(d.crossings, i, j)
+    return renormalize(rest, d.free_loops + loops)
+
+
+def _poke_removal(crossings: tuple[Crossing, ...], i: int, j: int) -> tuple[list[Crossing], int]:
+    """The strand poked through crossings i and j lifted off, in the kept
+    labels (:func:`_merge_runs`)."""
+    ci, cj = crossings[i], crossings[j]
     e1 = ci.over_out()
     if cj.over_in() != e1:
         raise ValueError("crossings %d, %d share no over-over arc" % (i, j))
@@ -899,8 +919,9 @@ def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
         merges += [(cj.a, cj.c), (cj.c, ci.c)]
     else:
         raise ValueError("crossings %d, %d share no under-under arc" % (i, j))
-    rest = tuple(cr for k, cr in enumerate(d.crossings) if k not in (i, j))
-    return _rewire(rest, merges, d.free_loops)
+    lo, hi = sorted((i, j))
+    rest = crossings[:lo] + crossings[lo + 1 : hi] + crossings[hi + 1 :]
+    return _merge_runs(rest, (ci, cj), merges)
 
 
 def _flip(cr: Crossing) -> Crossing:
@@ -949,12 +970,19 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     The candidates come from one walk of the corner table
     (:func:`_met_twice`), which lists no faces.
     """
+    return _find_nugatory(d, None)
+
+
+def _find_nugatory(d: OrientedDiagram, first: list[int] | None) -> tuple[int, list[int]] | None:
+    """find_nugatory, with the parts read from the blocks first when
+    given: those of the walk-order diagram whose labels d keeps."""
     if d.crossing_count < 2:
         return None
     twice = _met_twice(d)
     if not twice:
         return None
-    part = {ci: group for group in _parts(_walk_of(d)) for ci in group}
+    w = _walk_of(d) if first is None else _Walk(d.crossings, first)
+    part = {ci: group for group in _parts(w) for ci in group}
     for i in sorted(twice):
         groups = _side_groups(d, i, part[i])
         if len(groups) >= 2:
@@ -964,15 +992,104 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
 
 def remove_nugatory(d: OrientedDiagram, i: int, flip_side: Iterable[int]) -> OrientedDiagram:
     """Untwist crossing i by turning one side over."""
-    cr = d.crossings[i]
+    rest, loops = _nugatory_removal(d.crossings, i, flip_side)
+    return renormalize(rest, d.free_loops + loops)
+
+
+def _nugatory_removal(
+    crossings: tuple[Crossing, ...], i: int, flip_side: Iterable[int]
+) -> tuple[list[Crossing], int]:
+    """Crossing i untwisted, in the kept labels (:func:`_merge_runs`)."""
+    cr = crossings[i]
     flip_side = set(flip_side)
     rest = tuple(
         _flip(other) if k in flip_side else other
-        for k, other in enumerate(d.crossings)
+        for k, other in enumerate(crossings)
         if k != i
     )
-    merges = [(cr.a, cr.c), (cr.over_in(), cr.over_out())]
-    return _rewire(rest, merges, d.free_loops)
+    return _merge_runs(rest, (cr,), [(cr.a, cr.c), (cr.over_in(), cr.over_out())])
+
+
+def _merge_runs(
+    rest: tuple[Crossing, ...], gone: tuple[Crossing, ...], merges: list[tuple[int, int]]
+) -> tuple[list[Crossing], int]:
+    """The crossings left by a move, each merged run of arcs named by one
+    label, and the number of runs that closed into free loops.
+
+    A move merges the arcs along each strand it removes crossings from:
+    each merge joins an arc arriving at a removed crossing to one leaving
+    it, and the arcs of a removed crossing in no merge vanish.  So every
+    merged run is consecutive along its strand, and its union root is the
+    arc leaving the run, the label it keeps.  That arc arrives at a
+    crossing left, unless the run closed: then both its ends are among
+    the removed crossings, as every arc has two ends.
+    """
+    # each merge (x, y) renames x to y's root: x arrives at a removed
+    # crossing, so no other merge renames it
+    parent: dict[int, int] = {}
+    for x, y in merges:
+        while y in parent:
+            y = parent[y]
+        if y != x:
+            parent[x] = y
+    root = {}
+    for x in parent:
+        r = parent[x]
+        while r in parent:
+            r = parent[r]
+        root[x] = r
+    get = root.get
+    out = list(rest)
+    renamed = root.keys()
+    for k, cr in enumerate(rest):
+        if not renamed.isdisjoint(cr):  # a sign may match label 1: harmless
+            a, b, c, d, sign = cr
+            out[k] = Crossing(get(a, a), get(b, b), get(c, c), get(d, d), sign)
+    ends = [x for cr in gone for x in cr[:4]]
+    return out, sum(1 for r in {get(y, y) for _, y in merges} if ends.count(r) == 2)
+
+
+def _removal(d: OrientedDiagram, first: list[int] | None) -> tuple[list[Crossing], int] | None:
+    """The first move that fires on d, a kink before a poke pair before a
+    nugatory crossing, made in the kept labels; None when none fires.
+    first is :func:`_find_nugatory`'s."""
+    i = find_kink(d)
+    if i is not None:
+        return _kink_removal(d.crossings, i)
+    pair = find_poke_pair(d)
+    if pair is not None:
+        return _poke_removal(d.crossings, *pair)
+    nug = _find_nugatory(d, first)
+    if nug is not None:
+        return _nugatory_removal(d.crossings, *nug)
+    return None
+
+
+def _ranked(crossings: tuple[Crossing, ...], first: list[int], free_loops: int) -> OrientedDiagram:
+    """The diagram of sorted crossings whose labels a run of removals
+    kept from a walk-order diagram with blocks first, each label
+    renumbered to its rank, with its label-block table.
+
+    A merged run is consecutive along its strand and keeps the label of
+    the arc leaving it (:func:`_merge_runs`), so each block keeps its
+    labels in its range of first, increasing from its smallest one also
+    when a run crossed the block's wrap.  Ranks therefore number the
+    walk, keep the crossings sorted, and make a block's first label the
+    rank of its smallest kept one.  A block left with no label closed
+    into a free loop.
+    """
+    present = [0] * first[-1]
+    for a, b, c, d, _ in crossings:
+        present[a] = present[b] = present[c] = present[d] = 1
+    rank = list(accumulate(present))
+    out = OrientedDiagram(
+        tuple(Crossing(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings),
+        free_loops,
+    )
+    blocks = [rank[s - 1] + 1 for s, e in zip(first, first[1:]) if rank[e - 1] > rank[s - 1]]
+    blocks.append(rank[-1] + 1)
+    object.__setattr__(out, "_walk", _Walk(out.crossings, blocks))
+    return out
 
 
 def simplify(d: OrientedDiagram) -> OrientedDiagram:
@@ -984,8 +1101,17 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     fires is returned as the same object.
 
     The moves are looked for in the crossings sorted, so listing the
-    same crossings in another order gives the same result.  Removals
-    return sorted crossings, so only the first round sorts.
+    same crossings in another order gives the same result.  The run of
+    removals keeps d's labels: each removal names a merged run of arcs
+    by the arc leaving it (:func:`_merge_runs`) and sorts the crossings
+    again, and one pass at the end gives each label its rank
+    (:func:`_ranked`).  That is the diagram a renumbering in walk order
+    after every removal gives, as :func:`remove_kink` and its siblings
+    make: each such renumbering only ranks the kept labels, and ranks
+    compose.  The finders read label equalities, the sorted order and
+    the blocks alone, which ranks keep, so they pick the same moves.  A
+    diagram with renamed arcs takes its first removal renumbered in
+    full, and keeps the labels from there.
 
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
@@ -997,23 +1123,29 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     """
     if d._simple:
         return d
-    ordered = tuple(sorted(d.crossings))
-    work = d if ordered == d.crossings else _with_walk_of(d, OrientedDiagram(ordered, d.free_loops))
-    while work.crossings:
-        i = find_kink(work)
-        if i is not None:
-            work = remove_kink(work, i)
-            continue
-        pair = find_poke_pair(work)
-        if pair is not None:
-            work = remove_poke_pair(work, *pair)
-            continue
-        nug = find_nugatory(work)
-        if nug is not None:
-            work = remove_nugatory(work, *nug)
-            continue
-        break
-    if work.crossing_count == d.crossing_count:
+    w = _walk_of(d)
+    first = w.first if w.crossings is d.crossings else None  # None: renamed arcs
+    crossings = tuple(sorted(d.crossings))
+    free_loops = d.free_loops
+    work = d if crossings == d.crossings else OrientedDiagram(crossings, free_loops)
+    kept = False  # a removal kept labels, which the end ranks
+    while crossings:
+        removal = _removal(work, first)
+        if removal is None:
+            break
+        rest, loops = removal
+        free_loops += loops
+        if first is None:
+            work = renormalize(rest, free_loops)
+            crossings, first = work.crossings, work._walk.first
+        else:
+            rest.sort()
+            crossings, kept = tuple(rest), True
+            if crossings:
+                work = OrientedDiagram(crossings, free_loops)
+    if kept:
+        work = _ranked(crossings, first, free_loops)
+    elif work.crossing_count == d.crossing_count:
         work = d  # nothing fired
     object.__setattr__(work, "_simple", True)
     return work

@@ -12,6 +12,7 @@ from itertools import chain, islice, permutations
 import pytest
 
 from skeindepth import (
+    Crossing,
     HomflyCache,
     OrientedDiagram,
     Verdict,
@@ -36,8 +37,9 @@ from skeindepth import (
     unlink_value,
     writhe,
 )
-from skeindepth import moves
+from skeindepth import diagram, moves
 from skeindepth.diagram import (
+    _read_blocks,
     faces,
     find_kink,
     find_nugatory,
@@ -67,7 +69,7 @@ from conftest import (
     reference_pokes,
     scrambled,
 )
-from test_diagram import kernel_battery, reference_groups
+from test_diagram import kernel_battery, reference_groups, reference_rewire
 
 
 def _cycle_index(cycles, label):
@@ -391,6 +393,172 @@ def test_switch_of_a_simplified_diagram_simplifies_as_the_full_loop():
                     for j in range(got.crossing_count):
                         assert simplify(switch(got, j)) == full_simplify(switch(got, j)), (got, j)
     assert removed > 50
+
+
+# -- simplify's run against the per-removal loop ------------------------------
+
+
+def _reference_kink(d, i):
+    cr = d.crossings[i]
+    if cr.b == cr.c:
+        return [(cr.a, cr.d)]
+    if cr.a == cr.d:
+        return [(cr.b, cr.c)]
+    if cr.c == cr.d:
+        return [(cr.a, cr.b)]
+    return [(cr.d, cr.c)]
+
+
+def _reference_poke(d, i, j):
+    ci, cj = d.crossings[i], d.crossings[j]
+    e1 = ci.over_out()
+    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
+    if ci.c == cj.a:
+        return merges + [(ci.a, ci.c), (ci.c, cj.c)]
+    return merges + [(cj.a, cj.c), (cj.c, ci.c)]
+
+
+def reference_run(d):
+    """simplify as the loop it replaces: the moves looked for in the
+    sorted crossings, and after every removal the merges glued and the
+    diagram renumbered in walk order by reference_rewire.
+
+    Returns the result (d itself when no move fires) and one record per
+    removal: its move, whether the flipped side was nonempty, whether a
+    removed crossing sits where a block wraps from its last label to its
+    first (so a merged run crosses the wrap), the free loops it closed,
+    and the crossings left."""
+    work = OrientedDiagram(tuple(sorted(d.crossings)), d.free_loops)
+    steps = []
+    while work.crossings:
+        crs = work.crossings
+        flipped = False
+        i = find_kink(work)
+        if i is not None:
+            move, gone, rest, merges = "kink", [crs[i]], crs[:i] + crs[i + 1 :], _reference_kink(work, i)
+        else:
+            pair = find_poke_pair(work)
+            if pair is not None:
+                move, gone = "poke", [crs[k] for k in pair]
+                rest = tuple(cr for k, cr in enumerate(crs) if k not in pair)
+                merges = _reference_poke(work, *pair)
+            else:
+                nug = find_nugatory(work)
+                if nug is None:
+                    break
+                i, side = nug
+                cr = crs[i]
+                move, gone, flipped = "nugatory", [cr], bool(side)
+                rest = tuple(
+                    reference_flip(other) if k in side else other
+                    for k, other in enumerate(crs)
+                    if k != i
+                )
+                merges = [(cr.a, cr.c), (cr.over_in(), cr.over_out())]
+        first = _read_blocks(crs) or []
+        wrap = {(first[k + 1] - 1, first[k]) for k in range(len(first) - 1)}
+        wraps = any(
+            (x, y) in wrap for cr in gone for x, y in ((cr.a, cr.c), (cr.over_in(), cr.over_out()))
+        )
+        nxt = reference_rewire(rest, merges, work.free_loops)
+        steps.append((move, flipped, wraps, nxt.free_loops - work.free_loops, nxt.crossing_count))
+        work = nxt
+    return (work if steps else d), steps
+
+
+def reference_flip(cr):
+    """cr with its tangle turned over: cyclic order reversed, over and
+    under exchanged, succession and sign kept."""
+    if cr.sign > 0:
+        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
+    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
+
+
+def mixed_closures(seed, count):
+    """Closures of seeded mixed words on 3-5 strands, of length 7-16."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.randint(3, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(7, 16))]
+        out.append(braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters))))))
+    return out
+
+
+def run_battery():
+    """finder_battery, closure_battery, and seeded mixed closures with
+    their scrambled copies, their mirrors and the switch children of
+    their simplified diagrams; each also as a fresh copy, which carries
+    no marks."""
+    rng = random.Random(23)
+    out = finder_battery() + closure_battery()
+    for d in mixed_closures(23, 40):
+        s = simplify(d)
+        out += [d, scrambled(d, rng), mirror(d)]
+        out += [switch(s, i) for i in range(s.crossing_count)]
+    return out + [OrientedDiagram(d.crossings, d.free_loops) for d in out]
+
+
+def test_simplify_is_the_per_removal_loop():
+    """simplify keeps the labels through its run of removals and ranks
+    them once; the result must be the per-removal loop's, crossing for
+    crossing, with the same free loops and the label-block table of its
+    labels, and the input itself when no move fires."""
+    runs = long_runs = flips_after = wraps = loops_mid = 0
+    for d in run_battery():
+        want, steps = reference_run(d)
+        got = simplify(d)
+        if not steps:
+            assert got is d, d
+            continue
+        assert (got.crossings, got.free_loops) == (want.crossings, want.free_loops), d
+        assert got._walk.crossings is got.crossings, d
+        assert got._walk.first == _read_blocks(want.crossings), d
+        runs += 1
+        long_runs += len(steps) >= 3
+        flips_after += any(flip for _, flip, _, _, _ in steps[1:])
+        wraps += any(wrap for _, _, wrap, _, _ in steps)
+        loops_mid += any(loops and left for _, _, _, loops, left in steps[:-1])
+    assert runs > 500, runs
+    assert long_runs >= 100, long_runs
+    assert flips_after >= 10, flips_after
+    assert wraps >= 100, wraps
+    assert loops_mid >= 5, loops_mid
+
+
+def test_simplify_renumbers_once_per_call(monkeypatch):
+    """A run of removals renumbers once, at its end: one full renumbering
+    (renormalize's or the final ranking) on a walk-order input, at most
+    two on a renamed one, whose first removal is renumbered in full, and
+    none when no move fires."""
+    battery = mixed_closures(29, 30)
+    rng = random.Random(29)
+    renamed = [scrambled(d, rng) for d in battery]
+    fresh = [OrientedDiagram(s.crossings, s.free_loops) for s in map(simplify, battery)]
+    removals = [len(reference_run(d)[1]) for d in battery]
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return call
+
+    for name in ("_renumbered", "_ranked"):
+        monkeypatch.setattr(diagram, name, counted(getattr(diagram, name)))
+    long_runs = 0
+    for d, r, s, n in zip(battery, renamed, fresh, removals):
+        del calls[:]
+        simplify(d)
+        assert len(calls) == (n > 0), d
+        long_runs += n >= 3
+        del calls[:]
+        simplify(r)
+        assert len(calls) <= 2 and (len(calls) > 0) == (n > 0), r
+        del calls[:]
+        assert simplify(s) is s and not calls, s
+    assert long_runs >= 10, long_runs
 
 
 def test_simplify_keeps_split_links():
