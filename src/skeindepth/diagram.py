@@ -49,10 +49,11 @@ descending, a diagram of the unlink, which both the polynomial
 expansion and the unlink recognizer rely on.  :func:`switch_sheds`
 tells, in O(1) per crossing, whether simplify sheds crossings from a
 simplified diagram's switch there, which is how the expansion picks
-the defect it resolves.  Each move's finder is a single linear pass;
-the nugatory test takes as candidates the crossings that some face
-meets at two corners, which are the cut crossings of the crossing graph
-and the kink crossings.
+the defect it resolves.  :func:`simplify` looks for kinks and poke
+pairs in one function over a sorted list of plain tuples, at most two
+linear passes a round; the nugatory test takes as candidates the
+crossings that some face meets at two corners, which are the cut
+crossings of the crossing graph and the kink crossings.
 
 A diagram carries two marks, each a function of its crossings and free
 loops alone and neither part of its equality, hash or repr: the
@@ -68,13 +69,15 @@ arrives, a union-find over arcs) are defined here once; the polynomial
 and rewrite modules take them from here.  A move that removes crossings
 keeps every label it does not merge away.  Along each strand it
 shortens, the arcs it joins make one run, named by the arc leaving the
-run; only the crossings that hold a renamed arc are rebuilt, and a run
-that meets no crossing left closed into a free loop.  :func:`simplify`
-makes its whole run of removals in these kept labels.  Each block keeps
-its labels in its own range, increasing from its smallest, so one pass
-at the end that gives each label its rank numbers the walk, and builds
-the label-block table from the input's.  The removals called on their
-own, and a smoothing, renumber at once.
+run; only the crossing that the run's first arc leaves is rebuilt, and
+a run that meets no crossing left closed into a free loop.
+:func:`simplify` makes its whole run of removals in these kept labels,
+in a list of plain tuples sorted again after each removal, and builds a
+diagram only to test a nugatory candidate's sides and once at the end.
+Each block keeps its labels in its own range, increasing from its
+smallest, so one pass at the end that gives each label its rank numbers
+the walk, and builds the label-block table from the input's.  A
+smoothing renumbers at once.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -96,7 +99,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import ne
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class Crossing(NamedTuple):
@@ -846,82 +849,98 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
 
 # -- crossing-removing moves ---------------------------------------------------
 #
-# Each finder is one linear pass, so a round of simplify costs O(c).
+# simplify's run works in a sorted list of plain (a, b, c, d, sign) tuples.
+# A round of kinks and poke pairs (_shed) is at most two passes over it, so
+# it costs O(c); a diagram is built only for a nugatory crossing's side
+# groups, once the corner walk finds a crossing that a face meets twice.
 
 
-def find_kink(d: OrientedDiagram) -> int | None:
-    """Index of a crossing whose over and under passages share an arc."""
-    for i, cr in enumerate(d.crossings):
-        if cr.b == cr.c or cr.a == cr.d or cr.c == cr.d or cr.a == cr.b:
-            return i
-    return None
+def _shed(crossings: list[tuple[int, ...]], size: int) -> int | None:
+    """One round of simplify on the sorted crossings, whose labels are
+    below size: the first kink in sorted order removed, else the first
+    poke pair, in place and in the kept labels (:func:`_rejoin`).
+    Returns the free loops the removal closed; None when neither fires.
 
-
-def remove_kink(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    rest, loops = _kink_removal(d.crossings, i)
-    return renormalize(rest, d.free_loops + loops)
-
-
-def _kink_removal(crossings: tuple[Crossing, ...], i: int) -> tuple[list[Crossing], int]:
-    """The kink at crossing i contracted, in the kept labels (:func:`_merge_runs`)."""
-    cr = crossings[i]
-    if cr.b == cr.c:
-        merge = (cr.a, cr.d)
-    elif cr.a == cr.d:
-        merge = (cr.b, cr.c)
-    elif cr.c == cr.d:
-        merge = (cr.a, cr.b)
-    elif cr.a == cr.b:
-        merge = (cr.d, cr.c)
-    else:
-        raise ValueError("crossing %d carries no kink" % i)
-    return _merge_runs(crossings[:i] + crossings[i + 1 :], (cr,), [merge])
-
-
-def find_poke_pair(d: OrientedDiagram) -> tuple[int, int] | None:
-    """A pair (i, j) joined by an over-over arc and an under-under arc.
-
-    Both connecting arcs have no other crossings on them, so the upper
-    strand lifts off regardless of what else sits near the bigon; the
-    crossing signs are necessarily opposite on realizable diagrams.
-    An arc arrives at one crossing only, so the crossing whose over-in
-    is crossing i's over-out is a single lookup.
+    A kink is a crossing whose over and under passages share an arc.  A
+    poke pair is a crossing i whose over-out arc is the over-in arc of a
+    crossing j, their under strands sharing an arc too: both connecting
+    arcs have no other crossing on them, so the upper strand lifts off.
+    An arc arrives at one crossing only, so j is one lookup in the
+    label-indexed over_in list that the kink pass fills.
     """
-    by_over_in = {cr.over_in(): j for j, cr in enumerate(d.crossings)}
-    for i, ci in enumerate(d.crossings):
-        j = by_over_in.get(ci.over_out())
-        if j is not None and j != i and _under_joined(ci, d.crossings[j]):
-            return (i, j)
+    over_in = [-1] * size
+    for i, (a, b, c, d, sign) in enumerate(crossings):
+        if b == c or a == d or c == d or a == b:
+            del crossings[i]
+            if b == c:
+                run = (a, d)
+            elif a == d:
+                run = (b, c)
+            elif c == d:
+                run = (a, b)
+            else:
+                run = (d, c)
+            return _rejoin(crossings, (run,))
+        over_in[b if sign > 0 else d] = i
+    for i, (a, b, c, d, sign) in enumerate(crossings):
+        j = over_in[d if sign > 0 else b]
+        if j < 0 or j == i:
+            continue
+        ja, jb, jc, jd, jsign = crossings[j]
+        if c == ja:
+            under = (a, jc)
+        elif jc == a:
+            under = (ja, c)
+        else:
+            continue
+        del crossings[max(i, j)], crossings[min(i, j)]
+        over = (b if sign > 0 else d, jd if jsign > 0 else jb)
+        return _rejoin(crossings, _joined(*over, *under))
     return None
 
 
-def _under_joined(ci: Crossing, cj: Crossing) -> bool:
-    """Do the under strands of ci and cj share an arc?"""
-    return ci.c == cj.a or cj.c == ci.a
+def _joined(p: int, q: int, u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """A move's two runs of arcs p -> q and u -> v, from an arc arriving
+    at a removed crossing to one leaving, as the runs they make: one
+    when either leads into the other."""
+    if q == u:
+        return ((p, v),)
+    if v == p:
+        return ((u, q),)
+    return ((p, q), (u, v))
 
 
-def remove_poke_pair(d: OrientedDiagram, i: int, j: int) -> OrientedDiagram:
-    rest, loops = _poke_removal(d.crossings, i, j)
-    return renormalize(rest, d.free_loops + loops)
+def _rejoin(crossings: list[tuple[int, ...]], runs: Iterable[tuple[int, int]]) -> int:
+    """The crossings a move left, each run of arcs it merged named by its
+    last arc, sorted again in place; returns the runs that closed into
+    free loops.
 
-
-def _poke_removal(crossings: tuple[Crossing, ...], i: int, j: int) -> tuple[list[Crossing], int]:
-    """The strand poked through crossings i and j lifted off, in the kept
-    labels (:func:`_merge_runs`)."""
-    ci, cj = crossings[i], crossings[j]
-    e1 = ci.over_out()
-    if cj.over_in() != e1:
-        raise ValueError("crossings %d, %d share no over-over arc" % (i, j))
-    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
-    if ci.c == cj.a:
-        merges += [(ci.a, ci.c), (ci.c, cj.c)]
-    elif cj.c == ci.a:
-        merges += [(cj.a, cj.c), (cj.c, ci.c)]
-    else:
-        raise ValueError("crossings %d, %d share no under-under arc" % (i, j))
-    lo, hi = sorted((i, j))
-    rest = crossings[:lo] + crossings[lo + 1 : hi] + crossings[hi + 1 :]
-    return _merge_runs(rest, (ci, cj), merges)
+    A move merges the arcs along each strand it removes crossings from:
+    a run (x, y) goes from the arc x arriving at a removed crossing to
+    the arc y leaving one, and the arcs between vanish with the
+    crossings.  The run keeps y's label, the arc leaving it, so only the
+    crossing that x leaves is rebuilt.  A run with x == y meets no
+    crossing left: it closed into a free loop.
+    """
+    loops = 0
+    for x, y in runs:
+        if x == y:
+            loops += 1
+            continue
+        for k, cr in enumerate(crossings):
+            if x in cr:
+                a, b, c, d, sign = cr
+                if c == x:
+                    crossings[k] = (a, b, y, d, sign)
+                elif b == x:
+                    crossings[k] = (a, y, c, d, sign)
+                elif d == x:
+                    crossings[k] = (a, b, c, y, sign)
+                else:
+                    continue  # x is 1 and matched the sign
+                break
+    crossings.sort()
+    return loops
 
 
 def _flip(cr: Crossing) -> Crossing:
@@ -970,18 +989,14 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     The candidates come from one walk of the corner table
     (:func:`_met_twice`), which lists no faces.
     """
-    return _find_nugatory(d, None)
+    twice = _met_twice(d.crossings) if d.crossing_count >= 2 else None
+    return _find_nugatory(d, _walk_of(d), twice) if twice else None
 
 
-def _find_nugatory(d: OrientedDiagram, first: list[int] | None) -> tuple[int, list[int]] | None:
-    """find_nugatory, with the parts read from the blocks first when
-    given: those of the walk-order diagram whose labels d keeps."""
-    if d.crossing_count < 2:
-        return None
-    twice = _met_twice(d)
-    if not twice:
-        return None
-    w = _walk_of(d) if first is None else _Walk(d.crossings, first)
+def _find_nugatory(d: OrientedDiagram, w: _Walk, twice: set[int]) -> tuple[int, list[int]] | None:
+    """find_nugatory, given the candidates twice, with the parts read
+    from the label-block table w, which may be that of the walk-order
+    diagram whose labels d keeps."""
     part = {ci: group for group in _parts(w) for ci in group}
     for i in sorted(twice):
         groups = _side_groups(d, i, part[i])
@@ -990,93 +1005,37 @@ def _find_nugatory(d: OrientedDiagram, first: list[int] | None) -> tuple[int, li
     return None
 
 
-def remove_nugatory(d: OrientedDiagram, i: int, flip_side: Iterable[int]) -> OrientedDiagram:
-    """Untwist crossing i by turning one side over."""
-    rest, loops = _nugatory_removal(d.crossings, i, flip_side)
-    return renormalize(rest, d.free_loops + loops)
+def _untwist(crossings: list[tuple[int, ...]], first: list[int] | None) -> int | None:
+    """simplify's round once :func:`_shed` finds nothing: the first
+    nugatory crossing untwisted in place, one side turned over, in the
+    kept labels; returns the free loops closed, None when there is none.
+    first is the label-block table of the walk-order diagram whose
+    labels the crossings keep, None for a renamed diagram's ranks."""
+    twice = _met_twice(crossings) if len(crossings) >= 2 else None
+    if not twice:
+        return None
+    d = OrientedDiagram(tuple(map(Crossing._make, crossings)))
+    nug = _find_nugatory(d, _walk_of(d) if first is None else _Walk(d.crossings, first), twice)
+    if nug is None:
+        return None
+    i, side = nug
+    cr, side = d.crossings[i], set(side)
+    crossings[:] = [_flip(other) if k in side else other for k, other in enumerate(d.crossings) if k != i]
+    return _rejoin(crossings, _joined(cr.a, cr.c, cr.over_in(), cr.over_out()))
 
 
-def _nugatory_removal(
-    crossings: tuple[Crossing, ...], i: int, flip_side: Iterable[int]
-) -> tuple[list[Crossing], int]:
-    """Crossing i untwisted, in the kept labels (:func:`_merge_runs`)."""
-    cr = crossings[i]
-    flip_side = set(flip_side)
-    rest = tuple(
-        _flip(other) if k in flip_side else other
-        for k, other in enumerate(crossings)
-        if k != i
-    )
-    return _merge_runs(rest, (cr,), [(cr.a, cr.c), (cr.over_in(), cr.over_out())])
-
-
-def _merge_runs(
-    rest: tuple[Crossing, ...], gone: tuple[Crossing, ...], merges: list[tuple[int, int]]
-) -> tuple[list[Crossing], int]:
-    """The crossings left by a move, each merged run of arcs named by one
-    label, and the number of runs that closed into free loops.
-
-    A move merges the arcs along each strand it removes crossings from:
-    each merge joins an arc arriving at a removed crossing to one leaving
-    it, and the arcs of a removed crossing in no merge vanish.  So every
-    merged run is consecutive along its strand, and its union root is the
-    arc leaving the run, the label it keeps.  That arc arrives at a
-    crossing left, unless the run closed: then both its ends are among
-    the removed crossings, as every arc has two ends.
-    """
-    # each merge (x, y) renames x to y's root: x arrives at a removed
-    # crossing, so no other merge renames it
-    parent: dict[int, int] = {}
-    for x, y in merges:
-        while y in parent:
-            y = parent[y]
-        if y != x:
-            parent[x] = y
-    root = {}
-    for x in parent:
-        r = parent[x]
-        while r in parent:
-            r = parent[r]
-        root[x] = r
-    get = root.get
-    out = list(rest)
-    renamed = root.keys()
-    for k, cr in enumerate(rest):
-        if not renamed.isdisjoint(cr):  # a sign may match label 1: harmless
-            a, b, c, d, sign = cr
-            out[k] = Crossing(get(a, a), get(b, b), get(c, c), get(d, d), sign)
-    ends = [x for cr in gone for x in cr[:4]]
-    return out, sum(1 for r in {get(y, y) for _, y in merges} if ends.count(r) == 2)
-
-
-def _removal(d: OrientedDiagram, first: list[int] | None) -> tuple[list[Crossing], int] | None:
-    """The first move that fires on d, a kink before a poke pair before a
-    nugatory crossing, made in the kept labels; None when none fires.
-    first is :func:`_find_nugatory`'s."""
-    i = find_kink(d)
-    if i is not None:
-        return _kink_removal(d.crossings, i)
-    pair = find_poke_pair(d)
-    if pair is not None:
-        return _poke_removal(d.crossings, *pair)
-    nug = _find_nugatory(d, first)
-    if nug is not None:
-        return _nugatory_removal(d.crossings, *nug)
-    return None
-
-
-def _ranked(crossings: tuple[Crossing, ...], first: list[int], free_loops: int) -> OrientedDiagram:
+def _ranked(crossings: list[tuple[int, ...]], first: list[int], free_loops: int) -> OrientedDiagram:
     """The diagram of sorted crossings whose labels a run of removals
     kept from a walk-order diagram with blocks first, each label
     renumbered to its rank, with its label-block table.
 
     A merged run is consecutive along its strand and keeps the label of
-    the arc leaving it (:func:`_merge_runs`), so each block keeps its
-    labels in its range of first, increasing from its smallest one also
-    when a run crossed the block's wrap.  Ranks therefore number the
-    walk, keep the crossings sorted, and make a block's first label the
-    rank of its smallest kept one.  A block left with no label closed
-    into a free loop.
+    the arc leaving it (:func:`_rejoin`), so each block keeps its labels
+    in its range of first, increasing from its smallest one also when a
+    run crossed the block's wrap.  Ranks therefore number the walk, keep
+    the crossings sorted, and make a block's first label the rank of its
+    smallest kept one.  A block left with no label closed into a free
+    loop.
     """
     present = [0] * first[-1]
     for a, b, c, d, _ in crossings:
@@ -1096,22 +1055,26 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     """Apply crossing-removing moves until none fires.
 
     Every step strictly drops the crossing count, so this terminates in
-    at most crossing_count rounds and never changes the link.  Each
-    round is linear in the crossing count; a diagram on which no move
-    fires is returned as the same object.
+    at most crossing_count rounds and never changes the link.  A diagram
+    on which no move fires is returned as the same object.
 
-    The moves are looked for in the crossings sorted, so listing the
-    same crossings in another order gives the same result.  The run of
-    removals keeps d's labels: each removal names a merged run of arcs
-    by the arc leaving it (:func:`_merge_runs`) and sorts the crossings
-    again, and one pass at the end gives each label its rank
-    (:func:`_ranked`).  That is the diagram a renumbering in walk order
-    after every removal gives, as :func:`remove_kink` and its siblings
-    make: each such renumbering only ranks the kept labels, and ranks
-    compose.  The finders read label equalities, the sorted order and
-    the blocks alone, which ranks keep, so they pick the same moves.  A
-    diagram with renamed arcs takes its first removal renumbered in
-    full, and keeps the labels from there.
+    The moves are looked for in the crossings sorted, a kink before a
+    poke pair before a nugatory crossing, so listing the same crossings
+    in another order gives the same result.  The run works in a list of
+    plain tuples in d's labels: a round of kinks and poke pairs is one
+    function, :func:`_shed`, and a diagram is built for the nugatory
+    test only when the corner walk finds a candidate (:func:`_untwist`).
+    Each removal names a merged run of arcs by the arc leaving it
+    (:func:`_rejoin`) and sorts the list again, and one pass at the end
+    gives each label its rank (:func:`_ranked`).  That is the diagram a
+    renumbering in walk order after every removal gives: each such
+    renumbering only ranks the kept labels, and ranks compose.  The
+    moves read label equalities, the sorted order and the blocks alone,
+    which ranks keep, so the same moves fire.  A diagram with renamed
+    arcs is ranked first, which keeps its sorted order and every label
+    equality, so every label-indexed list is sized from the crossing
+    count; its first removal is renumbered in full, and the run keeps
+    the labels from there.
 
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
@@ -1124,47 +1087,47 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     if d._simple:
         return d
     w = _walk_of(d)
+    crossings = sorted(d.crossings)
     first = w.first if w.crossings is d.crossings else None  # None: renamed arcs
-    crossings = tuple(sorted(d.crossings))
+    if first is None:
+        labels = sorted({x for cr in crossings for x in cr[:4]})
+        rank = dict(zip(labels, range(1, len(labels) + 1)))
+        crossings = [(rank[a], rank[b], rank[c], rank[e], s) for a, b, c, e, s in crossings]
+    size = 2 * len(crossings) + 1
     free_loops = d.free_loops
-    work = d if crossings == d.crossings else OrientedDiagram(crossings, free_loops)
-    kept = False  # a removal kept labels, which the end ranks
+    out, kept = d, False  # kept: a removal kept labels, which the end ranks
     while crossings:
-        removal = _removal(work, first)
-        if removal is None:
-            break
-        rest, loops = removal
+        loops = _shed(crossings, size)
+        if loops is None:
+            loops = _untwist(crossings, first)
+            if loops is None:
+                break
         free_loops += loops
         if first is None:
-            work = renormalize(rest, free_loops)
-            crossings, first = work.crossings, work._walk.first
+            out = renormalize(crossings, free_loops)
+            crossings, first = list(out.crossings), out._walk.first
         else:
-            rest.sort()
-            crossings, kept = tuple(rest), True
-            if crossings:
-                work = OrientedDiagram(crossings, free_loops)
+            kept = True
     if kept:
-        work = _ranked(crossings, first, free_loops)
-    elif work.crossing_count == d.crossing_count:
-        work = d  # nothing fired
-    object.__setattr__(work, "_simple", True)
-    return work
+        out = _ranked(crossings, first, free_loops)
+    object.__setattr__(out, "_simple", True)
+    return out
 
 
 # -- planar faces -------------------------------------------------------------
 
 
-def _corner_successors(d: OrientedDiagram) -> list[int]:
+def _corner_successors(crossings: Sequence[tuple[int, ...]]) -> list[int]:
     """The corner table: corner 4 * ci + s -> the next corner of its face.
 
     The corner (ci, s) walks the arc at slot s away from crossing ci; at
     the arc's other place (cj, t) its face turns to the corner (cj, t + 1).
     The labels must each appear twice.
     """
-    nxt = [0] * (4 * d.crossing_count)
+    nxt = [0] * (4 * len(crossings))
     first: dict[int, int] = {}
     k = 0
-    for cr in d.crossings:
+    for cr in crossings:
         for arc in cr[:4]:
             j = first.pop(arc, None)
             if j is None:
@@ -1185,7 +1148,7 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     components do not appear.  Faces are listed by their smallest corner,
     and each starts there.
     """
-    nxt = _corner_successors(d)
+    nxt = _corner_successors(d.crossings)
     seen = [False] * len(nxt)
     out: list[list[tuple[int, int]]] = []
     for start in range(len(nxt)):
@@ -1203,15 +1166,15 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _met_twice(d: OrientedDiagram) -> set[int]:
-    """The crossings that some face meets at two corners.
+def _met_twice(crossings: Sequence[tuple[int, ...]]) -> set[int]:
+    """The indices of the crossings that some face meets at two corners.
 
     One walk of the corner table, face after face: a crossing met again
     in the face that met it last is met twice.
     """
-    nxt = _corner_successors(d)
+    nxt = _corner_successors(crossings)
     seen = [False] * len(nxt)
-    last_face = [-1] * d.crossing_count
+    last_face = [-1] * len(crossings)
     twice: set[int] = set()
     for start in range(len(nxt)):
         cur = start

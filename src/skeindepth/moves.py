@@ -8,8 +8,8 @@ and each slide is generated once, and a rewrite is kept only when
 restarts from the first diagram it meets with fewer crossings than its
 start (monotone descent), spends one node budget across all restarts,
 and gives up with ``unknown`` once its deadline passes.  The
-crossing-removing moves, their finders and :func:`.diagram.simplify`,
-like the skein operations :func:`.diagram.switch` and
+crossing-removing moves, made inside :func:`.diagram.simplify`, like
+the skein operations :func:`.diagram.switch` and
 :func:`.diagram.smooth`, live in :mod:`.diagram`, and so do the
 arc-incidence helpers used here.
 """

@@ -38,17 +38,7 @@ from skeindepth import (
     writhe,
 )
 from skeindepth import diagram, moves
-from skeindepth.diagram import (
-    _read_blocks,
-    faces,
-    find_kink,
-    find_nugatory,
-    first_defect,
-    find_poke_pair,
-    remove_kink,
-    remove_nugatory,
-    remove_poke_pair,
-)
+from skeindepth.diagram import _read_blocks, faces, find_nugatory, first_defect
 from skeindepth.poly import DELTA, ONE, ZERO
 
 from conftest import (
@@ -69,7 +59,20 @@ from conftest import (
     reference_pokes,
     scrambled,
 )
-from test_diagram import kernel_battery, reference_groups, reference_rewire
+from test_diagram import (
+    find_kink,
+    find_poke_pair,
+    is_kink,
+    kernel_battery,
+    kink_merges,
+    poke_merges,
+    reference_flip,
+    reference_groups,
+    reference_rewire,
+    remove_kink,
+    remove_nugatory,
+    remove_poke_pair,
+)
 
 
 def _cycle_index(cycles, label):
@@ -398,26 +401,6 @@ def test_switch_of_a_simplified_diagram_simplifies_as_the_full_loop():
 # -- simplify's run against the per-removal loop ------------------------------
 
 
-def _reference_kink(d, i):
-    cr = d.crossings[i]
-    if cr.b == cr.c:
-        return [(cr.a, cr.d)]
-    if cr.a == cr.d:
-        return [(cr.b, cr.c)]
-    if cr.c == cr.d:
-        return [(cr.a, cr.b)]
-    return [(cr.d, cr.c)]
-
-
-def _reference_poke(d, i, j):
-    ci, cj = d.crossings[i], d.crossings[j]
-    e1 = ci.over_out()
-    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
-    if ci.c == cj.a:
-        return merges + [(ci.a, ci.c), (ci.c, cj.c)]
-    return merges + [(cj.a, cj.c), (cj.c, ci.c)]
-
-
 def reference_run(d):
     """simplify as the loop it replaces: the moves looked for in the
     sorted crossings, and after every removal the merges glued and the
@@ -427,7 +410,7 @@ def reference_run(d):
     removal: its move, whether the flipped side was nonempty, whether a
     removed crossing sits where a block wraps from its last label to its
     first (so a merged run crosses the wrap), the free loops it closed,
-    and the crossings left."""
+    the crossings left, and the diagram it left."""
     work = OrientedDiagram(tuple(sorted(d.crossings)), d.free_loops)
     steps = []
     while work.crossings:
@@ -435,13 +418,13 @@ def reference_run(d):
         flipped = False
         i = find_kink(work)
         if i is not None:
-            move, gone, rest, merges = "kink", [crs[i]], crs[:i] + crs[i + 1 :], _reference_kink(work, i)
+            move, gone, rest, merges = "kink", [crs[i]], crs[:i] + crs[i + 1 :], kink_merges(work, i)
         else:
             pair = find_poke_pair(work)
             if pair is not None:
                 move, gone = "poke", [crs[k] for k in pair]
                 rest = tuple(cr for k, cr in enumerate(crs) if k not in pair)
-                merges = _reference_poke(work, *pair)
+                merges = poke_merges(work, *pair)
             else:
                 nug = find_nugatory(work)
                 if nug is None:
@@ -461,17 +444,9 @@ def reference_run(d):
             (x, y) in wrap for cr in gone for x, y in ((cr.a, cr.c), (cr.over_in(), cr.over_out()))
         )
         nxt = reference_rewire(rest, merges, work.free_loops)
-        steps.append((move, flipped, wraps, nxt.free_loops - work.free_loops, nxt.crossing_count))
+        steps.append((move, flipped, wraps, nxt.free_loops - work.free_loops, nxt.crossing_count, nxt))
         work = nxt
     return (work if steps else d), steps
-
-
-def reference_flip(cr):
-    """cr with its tangle turned over: cyclic order reversed, over and
-    under exchanged, succession and sign kept."""
-    if cr.sign > 0:
-        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
-    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
 
 
 def mixed_closures(seed, count):
@@ -499,13 +474,25 @@ def run_battery():
     return out + [OrientedDiagram(d.crossings, d.free_loops) for d in out]
 
 
+def shifted(d, rng):
+    """d scrambled, then every label raised by 1,000: each is above 2c + 1."""
+    crs = scrambled(d, rng).crossings
+    shift = tuple(Crossing(a + 1000, b + 1000, c + 1000, e + 1000, s) for a, b, c, e, s in crs)
+    return OrientedDiagram(shift, d.free_loops)
+
+
 def test_simplify_is_the_per_removal_loop():
     """simplify keeps the labels through its run of removals and ranks
     them once; the result must be the per-removal loop's, crossing for
     crossing, with the same free loops and the label-block table of its
-    labels, and the input itself when no move fires."""
-    runs = long_runs = flips_after = wraps = loops_mid = 0
-    for d in run_battery():
+    labels, and the input itself when no move fires.  The battery also
+    holds a copy of each input with its labels scrambled and shifted
+    above 2c + 1, which simplify ranks before its first removal."""
+    battery = run_battery()
+    rng = random.Random(31)
+    battery += [shifted(d, rng) for d in battery]
+    runs = long_runs = flips_after = wraps = loops_mid = shifted_runs = 0
+    for d in battery:
         want, steps = reference_run(d)
         got = simplify(d)
         if not steps:
@@ -515,15 +502,46 @@ def test_simplify_is_the_per_removal_loop():
         assert got._walk.crossings is got.crossings, d
         assert got._walk.first == _read_blocks(want.crossings), d
         runs += 1
+        shifted_runs += min(cr.a for cr in d.crossings) > 1000
         long_runs += len(steps) >= 3
-        flips_after += any(flip for _, flip, _, _, _ in steps[1:])
-        wraps += any(wrap for _, _, wrap, _, _ in steps)
-        loops_mid += any(loops and left for _, _, _, loops, left in steps[:-1])
-    assert runs > 500, runs
+        flips_after += any(flip for _, flip, _, _, _, _ in steps[1:])
+        wraps += any(wrap for _, _, wrap, _, _, _ in steps)
+        loops_mid += any(loops and left for _, _, _, loops, left, _ in steps[:-1])
+    assert runs > 1000 and shifted_runs > 500, (runs, shifted_runs)
     assert long_runs >= 100, long_runs
     assert flips_after >= 10, flips_after
     assert wraps >= 100, wraps
     assert loops_mid >= 5, loops_mid
+
+
+def test_each_round_is_one_removal_of_the_loop():
+    """simplify's rounds taken one at a time on a walk-order input (a
+    round of kinks and poke pairs, then a nugatory crossing when it finds
+    neither), ranked after each, give the per-removal loop's diagram
+    after every removal: the first kink in sorted order, else the first
+    poke pair, else the first nugatory crossing.  The rounds that meet
+    two or more kinks are counted."""
+    rounds = several_kinks = 0
+    for d in run_battery():
+        first = _read_blocks(d.crossings)
+        if first is None:
+            continue  # a renamed input: the identity test covers it
+        _, steps = reference_run(d)
+        crs, loops = sorted(d.crossings), d.free_loops
+        before = d.crossings
+        for *_, want in steps:
+            several_kinks += sum(map(is_kink, before)) >= 2
+            closed = diagram._shed(crs, 2 * d.crossing_count + 1)
+            if closed is None:
+                closed = diagram._untwist(crs, first)
+            loops += closed
+            got = diagram._ranked(crs, first, loops)
+            assert (got.crossings, got.free_loops) == (want.crossings, want.free_loops), d
+            rounds += 1
+            before = want.crossings
+        assert diagram._shed(crs, 2 * d.crossing_count + 1) is None, d
+        assert diagram._untwist(crs, first) is None, d
+    assert rounds > 1000 and several_kinks >= 50, (rounds, several_kinks)
 
 
 def test_simplify_renumbers_once_per_call(monkeypatch):
