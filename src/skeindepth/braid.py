@@ -4,7 +4,9 @@ A word on p strands is written ``p=3: 1 -2 1 -2`` — positive integer k
 for the generator crossing strands k and k+1 with strand k passing over,
 negative for the inverse.  Closures are built directly as oriented
 diagrams: each letter contributes one crossing, and the plat-free wiring
-at the bottom glues strand ends back to their tops.
+glues each strand's bottom end back to its top, keeping the top arc's
+label as simplify's removals keep the label of the arc leaving a run,
+before one renumbering in walk order.
 
 For a one-signed word using every generator index the closure's depth is
 the exact value ``length - strands + 1``; for mixed words that quantity
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, OrientedDiagram, _rewire
+from .diagram import OrientedDiagram, renormalize
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,12 @@ def braid_closure(w: BraidWord) -> OrientedDiagram:
     """Oriented diagram of the braid closure, all strands running downward.
 
     Strand positions carry the label of the arc currently entering them;
-    position q starts with the provisional label -q, and the closure
-    merges whatever label exits position q at the bottom back onto -q.
-    A position never visited by a letter closes to a free loop.
+    position q starts with the provisional label -q.  The arc leaving
+    position q at the bottom runs round the closure into its top, and
+    the two join as simplify's removals join a run of arcs: the run keeps
+    the label of the arc leaving it, -q, written back where the bottom
+    arc left its last crossing.  A position never visited by a letter
+    closes to a free loop.  The result is renumbered once, in walk order.
 
     For a positive letter at positions (q, q+1) the left strand passes
     over; with L/R the incoming labels and n1/n2 = the two fresh arcs
@@ -98,12 +103,14 @@ def braid_closure(w: BraidWord) -> OrientedDiagram:
         n1, n2 = nxt, nxt + 1
         nxt += 2
         if g > 0:
-            crossings.append(Crossing(right, left, n1, n2, 1))
+            crossings.append((right, left, n1, n2, 1))
         else:
-            crossings.append(Crossing(left, n1, n2, right, -1))
+            crossings.append((left, n1, n2, right, -1))
         cur[i], cur[i + 1] = n1, n2
-    merges = [(cur[q], -q) for q in range(1, w.strands + 1)]
-    return _rewire(crossings, merges, 0)
+    top = {cur[q]: -q for q in cur if cur[q] != -q}  # bottom label -> its top label
+    get = top.get
+    crossings = [(a, get(b, b), get(c, c), get(d, d), sign) for a, b, c, d, sign in crossings]
+    return renormalize(crossings, w.strands - len(top))
 
 
 def positive_braid_td(w: BraidWord) -> int:

@@ -70,14 +70,16 @@ class DatasetRow:
 
 
 def _parse_expected(cell: str) -> tuple[int, int] | None:
+    """An expected cell: empty, a depth n, or an interval [lo,hi] of depths."""
     if not cell:
         return None
-    if cell.startswith("["):
-        body = cell.strip("[]")
-        lo_s, hi_s = body.split(",")
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(cell)
+    ends = cell[1:-1].split(",") if cell.startswith("[") and cell.endswith("]") else [cell, cell]
+    try:
+        lo, hi = map(int, ends)
+    except ValueError:
+        raise ValueError(f"bad expected depth {cell!r} (expected n or [lo,hi])") from None
+    if lo < 0:
+        raise ValueError(f"negative expected depth {cell!r}")
     if lo > hi:
         raise ValueError(f"empty expected interval {cell!r}")
     return (lo, hi)

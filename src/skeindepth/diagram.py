@@ -65,19 +65,20 @@ crossings carries no marks, and reading them again gives the same ones:
 nothing a diagram carries records how it was made.
 
 The arc-incidence helpers (each arc's two places, where each arc
-arrives, a union-find over arcs) are defined here once; the polynomial
-and rewrite modules take them from here.  A move that removes crossings
+arrives) are defined here once; the rewrite module takes them from
+here.  Every edit that removes crossings joins arcs by one rule, and
 keeps every label it does not merge away.  Along each strand it
 shortens, the arcs it joins make one run, named by the arc leaving the
 run; only the crossing that the run's first arc leaves is rebuilt, and
 a run that meets no crossing left closed into a free loop.
 :func:`simplify` makes its whole run of removals in these kept labels,
-in a list of plain tuples sorted again after each removal, and builds a
-diagram only to test a nugatory candidate's sides and once at the end.
-Each block keeps its labels in its own range, increasing from its
-smallest, so one pass at the end that gives each label its rank numbers
-the walk, and builds the label-block table from the input's.  A
-smoothing renumbers at once.
+in a list of plain tuples sorted again after each removal, nugatory
+tests included, and builds a diagram once at the end.  Each block keeps
+its labels in its own range, increasing from its smallest, so one pass
+at the end that gives each label its rank numbers the walk, and builds
+the label-block table from the input's.  :func:`smooth` joins its two
+runs by the same rule, then renumbers in full: a smoothing joins or
+splits components, which ranks cannot number.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -424,9 +425,11 @@ class _Walk(NamedTuple):
     crossings are the diagram's own when its labels run in walk order,
     else the same crossings, in the same order, relabeled so; first
     lists each block's first label, in label order, then 2c + 1.
+    simplify's nugatory test pairs its run's list of plain tuples with
+    the first list of the diagram whose labels they keep.
     """
 
-    crossings: tuple[Crossing, ...]
+    crossings: Sequence[tuple[int, ...]]
     first: list[int]
 
 
@@ -434,7 +437,7 @@ def _walk_of(d: OrientedDiagram) -> _Walk:
     """d's label-block table, read once per diagram object and kept on it.
 
     A diagram whose labels do not run in walk order (only a hand-renamed
-    one) is relabeled with :func:`_renumbered`'s walk, its crossings
+    one) is relabeled with :func:`renormalize`'s walk, its crossings
     kept in their order, so every reader gets labels in walk order and
     the caller's crossing indices.
     """
@@ -520,22 +523,15 @@ def _parts(w: _Walk) -> list[list[int]]:
 
 
 def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagram:
-    """Relabel arbitrary integer arcs to the contiguous 1..2c convention.
+    """Relabel arbitrary integer arcs to the contiguous 1..2c convention,
+    with the label-block table filled in.
 
     Components are ordered by their smallest current label and each starts
     at its smallest current label; crossings are sorted for determinism.
     Plain (a, b, c, d, sign) tuples are accepted as crossings.
     """
     crossings = tuple(crossings)
-    return _renumbered(crossings, _succession(crossings), free_loops)
-
-
-def _renumbered(
-    crossings: tuple[tuple[int, ...], ...], succ: dict[int, int], free_loops: int
-) -> OrientedDiagram:
-    """renormalize's result, given the succession of crossings, with its
-    label-block table filled in."""
-    m, first = _walk_numbers(succ)
+    m, first = _walk_numbers(_succession(crossings))
     relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
     out = OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
     object.__setattr__(out, "_walk", _Walk(out.crossings, first))
@@ -765,18 +761,20 @@ def switch(d: OrientedDiagram, i: int, sheds: Callable[[int], bool] | None = Non
 
 
 def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
-    """Oriented resolution: erase crossing i, joining in-arcs to out-arcs."""
+    """Oriented resolution: erase crossing i, joining in-arcs to out-arcs.
+
+    The two runs through i, under-in to over-out and over-in to
+    under-out, are joined as a removal joins them (:func:`_rejoin`), and
+    the result is renumbered in full: a smoothing joins or splits
+    components, which ranks cannot number.
+    """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
-    rest = d.crossings[:i] + d.crossings[i + 1 :]
-    return _rewire(rest, _smoothing_pairs(d.crossings[i]), d.free_loops)
-
-
-def _smoothing_pairs(cr: Crossing) -> list[tuple[int, int]]:
-    """The arc pairs the oriented smoothing of cr joins, in-arc to out-arc."""
-    if cr.sign > 0:
-        return [(cr.a, cr.d), (cr.b, cr.c)]
-    return [(cr.a, cr.b), (cr.d, cr.c)]
+    a, b, c, e, sign = d.crossings[i]
+    over_in, over_out = (b, e) if sign > 0 else (e, b)
+    rest = list(d.crossings[:i] + d.crossings[i + 1 :])
+    loops = _rejoin(rest, _joined(a, over_out, over_in, c))
+    return renormalize(rest, d.free_loops + loops)
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -792,33 +790,6 @@ def _union(parent: dict[int, int], x: int, y: int) -> None:
     rx, ry = _find(parent, x), _find(parent, y)
     if rx != ry:
         parent[rx] = ry
-
-
-def _rewire(
-    crossings: Iterable[Crossing],
-    merges: Iterable[tuple[int, int]],
-    free_loops: int,
-) -> OrientedDiagram:
-    """Glue arcs pairwise and rebuild a normalized diagram.
-
-    Merge chains that no longer touch any crossing close up into free
-    loops (one per chain); arcs of removed crossings that appear in no
-    merge vanish outright, which is what kink contraction needs.
-    """
-    parent: dict[int, int] = {}
-    for x, y in merges:
-        _union(parent, x, y)
-    # only merged arcs move; every other arc is its own root
-    root = {x: _find(parent, x) for x in parent}
-    get = root.get
-    relabeled = tuple(
-        (get(a, a), get(b, b), get(c, c), get(d, d), sign) for a, b, c, d, sign in crossings
-    )
-    succ = _succession(relabeled)
-    # every arc of a crossing continues somewhere, so a root that is not
-    # in succ touches no crossing: its merge chain closed into a loop
-    loops = sum(1 for r in set(root.values()) if r not in succ)
-    return _renumbered(relabeled, succ, free_loops + loops)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -851,8 +822,8 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
 #
 # simplify's run works in a sorted list of plain (a, b, c, d, sign) tuples.
 # A round of kinks and poke pairs (_shed) is at most two passes over it, so
-# it costs O(c); a diagram is built only for a nugatory crossing's side
-# groups, once the corner walk finds a crossing that a face meets twice.
+# it costs O(c); the nugatory test, once the corner walk finds a crossing
+# that a face meets twice, reads the same tuples.
 
 
 def _shed(crossings: list[tuple[int, ...]], size: int) -> int | None:
@@ -943,33 +914,33 @@ def _rejoin(crossings: list[tuple[int, ...]], runs: Iterable[tuple[int, int]]) -
     return loops
 
 
-def _flip(cr: Crossing) -> Crossing:
+def _flip(cr: tuple[int, ...]) -> tuple[int, ...]:
     # turning a tangle over reverses the cyclic order and swaps over/under;
     # strand succession and the crossing sign survive
-    if cr.sign > 0:
-        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
-    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
+    a, b, c, d, sign = cr
+    return (b, a, d, c, 1) if sign > 0 else (d, c, b, a, -1)
 
 
-def _side_groups(d: OrientedDiagram, i: int, part: list[int]) -> list[list[int]]:
-    """Connected groups of the other crossings of i's part, crossing i smoothed.
+def _side_groups(crossings: Sequence[tuple[int, ...]], i: int, part: list[int]) -> list[list[int]]:
+    """Connected groups of the other crossings of i's part, crossing i cut out.
 
     part lists the crossing indices of i's connected part; the groups
-    are sorted by size, then by their indices.
+    are sorted by size, then by their indices.  They are also the groups
+    of i's oriented smoothing: on a planar diagram each side of a cut
+    crossing holds one arc arriving at it and one leaving it, consecutive
+    around it, so both of the smoothing's arc pairs lie within one side.
     """
     parent: dict[int, int] = {}
     for k in part:
-        if k == i:
-            continue
-        arcs = d.crossings[k].arcs()
-        for arc in arcs[1:]:
-            _union(parent, arcs[0], arc)
-    for x, y in _smoothing_pairs(d.crossings[i]):
-        _union(parent, x, y)
+        if k != i:
+            a, b, c, d = crossings[k][:4]
+            _union(parent, a, b)
+            _union(parent, a, c)
+            _union(parent, a, d)
     groups: dict[int, list[int]] = {}
     for k in part:
         if k != i:
-            groups.setdefault(_find(parent, d.crossings[k].a), []).append(k)
+            groups.setdefault(_find(parent, crossings[k][0]), []).append(k)
     return sorted(groups.values(), key=lambda g: (len(g), g))
 
 
@@ -983,23 +954,22 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     part exactly when some face meets it at two corners (Mohar and
     Thomassen, Graphs on Surfaces, ch. 2).  So does a kink crossing: the
     face around its loop meets it at both ends of the loop.  A kink never
-    confirms, as its smoothing leaves the other crossings joined, so the
+    confirms, as cutting it out leaves the other crossings joined, so the
     side-group test on its part stays and confirms candidates in index
     order; on planar diagrams the first cut crossing always confirms.
     The candidates come from one walk of the corner table
     (:func:`_met_twice`), which lists no faces.
     """
     twice = _met_twice(d.crossings) if d.crossing_count >= 2 else None
-    return _find_nugatory(d, _walk_of(d), twice) if twice else None
+    return _find_nugatory(_walk_of(d), twice) if twice else None
 
 
-def _find_nugatory(d: OrientedDiagram, w: _Walk, twice: set[int]) -> tuple[int, list[int]] | None:
-    """find_nugatory, given the candidates twice, with the parts read
-    from the label-block table w, which may be that of the walk-order
-    diagram whose labels d keeps."""
+def _find_nugatory(w: _Walk, twice: set[int]) -> tuple[int, list[int]] | None:
+    """find_nugatory, given the candidates twice, on the crossings and
+    parts of the label-block table w."""
     part = {ci: group for group in _parts(w) for ci in group}
     for i in sorted(twice):
-        groups = _side_groups(d, i, part[i])
+        groups = _side_groups(w.crossings, i, part[i])
         if len(groups) >= 2:
             return (i, groups[0])
     return None
@@ -1010,18 +980,24 @@ def _untwist(crossings: list[tuple[int, ...]], first: list[int] | None) -> int |
     nugatory crossing untwisted in place, one side turned over, in the
     kept labels; returns the free loops closed, None when there is none.
     first is the label-block table of the walk-order diagram whose
-    labels the crossings keep, None for a renamed diagram's ranks."""
+    labels the crossings keep, None for a renamed diagram's ranks, which
+    are read through a diagram relabeled in walk order."""
     twice = _met_twice(crossings) if len(crossings) >= 2 else None
     if not twice:
         return None
-    d = OrientedDiagram(tuple(map(Crossing._make, crossings)))
-    nug = _find_nugatory(d, _walk_of(d) if first is None else _Walk(d.crossings, first), twice)
+    if first is None:
+        w = _walk_of(OrientedDiagram(tuple(map(Crossing._make, crossings))))
+    else:
+        w = _Walk(crossings, first)
+    nug = _find_nugatory(w, twice)
     if nug is None:
         return None
     i, side = nug
-    cr, side = d.crossings[i], set(side)
-    crossings[:] = [_flip(other) if k in side else other for k, other in enumerate(d.crossings) if k != i]
-    return _rejoin(crossings, _joined(cr.a, cr.c, cr.over_in(), cr.over_out()))
+    a, b, c, e, sign = crossings[i]
+    side = set(side)
+    crossings[:] = [_flip(cr) if k in side else cr for k, cr in enumerate(crossings) if k != i]
+    over_in, over_out = (b, e) if sign > 0 else (e, b)
+    return _rejoin(crossings, _joined(a, c, over_in, over_out))
 
 
 def _ranked(crossings: list[tuple[int, ...]], first: list[int], free_loops: int) -> OrientedDiagram:
@@ -1062,8 +1038,8 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     poke pair before a nugatory crossing, so listing the same crossings
     in another order gives the same result.  The run works in a list of
     plain tuples in d's labels: a round of kinks and poke pairs is one
-    function, :func:`_shed`, and a diagram is built for the nugatory
-    test only when the corner walk finds a candidate (:func:`_untwist`).
+    function, :func:`_shed`, and the nugatory test, run when the corner
+    walk finds a candidate, reads the same tuples (:func:`_untwist`).
     Each removal names a merged run of arcs by the arc leaving it
     (:func:`_rejoin`) and sorts the list again, and one pass at the end
     gives each label its rank (:func:`_ranked`).  That is the diagram a

@@ -1,11 +1,13 @@
 """Braid parsing, closures, and the word-level depth formulas."""
 
 import itertools
+import random
 
 import pytest
 
 from skeindepth import (
     BraidWord,
+    Crossing,
     HomflyCache,
     SolveContext,
     braid_closure,
@@ -20,8 +22,10 @@ from skeindepth import (
     simplify,
     writhe,
 )
+from skeindepth.diagram import _read_blocks
 
 from conftest import FIXTURE_PDS
+from test_diagram import reference_rewire
 
 K11N183 = "p=4: -1 2 -1 -3 -2 -2 -1 -3 -2 -2 -3"
 
@@ -70,6 +74,43 @@ def test_closure_oracles():
     # an untouched strand closes to a free loop
     d = braid_closure(parse_braid("p=3: 1"))
     assert component_count(d) == 2 and d.free_loops == 1
+
+
+def reference_closure(w):
+    """The closure glued in a union-find: each position's bottom arc is
+    merged onto its provisional top label -q, and the result renumbered."""
+    cur = {q: -q for q in range(1, w.strands + 1)}
+    crossings = []
+    for g in w.letters:
+        i = abs(g)
+        left, right = cur[i], cur[i + 1]
+        n1, n2 = 2 * len(crossings) + 1, 2 * len(crossings) + 2
+        if g > 0:
+            crossings.append(Crossing(right, left, n1, n2, 1))
+        else:
+            crossings.append(Crossing(left, n1, n2, right, -1))
+        cur[i], cur[i + 1] = n1, n2
+    return reference_rewire(crossings, [(cur[q], -q) for q in cur], 0)
+
+
+def test_closure_matches_the_reference():
+    """braid_closure gives the union-find closure crossing for crossing,
+    with its free loops and the label-block table of a fresh read, on
+    seeded words of 2-5 strands, some leaving strands untouched."""
+    rng = random.Random(25)
+    words = [parse_braid("p=4: 1 1 1"), parse_braid("p=5: -2 3"), parse_braid("p=2: -1")]
+    for _ in range(400):
+        p = rng.randint(2, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(1, 9))]
+        words.append(BraidWord(p, tuple(letters)))
+    loops = 0
+    for w in words:
+        d, want = braid_closure(w), reference_closure(w)
+        assert (d.crossings, d.free_loops) == (want.crossings, want.free_loops), w
+        assert d._walk.first == _read_blocks(want.crossings), w
+        loops += d.free_loops
+    assert braid_closure(parse_braid("p=4: 1 1 1")).free_loops == 2
+    assert loops > 100, loops
 
 
 def test_closure_matches_fixture_diagrams():

@@ -62,10 +62,15 @@ def test_parse_dataset_row_interval_expected():
         "x\t\t\t\t",  # neither pd nor braid
         "x\tO\t\t\t[3,1]",  # empty interval
         "x\tnot-a-pd\t\t\t",
+        "x\tO\t\t\t[3",  # unclosed interval
+        "x\tO\t\t\t[3,4,5]",  # three ends
+        "x\tO\t\t\t-1",  # a depth is at least 0
+        "x\tO\t\t\t[-2,1]",
     ],
 )
 def test_parse_dataset_row_rejects(bad):
-    with pytest.raises(ValueError):
+    expected = bad.split("\t")[4]  # a bad expected cell is named in the message
+    with pytest.raises(ValueError, match=re.escape(repr(expected)) if expected else None):
         parse_dataset_row(bad)
 
 

@@ -37,8 +37,6 @@ from skeindepth.diagram import (
     _part_code,
     _parts,
     _read_blocks,
-    _rewire,
-    _smoothing_pairs,
     _walk_of,
     defects,
     faces,
@@ -425,6 +423,19 @@ def reference_renormalize(crossings, free_loops):
     return OrientedDiagram(tuple(relabeled), free_loops)
 
 
+def smoothing_pairs(cr):
+    """The arc pairs the oriented smoothing of cr joins, in-arc to out-arc."""
+    if cr.sign > 0:
+        return [(cr.a, cr.d), (cr.b, cr.c)]
+    return [(cr.a, cr.b), (cr.d, cr.c)]
+
+
+def reference_smooth(d, i):
+    """The oriented smoothing at crossing i, glued by reference_rewire."""
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    return reference_rewire(rest, smoothing_pairs(d.crossings[i]), d.free_loops)
+
+
 def reference_rewire(crossings, merges, free_loops):
     parent = {}
 
@@ -517,13 +528,6 @@ def remove_nugatory(d, i, flip_side):
         reference_flip(other) if k in flip_side else other for k, other in enumerate(d.crossings) if k != i
     ]
     return reference_rewire(rest, [(cr.a, cr.c), (cr.over_in(), cr.over_out())], d.free_loops)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as e:
-        return "ValueError: %s" % e
 
 
 # multi-component closures: at many start arcs the over arcs of the head
@@ -810,31 +814,16 @@ def test_renormalize_matches_the_reference():
         renormalize([], 0)
 
 
-def _merge_lists(cr):
-    """Merges of a removed crossing's arcs: the smoothings and chains whose
-    second arcs end up below another root."""
-    a, b, c, d = cr.arcs()
-    return [
-        _smoothing_pairs(cr),
-        [(a, c), (cr.over_in(), cr.over_out())],
-        [(a, b), (a, d)],
-        [(b, a), (b, c), (d, b)],
-        [(c, d), (a, c), (b, a)],
-    ]
-
-
 def test_rewire_matches_the_reference():
-    """Smoothings and merge chains give the reference's diagram, or the
-    same error."""
+    """Every smoothing, joined by the removal rule, gives the diagram that
+    gluing its arc pairs in a union-find and renumbering gives, with the
+    label-block table of a fresh read."""
     battery = finder_battery() + multi_component_battery()
     for d in battery:
-        for i, cr in enumerate(d.crossings):
-            rest = d.crossings[:i] + d.crossings[i + 1 :]
-            for merges in _merge_lists(cr):
-                got = _outcome(_rewire, rest, merges, d.free_loops)
-                assert got == _outcome(reference_rewire, rest, merges, d.free_loops), (d, i, merges)
-            want = reference_rewire(rest, _smoothing_pairs(cr), d.free_loops)
-            assert smooth(d, i) == want
+        for i in range(d.crossing_count):
+            got = smooth(d, i)
+            assert got == reference_smooth(d, i), (d, i)
+            assert got._walk == _walk_of(OrientedDiagram(got.crossings, got.free_loops)), (d, i)
 
 
 @given(
@@ -861,8 +850,8 @@ def test_kernel_matches_the_references_on_random_closures(case):
     fl = d.free_loops  # a strand no letter touches closes into a free loop
     assert renormalize(s.crossings, fl) == reference_renormalize(s.crossings, fl)
     i = rng.randrange(d.crossing_count)
-    rest = d.crossings[:i] + d.crossings[i + 1 :]
-    assert smooth(d, i) == reference_rewire(rest, _smoothing_pairs(d.crossings[i]), fl)
+    assert smooth(d, i) == reference_smooth(d, i)
+    assert smooth(s, i) == reference_smooth(s, i), s
     for x in (d, s, simplify(d), simplify(switch(d, i)), simplify(smooth(d, i))):
         assert canonical_code(x) == reference_code(x), x
     check_pokes_once(s)

@@ -563,7 +563,7 @@ def test_simplify_renumbers_once_per_call(monkeypatch):
 
         return call
 
-    for name in ("_renumbered", "_ranked"):
+    for name in ("renormalize", "_ranked"):
         monkeypatch.setattr(diagram, name, counted(getattr(diagram, name)))
     long_runs = 0
     for d, r, s, n in zip(battery, renamed, fresh, removals):
