@@ -29,6 +29,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterator, TypeVar
 
 from . import braid
 from .bounds import aggregate_bounds
@@ -47,17 +48,27 @@ from .solver import (
     extract_tree,
 )
 
+T = TypeVar("T")
+
 
 # -- input files ---------------------------------------------------------------
 
 
-def _data_lines(path: str) -> list[tuple[int, str]]:
+def _parsed(path: str, parse: Callable[[str], T]) -> Iterator[T]:
+    """parse of each data line of path, that is each line that is not
+    blank or a "#" comment, one at a time, so the lines before a bad one
+    are used first; the ValueError of a bad line names the file and the
+    line."""
     with open(path, encoding="utf-8") as fh:
-        return [
-            (i, line.strip())
-            for i, line in enumerate(fh, 1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        lines = list(enumerate(fh, 1))
+    for lineno, line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                item = parse(line)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            yield item
 
 
 @dataclass
@@ -106,18 +117,16 @@ def parse_dataset_row(line: str) -> DatasetRow:
 
 
 def load_dataset(path: str) -> list[DatasetRow]:
-    rows = []
     seen = set()
-    for lineno, line in _data_lines(path):
-        try:
-            row = parse_dataset_row(line)
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+
+    def new_row(line: str) -> DatasetRow:
+        row = parse_dataset_row(line)
         if row.name in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate row name {row.name!r}")
+            raise ValueError(f"duplicate row name {row.name!r}")
         seen.add(row.name)
-        rows.append(row)
-    return rows
+        return row
+
+    return list(_parsed(path, new_row))
 
 
 # -- DOT export ----------------------------------------------------------------
@@ -159,8 +168,7 @@ def export_dot(tree: SkeinTree) -> str:
 
 
 def _cmd_poly(args, ctx: SolveContext) -> int:
-    for _, line in _data_lines(args.file):
-        d = parse_pd(line)
+    for d in _parsed(args.file, parse_pd):
         print(render_poly(homfly(d, ctx.homfly_cache)))
     return 0
 
@@ -168,9 +176,8 @@ def _cmd_poly(args, ctx: SolveContext) -> int:
 def _cmd_bounds(args, ctx: SolveContext) -> int:
     words = None
     if args.braids:
-        words = [parse_braid(line) for _, line in _data_lines(args.braids)]
-    for idx, (_, line) in enumerate(_data_lines(args.file), 1):
-        d = parse_pd(line)
+        words = list(_parsed(args.braids, parse_braid))
+    for idx, d in enumerate(_parsed(args.file, parse_pd), 1):
         rep = aggregate_bounds(d, genus=args.genus, braid_words=words, cache=ctx.homfly_cache)
         print(rep.render_row(f"row{idx}"))
     return 0
@@ -178,8 +185,7 @@ def _cmd_bounds(args, ctx: SolveContext) -> int:
 
 def _cmd_td(args, ctx: SolveContext) -> int:
     exhausted = False
-    for _, line in _data_lines(args.file):
-        d = parse_pd(line)
+    for d in _parsed(args.file, parse_pd):
         res = compute_td(
             d,
             budget=args.budget,
@@ -194,8 +200,7 @@ def _cmd_td(args, ctx: SolveContext) -> int:
 
 def _cmd_braid_bound(args, ctx: SolveContext) -> int:
     uppers = []
-    for _, line in _data_lines(args.file):
-        w = parse_braid(line)
+    for w in _parsed(args.file, parse_braid):
         used = w.all_indices_used()
         exact = "-"
         if used and (w.positives == 0 or w.negatives == 0):
@@ -251,10 +256,9 @@ def _cmd_tabulate(args, ctx: SolveContext) -> int:
 
 
 def _cmd_tree(args, ctx: SolveContext) -> int:
-    lines = _data_lines(args.file)
-    if not lines:
+    d = next(_parsed(args.file, parse_pd), None)
+    if d is None:
         raise ValueError(f"{args.file}: no diagram found")
-    d = parse_pd(lines[0][1])
     verdict = depth_at_most(d, args.depth, budget=args.budget, ctx=ctx)
     if verdict is True:
         try:

@@ -12,29 +12,29 @@ under-strand anchors and the succession of labels; the rare text codes
 where both readings are consistent (a two-arc component that never runs
 under) parse with the b -> d reading.  Internally every crossing carries
 its sign explicitly, and all diagram operations preserve it.
-:func:`validate` checks the labels, the succession along each component
-and Euler's count of faces, so :func:`parse_pd` rejects a code that is
-not planar.
+Sign inference reads the succession of labels, so :func:`parse_pd`
+rejects text whose labels do not run in walk order (below);
+:func:`validate` checks the labels and Euler's count of faces, so it
+also rejects a code that is not planar.
 
-Every diagram the library builds is labeled in walk order: its labels
-are 1..2c, and each component is a block of labels that runs up by one
-and wraps from its last label to its first, the blocks in order of
-their smallest labels.  :func:`validate` enforces this, renumbering
-after a move produces it, and :func:`switch` and :func:`mirror` keep
-the labels.  So the walk of a diagram is read from its labels, in one
-O(c) pass with no sort: a block's last arc is the only one not followed
-by the next label.  That pass gives the label-block table (each block's
-first label), a mark on the diagram (see below) read at most once per
-object; renumbering fills it in as it numbers, the switch and the
-mirror take their parent's, and :func:`simplify` builds its result's
-from its input's.  Every reader of the walk takes it from
-the table: :func:`defects` walks labels 1..2c, :func:`component_count`
-counts the blocks, and :func:`canonical_code`, :func:`is_split`,
-:func:`split_components`, :func:`find_nugatory` and validate's Euler
-count split the parts by joining the blocks that share a crossing.  A
-diagram with renamed arcs, which only a caller building one by hand
-has, is relabeled in walk order first, its crossings kept in their
-order, so the readers return its own crossing indices.
+Every diagram is labeled in walk order: its labels are 1..2c, and each
+component is a block of labels that runs up by one and wraps from its
+last label to its first, the blocks in order of their smallest labels.
+The constructor is the one place that knows this convention.  It reads
+the walk from the labels, in one O(c) pass with no sort: a block's last
+arc is the only one not followed by the next label.  That pass gives the
+label-block table (each block's first label), which the diagram keeps.
+A diagram built by hand with other labels is relabeled in walk order
+there, once, its crossings kept in their order, so the readers return
+the caller's own crossing indices.  The operations that know their
+result's table, :func:`switch` and :func:`mirror` (which keep the
+labels), :func:`renormalize` and simplify's final ranking, build through
+a private builder that reads nothing.  Every reader of the walk takes it
+from the table: :func:`defects` walks labels 1..2c,
+:func:`component_count` counts the blocks, and :func:`canonical_code`,
+:func:`is_split`, :func:`split_components`, :func:`find_nugatory` and
+validate's Euler count split the parts by joining the blocks that share
+a crossing.
 
 Instances are immutable; all operations return new diagrams.  The two
 skein operations at a crossing, :func:`switch` and :func:`smooth`, and
@@ -55,14 +55,14 @@ linear passes a round; the nugatory test takes as candidates the
 crossings that some face meets at two corners, which are the cut
 crossings of the crossing graph and the kink crossings.
 
-A diagram carries two marks, each a function of its crossings and free
-loops alone and neither part of its equality, hash or repr: the
-label-block table, and whether no move fires on it, so that simplify
-returns it as it is.  simplify marks what it returns, and switch marks
-the switch of such a diagram at a crossing when :func:`switch_sheds`
-finds no poke pair through that crossing.  A copy built from the same
-crossings carries no marks, and reading them again gives the same ones:
-nothing a diagram carries records how it was made.
+Beside its crossings and free loops a diagram keeps its label-block
+table and one mark, neither part of its equality, hash or repr: whether
+no move fires on it, so that simplify returns it as it is.  simplify
+marks what it returns, and switch marks the switch of such a diagram at
+a crossing when :func:`switch_sheds` finds no poke pair through that
+crossing.  A copy built from the same crossings reads the same table and
+carries no mark, and the mark is a function of the crossings and free
+loops alone: nothing a diagram carries records how it was made.
 
 The arc-incidence helpers (each arc's two places, where each arc
 arrives) are defined here once; the rewrite module takes them from
@@ -126,16 +126,22 @@ _UNDER_IN, _OVER_B, _UNDER_OUT, _OVER_D = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class OrientedDiagram:
-    """An oriented link diagram: signed crossings plus free loops."""
+    """An oriented link diagram: signed crossings plus free loops.
+
+    The constructor reads the label-block table.  Crossings whose labels
+    do not run in walk order are relabeled so, by :func:`renormalize`'s
+    walk, and kept in the order given; ValueError when their arcs do not
+    close into components.
+    """
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
-    # marks that are functions of the crossings and free loops alone, not
-    # part of equality, hash or repr: no move fires on the diagram (set by
-    # simplify on what it returns, and by switch), and the label-block
-    # table (_walk_of)
+    # functions of the crossings and free loops alone, not part of
+    # equality, hash or repr: the label-block table (_read_blocks), and the
+    # mark that no move fires on the diagram (set by simplify on what it
+    # returns, and by switch)
+    _blocks: list[int] = field(init=False, repr=False, compare=False)
     _simple: bool = field(default=False, init=False, repr=False, compare=False)
-    _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_loops < 0:
@@ -145,6 +151,12 @@ class OrientedDiagram:
         for cr in self.crossings:
             if cr.sign not in (1, -1):
                 raise ValueError("crossing sign must be +1 or -1: %r" % (cr,))
+        blocks = _read_blocks(self.crossings)
+        if blocks is None:
+            m, blocks = _walk_numbers(_succession(self.crossings))
+            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in self.crossings)
+            object.__setattr__(self, "crossings", relabeled)
+        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def crossing_count(self) -> int:
@@ -157,6 +169,20 @@ class OrientedDiagram:
         return "OrientedDiagram(%s)" % pd_text(self)
 
 
+def _walk_ordered(crossings: tuple[Crossing, ...], free_loops: int, blocks: list[int]) -> OrientedDiagram:
+    """The private constructor: crossings already labeled in walk order,
+    with their label-block table blocks, wrapped as they are.
+
+    For the operations here that know the table of what they build; it
+    checks and reads nothing.
+    """
+    d = object.__new__(OrientedDiagram)
+    object.__setattr__(d, "crossings", crossings)
+    object.__setattr__(d, "free_loops", free_loops)
+    object.__setattr__(d, "_blocks", blocks)
+    return d
+
+
 # -- text form ----------------------------------------------------------------
 
 _X_RE = re.compile(r"^X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]$")
@@ -166,8 +192,9 @@ def parse_pd(text: str) -> OrientedDiagram:
     """Parse a PD code such as "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]".
 
     "O" items denote crossingless components.  Raises ValueError on
-    malformed items, arc-label multiplicity errors, or labelings that do
-    not trace out consistent oriented components.
+    malformed items, arc-label multiplicity errors, labelings that do
+    not trace out consistent oriented components or do not run in walk
+    order, and codes that are not planar.
     """
     tuples: list[tuple[int, int, int, int]] = []
     free_loops = 0
@@ -186,7 +213,17 @@ def parse_pd(text: str) -> OrientedDiagram:
         tuples.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
     signs = _infer_signs(tuples)
     crossings = tuple(Crossing(a, b, c, d, s) for (a, b, c, d), s in zip(tuples, signs))
-    diagram = OrientedDiagram(crossings, free_loops)
+    blocks = _read_blocks(crossings)
+    if blocks is None:
+        # the labels do not run in walk order: name the first component
+        # where they break (its walk raises if the succession is broken)
+        m, first = _walk_numbers(_succession(crossings))
+        walk = sorted(m, key=m.__getitem__)
+        for s, e in zip(first, first[1:]):
+            lo = walk[s - 1]
+            if walk[s - 1 : e - 1] != list(range(lo, lo + e - s)):
+                raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
+    diagram = _walk_ordered(crossings, free_loops, blocks)
     validate(diagram)
     return diagram
 
@@ -311,20 +348,16 @@ def _not_closed(x: int) -> ValueError:
 
 
 def component_cycles(d: OrientedDiagram) -> list[list[int]]:
-    """Arc cycles of the crossing-bearing components, in d's own labels,
-    ordered by min arc, each starting at its min arc: the blocks of the
-    walk-order numbering, read back in d's labels."""
-    m, first = _walk_numbers(_succession(d.crossings))
-    arcs = sorted(m, key=m.__getitem__)  # in walk order
-    return [arcs[first[k] - 1 : first[k + 1] - 1] for k in range(len(first) - 1)]
+    """Arc cycles of the crossing-bearing components, ordered by min arc,
+    each starting at its min arc: the blocks of d's walk-order labels."""
+    first = d._blocks
+    return [list(range(s, e)) for s, e in zip(first, first[1:])]
 
 
 def component_count(d: OrientedDiagram) -> int:
     """The number of link components: one per block of the label-block
-    table (:func:`_walk_of`), each a component with crossings, plus the
-    free loops.  O(1) once the table is read, and a diagram the library
-    built has it read already."""
-    return len(_walk_of(d).first) - 1 + d.free_loops
+    table, each a component with crossings, plus the free loops; O(1)."""
+    return len(d._blocks) - 1 + d.free_loops
 
 
 def writhe(d: OrientedDiagram) -> int:
@@ -335,20 +368,18 @@ def defects(d: OrientedDiagram) -> list[int]:
     """The crossings first met on their under-strand, in walk order.
 
     The walk takes the components in order of their smallest arc, each
-    from that arc, which on labels in walk order is labels 1..2c in
-    order (a renamed diagram is read relabeled, see :func:`_walk_of`,
-    with its crossings' indices).  A crossing is met first by the
-    smaller of its two arriving labels, so it is a defect when its
-    under-in label a is below its over-in label.  With no defect every
+    from that arc, which in walk-order labels is labels 1..2c in order.
+    A crossing is met first by the smaller of its two arriving labels,
+    so it is a defect when its under-in label a is below its over-in
+    label.  With no defect every
     component passes over each later one and over itself where it first
     meets itself, so d is a diagram of the unlink.  Switching a defect
     keeps the arcs, hence the walk: that crossing is then first met on
     its over-strand, every other crossing keeps its status, and the
     defects drop by one.
     """
-    crossings = _walk_of(d).crossings
-    at = [-1] * (2 * len(crossings) + 1)  # label -> the defect it arrives under
-    for i, (a, b, _, dd, sign) in enumerate(crossings):
+    at = [-1] * (2 * len(d.crossings) + 1)  # label -> the defect it arrives under
+    for i, (a, b, _, dd, sign) in enumerate(d.crossings):
         if a < (b if sign > 0 else dd):
             at[a] = i
     return [i for i in at if i >= 0]
@@ -392,66 +423,21 @@ def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:
 
 
 def validate(d: OrientedDiagram) -> None:
-    """Check the full labeling contract and planarity; raises ValueError on violation.
+    """Check the labels and planarity; raises ValueError on violation.
 
-    Planarity is Euler's count: the counterclockwise tuples embed each
-    connected part of c crossings in a sphere exactly when it has c + 2
-    faces.
+    Each label must appear twice; the constructor has put them in walk
+    order.  Planarity is Euler's count: the counterclockwise tuples
+    embed each connected part of c crossings in a sphere exactly when it
+    has c + 2 faces.
     """
-    occ = _occurrences(d.crossings)
-    _check_labels(occ, d.crossing_count)
-    first = _read_blocks(d.crossings)
-    if first is None:
-        # the labels do not run in walk order: name the first component
-        # where they break (its walk raises if the succession is broken)
-        for cycle in component_cycles(d):
-            lo = cycle[0]
-            if cycle != list(range(lo, lo + len(cycle))):
-                raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
-    w = _Walk(d.crossings, first)
-    object.__setattr__(d, "_walk", w)
+    _check_labels(_occurrences(d.crossings), d.crossing_count)
     found = len(faces(d))
-    need = d.crossing_count + 2 * len(_parts(w))
+    need = d.crossing_count + 2 * len(_parts(d.crossings, d._blocks))
     if found != need:
         raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))
 
 
 # -- the walk, read from the labels -------------------------------------------
-
-
-class _Walk(NamedTuple):
-    """A diagram's label-block table.
-
-    crossings are the diagram's own when its labels run in walk order,
-    else the same crossings, in the same order, relabeled so; first
-    lists each block's first label, in label order, then 2c + 1.
-    simplify's nugatory test pairs its run's list of plain tuples with
-    the first list of the diagram whose labels they keep.
-    """
-
-    crossings: Sequence[tuple[int, ...]]
-    first: list[int]
-
-
-def _walk_of(d: OrientedDiagram) -> _Walk:
-    """d's label-block table, read once per diagram object and kept on it.
-
-    A diagram whose labels do not run in walk order (only a hand-renamed
-    one) is relabeled with :func:`renormalize`'s walk, its crossings
-    kept in their order, so every reader gets labels in walk order and
-    the caller's crossing indices.
-    """
-    w = d._walk
-    if w is None:
-        first = _read_blocks(d.crossings)
-        if first is None:
-            m, first = _walk_numbers(_succession(d.crossings))
-            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in d.crossings)
-            w = _Walk(relabeled, first)
-        else:
-            w = _Walk(d.crossings, first)
-        object.__setattr__(d, "_walk", w)
-    return w
 
 
 def _read_blocks(crossings: tuple[Crossing, ...]) -> list[int] | None:
@@ -462,10 +448,13 @@ def _read_blocks(crossings: tuple[Crossing, ...]) -> list[int] | None:
     labels that runs up by one, so a block's last arc is the only one
     not followed by the next label, and it is followed by the block's
     first.  One pass over the crossings and one over the labels check
-    that; each arc is taken to continue once, as in every diagram the
-    library builds and every one validate accepts.
+    that: the 2c arcs that continue must be 1..2c, so each continues
+    once.  The constructor reads the table once per diagram, and
+    :func:`parse_pd` reads it to reject text in other labels.
     """
     n = 2 * len(crossings)
+    if n and min(min(cr[:4]) for cr in crossings) < 1:
+        return None  # succ would take a label below 1 from its end
     succ = [0] * (n + 2)
     try:
         for a, b, c, d, sign in crossings:
@@ -492,17 +481,17 @@ def _block_index(first: list[int]) -> list[int]:
     return block
 
 
-def _parts(w: _Walk) -> list[list[int]]:
+def _parts(crossings: Sequence[tuple[int, ...]], first: list[int]) -> list[list[int]]:
     """The connected parts' crossing indices, in ascending order of their
     first index, each ascending.
 
     Each block, a component with crossings, lies in one part, and the
     blocks that share a crossing are joined; a diagram of one block, or
-    of blocks that all join, is one part.  simplify's run of removals
-    pairs the crossings whose labels it kept with the first list of the
-    diagram it kept them from: each label stays in its block's range.
+    of blocks that all join, is one part.  first is the label-block
+    table; simplify's run of removals pairs the crossings whose labels it
+    kept with the table of the diagram it kept them from: each label
+    stays in its block's range.
     """
-    crossings, first = w.crossings, w.first
     if len(first) <= 2:
         return [list(range(len(crossings)))] if crossings else []
     block = _block_index(first)
@@ -528,14 +517,15 @@ def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagr
 
     Components are ordered by their smallest current label and each starts
     at its smallest current label; crossings are sorted for determinism.
-    Plain (a, b, c, d, sign) tuples are accepted as crossings.
+    Plain (a, b, c, d, sign) tuples are accepted as crossings, and their
+    signs are taken as they are.
     """
     crossings = tuple(crossings)
+    if not crossings:
+        return OrientedDiagram((), free_loops)
     m, first = _walk_numbers(_succession(crossings))
     relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
-    out = OrientedDiagram(tuple(map(Crossing._make, relabeled)), free_loops)
-    object.__setattr__(out, "_walk", _Walk(out.crossings, first))
-    return out
+    return _walk_ordered(tuple(map(Crossing._make, relabeled)), free_loops, first)
 
 
 def _walk_numbers(succ: dict[int, int]) -> tuple[dict[int, int], list[int]]:
@@ -571,18 +561,16 @@ def canonical_code(d: OrientedDiagram) -> str:
 
     Two diagrams get the same code exactly when one is the other with
     its arcs renamed and its crossings listed in another order.  The
-    parts are read from the label-block table (:func:`_walk_of`, which
-    relabels a renamed diagram in walk order first): the blocks that
-    share a crossing make one part.  Each part is coded by
+    parts are read from the label-block table: the blocks that share a
+    crossing make one part.  Each part is coded by
     :func:`_part_code`; the part codes are sorted and joined with "/",
     and "|L<n>" counts the free loops.  The code is computed afresh on
     every call and stored nowhere; callers that code one diagram often
     memoize it themselves (:meth:`.poly.HomflyCache.code_of`).
     """
-    w = _walk_of(d)
-    block = _block_index(w.first)
-    crossings = w.crossings
-    parts = sorted(_part_code([crossings[i] for i in g], w.first, block) for g in _parts(w))
+    crossings, first = d.crossings, d._blocks
+    block = _block_index(first)
+    parts = sorted(_part_code([crossings[i] for i in g], first, block) for g in _parts(crossings, first))
     return "/".join(parts) + "|L%d" % d.free_loops
 
 
@@ -715,7 +703,7 @@ def mirror(d: OrientedDiagram) -> OrientedDiagram:
     move, only their vertical order at each crossing flips, so the
     label-block table is d's.
     """
-    return _with_walk_of(d, OrientedDiagram(tuple(_exchange(cr) for cr in d.crossings), d.free_loops))
+    return _walk_ordered(tuple(_exchange(cr) for cr in d.crossings), d.free_loops, d._blocks)
 
 
 def _exchange(cr: Crossing) -> Crossing:
@@ -723,15 +711,6 @@ def _exchange(cr: Crossing) -> Crossing:
     if cr.sign > 0:
         return Crossing(cr.b, cr.c, cr.d, cr.a, -1)
     return Crossing(cr.d, cr.a, cr.b, cr.c, 1)
-
-
-def _with_walk_of(d: OrientedDiagram, out: OrientedDiagram) -> OrientedDiagram:
-    """out, which has d's labels and succession, given d's label-block
-    table if d's labels run in walk order and the table is read."""
-    w = d._walk
-    if w is not None and w.crossings is d.crossings:
-        object.__setattr__(out, "_walk", _Walk(out.crossings, w.first))
-    return out
 
 
 # -- skein operations ----------------------------------------------------------
@@ -754,7 +733,7 @@ def switch(d: OrientedDiagram, i: int, sheds: Callable[[int], bool] | None = Non
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
     new = _exchange(d.crossings[i])
-    out = _with_walk_of(d, OrientedDiagram(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops))
+    out = _walk_ordered(d.crossings[:i] + (new,) + d.crossings[i + 1 :], d.free_loops, d._blocks)
     if d._simple and not (sheds or switch_sheds(d))(i):
         object.__setattr__(out, "_simple", True)
     return out
@@ -796,14 +775,14 @@ def _union(parent: dict[int, int], x: int, y: int) -> None:
 
 
 def is_split(d: OrientedDiagram) -> bool:
-    return len(_parts(_walk_of(d))) + d.free_loops > 1
+    return len(_parts(d.crossings, d._blocks)) + d.free_loops > 1
 
 
 def split_components(d: OrientedDiagram) -> list[OrientedDiagram]:
     """Maximal connected subdiagrams, free loops last as singletons."""
     parts = [
         renormalize((d.crossings[ci] for ci in group), 0)
-        for group in _parts(_walk_of(d))
+        for group in _parts(d.crossings, d._blocks)
     ]
     parts.extend(OrientedDiagram((), 1) for _ in range(d.free_loops))
     return parts
@@ -961,35 +940,32 @@ def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
     (:func:`_met_twice`), which lists no faces.
     """
     twice = _met_twice(d.crossings) if d.crossing_count >= 2 else None
-    return _find_nugatory(_walk_of(d), twice) if twice else None
+    return _find_nugatory(d.crossings, d._blocks, twice) if twice else None
 
 
-def _find_nugatory(w: _Walk, twice: set[int]) -> tuple[int, list[int]] | None:
-    """find_nugatory, given the candidates twice, on the crossings and
-    parts of the label-block table w."""
-    part = {ci: group for group in _parts(w) for ci in group}
+def _find_nugatory(
+    crossings: Sequence[tuple[int, ...]], first: list[int], twice: set[int]
+) -> tuple[int, list[int]] | None:
+    """find_nugatory, given the candidates twice, on crossings whose parts
+    the label-block table first gives (:func:`_parts`)."""
+    part = {ci: group for group in _parts(crossings, first) for ci in group}
     for i in sorted(twice):
-        groups = _side_groups(w.crossings, i, part[i])
+        groups = _side_groups(crossings, i, part[i])
         if len(groups) >= 2:
             return (i, groups[0])
     return None
 
 
-def _untwist(crossings: list[tuple[int, ...]], first: list[int] | None) -> int | None:
+def _untwist(crossings: list[tuple[int, ...]], first: list[int]) -> int | None:
     """simplify's round once :func:`_shed` finds nothing: the first
     nugatory crossing untwisted in place, one side turned over, in the
     kept labels; returns the free loops closed, None when there is none.
-    first is the label-block table of the walk-order diagram whose
-    labels the crossings keep, None for a renamed diagram's ranks, which
-    are read through a diagram relabeled in walk order."""
+    first is the label-block table of the diagram whose labels the
+    crossings keep."""
     twice = _met_twice(crossings) if len(crossings) >= 2 else None
     if not twice:
         return None
-    if first is None:
-        w = _walk_of(OrientedDiagram(tuple(map(Crossing._make, crossings))))
-    else:
-        w = _Walk(crossings, first)
-    nug = _find_nugatory(w, twice)
+    nug = _find_nugatory(crossings, first, twice)
     if nug is None:
         return None
     i, side = nug
@@ -1017,14 +993,13 @@ def _ranked(crossings: list[tuple[int, ...]], first: list[int], free_loops: int)
     for a, b, c, d, _ in crossings:
         present[a] = present[b] = present[c] = present[d] = 1
     rank = list(accumulate(present))
-    out = OrientedDiagram(
-        tuple(Crossing(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings),
-        free_loops,
-    )
     blocks = [rank[s - 1] + 1 for s, e in zip(first, first[1:]) if rank[e - 1] > rank[s - 1]]
     blocks.append(rank[-1] + 1)
-    object.__setattr__(out, "_walk", _Walk(out.crossings, blocks))
-    return out
+    return _walk_ordered(
+        tuple(Crossing(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings),
+        free_loops,
+        blocks,
+    )
 
 
 def simplify(d: OrientedDiagram) -> OrientedDiagram:
@@ -1046,11 +1021,8 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     renumbering in walk order after every removal gives: each such
     renumbering only ranks the kept labels, and ranks compose.  The
     moves read label equalities, the sorted order and the blocks alone,
-    which ranks keep, so the same moves fire.  A diagram with renamed
-    arcs is ranked first, which keeps its sorted order and every label
-    equality, so every label-indexed list is sized from the crossing
-    count; its first removal is renumbered in full, and the run keeps
-    the labels from there.
+    which ranks keep, so the same moves fire.  d's labels are 1..2c, so
+    every label-indexed list is sized from the crossing count.
 
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
@@ -1062,30 +1034,17 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     """
     if d._simple:
         return d
-    w = _walk_of(d)
     crossings = sorted(d.crossings)
-    first = w.first if w.crossings is d.crossings else None  # None: renamed arcs
-    if first is None:
-        labels = sorted({x for cr in crossings for x in cr[:4]})
-        rank = dict(zip(labels, range(1, len(labels) + 1)))
-        crossings = [(rank[a], rank[b], rank[c], rank[e], s) for a, b, c, e, s in crossings]
     size = 2 * len(crossings) + 1
     free_loops = d.free_loops
-    out, kept = d, False  # kept: a removal kept labels, which the end ranks
     while crossings:
         loops = _shed(crossings, size)
         if loops is None:
-            loops = _untwist(crossings, first)
+            loops = _untwist(crossings, d._blocks)
             if loops is None:
                 break
         free_loops += loops
-        if first is None:
-            out = renormalize(crossings, free_loops)
-            crossings, first = list(out.crossings), out._walk.first
-        else:
-            kept = True
-    if kept:
-        out = _ranked(crossings, first, free_loops)
+    out = d if len(crossings) == d.crossing_count else _ranked(crossings, d._blocks, free_loops)
     object.__setattr__(out, "_simple", True)
     return out
 

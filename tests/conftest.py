@@ -210,7 +210,11 @@ def shared_cache():
 
 
 def scrambled(d, rng):
-    """d with its arcs renamed at random and its crossings shuffled."""
+    """d built with its arcs renamed at random and its crossings shuffled.
+
+    The constructor relabels it in walk order, so it is another
+    walk-order labeling of d: its components reordered, each walk
+    started elsewhere, and its crossings in another order."""
     arcs = sorted({arc for cr in d.crossings for arc in cr.arcs()})
     mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
     crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]

@@ -107,7 +107,7 @@ def test_closure_matches_the_reference():
     for w in words:
         d, want = braid_closure(w), reference_closure(w)
         assert (d.crossings, d.free_loops) == (want.crossings, want.free_loops), w
-        assert d._walk.first == _read_blocks(want.crossings), w
+        assert d._blocks == _read_blocks(want.crossings), w
         loops += d.free_loops
     assert braid_closure(parse_braid("p=4: 1 1 1")).free_loops == 2
     assert loops > 100, loops

@@ -103,6 +103,14 @@ def test_poly_verb_input_error(tmp_path, capsys):
     assert main(["poly", str(f)]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["poly", str(tmp_path / "missing.pd")]) == 1
+    capsys.readouterr()
+    # the error names the file and the line; the lines before it are
+    # answered first
+    f.write_text(TREFOIL + "\n# a comment\n\nX[1,2,3\n")
+    assert main(["poly", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "-1*a^4 + 2*a^2 + 1*a^2*z^2\n"
+    assert err == f"error: {f}:4: malformed PD item: 'X[1,2,3'\n"
 
 
 def test_bounds_verb(tmp_path, capsys):
@@ -140,7 +148,7 @@ def test_td_rejects_a_non_planar_code(tmp_path, capsys):
     assert main(["td", str(f)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: not planar")
+    assert err.startswith(f"error: {f}:1: not planar")
 
 
 def test_td_verb_and_budget_exit(tmp_path, capsys):
@@ -195,6 +203,14 @@ def test_braid_bound_verb(tmp_path, capsys):
     assert lines[0] == "3\t3\t0\t2\ttrue\t2\t2"
     assert lines[1] == "11\t1\t10\t4\ttrue\t-\t9"
     assert lines[2] == "min-upper\t2"
+    # a bad word is an input error that names the file and the line, here
+    # and in bounds --braids
+    f.write_text("p=2: 1 1 1\np=2: 1 x\n")
+    pd = tmp_path / "in.pd"
+    pd.write_text(TREFOIL + "\n")
+    for argv in (["braid-bound", str(f)], ["bounds", str(pd), "--braids", str(f)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {f}:2: bad braid letter 'x' in 'p=2: 1 x'\n", argv
 
 
 def test_tree_verb_writes_dot(tmp_path):
@@ -374,7 +390,7 @@ def test_cache_saved_when_the_verb_fails(tmp_path, monkeypatch, capsys):
     assert main(["td", str(f), "--cache", str(cache_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "2\t2\t2\n"
-    assert "error: malformed PD item: 'not-a-pd'" in err
+    assert err == f"error: {f}:2: malformed PD item: 'not-a-pd'\n"
     g = tmp_path / "tref.pd"
     g.write_text(TREFOIL + "\n")
     alone = tmp_path / "alone.tsv"

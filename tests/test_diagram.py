@@ -17,6 +17,7 @@ from skeindepth import (
     component_count,
     component_cycles,
     disjoint_union,
+    homfly,
     insert_kink,
     is_split,
     mirror,
@@ -37,7 +38,6 @@ from skeindepth.diagram import (
     _part_code,
     _parts,
     _read_blocks,
-    _walk_of,
     defects,
     faces,
     first_defect,
@@ -45,6 +45,7 @@ from skeindepth.diagram import (
     switch_sheds,
     validate,
 )
+from skeindepth.poly import DELTA
 
 from conftest import (
     FIXTURE_PDS,
@@ -77,6 +78,12 @@ def test_parse_whitespace_tolerant():
     assert a == b
 
 
+# the trefoil with labels 2 and 3 swapped: sign inference reads the
+# succession of labels, so text in other labels is rejected, not relabeled
+SWAPPED_TREFOIL = "X[1,4,3,5];X[2,6,4,1];X[5,3,6,2]"
+REJECT_MESSAGES = {SWAPPED_TREFOIL: "broken cyclic arc sequence"}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -90,11 +97,49 @@ def test_parse_whitespace_tolerant():
         "X[1,2,1,2]",  # not planar: 1 face where Euler's count needs 3
         "X[1,3,2,4];X[2,4,1,3]",  # not planar: 2 faces where it needs 4
         "X[1,4,2,3];X[2,3,1,4]",  # not planar
+        SWAPPED_TREFOIL,
     ],
 )
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=REJECT_MESSAGES.get(bad)):
         parse_pd(bad)
+
+
+def test_the_constructor_relabels_in_walk_order():
+    """A diagram built with other labels comes out in walk order, each
+    crossing where it was given, with the table a walk-order copy reads;
+    crossings whose arcs do not close into components are rejected."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    # the left-handed trefoil, its arcs 7, 11, 9, 10, 8, 12 along the walk
+    given = (Crossing(7, 8, 11, 10, -1), Crossing(9, 7, 10, 12, -1), Crossing(8, 9, 12, 11, -1))
+    d = OrientedDiagram(given)
+    assert d.crossings == (
+        Crossing(1, 5, 2, 4, -1),
+        Crossing(3, 1, 4, 6, -1),
+        Crossing(5, 3, 6, 2, -1),
+    )
+    assert d._blocks == _read_blocks(d.crossings) == [1, 7]
+    assert canonical_code(d) == canonical_code(mirror(tref))
+    assert OrientedDiagram(d.crossings) == d
+    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr.sign) for cr in tref.crossings))
+    assert renamed == tref and renamed._blocks == tref._blocks
+    with pytest.raises(ValueError):
+        OrientedDiagram((Crossing(1, 1, 1, 1, 1),))
+    # label 1 renamed -7 where it arrives: no label below 1 runs in walk order
+    with pytest.raises(ValueError):
+        OrientedDiagram((Crossing(-7, 4, 2, 5, 1),) + tref.crossings[1:])
+
+
+def test_disjoint_union_of_a_renamed_diagram():
+    """The union offsets the second diagram's labels by twice the first
+    one's crossing count, which holds because the first one's labels are
+    1..2c: a trefoil built with arcs 7..12 is relabeled so."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr.sign) for cr in tref.crossings))
+    u = disjoint_union(renamed, tref)
+    assert component_count(u) == 2 and is_split(u)
+    assert homfly(u) == homfly(tref) * homfly(tref) * DELTA
+    assert canonical_code(u) == canonical_code(disjoint_union(tref, tref))
 
 
 def test_signs_inferred_right_trefoil():
@@ -241,14 +286,14 @@ def test_stored_code_is_invisible():
 
 def test_the_marks_on_a_diagram_are_its_recomputed_state():
     """A diagram holds nothing beyond its crossings and free loops but
-    two marks, _simple and _walk, and each is what the crossings give: a
-    set _walk is the table a fresh copy reads, and the switch of a
-    simplified diagram is marked exactly when simplify removes nothing
-    from it.  Checked on the closure battery and the simplified finder
-    battery, each also renamed and reordered, and on every switch of
-    them."""
+    its label-block table, _blocks, and the mark _simple, and each is
+    what the crossings give: _blocks is the table a fresh copy reads,
+    and the switch of a simplified diagram is marked exactly when
+    simplify removes nothing from it.  Checked on the closure battery
+    and the simplified finder battery, each also renamed and reordered,
+    and on every switch of them."""
     hidden = {f.name for f in dataclasses.fields(OrientedDiagram) if not f.init}
-    assert hidden == {"_simple", "_walk"}
+    assert hidden == {"_blocks", "_simple"}
     rng = random.Random(7)
     walks = marked = unmarked = 0
 
@@ -257,9 +302,8 @@ def test_the_marks_on_a_diagram_are_its_recomputed_state():
 
     def check_walk(d):
         nonlocal walks
-        if d._walk is not None:
-            assert d._walk == _walk_of(fresh(d)), pd_text(d)
-            walks += 1
+        assert d._blocks == fresh(d)._blocks == _read_blocks(d.crossings), pd_text(d)
+        walks += 1
 
     for d in closure_battery() + [simplify(d) for d in finder_battery()]:
         for s in (d, simplify(scrambled(d, rng))):
@@ -316,8 +360,12 @@ def test_split_and_disjoint_union():
 
 
 def test_validate_catches_bad_succession():
-    # two crossings wired so labels are not contiguous along a component
+    # two crossings wired so labels are not contiguous along a component:
+    # the text is rejected, and the diagram, which the constructor
+    # relabels, is not planar
     crs = (Crossing(1, 4, 3, 2, 1), Crossing(3, 2, 1, 4, 1))
+    with pytest.raises(ValueError, match="broken cyclic arc sequence"):
+        parse_pd("X[1,4,3,2];X[3,2,1,4]")
     with pytest.raises(ValueError):
         validate(OrientedDiagram(crs, 0))
 
@@ -381,9 +429,15 @@ def reference_part_code(crossings):
 
 def reference_groups(d):
     """Crossing index groups joined by shared arcs, merged pairwise."""
+    return _reference_groups(d.crossings)
+
+
+def _reference_groups(crossings):
+    """reference_groups on (a, b, c, d, sign) tuples, which need not make
+    a diagram."""
     groups = []
-    for ci, cr in enumerate(d.crossings):
-        merged = ([ci], set(cr.arcs()))
+    for ci, cr in enumerate(crossings):
+        merged = ([ci], set(cr[:4]))
         for g in [g for g in groups if g[1] & merged[1]]:
             groups.remove(g)
             merged = (merged[0] + g[0], merged[1] | g[1])
@@ -587,14 +641,15 @@ def test_first_defect_matches_the_reference():
     defect on the way: the walk-order defects match the per-crossing
     reading, the first of them is first_defect, and switching any defect
     removes it and keeps the others, which ends the HOMFLY-PT expansion.
-    A renamed copy is read through the relabel step, so its defects are
-    its own crossing indices; the components and the split test, read
-    from the same table, match the cycles and the reference parts."""
+    The constructor gives a renamed copy other walk-order labels, with
+    its crossings where they were; the components and the split test,
+    read from the same table, match the cycles and the reference parts."""
     rng = random.Random(19)
     descending = renamed = 0
     for d in kernel_battery():
-        for e in (d, mirror(d), scrambled(d, rng)):
-            renamed += _read_blocks(e.crossings) is None
+        copy = scrambled(d, rng)
+        renamed += sorted(copy.crossings) != sorted(d.crossings)
+        for e in (d, mirror(d), copy):
             assert component_count(e) == len(component_cycles(e)) + e.free_loops, pd_text(e)
             assert is_split(e) == (len(reference_groups(e)) + e.free_loops > 1), pd_text(e)
             while True:
@@ -606,7 +661,7 @@ def test_first_defect_matches_the_reference():
                 assert defects(switch(e, found[-1])) == found[:-1], pd_text(e)
                 e = switch(e, found[0])
             descending += e.crossing_count > 0
-    assert descending > 1500 and renamed > 900
+    assert descending > 1500 and renamed > 400
 
 
 def _walk_order_blocks(d):
@@ -627,14 +682,13 @@ def _walk_order_blocks(d):
 
 
 def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
-    """The fast readers take the walk from the labels; only a renamed
-    diagram, which no library function returns, is relabeled first.
-    Covered: parse_pd on the fixtures, braid_closure on the test words,
-    renormalize of every kernel diagram (renamed ones included), smooth
-    and every remove_* through simplify, switch and mirror, over the
-    kernel battery, the children of its simplified diagrams and their
-    mirrors.  Each carries its label-block table already, its own and
-    right, so no reader reads it again."""
+    """The fast readers take the walk from the labels, and the library
+    builds what it returns in walk order, with the label-block table of
+    its labels, so no constructor relabels it.  Covered: parse_pd on the
+    fixtures, braid_closure on the test words, renormalize of every
+    kernel diagram, smooth and every remove_* through simplify, switch
+    and mirror, over the kernel battery, the children of its simplified
+    diagrams and their mirrors."""
     checked = 0
 
     def check(built):
@@ -642,9 +696,7 @@ def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
         for d in built + [mirror(d) for d in built]:
             want = _walk_order_blocks(d)
             assert want is not None, pd_text(d)
-            assert _read_blocks(d.crossings) == want, pd_text(d)
-            assert d._walk is not None and d._walk.crossings is d.crossings, pd_text(d)
-            assert d._walk.first == want, pd_text(d)
+            assert _read_blocks(d.crossings) == want == d._blocks, pd_text(d)
             checked += 1
 
     check([parse_pd(text) for text, _ in FIXTURE_PDS.values()])
@@ -737,12 +789,11 @@ def test_canonical_code_matches_the_all_starts_reference():
     battery = kernel_battery() + symmetric_battery()
     off = 0
     for d in battery:
-        w = _walk_of(d)
-        groups = _parts(w)
+        groups = _parts(d.crossings, d._blocks)
         assert groups == reference_groups(d), d
         for g in groups:
-            crs = [w.crossings[ci] for ci in g]
-            assert _part_code(crs, w.first, _block_index(w.first)) == reference_part_code(crs), d
+            crs = [d.crossings[ci] for ci in g]
+            assert _part_code(crs, d._blocks, _block_index(d._blocks)) == reference_part_code(crs), d
             off += bool(_off_component_starts(crs))
         assert canonical_code(d) == reference_code(d), d
     # the battery reaches the off-component labels
@@ -772,14 +823,13 @@ def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monke
     labeled = _recording_labels(monkeypatch)
     total = pruned_off = skipped = 0
     for d in kernel_battery() + symmetric_battery():
-        w = _walk_of(d)  # the starts are named in walk-order labels
         for g in reference_groups(d):
-            crs = [w.crossings[ci] for ci in g]
+            crs = [d.crossings[ci] for ci in g]
             cands = reference_candidates(crs)
             first = min(c[0] for c in cands.values())
             tied = {s for s, c in cands.items() if c[0] == first}
             labeled.clear()
-            _part_code(crs, w.first, _block_index(w.first))
+            _part_code(crs, d._blocks, _block_index(d._blocks))
             assert len(set(labeled)) == len(labeled) and set(labeled) <= tied, crs
             assert {tuple(cands[s]) for s in tied} == {tuple(cands[s]) for s in labeled}, crs
             total += len(cands)
@@ -823,7 +873,7 @@ def test_rewire_matches_the_reference():
         for i in range(d.crossing_count):
             got = smooth(d, i)
             assert got == reference_smooth(d, i), (d, i)
-            assert got._walk == _walk_of(OrientedDiagram(got.crossings, got.free_loops)), (d, i)
+            assert got._blocks == OrientedDiagram(got.crossings, got.free_loops)._blocks, (d, i)
 
 
 @given(
@@ -913,8 +963,8 @@ def _reference_cut_crossings(d):
     cuts = set()
     for group in reference_groups(d):
         for i in group if len(group) > 2 else ():
-            rest = tuple(d.crossings[k] for k in group if k != i)
-            if len(reference_groups(OrientedDiagram(rest))) > 1:
+            rest = [d.crossings[k] for k in group if k != i]
+            if len(_reference_groups(rest)) > 1:
                 cuts.add(i)
     return cuts
 
@@ -976,13 +1026,11 @@ def test_corner_walk_on_random_closures(case):
 
 def test_pd_text_parses_back_to_the_diagram():
     """Sign inference recovers every crossing of a diagram labeled 1..2c
-    along its components, when every component runs under somewhere."""
+    along its components, as every diagram is, when every component runs
+    under somewhere."""
     checked = 0
     for d in kernel_battery() + finder_battery():
-        try:
-            validate(d)
-        except ValueError:
-            continue  # labels off the 1..2c convention
+        validate(d)
         under = {cr.a for cr in d.crossings}
         if all(under & set(cycle) for cycle in component_cycles(d)):
             assert parse_pd(pd_text(d)) == d, d

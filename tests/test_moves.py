@@ -475,7 +475,8 @@ def run_battery():
 
 
 def shifted(d, rng):
-    """d scrambled, then every label raised by 1,000: each is above 2c + 1."""
+    """d scrambled, then built with every label raised by 1,000, which
+    the constructor relabels in walk order."""
     crs = scrambled(d, rng).crossings
     shift = tuple(Crossing(a + 1000, b + 1000, c + 1000, e + 1000, s) for a, b, c, e, s in crs)
     return OrientedDiagram(shift, d.free_loops)
@@ -486,23 +487,26 @@ def test_simplify_is_the_per_removal_loop():
     them once; the result must be the per-removal loop's, crossing for
     crossing, with the same free loops and the label-block table of its
     labels, and the input itself when no move fires.  The battery also
-    holds a copy of each input with its labels scrambled and shifted
-    above 2c + 1, which simplify ranks before its first removal."""
+    holds a copy of each input built with its labels scrambled and
+    shifted above 2c + 1, which the constructor relabels, so no label
+    above 2c + 1 reaches the run."""
     battery = run_battery()
     rng = random.Random(31)
-    battery += [shifted(d, rng) for d in battery]
+    copies = [shifted(d, rng) for d in battery]
+    for d in copies:
+        assert all(x <= 2 * d.crossing_count for cr in d.crossings for x in cr[:4]), d
+    battery += copies
     runs = long_runs = flips_after = wraps = loops_mid = shifted_runs = 0
-    for d in battery:
+    for n, d in enumerate(battery):
         want, steps = reference_run(d)
         got = simplify(d)
         if not steps:
             assert got is d, d
             continue
         assert (got.crossings, got.free_loops) == (want.crossings, want.free_loops), d
-        assert got._walk.crossings is got.crossings, d
-        assert got._walk.first == _read_blocks(want.crossings), d
+        assert got._blocks == _read_blocks(want.crossings), d
         runs += 1
-        shifted_runs += min(cr.a for cr in d.crossings) > 1000
+        shifted_runs += n >= len(battery) - len(copies)
         long_runs += len(steps) >= 3
         flips_after += any(flip for _, flip, _, _, _, _ in steps[1:])
         wraps += any(wrap for _, _, wrap, _, _, _ in steps)
@@ -523,9 +527,7 @@ def test_each_round_is_one_removal_of_the_loop():
     two or more kinks are counted."""
     rounds = several_kinks = 0
     for d in run_battery():
-        first = _read_blocks(d.crossings)
-        if first is None:
-            continue  # a renamed input: the identity test covers it
+        first = d._blocks
         _, steps = reference_run(d)
         crs, loops = sorted(d.crossings), d.free_loops
         before = d.crossings
@@ -546,9 +548,9 @@ def test_each_round_is_one_removal_of_the_loop():
 
 def test_simplify_renumbers_once_per_call(monkeypatch):
     """A run of removals renumbers once, at its end: one full renumbering
-    (renormalize's or the final ranking) on a walk-order input, at most
-    two on a renamed one, whose first removal is renumbered in full, and
-    none when no move fires."""
+    (renormalize's or the final ranking), also on an input built with
+    renamed arcs, which the constructor relabeled, and none when no move
+    fires."""
     battery = mixed_closures(29, 30)
     rng = random.Random(29)
     renamed = [scrambled(d, rng) for d in battery]
@@ -573,7 +575,7 @@ def test_simplify_renumbers_once_per_call(monkeypatch):
         long_runs += n >= 3
         del calls[:]
         simplify(r)
-        assert len(calls) <= 2 and (len(calls) > 0) == (n > 0), r
+        assert len(calls) == (n > 0), r
         del calls[:]
         assert simplify(s) is s and not calls, s
     assert long_runs >= 10, long_runs

@@ -30,7 +30,6 @@ from skeindepth import (
     verify_tree,
 )
 from skeindepth import poly, solver
-from skeindepth.diagram import _walk_of
 from skeindepth.solver import ResultCache
 
 from conftest import (
@@ -136,7 +135,7 @@ def test_verify_tree_trusts_nothing_stored_on_a_diagram():
     assert isinstance(tree.switched, SkeinBranch)
     real = tree.switched.diagram
     kinked = parse_pd(FIXTURE_PDS["kink+"][0])
-    object.__setattr__(kinked, "_walk", _walk_of(real))
+    object.__setattr__(kinked, "_blocks", real._blocks)
     object.__setattr__(kinked, "_code", canonical_code(real))
     planted = SkeinBranch(tree.diagram, tree.crossing, SkeinLeaf(kinked, 1), tree.smoothed)
     with pytest.raises(ValueError, match="switch child does not match"):
