@@ -38,13 +38,13 @@ from .diagram import OrientedDiagram, parse_pd, pd_text
 from .poly import homfly, render_poly
 from .solver import (
     DEFAULT_BUDGET,
+    NoWitness,
     ResultCache,
     SkeinBranch,
     SkeinLeaf,
     SkeinTree,
     SolveContext,
     compute_td,
-    depth_at_most,
     extract_tree,
 )
 
@@ -259,18 +259,14 @@ def _cmd_tree(args, ctx: SolveContext) -> int:
     d = next(_parsed(args.file, parse_pd), None)
     if d is None:
         raise ValueError(f"{args.file}: no diagram found")
-    verdict = depth_at_most(d, args.depth, budget=args.budget, ctx=ctx)
-    if verdict is True:
-        try:
-            tree = extract_tree(d, args.depth, budget=args.budget, ctx=ctx)
-        except LookupError:
-            # the True rested on a cached interval, and the search for
-            # its witness ran out of budget
-            verdict = None
-    if verdict is None:
-        print(f"budget exhausted before settling depth {args.depth}", file=sys.stderr)
-        return 2
-    if verdict is False:
+    try:
+        tree = extract_tree(d, args.depth, budget=args.budget, ctx=ctx)
+    except NoWitness as e:
+        # a True that rested on a cached interval is settled by the
+        # search for its witness
+        if e.answer is None:
+            print(f"budget exhausted before settling depth {args.depth}", file=sys.stderr)
+            return 2
         print(f"no resolution tree of depth {args.depth} exists for this diagram", file=sys.stderr)
         return 1
     with open(args.dot, "w", encoding="utf-8") as fh:

@@ -14,8 +14,8 @@ under) parse with the b -> d reading.  Internally every crossing carries
 its sign explicitly, and all diagram operations preserve it.
 Sign inference reads the succession of labels, so :func:`parse_pd`
 rejects text whose labels do not run in walk order (below);
-:func:`validate` checks the labels and Euler's count of faces, so it
-also rejects a code that is not planar.
+:func:`validate` checks Euler's count of faces, so it also rejects a
+code that is not planar.
 
 Every diagram is labeled in walk order: its labels are 1..2c, and each
 component is a block of labels that runs up by one and wraps from its
@@ -64,13 +64,15 @@ crossing.  A copy built from the same crossings reads the same table and
 carries no mark, and the mark is a function of the crossings and free
 loops alone: nothing a diagram carries records how it was made.
 
-The arc-incidence helpers (each arc's two places, where each arc
-arrives) are defined here once; the rewrite module takes them from
-here.  Every edit that removes crossings joins arcs by one rule, and
-keeps every label it does not merge away.  Along each strand it
-shortens, the arcs it joins make one run, named by the arc leaving the
-run; only the crossing that the run's first arc leaves is rebuilt, and
-a run that meets no crossing left closed into a free loop.
+In walk-order labels each arc leaves one slot and arrives at one, so
+the rewrite module reads an arc's two ends from the labels itself and
+takes only the slot numbers from here.
+
+Every edit that removes crossings joins arcs by one rule, and keeps
+every label it does not merge away.  Along each strand it shortens, the
+arcs it joins make one run, named by the arc leaving the run; only the
+crossing that the run's first arc leaves is rebuilt, and a run that
+meets no crossing left closed into a free loop.
 :func:`simplify` makes its whole run of removals in these kept labels,
 in a list of plain tuples sorted again after each removal, nugatory
 tests included, and builds a diagram once at the end.  Each block keeps
@@ -423,14 +425,13 @@ def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:
 
 
 def validate(d: OrientedDiagram) -> None:
-    """Check the labels and planarity; raises ValueError on violation.
+    """Check planarity; raises ValueError on violation.
 
-    Each label must appear twice; the constructor has put them in walk
-    order.  Planarity is Euler's count: the counterclockwise tuples
-    embed each connected part of c crossings in a sphere exactly when it
-    has c + 2 faces.
+    The constructor has checked the labels: they are 1..2c in walk
+    order, each arriving once and leaving once.  Planarity is Euler's
+    count: the counterclockwise tuples embed each connected part of c
+    crossings in a sphere exactly when it has c + 2 faces.
     """
-    _check_labels(_occurrences(d.crossings), d.crossing_count)
     found = len(faces(d))
     need = d.crossing_count + 2 * len(_parts(d.crossings, d._blocks))
     if found != need:
@@ -1121,15 +1122,6 @@ def _met_twice(crossings: Sequence[tuple[int, ...]]) -> set[int]:
             last_face[ci] = start
             cur = nxt[cur]
     return twice
-
-
-def _heads(d: OrientedDiagram) -> dict[int, tuple[int, int]]:
-    """arc -> (crossing index, slot) where the arc arrives."""
-    heads: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for slot in arriving_slots(cr):
-            heads[cr[slot]] = (ci, slot)
-    return heads
 
 
 def arriving_slots(cr: Crossing) -> tuple[int, int]:

@@ -3,15 +3,19 @@
 The crossing-increasing pokes, kink insertions and triangle slides here
 never shrink a diagram; they feed the bounded unlink search in
 :func:`recognize_unlink` and the randomized invariance tests.  Each poke
-and each slide is generated once, and a rewrite is kept only when
-:func:`.diagram.validate`, planarity included, accepts it.  The search
-restarts from the first diagram it meets with fewer crossings than its
-start (monotone descent), spends one node budget across all restarts,
-and gives up with ``unknown`` once its deadline passes.  The
-crossing-removing moves, made inside :func:`.diagram.simplify`, like
-the skein operations :func:`.diagram.switch` and
-:func:`.diagram.smooth`, live in :mod:`.diagram`, and so do the
-arc-incidence helpers used here.
+and each slide is generated once.  Every diagram is labeled in walk
+order, 1..2c, so each arc leaves one slot and arrives at one: the
+rewrites read an arc's ends from its label, rename an arc where it
+arrives, and take their fresh labels from 2c + 1.  A rewrite is kept
+only when :func:`.diagram.validate` finds it planar; the constructor
+has checked its labels.  The search restarts from the first diagram it
+meets with fewer crossings than its start (monotone descent), spends
+one node budget across all restarts, and gives up with ``unknown`` once
+its deadline passes.  The crossing-removing moves, made inside
+:func:`.diagram.simplify`, like the skein operations
+:func:`.diagram.switch` and :func:`.diagram.smooth`, live in
+:mod:`.diagram`; this module takes only its public names and slot
+numbers.
 """
 
 from __future__ import annotations
@@ -25,13 +29,8 @@ from typing import Iterator
 from .diagram import (
     _OVER_B,
     _OVER_D,
-    _UNDER_IN,
-    _UNDER_OUT,
     Crossing,
     OrientedDiagram,
-    _heads,
-    _occurrences,
-    _other_place,
     arriving_slots,
     canonical_code,
     component_count,
@@ -52,12 +51,23 @@ _CROSSING_MARGIN = 2
 # -- crossing-increasing moves -------------------------------------------------
 
 
+def _renamed_heads(d: OrientedDiagram, names: dict[int, int]) -> list[Crossing]:
+    """d's crossings with each arc in names renamed where it arrives."""
+    out = []
+    for a, b, c, e, sign in d.crossings:
+        if sign > 0:
+            b = names.get(b, b)
+        else:
+            e = names.get(e, e)
+        out.append(Crossing(names.get(a, a), b, c, e, sign))
+    return out
+
+
 def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
     """Add a curl on the given arc; variants 0/2 are positive, 1/3 negative."""
-    heads = _heads(d)
-    if arc not in heads:
+    top = 2 * d.crossing_count + 1
+    if not 1 <= arc < top:
         raise ValueError("no such arc: %d" % arc)
-    top = max(heads) + 1
     m, post = top, top + 1
     shapes = (
         Crossing(arc, m, m, post, 1),
@@ -65,15 +75,7 @@ def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
         Crossing(m, arc, post, m, 1),
         Crossing(m, m, post, arc, -1),
     )
-    hc, hs = heads[arc]
-    out = []
-    for ci, cr in enumerate(d.crossings):
-        arcs = list(cr.arcs())
-        if ci == hc:
-            arcs[hs] = post
-        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
-    out.append(shapes[variant])
-    return renormalize(out, d.free_loops)
+    return renormalize(_renamed_heads(d, {arc: post}) + [shapes[variant]], d.free_loops)
 
 
 def _poke(
@@ -87,13 +89,13 @@ def _poke(
     same bigon as pushing f over e, so no under-poke is built.
     """
     (eci, es), (fci, fs) = corner_e, corner_f
-    e = d.crossings[eci].arcs()[es]
-    f = d.crossings[fci].arcs()[fs]
+    e = d.crossings[eci][es]
+    f = d.crossings[fci][fs]
     if e == f:
         return None
     e_fwd = es in leaving_slots(d.crossings[eci])
     f_fwd = fs in leaving_slots(d.crossings[fci])
-    top = max(arc for cr in d.crossings for arc in cr.arcs()) + 1
+    top = 2 * d.crossing_count + 1
     em, ep, fm, fp = top, top + 1, top + 2, top + 3
     added = {
         (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
@@ -101,20 +103,8 @@ def _poke(
         (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
         (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
     }[(e_fwd, f_fwd)]
-
-    heads = _heads(d)
-    he, hf = heads[e], heads[f]
-    out = []
-    for ci, cr in enumerate(d.crossings):
-        arcs = list(cr.arcs())
-        if ci == he[0]:
-            arcs[he[1]] = ep
-        if ci == hf[0]:
-            arcs[hf[1]] = fp
-        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
-    out.extend(added)
     try:
-        nd = renormalize(out, d.free_loops)
+        nd = renormalize(_renamed_heads(d, {e: ep, f: fp}) + list(added), d.free_loops)
         validate(nd)
     except ValueError:
         return None
@@ -145,52 +135,40 @@ def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
 
     Each triangle is slid once: sliding its bottom strand across the
     crossing above it turns the same triangle over and draws the same
-    diagram, up to arc labels.
+    diagram, up to arc labels.  Label-indexed lists give the place where
+    each arc arrives (head) and where it leaves (tail).  The top strand
+    leaves X and arrives at Y; an under-strand arc that leaves X or Y
+    arrives at Z, and one that arrives leaves Z.
     """
-    occ = _occurrences(d.crossings)
-    n = d.crossing_count
-    for i in range(n):
-        X = d.crossings[i]
+    head: list[tuple[int, int]] = [(0, 0)] * (2 * d.crossing_count + 1)
+    tail = list(head)
+    for ci, cr in enumerate(d.crossings):
+        for slot in arriving_slots(cr):
+            head[cr[slot]] = (ci, slot)
+        for slot in leaving_slots(cr):
+            tail[cr[slot]] = (ci, slot)
+    for i, X in enumerate(d.crossings):
         eA = X.over_out()
-        slot_out = leaving_slots(X)[1]
-        j, _ = _other_place(occ, eA, (i, slot_out))
+        j = head[eA][0]
         Y = d.crossings[j]
         if j == i or Y.over_in() != eA:
             continue
         pT_in, pT_out = X.over_in(), Y.over_out()
-        for eB, dirM, xslot in ((X.c, 1, _UNDER_OUT), (X.a, -1, _UNDER_IN)):
-            z, sB = _other_place(occ, eB, (i, xslot))
+        for eB, dirM, (z, sB) in ((X.c, 1, head[X.c]), (X.a, -1, tail[X.a])):
             if z in (i, j):
                 continue
-            for eC, dirB, yslot in ((Y.c, 1, _UNDER_OUT), (Y.a, -1, _UNDER_IN)):
-                z2, sC = _other_place(occ, eC, (j, yslot))
+            for eC, dirB, (z2, sC) in ((Y.c, 1, head[Y.c]), (Y.a, -1, tail[Y.a])):
                 if z2 != z or sB == sC:
                     continue
                 m_over_at_z = sB in (_OVER_B, _OVER_D)
                 if m_over_at_z == (sC in (_OVER_B, _OVER_D)):
                     continue  # must attach to the two different strands of Z
                 Z = d.crossings[z]
-
-                if dirM > 0:
-                    if sB not in arriving_slots(Z):
-                        continue
-                    mFirst = X.a
-                    mLast = Z.c if sB == _UNDER_IN else Z.over_out()
-                else:
-                    if sB not in leaving_slots(Z):
-                        continue
-                    mFirst = Z.a if sB == _UNDER_OUT else Z.over_in()
-                    mLast = X.c
-                if dirB > 0:
-                    if sC not in arriving_slots(Z):
-                        continue
-                    bFirst = Y.a
-                    bLast = Z.c if sC == _UNDER_IN else Z.over_out()
-                else:
-                    if sC not in leaving_slots(Z):
-                        continue
-                    bFirst = Z.a if sC == _UNDER_OUT else Z.over_in()
-                    bLast = Y.c
+                # each strand's arcs into and out of Z
+                under, over = (Z.a, Z.c), (Z.over_in(), Z.over_out())
+                (m_in, m_out), (b_in, b_out) = (over, under) if m_over_at_z else (under, over)
+                mFirst, mLast = (X.a, m_out) if dirM > 0 else (m_in, X.c)
+                bFirst, bLast = (Y.a, b_out) if dirB > 0 else (b_in, Y.c)
 
                 xhat = _build_crossing(
                     Y.sign,

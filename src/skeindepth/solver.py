@@ -222,6 +222,16 @@ def depth_at_most(
     return _search(simplify(d), k, ctx, ctx.nodes + budget)
 
 
+class NoWitness(LookupError):
+    """extract_tree found no witness; answer is what the search that
+    settled it said: False, no tree of that height exists, or None, the
+    budget or the deadline ran out."""
+
+    def __init__(self, k: int, answer):
+        super().__init__(f"no depth-{k} witness available (search said {answer})")
+        self.answer = answer
+
+
 def extract_tree(
     d: OrientedDiagram,
     k: int,
@@ -230,18 +240,18 @@ def extract_tree(
 ) -> SkeinTree:
     """Witness tree of height <= k, searching first if needed.
 
-    Raises LookupError when no witness is available (the search answered
-    False or ran out of budget).  A True that rests on a cache-loaded
-    interval has no witness; the tree is then searched for as in a cold
-    run, in a fresh context that shares only the polynomial cache and
-    the deadline.
+    Raises NoWitness, a LookupError, when no witness is available (the
+    search answered False or ran out of budget).  A True that rests on a
+    cache-loaded interval has no witness; the tree is then searched for
+    as in a cold run, in a fresh context that shares only the polynomial
+    cache and the deadline, and that search's answer is the one raised.
     """
     ctx = ctx or SolveContext()
     d = simplify(d)
     for c in (ctx, SolveContext(ctx.homfly_cache, ctx.deadline)):
         res = depth_at_most(d, k, budget, c)
         if res is not True:
-            raise LookupError(f"no depth-{k} witness available (search said {res})")
+            raise NoWitness(k, res)
         tree = _proof(c, d)[1]
         if tree is not None:
             return tree
@@ -361,6 +371,10 @@ def compute_td(
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
         root = ctx.homfly_cache.code_of(work)
+        if ctx.memo.get(root, _OPEN)[1] < lower:
+            # a record below a sound lower end, loaded from a cache
+            # file, is wrong: drop it and solve as a cold run does
+            del ctx.memo[root]
         # the expansion's tree holds even when max_depth stops the sweep
         # before its first probe
         _merge_expansion(ctx, work, root, lower)

@@ -15,6 +15,7 @@ from skeindepth import (
     parse_braid,
     parse_pd,
     pd_text,
+    verify_tree,
 )
 from skeindepth.cli import (
     ResultCache,
@@ -490,6 +491,55 @@ def test_tree_warm_cache_budget_exhaustion_exits_2(tmp_path, monkeypatch, capsys
         argv = ["tree", str(f), "--depth", "2", "--dot", dot, "--budget", "1"] + cache
         assert main(argv) == 2
         assert capsys.readouterr().err == "budget exhausted before settling depth 2\n"
+
+
+# a cache line claiming depth 1 for the trefoil, whose polynomial lower
+# bound is 2
+TREFOIL_DEPTH_1_LINE = (
+    "v2\t1,4,2,5,1;3,6,4,1,1;5,2,6,3,1|L0\t-1*a^4 + 2*a^2 + 1*a^2*z^2\t1,1\n"
+)
+
+
+def test_a_cached_upper_end_below_the_lower_end_is_dropped(tmp_path, capsys):
+    """compute_td drops a root record whose upper end is below the
+    sound lower end and solves as a cold run does: the interval is not
+    empty, the witness replays, and the save appends the corrected
+    line; td and tabulate print the cold answer."""
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(TREFOIL_DEPTH_1_LINE)
+    ctx = SolveContext()
+    rc = ResultCache(str(cache_path))
+    rc.load_into(ctx)
+    res = compute_td(parse_pd(TREFOIL), ctx=ctx)
+    assert res.link_lower <= res.diagram_upper
+    assert (res.link_lower, res.diagram_upper) == (2, 2)
+    assert verify_tree(res.witness) == 2
+    rc.save_from(ctx)
+    lines = cache_path.read_text().splitlines(keepends=True)
+    assert lines[0] == TREFOIL_DEPTH_1_LINE
+    assert TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t1,2\n") in lines[1:]
+
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path.write_text(TREFOIL_DEPTH_1_LINE)
+    assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+    assert capsys.readouterr().out == "2\t2\t2\n"
+    cache_path.write_text(TREFOIL_DEPTH_1_LINE)
+    assert main(["tabulate", bundled_dataset(), "--cache", str(cache_path)]) == 0
+    assert "K3a1\t2\t2\t2\n" in capsys.readouterr().out
+
+
+def test_tree_warm_cache_refuted_depth_exits_1(tmp_path, capsys):
+    """A cached record claims depth 1 for the trefoil; the search for its
+    witness refutes depth 1, which is no budget exhaustion: exit 1."""
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(TREFOIL_DEPTH_1_LINE)
+    dot = tmp_path / "o.dot"
+    assert main(["tree", str(f), "--depth", "1", "--dot", str(dot), "--cache", str(cache_path)]) == 1
+    assert capsys.readouterr().err == "no resolution tree of depth 1 exists for this diagram\n"
+    assert not dot.exists()
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Module structure: relative imports sit at module level and form no
-cycle, only diagram lends out underscore names, and only to moves, every
-exported name exists, and the names the benchmark's tracer patches and
-its worker read exist."""
+cycle, only diagram lends out underscore names, only its slot numbers
+and only to moves, every private module-level name in the package has a
+caller, every exported name exists, and the names the benchmark's tracer
+patches and its worker read exist."""
 
 import ast
 import importlib.util
 import pathlib
 import re
+from collections import Counter
 
 import skeindepth
 import skeindepth.cli  # binds skeindepth.cli, which the worker reads
@@ -65,22 +67,15 @@ def test_relative_imports_form_no_cycle():
             walk(mod, [mod])
 
 
-# the arc-incidence helpers and slot numbers diagram lends to moves
-MOVES_FROM_DIAGRAM = {
-    "_OVER_B",
-    "_OVER_D",
-    "_UNDER_IN",
-    "_UNDER_OUT",
-    "_heads",
-    "_occurrences",
-    "_other_place",
-}
+# the slot numbers diagram may lend to moves: moves reads each arc's
+# ends from its walk-order label, so it borrows no incidence helper
+MOVES_FROM_DIAGRAM = {"_OVER_B", "_OVER_D", "_UNDER_IN", "_UNDER_OUT"}
 
 
 def test_private_names_cross_modules_only_from_diagram():
-    """diagram shares its arc-incidence helpers with moves alone, and
-    nothing else, so its unchecked diagram builder stays inside it;
-    every other module keeps its underscore names to itself."""
+    """diagram lends moves its four slot numbers and nothing else, so its
+    unchecked diagram builder and its helpers stay inside it; every other
+    module keeps its underscore names to itself."""
     crossing = sorted(
         f"{mod} imports {target}.{name}"
         for mod, found in _relative_imports().items()
@@ -90,6 +85,36 @@ def test_private_names_cross_modules_only_from_diagram():
         and not ((target, mod) == ("diagram", "moves") and name in MOVES_FROM_DIAGRAM)
     )
     assert crossing == []
+
+
+def _named(node):
+    """The identifiers named within node: names, attributes and imports."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level function or class of the package whose name
+    starts with an underscore is named somewhere in the package outside
+    its own definition; a reference kept only for tests lives in tests."""
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PACKAGE.glob("*.py"))]
+    named = Counter(name for _, tree in trees for name in _named(tree))
+    defined = [
+        (mod, node)
+        for mod, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    unused = sorted(
+        f"{mod}.{node.name}" for mod, node in defined if named[node.name] == Counter(_named(node))[node.name]
+    )
+    assert unused == []
+    assert len(defined) > 20
 
 
 def test_tracer_patched_names_exist():

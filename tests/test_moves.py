@@ -7,7 +7,7 @@ bookkeeping exactly.
 
 import random
 from collections import deque
-from itertools import chain, islice, permutations
+from itertools import chain, combinations, islice, permutations
 
 import pytest
 
@@ -38,7 +38,23 @@ from skeindepth import (
     writhe,
 )
 from skeindepth import diagram, moves
-from skeindepth.diagram import _read_blocks, faces, find_nugatory, first_defect
+from skeindepth.diagram import (
+    _OVER_B,
+    _OVER_D,
+    _UNDER_IN,
+    _UNDER_OUT,
+    _check_labels,
+    _occurrences,
+    _other_place,
+    _read_blocks,
+    arriving_slots,
+    faces,
+    find_nugatory,
+    first_defect,
+    leaving_slots,
+    renormalize,
+    validate,
+)
 from skeindepth.poly import DELTA, ONE, ZERO
 
 from conftest import (
@@ -680,6 +696,198 @@ def test_triangle_moves_invariance():
                 assert slid.crossing_count == child.crossing_count
                 assert homfly(slid, cache) == base, name
     assert total > 0
+
+
+# -- the dict-incidence rewrites, kept as references -----------------------------
+
+
+def reference_heads(d):
+    """arc -> (crossing index, slot) where the arc arrives."""
+    heads = {}
+    for ci, cr in enumerate(d.crossings):
+        for slot in arriving_slots(cr):
+            heads[cr[slot]] = (ci, slot)
+    return heads
+
+
+def reference_validate(d):
+    """validate, and the label count: each label twice, the labels
+    1..2c."""
+    _check_labels(_occurrences(d.crossings), d.crossing_count)
+    validate(d)
+
+
+def reference_insert_kink(d, arc, variant):
+    heads = reference_heads(d)
+    if arc not in heads:
+        raise ValueError("no such arc: %d" % arc)
+    top = max(heads) + 1
+    m, post = top, top + 1
+    shapes = (
+        Crossing(arc, m, m, post, 1),
+        Crossing(arc, post, m, m, -1),
+        Crossing(m, arc, post, m, 1),
+        Crossing(m, m, post, arc, -1),
+    )
+    hc, hs = heads[arc]
+    out = []
+    for ci, cr in enumerate(d.crossings):
+        arcs = list(cr.arcs())
+        if ci == hc:
+            arcs[hs] = post
+        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
+    out.append(shapes[variant])
+    return renormalize(out, d.free_loops)
+
+
+def reference_poke(d, corner_e, corner_f):
+    (eci, es), (fci, fs) = corner_e, corner_f
+    e = d.crossings[eci].arcs()[es]
+    f = d.crossings[fci].arcs()[fs]
+    if e == f:
+        return None
+    e_fwd = es in leaving_slots(d.crossings[eci])
+    f_fwd = fs in leaving_slots(d.crossings[fci])
+    top = max(arc for cr in d.crossings for arc in cr.arcs()) + 1
+    em, ep, fm, fp = top, top + 1, top + 2, top + 3
+    added = {
+        (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
+        (True, True): (Crossing(fm, e, fp, em, 1), Crossing(f, ep, fm, em, -1)),
+        (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
+        (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
+    }[(e_fwd, f_fwd)]
+    heads = reference_heads(d)
+    he, hf = heads[e], heads[f]
+    out = []
+    for ci, cr in enumerate(d.crossings):
+        arcs = list(cr.arcs())
+        if ci == he[0]:
+            arcs[he[1]] = ep
+        if ci == hf[0]:
+            arcs[hf[1]] = fp
+        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
+    out.extend(added)
+    try:
+        nd = renormalize(out, d.free_loops)
+        reference_validate(nd)
+    except ValueError:
+        return None
+    return nd
+
+
+def reference_poke_moves(d):
+    for face in faces(d):
+        for corner_e, corner_f in combinations(face, 2):
+            for pair in ((corner_e, corner_f), (corner_f, corner_e)):
+                nd = reference_poke(d, *pair)
+                if nd is not None:
+                    yield nd
+
+
+def reference_triangle_moves(d):
+    """triangle_moves over the occurrence dict, each strand's direction
+    at Z checked again."""
+    occ = _occurrences(d.crossings)
+    for i in range(d.crossing_count):
+        X = d.crossings[i]
+        eA = X.over_out()
+        j, _ = _other_place(occ, eA, (i, leaving_slots(X)[1]))
+        Y = d.crossings[j]
+        if j == i or Y.over_in() != eA:
+            continue
+        pT_in, pT_out = X.over_in(), Y.over_out()
+        for eB, dirM, xslot in ((X.c, 1, _UNDER_OUT), (X.a, -1, _UNDER_IN)):
+            z, sB = _other_place(occ, eB, (i, xslot))
+            if z in (i, j):
+                continue
+            for eC, dirB, yslot in ((Y.c, 1, _UNDER_OUT), (Y.a, -1, _UNDER_IN)):
+                z2, sC = _other_place(occ, eC, (j, yslot))
+                if z2 != z or sB == sC:
+                    continue
+                m_over_at_z = sB in (_OVER_B, _OVER_D)
+                if m_over_at_z == (sC in (_OVER_B, _OVER_D)):
+                    continue
+                Z = d.crossings[z]
+                if dirM > 0:
+                    if sB not in arriving_slots(Z):
+                        continue
+                    mFirst = X.a
+                    mLast = Z.c if sB == _UNDER_IN else Z.over_out()
+                else:
+                    if sB not in leaving_slots(Z):
+                        continue
+                    mFirst = Z.a if sB == _UNDER_OUT else Z.over_in()
+                    mLast = X.c
+                if dirB > 0:
+                    if sC not in arriving_slots(Z):
+                        continue
+                    bFirst = Y.a
+                    bLast = Z.c if sC == _UNDER_IN else Z.over_out()
+                else:
+                    if sC not in leaving_slots(Z):
+                        continue
+                    bFirst = Z.a if sC == _UNDER_OUT else Z.over_in()
+                    bLast = Y.c
+                xhat = moves._build_crossing(
+                    Y.sign, (eC, bLast) if dirB > 0 else (bFirst, eC), (pT_in, eA)
+                )
+                yhat = moves._build_crossing(
+                    X.sign, (eB, mLast) if dirM > 0 else (mFirst, eB), (eA, pT_out)
+                )
+                m_pair = (mFirst, eB) if dirM > 0 else (eB, mLast)
+                b_pair = (bFirst, eC) if dirB > 0 else (eC, bLast)
+                if m_over_at_z:
+                    zhat = moves._build_crossing(Z.sign, b_pair, m_pair)
+                else:
+                    zhat = moves._build_crossing(Z.sign, m_pair, b_pair)
+                out = list(d.crossings)
+                out[i], out[j], out[z] = xhat, yhat, zhat
+                try:
+                    nd = renormalize(out, d.free_loops)
+                    reference_validate(nd)
+                except ValueError:
+                    continue
+                yield nd
+
+
+def _kink_or_error(insert, d, arc, variant):
+    try:
+        return insert(d, arc, variant)
+    except ValueError as e:
+        return str(e)
+
+
+def test_rewrites_match_the_dict_incidence_references():
+    """triangle_moves, poke_moves and insert_kink, which read arc ends
+    from walk-order labels, give the references' diagrams in the same
+    order, on seeded closures, their simplifications, their mirrors and
+    renamed copies the constructor relabels; insert_kink raises the same
+    error for an arc outside 1..2c."""
+    rng = random.Random(2027)
+    battery = []
+    for _ in range(200):
+        p = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(1, 12))]
+        d = braid_closure(parse_braid(f"p={p}: " + " ".join(map(str, word))))
+        s = simplify(d)
+        for e in (d, s, mirror(s), scrambled(s, rng)):
+            if not e.is_crossingless():
+                battery.append(e)
+    slides = pokes = errors = 0
+    for d in battery:
+        got = list(triangle_moves(d))
+        assert got == list(reference_triangle_moves(d)), d
+        slides += len(got)
+        got = list(poke_moves(d))
+        assert got == list(reference_poke_moves(d)), d
+        pokes += len(got)
+        top = 2 * d.crossing_count + 1
+        for arc in (-1, 0, 1, top // 2, top - 1, top, top + 5):
+            for variant in range(4):
+                want = _kink_or_error(reference_insert_kink, d, arc, variant)
+                assert _kink_or_error(insert_kink, d, arc, variant) == want, (d, arc, variant)
+                errors += isinstance(want, str)
+    assert slides >= 500 and pokes >= 10000 and errors > 1000, (slides, pokes, errors)
 
 
 def test_randomized_move_walks():
