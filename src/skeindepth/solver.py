@@ -39,8 +39,14 @@ without a search; a success of the search replaces it by a shallower
 tree.  Each write merges with the record as it stands, so a deeper
 visit of the same code (switching a crossing twice gives the node back)
 is never undone.  The k-sweep and sibling subtrees share these records,
-the recognizer verdicts and the polynomials.  The search tries a node's
-crossings in index order.  It and the expansion take codes from
+the recognizer verdicts and the polynomials.  The search tries first the
+crossings of a node whose switch sheds (:func:`.diagram.switch_sheds`,
+built once per node it expands), then the rest, each group in index
+order: such a switch child has at least two crossings fewer, so it is
+cheaper to expand and fits depth k - 1 more often.  The order cannot
+change an answer, since a True needs some crossing to work and a False
+needs every one to fail; only the witness found and the work spent
+change.  The search and the expansion take codes from
 :meth:`.poly.HomflyCache.code_of`, which codes each labeled diagram once
 per context.  :func:`verify_tree` replays a fresh copy of each diagram
 of the tree, built from its crossings and free loops, and codes it with
@@ -63,7 +69,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
-from .diagram import OrientedDiagram, canonical_code, component_count, simplify, smooth, switch
+from .diagram import (
+    OrientedDiagram,
+    canonical_code,
+    component_count,
+    simplify,
+    smooth,
+    switch,
+    switch_sheds,
+)
 from .moves import Verdict, recognize_unlink
 from .poly import HomflyCache, expansion, homfly, parse_poly, render_poly
 from .tree import SkeinBranch, SkeinLeaf, SkeinTree
@@ -116,8 +130,15 @@ _shared_context: SolveContext | None = None
 
 def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None) -> None:
     """Merge what a search proved about code into its record as it stands
-    now: lo only rises, hi only falls, and the tree goes with its hi."""
+    now: lo only rises, hi only falls, and the tree goes with its hi.
+
+    A merge that would leave lo > hi meets a record this run's proof
+    contradicts, which a cache file loaded: the record becomes what was
+    proved, (lo, hi, tree), so no empty interval is stored."""
     old_lo, old_hi, old_tree = ctx.memo.get(code, _OPEN)
+    if lo > old_hi or old_lo > hi:
+        ctx.memo[code] = (lo, hi, tree)
+        return
     if hi > old_hi or (hi == old_hi and old_tree is not None):
         hi, tree = old_hi, old_tree
     ctx.memo[code] = (max(lo, old_lo), hi, tree)
@@ -182,9 +203,12 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         return None
     ctx.nodes += 1
 
+    # the switches that shed first: their children are smaller
+    sheds = switch_sheds(d)
+    order = sorted(range(d.crossing_count), key=lambda i: not sheds(i))
     saw_unknown = False
-    for i in range(d.crossing_count):
-        sw = simplify(switch(d, i))
+    for i in order:
+        sw = simplify(switch(d, i, sheds))
         r_sw = _search(sw, k - 1, ctx, limit)
         if r_sw is not True:
             saw_unknown |= r_sw is None
@@ -245,11 +269,16 @@ def extract_tree(
     cache-loaded interval has no witness; the tree is then searched for
     as in a cold run, in a fresh context that shares only the polynomial
     cache and the deadline, and that search's answer is the one raised.
+    The fresh context's records are merged into ctx once its search
+    returns, so a refutation there corrects the record it contradicts.
     """
     ctx = ctx or SolveContext()
     d = simplify(d)
     for c in (ctx, SolveContext(ctx.homfly_cache, ctx.deadline)):
         res = depth_at_most(d, k, budget, c)
+        if c is not ctx:
+            for code, record in c.memo.items():
+                _record(ctx, code, *record)
         if res is not True:
             raise NoWitness(k, res)
         tree = _proof(c, d)[1]

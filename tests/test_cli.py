@@ -542,6 +542,57 @@ def test_tree_warm_cache_refuted_depth_exits_1(tmp_path, capsys):
     assert not dot.exists()
 
 
+def _trefoil_lines(cache_path):
+    code = TREFOIL_DEPTH_1_LINE.split("\t")[1]
+    return [line for line in cache_path.read_text().splitlines(keepends=True) if line.split("\t")[1] == code]
+
+
+def test_tree_writes_back_the_refutation_of_a_cached_depth(tmp_path, monkeypatch, capsys):
+    """The search that refutes a cached depth 1 for the trefoil runs in
+    extract_tree's fresh context; its records are merged into the saved
+    one, so the file gains the corrected line once and depth 2 holds."""
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(TREFOIL_DEPTH_1_LINE)
+    dot = tmp_path / "o.dot"
+    argv = ["tree", str(f), "--dot", str(dot), "--cache", str(cache_path), "--depth"]
+    for _ in range(2):
+        assert main(argv + ["1"]) == 1
+        assert _trefoil_lines(cache_path) == [
+            TREFOIL_DEPTH_1_LINE,
+            TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t2,2\n"),
+        ]
+    assert main(argv + ["2"]) == 0
+    assert capsys.readouterr().err.count("no resolution tree of depth 1") == 2
+
+
+def test_a_proof_never_stores_an_empty_interval(tmp_path, monkeypatch, capsys):
+    """A cached lower end of 3 for the trefoil meets the expansion's tree
+    of height 2: the record becomes what the solve proved rather than
+    the empty [3, 2], so the next load warns of nothing, every run prints
+    the cold answer, and the corrected line is appended once."""
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    line = TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t3,-\n")
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(line)
+    ctx = SolveContext()
+    ResultCache(str(cache_path)).load_into(ctx)
+    assert compute_td(parse_pd(TREFOIL), ctx=ctx).render() == "2"
+    assert all(lo <= hi for lo, hi, _ in ctx.memo.values())
+
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    assert main(["td", str(f)]) == 0
+    cold = capsys.readouterr()
+    for _ in range(3):
+        assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+        assert capsys.readouterr() == cold
+    assert cold.err == ""
+    assert _trefoil_lines(cache_path) == [line, line.replace("\t3,-\n", "\t1,2\n")]
+
+
 # -- DOT export ---------------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from skeindepth import (
     verify_tree,
 )
 from skeindepth import poly, solver
+from skeindepth.diagram import switch_sheds
 from skeindepth.solver import ResultCache
 
 from conftest import (
@@ -413,14 +414,15 @@ def test_leading_coefficient_closes_a_gap_without_search():
         ("p=3: 2 2 2 1 -2 1 2", "4", 0, 4),
         ("p=4: -2 2 -1 3 -1 3 2 1 -3 1 2", "[3, 4]", 1, 15),
         ("p=4: 2 1 3 2 2 3 2 -3 3", "4", 0, 6),
-        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 32),
+        # the switches that shed, tried first, spare 4 expansions
+        ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", "3", 5, 28),
     ],
 )
 def test_search_work_is_pinned(link, render, nodes, computed):
-    """Search nodes and polynomial work of a fresh solve, which tries
-    crossings in index order, keeps one record per code and starts each
-    record from the HOMFLY-PT expansion's tree: a solve whose expansion
-    meets the lower end searches no node."""
+    """Search nodes and polynomial work of a fresh solve, which tries the
+    crossings whose switch sheds first, keeps one record per code and
+    starts each record from the HOMFLY-PT expansion's tree: a solve whose
+    expansion meets the lower end searches no node."""
     d = parse_pd(link) if link.startswith("X") else braid_closure(parse_braid(link))
     ctx = SolveContext()
     assert compute_td(d, ctx=ctx).render() == render
@@ -448,9 +450,9 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
         return result
 
     def recorder(kind, op):
-        def call(node, i):
+        def call(node, i, *sheds):
             events.append([kind, (canonical_code(node), i), "pending" if kind == "switch" else None])
-            return op(node, i)
+            return op(node, i, *sheds)
 
         return call
 
@@ -467,6 +469,135 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
         assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
         assert (len(switched), len(smoothed)) == (7, 3)
     assert warm.homfly_cache.computed == known
+
+
+def test_search_builds_the_switch_test_once_per_node(monkeypatch):
+    """_search builds switch_sheds once per node it expands, and passes it
+    to every switch there; a probe its record or its bounds answer builds
+    none."""
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return switch_sheds(d)
+
+    monkeypatch.setattr(solver, "switch_sheds", counted)
+    ctx = SolveContext()
+    for word in SEARCH_WORDS + [INTERVAL_WORD]:
+        compute_td(braid_closure(parse_braid(word)), ctx=ctx)
+    assert ctx.nodes > 0 and len(calls) == ctx.nodes
+    # the known-table rows, whose expansions meet their lower ends
+    calls.clear()
+    fresh = SolveContext()
+    for name in ("trefoil", "K5a1", "K5a2", "L5a1"):
+        compute_td(parse_pd(FIXTURE_PDS[name][0]), ctx=fresh)
+    assert fresh.nodes == 0 and not calls
+
+
+def _index_order_search(d, k, ctx, limit):
+    """The search as it was before the switches that shed went first: a
+    node's crossings in index order, each switch testing for itself
+    whether it sheds.  Kept as the reference the ordered search is held
+    to."""
+    if d.is_crossingless():
+        return True
+    code = ctx.homfly_cache.code_of(d)
+    v = ctx.verdict_of(code, d)
+    if v.is_unlink:
+        return True
+    if v.is_unknown and ctx.out_of_time():
+        return None
+    solver._merge_expansion(ctx, d, code, k)
+    lo, hi, _ = ctx.memo.get(code, solver._OPEN)
+    if hi <= k:
+        return True
+    if k < lo:
+        return False
+    self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
+    if self_lb > k:
+        solver._record(ctx, code, lo=self_lb)
+        return False
+    if ctx.nodes >= limit or ctx.out_of_time():
+        return None
+    ctx.nodes += 1
+    saw_unknown = False
+    for i in range(d.crossing_count):
+        sw = simplify(switch(d, i))
+        r_sw = _index_order_search(sw, k - 1, ctx, limit)
+        if r_sw is not True:
+            saw_unknown |= r_sw is None
+            continue
+        sm = simplify(smooth(d, i))
+        r_sm = _index_order_search(sm, k - 1, ctx, limit)
+        if r_sm is not True:
+            saw_unknown |= r_sm is None
+            continue
+        (h_sw, t_sw), (h_sm, t_sm) = solver._proof(ctx, sw), solver._proof(ctx, sm)
+        tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
+        solver._record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
+        return True
+    if saw_unknown:
+        return None
+    solver._record(ctx, code, lo=k + 1)
+    return False
+
+
+def _pool_words():
+    """The benchmark's random-mixed pool: 160 mixed-sign words on 3 or 4
+    strands, of length 7-10, that use every generator, drawn from
+    random.Random(1)."""
+    rng = random.Random(1)
+    words = []
+    while len(words) < 160:
+        p = rng.choice((3, 4))
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(7, 10))]
+        if {abs(g) for g in letters} == set(range(1, p)) and min(letters) < 0 < max(letters):
+            words.append(f"p={p}: " + " ".join(map(str, letters)))
+    return words
+
+
+def _closure_words(seed, count, strands, lengths):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        p = rng.randint(*strands)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(*lengths))]
+        words.append(f"p={p}: " + " ".join(map(str, letters)))
+    return words
+
+
+def test_the_search_order_changes_no_answer(monkeypatch):
+    """Trying the switches that shed first changes the witness found and
+    the work spent, never an answer: a True needs some crossing to work
+    and a False needs every one to fail.  Against the index-order
+    reference, in fresh contexts at the default budget: the same
+    depth_at_most answers from the lower end - 1 to the upper end, the
+    same results and witness heights, and no more expansions in all."""
+    words = (
+        _pool_words()
+        + _closure_words(2028, 250, (3, 5), (8, 13))
+        + _closure_words(5, 60, (4, 5), (12, 16))
+    )
+    links = [braid_closure(parse_braid(w)) for w in words]
+
+    def solve_all():
+        out, expansions = [], 0
+        for d in links:
+            ctx = SolveContext()
+            res = compute_td(d, ctx=ctx)
+            expansions += ctx.homfly_cache.computed
+            height = None if res.witness is None else verify_tree(res.witness)
+            ks = range(res.link_lower - 1, res.diagram_upper + 1)
+            probes = [depth_at_most(d, k, ctx=SolveContext()) for k in ks]
+            out.append((res.render(), res.status, res.budget_exhausted, height, probes))
+        return out, expansions
+
+    ordered, ordered_expansions = solve_all()
+    monkeypatch.setattr(solver, "_search", _index_order_search)
+    reference, reference_expansions = solve_all()
+    assert ordered == reference
+    assert sum(r[3] is not None for r in ordered) > 400
+    assert ordered_expansions < reference_expansions
 
 
 def test_persisted_interval_answers_without_witness():
