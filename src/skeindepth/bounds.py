@@ -171,8 +171,9 @@ def aggregate_bounds(
 
     genus, when given, is the caller's knowledge of the genus of the
     link; braid_words, when given, is a list of BraidWord presentations
-    of the same link.  Both are trusted as stated.  A one-signed word
-    using all its generator indices pins the depth exactly, so it enters
+    of the same link.  Both are trusted as stated.  Each word must use
+    all its generator indices (:func:`.braid.mixed_braid_upper` raises
+    otherwise); a one-signed word pins the depth exactly, so it enters
     on both sides.  Sound bounds never cross, so a largest lower bound
     above the smallest upper bound raises ValueError naming both.
     """
@@ -190,7 +191,7 @@ def aggregate_bounds(
         contribs.append(("mixed braid", mixed_braid_upper(list(braid_words)), "upper"))
         exact = None
         for w in braid_words:
-            if w.all_indices_used() and (w.positives == 0 or w.negatives == 0):
+            if w.positives == 0 or w.negatives == 0:
                 v = positive_braid_td(w)
                 exact = v if exact is None else min(exact, v)
         if exact is not None:

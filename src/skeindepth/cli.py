@@ -13,14 +13,15 @@ One verb per artifact:
 * ``tree <file> --depth K --dot <out> [--budget N] [--cache PATH]`` —
   witness tree as a DOT digraph
 
-Exit codes: 0 success, 1 input error, 2 budget/timeout exhaustion with
-interval output.  A result cache (``--cache PATH``, overridden by the
-SKEIN_CACHE environment variable) persists polynomial values and depth
-intervals keyed by canonical code, as append-only tab-separated lines
-that start with a format marker; corrupt lines and lines of the older
-unversioned format are skipped with a warning on stderr.  :func:`main`
-loads it into the context every verb solves in and saves it after the
-verb returns; only the verbs that take ``--cache`` use it.
+Exit codes: 0 success, 1 input or usage error, 2 budget/timeout
+exhaustion with interval output.  A result cache (``--cache PATH``,
+overridden by the SKEIN_CACHE environment variable) persists polynomial
+values and depth intervals keyed by canonical code, as append-only
+tab-separated lines that start with a format marker; corrupt lines and
+lines of the older unversioned format are skipped with a warning on
+stderr.  :func:`main` loads it into the context every verb solves in and
+saves it after the verb returns; only the verbs that take ``--cache``
+use it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .solver import (
     DEFAULT_BUDGET,
     NoWitness,
     ResultCache,
-    SkeinBranch,
     SkeinLeaf,
     SkeinTree,
     SolveContext,
@@ -112,7 +112,10 @@ def parse_dataset_row(line: str) -> DatasetRow:
         d = braid.braid_closure(words[0])
     else:
         raise ValueError(f"row {name!r} has neither a PD code nor a braid word")
-    genus = int(genus_cell) if genus_cell else None
+    try:
+        genus = int(genus_cell) if genus_cell else None
+    except ValueError:
+        raise ValueError(f"bad genus {genus_cell!r}") from None
     return DatasetRow(name, d, genus, words, _parse_expected(expected_cell))
 
 
@@ -338,7 +341,12 @@ def _check_limits(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 after printing a usage error, which is exit 1
+        # here; --help exits 0
+        return 1 if e.code else 0
     try:
         _check_limits(args)
         ctx = SolveContext()

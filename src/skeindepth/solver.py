@@ -137,8 +137,7 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
     proved, (lo, hi, tree), so no empty interval is stored."""
     old_lo, old_hi, old_tree = ctx.memo.get(code, _OPEN)
     if lo > old_hi or old_lo > hi:
-        ctx.memo[code] = (lo, hi, tree)
-        return
+        old_lo, old_hi, old_tree = _OPEN
     if hi > old_hi or (hi == old_hi and old_tree is not None):
         hi, tree = old_hi, old_tree
     ctx.memo[code] = (max(lo, old_lo), hi, tree)
@@ -386,7 +385,9 @@ def compute_td(
     probe; max_depth caps how deep the sweep probes (the bound-derived
     upper still stands).  Budget or time exhaustion widens the answer to
     an interval, never falsifies it; its upper end is still the root's
-    record where that is lower than the bound report's.
+    record where that is lower than the bound report's.  The root's
+    record holds the bound report's lower end, so a cache saved from ctx
+    carries both ends.
     """
     ctx = ctx or SolveContext()
     saved_deadline = ctx.deadline
@@ -400,13 +401,16 @@ def compute_td(
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
         root = ctx.homfly_cache.code_of(work)
-        if ctx.memo.get(root, _OPEN)[1] < lower:
-            # a record below a sound lower end, loaded from a cache
-            # file, is wrong: drop it and solve as a cold run does
-            del ctx.memo[root]
-        # the expansion's tree holds even when max_depth stops the sweep
-        # before its first probe
+        # the root's record holds the sound lower end, and a loaded
+        # record that contradicts it or the expansion's tree gives way to
+        # what the solve proves (see _record).  Recorded before the merge,
+        # it drops a loaded upper end below it, so the tree is merged and
+        # holds even when max_depth stops the sweep before its first
+        # probe; recorded again after, it outlives a loaded lower end
+        # the tree refutes
+        _record(ctx, root, lo=lower)
         _merge_expansion(ctx, work, root, lower)
+        _record(ctx, root, lo=lower)
         kmax = upper if max_depth is None else min(upper, max_depth)
         witness = None
         exhausted = False
@@ -464,7 +468,8 @@ class ResultCache:
 
     def load_into(self, ctx: SolveContext) -> None:
         """Load every valid line; a corrupt one is skipped with a warning
-        and contributes nothing."""
+        and contributes nothing, as each field is checked before a line
+        writes anything."""
         if not os.path.exists(self.path):
             return
         unversioned: list[int] = []
@@ -484,27 +489,26 @@ class ResultCache:
                     if version != CACHE_FORMAT:
                         raise ValueError(f"unknown format marker {version!r}")
                     value = None if poly_text == "-" else parse_poly(poly_text)
-                    bounds = None
                     if interval != "-":
-                        lo_s, hi_s = interval.split(",")
-                        # the search only consults the memo for diagrams
-                        # that are not certified unlinks, so its floor is 1
-                        lo = max(int(lo_s), 1)
-                        hi = _INF if hi_s == "-" else int(hi_s)
+                        try:
+                            lo_s, hi_s = interval.split(",")
+                            # the search only consults the memo for diagrams
+                            # that are not certified unlinks, so its floor is 1
+                            lo = max(int(lo_s), 1)
+                            hi = _INF if hi_s == "-" else int(hi_s)
+                        except ValueError:
+                            raise ValueError(f"bad interval {interval!r}") from None
                         if lo > hi:
-                            raise ValueError("empty interval")
-                        bounds = (lo, hi, None)
+                            raise ValueError(f"empty interval {interval!r}")
+                        ctx.memo[code] = (lo, hi, None)
+                    if value is not None:
+                        ctx.homfly_cache.table[code] = value
+                    self.loaded[code] = (poly_text, interval)
                 except (ValueError, IndexError) as e:  # UnicodeDecodeError too
                     print(
                         f"warning: skipping corrupt cache line {lineno}: {e}",
                         file=sys.stderr,
                     )
-                    continue
-                if value is not None:
-                    ctx.homfly_cache.table[code] = value
-                if bounds is not None:
-                    ctx.memo[code] = bounds
-                self.loaded[code] = (poly_text, interval)
         if unversioned:
             print(
                 f"warning: skipping {len(unversioned)} cache line(s) of the older "

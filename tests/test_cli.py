@@ -75,6 +75,12 @@ def test_parse_dataset_row_rejects(bad):
         parse_dataset_row(bad)
 
 
+@pytest.mark.parametrize("genus", ["x", "1.5"])
+def test_parse_dataset_row_names_a_bad_genus(genus):
+    with pytest.raises(ValueError, match=re.escape(f"bad genus {genus!r}")):
+        parse_dataset_row(f"x\tO\t{genus}\t\t")
+
+
 def test_load_dataset_rejects_duplicates(tmp_path):
     p = tmp_path / "d.tsv"
     p.write_text("a\tO\t\t\t\na\tO;O\t\t\t\n")
@@ -141,6 +147,26 @@ def test_contradictory_claims_are_input_errors(tmp_path, capsys):
     assert lines[1].startswith("tref\t-\t-\terror: contradictory bounds: genus-components")
     assert lines[2].startswith("words\t-\t-\terror: contradictory bounds: homfly z-degree")
     assert lines[3] == "good\t2\t2\t2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["td"], ["td", "{f}", "--budget", "x"], ["frobnicate"], [], ["td", "{f}", "--depth", "2"]],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    """argparse's own usage errors exit 1, as every input error does, with
+    its usage text on stderr; 2 is kept for an interval left open."""
+    f = tmp_path / "in.pd"
+    f.write_text(TREFOIL + "\n")
+    assert main([a.format(f=f) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: skeindepth")
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["td", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: skeindepth")
 
 
 def test_td_rejects_a_non_planar_code(tmp_path, capsys):
@@ -212,6 +238,15 @@ def test_braid_bound_verb(tmp_path, capsys):
     for argv in (["braid-bound", str(f)], ["bounds", str(pd), "--braids", str(f)]):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {f}:2: bad braid letter 'x' in 'p=2: 1 x'\n", argv
+
+
+def test_tree_on_a_file_without_a_diagram_exits_1(tmp_path, capsys):
+    f = tmp_path / "comments.pd"
+    f.write_text("# only\n\n# comments\n")
+    dot = tmp_path / "t.dot"
+    assert main(["tree", str(f), "--depth", "1", "--dot", str(dot)]) == 1
+    assert capsys.readouterr().err == f"error: {f}: no diagram found\n"
+    assert not dot.exists()
 
 
 def test_tree_verb_writes_dot(tmp_path):
@@ -288,6 +323,12 @@ def test_tabulate_expected_mismatch_warns(tmp_path, capsys):
     assert main(["tabulate", str(data)]) == 0
     captured = capsys.readouterr()
     assert "warning: tref" in captured.err
+    # an expected depth outside an interval left open
+    data.write_text(f"gap\t\t\t{INTERVAL_WORD}\t3\n")
+    assert main(["tabulate", str(data)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "gap\t6\t7\t[6, 7]"
+    assert err == "warning: gap: expected 3..3 outside [6, 7]\n"
 
 
 # -- cache ------------------------------------------------------------------------
@@ -333,6 +374,20 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert err.count("warning: skipping corrupt cache line") == 2
     assert len(ctx.homfly_cache.table) == 1
     assert list(ctx.memo.values()) == [(1, 1, None)]
+
+
+def test_cache_names_a_bad_interval_and_marker(tmp_path, capsys):
+    code = canonical_code(parse_pd(TREFOIL))
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(f"v2\t{code}\t-\t2,3,4\nv2\t{code}\t-\tx,2\nv3\t{code}\t-\t2,2\n")
+    ctx = SolveContext()
+    ResultCache(str(cache_path)).load_into(ctx)
+    assert capsys.readouterr().err == (
+        "warning: skipping corrupt cache line 1: bad interval '2,3,4'\n"
+        "warning: skipping corrupt cache line 2: bad interval 'x,2'\n"
+        "warning: skipping corrupt cache line 3: unknown format marker 'v3'\n"
+    )
+    assert ctx.memo == {}
 
 
 def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
@@ -501,10 +556,10 @@ TREFOIL_DEPTH_1_LINE = (
 
 
 def test_a_cached_upper_end_below_the_lower_end_is_dropped(tmp_path, capsys):
-    """compute_td drops a root record whose upper end is below the
-    sound lower end and solves as a cold run does: the interval is not
-    empty, the witness replays, and the save appends the corrected
-    line; td and tabulate print the cold answer."""
+    """compute_td replaces a root record whose upper end is below the
+    sound lower end by what the solve proves: the interval is not empty,
+    the witness replays, and the save appends the corrected line, which
+    carries the lower end; td and tabulate print the cold answer."""
     cache_path = tmp_path / "cache.tsv"
     cache_path.write_text(TREFOIL_DEPTH_1_LINE)
     ctx = SolveContext()
@@ -517,7 +572,7 @@ def test_a_cached_upper_end_below_the_lower_end_is_dropped(tmp_path, capsys):
     rc.save_from(ctx)
     lines = cache_path.read_text().splitlines(keepends=True)
     assert lines[0] == TREFOIL_DEPTH_1_LINE
-    assert TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t1,2\n") in lines[1:]
+    assert TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t2,2\n") in lines[1:]
 
     f = tmp_path / "tref.pd"
     f.write_text(TREFOIL + "\n")
@@ -590,7 +645,27 @@ def test_a_proof_never_stores_an_empty_interval(tmp_path, monkeypatch, capsys):
         assert main(["td", str(f), "--cache", str(cache_path)]) == 0
         assert capsys.readouterr() == cold
     assert cold.err == ""
-    assert _trefoil_lines(cache_path) == [line, line.replace("\t3,-\n", "\t1,2\n")]
+    assert _trefoil_lines(cache_path) == [line, line.replace("\t3,-\n", "\t2,2\n")]
+
+
+def test_a_cold_solve_caches_the_lower_end(tmp_path, monkeypatch, capsys):
+    """The root's record holds the bound report's lower end, so a cold
+    td --cache on the trefoil writes the interval 2,2, as it prints; a
+    cold tabulate writes no record with lo < 1 or lo > hi."""
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    f = tmp_path / "tref.pd"
+    f.write_text(TREFOIL + "\n")
+    cache_path = tmp_path / "cache.tsv"
+    assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+    assert capsys.readouterr().out == "2\t2\t2\n"
+    assert _trefoil_lines(cache_path) == [TREFOIL_DEPTH_1_LINE.replace("\t1,1\n", "\t2,2\n")]
+
+    cache_path.unlink()
+    assert main(["tabulate", bundled_dataset(), "--cache", str(cache_path)]) == 0
+    intervals = [line.rstrip("\n").split("\t")[3] for line in cache_path.read_text().splitlines()]
+    ends = [tuple(int(e) for e in i.split(",")) for i in intervals if i != "-" and not i.endswith(",-")]
+    assert ends and all(1 <= lo <= hi for lo, hi in ends)
+    assert any(lo > 1 for lo, _ in ends)
 
 
 # -- DOT export ---------------------------------------------------------------------

@@ -81,7 +81,11 @@ def test_parse_whitespace_tolerant():
 # the trefoil with labels 2 and 3 swapped: sign inference reads the
 # succession of labels, so text in other labels is rejected, not relabeled
 SWAPPED_TREFOIL = "X[1,4,3,5];X[2,6,4,1];X[5,3,6,2]"
-REJECT_MESSAGES = {SWAPPED_TREFOIL: "broken cyclic arc sequence"}
+REJECT_MESSAGES = {
+    SWAPPED_TREFOIL: "broken cyclic arc sequence",
+    "X[1,4,2,5];;X[3,6,4,1]": "empty PD item",
+    "X[2,4,3,1];X[1,2,3,4]": "arc 3 cannot both arrive at and leave its endpoints",
+}
 
 
 @pytest.mark.parametrize(
@@ -98,6 +102,8 @@ REJECT_MESSAGES = {SWAPPED_TREFOIL: "broken cyclic arc sequence"}
         "X[1,3,2,4];X[2,4,1,3]",  # not planar: 2 faces where it needs 4
         "X[1,4,2,3];X[2,3,1,4]",  # not planar
         SWAPPED_TREFOIL,
+        "X[1,4,2,5];;X[3,6,4,1]",  # an empty item
+        "X[2,4,3,1];X[1,2,3,4]",  # arc 3 leaves both its ends
     ],
 )
 def test_parse_rejects(bad):
@@ -128,6 +134,19 @@ def test_the_constructor_relabels_in_walk_order():
     # label 1 renamed -7 where it arrives: no label below 1 runs in walk order
     with pytest.raises(ValueError):
         OrientedDiagram((Crossing(-7, 4, 2, 5, 1),) + tref.crossings[1:])
+
+
+@pytest.mark.parametrize(
+    "crossings, free_loops, message",
+    [
+        ((), -1, "free_loops must be >= 0"),
+        ((Crossing(1, 4, 2, 5, 2), Crossing(3, 6, 4, 1, 1), Crossing(5, 2, 6, 3, 1)), 0, "crossing sign must be"),
+        ((Crossing(1, 2, 3, 4, 1), Crossing(1, 3, 2, 4, 1)), 0, "arc 1 continues in two different ways"),
+    ],
+)
+def test_the_constructor_rejects(crossings, free_loops, message):
+    with pytest.raises(ValueError, match=message):
+        OrientedDiagram(crossings, free_loops)
 
 
 def test_disjoint_union_of_a_renamed_diagram():

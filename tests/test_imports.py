@@ -1,8 +1,9 @@
 """Module structure: relative imports sit at module level and form no
 cycle, only diagram lends out underscore names, only its slot numbers
 and only to moves, every private module-level name in the package has a
-caller, every exported name exists, and the names the benchmark's tracer
-patches and its worker read exist."""
+caller, every module-level import is read, every exported name exists,
+and the names the benchmark's tracer patches and its worker read
+exist."""
 
 import ast
 import importlib.util
@@ -115,6 +116,27 @@ def test_every_private_helper_has_a_caller():
     )
     assert unused == []
     assert len(defined) > 20
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module of the package imports at module level is read
+    in that module; __init__'s re-exports and __future__ imports are
+    left out."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem} imports {name}")
+    assert unread == []
 
 
 def test_tracer_patched_names_exist():

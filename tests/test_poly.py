@@ -94,6 +94,11 @@ def test_parse_poly_rejects_text_render_poly_never_writes(text):
         parse_poly(text)
 
 
+def test_parse_poly_names_a_term_without_a_coefficient():
+    with pytest.raises(ValueError, match="malformed polynomial term: 'a\\^2'"):
+        parse_poly("a^2")
+
+
 def test_pow():
     assert DELTA**0 == ONE
     assert DELTA**3 == DELTA * DELTA * DELTA

@@ -123,6 +123,10 @@ def test_verify_tree_rejects_tampering():
     # a leaf that is not an unlink at all
     with pytest.raises(ValueError):
         verify_tree(SkeinLeaf(parse_pd(FIXTURE_PDS["trefoil"][0]), 1))
+    # a branch at a crossing the diagram does not have
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"branch crossing index {i} out of range"):
+            verify_tree(SkeinBranch(tree.diagram, i, tree.switched, tree.smoothed))
 
 
 def test_verify_tree_trusts_nothing_stored_on_a_diagram():
@@ -328,6 +332,24 @@ def test_cut_short_sweep_answers_the_root_record(limits):
     assert res.witness is tree
     assert verify_tree(res.witness) == res.diagram_upper
     assert res.bounds.upper == 10  # the bound report alone says [6, 10]
+
+
+@pytest.mark.parametrize("loaded", [(1, 3), (10, INF)])
+def test_a_root_record_the_solve_contradicts_gives_way(loaded):
+    """A loaded root record below the lower end 6, or above the
+    expansion's height 9, gives way to what the solve proves, even when
+    max_depth stops the sweep before its first probe: the record is
+    [6, 9] with the expansion's tree, as in a cold solve."""
+    d = braid_closure(parse_braid(INTERVAL_WORD))
+    ctx = SolveContext()
+    code = canonical_code(simplify(d))
+    homfly(d, ctx.homfly_cache)
+    ctx.homfly_cache.trees.clear()  # a loaded polynomial has no tree
+    ctx.memo[code] = (*loaded, None)
+    res = compute_td(d, max_depth=0, ctx=ctx)
+    lo, hi, tree = ctx.memo[code]
+    assert (res.link_lower, res.diagram_upper) == (6, 9) == (lo, hi)
+    assert res.witness is tree and verify_tree(tree) == 9
 
 
 def test_max_depth_caps_search_not_claim():
