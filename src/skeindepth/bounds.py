@@ -187,13 +187,13 @@ def aggregate_bounds(
     if genus is not None:
         contribs.append(("genus-components", genus_lower_bound(genus, r), "lower"))
     contribs.append(("crossing count", s.crossing_count - 1, "upper"))
-    if braid_words:
-        contribs.append(("mixed braid", mixed_braid_upper(list(braid_words)), "upper"))
-        exact = None
-        for w in braid_words:
-            if w.positives == 0 or w.negatives == 0:
-                v = positive_braid_td(w)
-                exact = v if exact is None else min(exact, v)
+    words = list(braid_words or ())
+    if words:
+        contribs.append(("mixed braid", mixed_braid_upper(words), "upper"))
+        exact = min(
+            (positive_braid_td(w) for w in words if w.positives == 0 or w.negatives == 0),
+            default=None,
+        )
         if exact is not None:
             contribs.append(("one-signed braid", exact, "lower"))
             contribs.append(("one-signed braid", exact, "upper"))

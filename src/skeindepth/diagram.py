@@ -43,17 +43,16 @@ lifting a strand poked under or over another, untwisting a crossing
 whose oriented smoothing disconnects its part) are defined here, so the
 polynomial, the rewrite and the search modules all build on this one
 without importing each other.  :func:`defects` lists, in walk order,
-the crossings a diagram's walk first meets on their under-strand, and
-:func:`first_defect` is the first of them; a diagram without one is
-descending, a diagram of the unlink, which both the polynomial
-expansion and the unlink recognizer rely on.  :func:`switch_sheds`
-tells, in O(1) per crossing, whether simplify sheds crossings from a
-simplified diagram's switch there, which is how the expansion picks
-the defect it resolves.  :func:`simplify` looks for kinks and poke
-pairs in one function over a sorted list of plain tuples, at most two
-linear passes a round; the nugatory test takes as candidates the
-crossings that some face meets at two corners, which are the cut
-crossings of the crossing graph and the kink crossings.
+the crossings a diagram's walk first meets on their under-strand; a
+diagram without one is descending, a diagram of the unlink, which both
+the polynomial expansion and the unlink recognizer rely on.
+:func:`switch_sheds` tells, in O(1) per crossing, whether simplify
+sheds crossings from a simplified diagram's switch there, which is how
+the expansion picks the defect it resolves.  :func:`simplify` looks
+for kinks and poke pairs in one function over a sorted list of plain
+tuples, at most two linear passes a round; the nugatory test takes as
+candidates the crossings that some face meets at two corners, which
+are the cut crossings of the crossing graph and the kink crossings.
 
 Beside its crossings and free loops a diagram keeps its label-block
 table and one mark, neither part of its equality, hash or repr: whether
@@ -385,12 +384,6 @@ def defects(d: OrientedDiagram) -> list[int]:
         if a < (b if sign > 0 else dd):
             at[a] = i
     return [i for i in at if i >= 0]
-
-
-def first_defect(d: OrientedDiagram) -> int | None:
-    """The first of :func:`defects`, or None: d is descending."""
-    found = defects(d)
-    return found[0] if found else None
 
 
 def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:

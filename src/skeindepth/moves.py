@@ -34,8 +34,8 @@ from .diagram import (
     arriving_slots,
     canonical_code,
     component_count,
+    defects,
     faces,
-    first_defect,
     leaving_slots,
     renormalize,
     simplify,
@@ -249,7 +249,7 @@ def recognize_unlink(
     """Three-valued unlink test; unlink/not_unlink answers are never wrong.
 
     Simplification settles most inputs; a simplified diagram with no
-    defect (:func:`.diagram.first_defect`) is descending, hence an
+    defect (:func:`.diagram.defects`) is descending, hence an
     unlink; a polynomial mismatch against the split-union value
     certifies not_unlink; otherwise a bounded search
     over slides and pokes (allowing _CROSSING_MARGIN extra crossings over
@@ -265,7 +265,7 @@ def recognize_unlink(
     """
     start = simplify(d)
     r = component_count(start)
-    if start.is_crossingless() or first_defect(start) is None:
+    if start.is_crossingless() or not defects(start):
         return Verdict.unlink(r)
     value = homfly_value if homfly_value is not None else homfly(start)
     if value != unlink_value(r):

@@ -76,11 +76,10 @@ class LaurentPoly2:
         for (ae, ze), coeff in terms.items():
             if not isinstance(coeff, int):
                 raise TypeError("coefficients must be ints, got %r" % (coeff,))
+            if not (isinstance(ae, int) and isinstance(ze, int)):
+                raise TypeError("exponents must be ints, got %r" % ((ae, ze),))
             if coeff:
-                key = (int(ae), int(ze))
-                clean[key] = clean.get(key, 0) + coeff
-                if not clean[key]:
-                    del clean[key]
+                clean[ae, ze] = coeff
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 

@@ -36,9 +36,13 @@ proves its upper end.  A record starts from the HOMFLY-PT expansion's
 tree for its code (see :mod:`.poly`), merged in when the search first
 reaches the node, so a depth at least the expansion's height is proved
 without a search; a success of the search replaces it by a shallower
-tree.  Each write merges with the record as it stands, so a deeper
-visit of the same code (switching a crossing twice gives the node back)
-is never undone.  The k-sweep and sibling subtrees share these records,
+tree.  Each success returns the proof it found, ``(height, tree)``: a
+leaf for a certified unlink, else the node's record, and a branch is
+built from the proofs its two children returned.  :func:`depth_at_most`
+answers True for it, and :func:`extract_tree` takes its tree.  Each
+write merges with the record as it stands, so a deeper visit of the
+same code (switching a crossing twice gives the node back) is never
+undone.  The k-sweep and sibling subtrees share these records,
 the recognizer verdicts and the polynomials.  The search tries first the
 crossings of a node whose switch sheds (:func:`.diagram.switch_sheds`,
 built once per node it expands), then the rest, each group in index
@@ -143,54 +147,48 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
     ctx.memo[code] = (max(lo, old_lo), hi, tree)
 
 
-def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, k: int) -> None:
-    """Merge the HOMFLY-PT expansion's tree for d, whose code is code, into
-    code's record.  A value loaded from a cache file has no tree: d is
-    expanded for one, as a cold solve has, unless the record already
-    proves a depth <= k."""
+def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, lo: int, k: int) -> None:
+    """Merge lo, a lower end the caller proved for d, whose code is code,
+    and the HOMFLY-PT expansion's tree for d into code's record in one
+    write.  A value loaded from a cache file has no tree: d is expanded
+    for one, as a cold solve has, unless the record already proves a
+    depth in [lo, k]; lo alone is then merged."""
     expanded = ctx.homfly_cache.trees.get(code)
     if expanded is None:
-        if ctx.memo.get(code, _OPEN)[1] <= k:
+        if lo <= ctx.memo.get(code, _OPEN)[1] <= k:
+            _record(ctx, code, lo)
             return
         expanded = expansion(d, ctx.homfly_cache)
-    _record(ctx, code, hi=expanded[0], tree=expanded[1])
-
-
-def _proof(ctx: SolveContext, d: OrientedDiagram) -> tuple[int, Optional[SkeinTree]]:
-    """Height and tree of the proof of d, which the search has proven: a
-    leaf for an unlink, else d's record (its tree may be None)."""
-    if d.is_crossingless():
-        return 0, SkeinLeaf(d, component_count(d))
-    code = ctx.homfly_cache.code_of(d)
-    v = ctx.verdicts.get(code)
-    if v is not None and v.is_unlink:
-        return 0, SkeinLeaf(d, v.components)
-    _, hi, tree = ctx.memo[code]
-    return hi, tree
+    _record(ctx, code, lo, *expanded)
 
 
 def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
-    """True / False / None for: some certified tree of height <= k exists.
+    """The proof of some certified tree of height <= k for d, as
+    ``(height, tree)``, else False (none exists) or None (the budget or
+    the deadline ran out first).
 
     d must be simplified; the children searched are simplified in turn.
     The expansion's tree for d is merged into d's record first (see
-    :func:`_merge_expansion`).  A True leaves d's proof where
-    :func:`_proof` reads it.
+    :func:`_merge_expansion`).  An unlink's proof is a leaf, any other a
+    record's ``(hi, tree)``; the tree is None when the proof rests on a
+    cache-loaded interval.
     """
+    if k < 0:
+        return False
     if d.is_crossingless():
-        return True
+        return 0, SkeinLeaf(d, component_count(d))
     code = ctx.homfly_cache.code_of(d)
     v = ctx.verdict_of(code, d)
     if v.is_unlink:
-        return True
+        return 0, SkeinLeaf(d, v.components)
     if v.is_unknown and ctx.out_of_time():
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
-    _merge_expansion(ctx, d, code, k)
-    lo, hi, _ = ctx.memo.get(code, _OPEN)
+    _merge_expansion(ctx, d, code, 1, k)
+    lo, hi, tree = ctx.memo[code]
     if hi <= k:
-        return True
+        return hi, tree
     if k < lo:
         return False
     self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
@@ -207,20 +205,18 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     order = sorted(range(d.crossing_count), key=lambda i: not sheds(i))
     saw_unknown = False
     for i in order:
-        sw = simplify(switch(d, i, sheds))
-        r_sw = _search(sw, k - 1, ctx, limit)
-        if r_sw is not True:
-            saw_unknown |= r_sw is None
+        p_sw = _search(simplify(switch(d, i, sheds)), k - 1, ctx, limit)
+        if not p_sw:
+            saw_unknown |= p_sw is None
             continue
-        sm = simplify(smooth(d, i))
-        r_sm = _search(sm, k - 1, ctx, limit)
-        if r_sm is not True:
-            saw_unknown |= r_sm is None
+        p_sm = _search(simplify(smooth(d, i)), k - 1, ctx, limit)
+        if not p_sm:
+            saw_unknown |= p_sm is None
             continue
-        (h_sw, t_sw), (h_sm, t_sm) = _proof(ctx, sw), _proof(ctx, sm)
+        (h_sw, t_sw), (h_sm, t_sm) = p_sw, p_sm
         tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
         _record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
-        return True
+        return ctx.memo[code][1:]
     if saw_unknown:
         return None
     _record(ctx, code, lo=k + 1)
@@ -239,10 +235,9 @@ def depth_at_most(
     same context), False (certified impossible), or None when the node
     budget or deadline ran out before an answer.
     """
-    if k < 0:
-        return False
     ctx = ctx or SolveContext()
-    return _search(simplify(d), k, ctx, ctx.nodes + budget)
+    proof = _search(simplify(d), k, ctx, ctx.nodes + budget)
+    return True if proof else proof
 
 
 class NoWitness(LookupError):
@@ -264,8 +259,8 @@ def extract_tree(
     """Witness tree of height <= k, searching first if needed.
 
     Raises NoWitness, a LookupError, when no witness is available (the
-    search answered False or ran out of budget).  A True that rests on a
-    cache-loaded interval has no witness; the tree is then searched for
+    search answered False or ran out of budget).  A proof that rests on a
+    cache-loaded interval has no tree; the tree is then searched for
     as in a cold run, in a fresh context that shares only the polynomial
     cache and the deadline, and that search's answer is the one raised.
     The fresh context's records are merged into ctx once its search
@@ -274,15 +269,14 @@ def extract_tree(
     ctx = ctx or SolveContext()
     d = simplify(d)
     for c in (ctx, SolveContext(ctx.homfly_cache, ctx.deadline)):
-        res = depth_at_most(d, k, budget, c)
+        proof = _search(d, k, c, c.nodes + budget)
         if c is not ctx:
             for code, record in c.memo.items():
                 _record(ctx, code, *record)
-        if res is not True:
-            raise NoWitness(k, res)
-        tree = _proof(c, d)[1]
-        if tree is not None:
-            return tree
+        if not proof:
+            raise NoWitness(k, proof)
+        if proof[1] is not None:
+            return proof[1]
 
 
 def verify_tree(tree: SkeinTree) -> int:
@@ -401,16 +395,12 @@ def compute_td(
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
         root = ctx.homfly_cache.code_of(work)
-        # the root's record holds the sound lower end, and a loaded
-        # record that contradicts it or the expansion's tree gives way to
-        # what the solve proves (see _record).  Recorded before the merge,
-        # it drops a loaded upper end below it, so the tree is merged and
-        # holds even when max_depth stops the sweep before its first
-        # probe; recorded again after, it outlives a loaded lower end
-        # the tree refutes
-        _record(ctx, root, lo=lower)
-        _merge_expansion(ctx, work, root, lower)
-        _record(ctx, root, lo=lower)
+        # the root's record takes the sound lower end with the
+        # expansion's tree in one write, so a loaded record that
+        # contradicts either gives way to what the solve proves (see
+        # _record), and the tree holds even when max_depth stops the
+        # sweep before its first probe
+        _merge_expansion(ctx, work, root, lower, lower)
         kmax = upper if max_depth is None else min(upper, max_depth)
         witness = None
         exhausted = False
@@ -424,7 +414,7 @@ def compute_td(
         # narrows an interval the budget, the deadline or max_depth left
         # open.  The tree is None when the proof rests on a cache-loaded
         # interval.
-        _, hi, tree = ctx.memo.get(root, _OPEN)
+        _, hi, tree = ctx.memo[root]
         if hi <= upper:
             upper, witness = hi, tree
         return TdResult(

@@ -234,6 +234,19 @@ def test_aggregate_bounds_braid_contributions():
     assert rep2.upper == 3  # crossing bound beats the mixed-word 4
 
 
+def test_aggregate_bounds_reads_the_braid_words_once():
+    """Any iterable of words gives the list's report: a generator is read
+    once, and an empty iterator adds nothing, as an empty list does."""
+    w = parse_braid("p=2: 1 1 1")
+    d = braid_closure(w)
+    listed = aggregate_bounds(d, braid_words=[w])
+    assert ("one-signed braid", 2, "lower") in listed.contributions
+    assert ("one-signed braid", 2, "upper") in listed.contributions
+    assert aggregate_bounds(d, braid_words=(x for x in [w])) == listed
+    assert aggregate_bounds(d, braid_words=iter([])) == aggregate_bounds(d, braid_words=None)
+    assert aggregate_bounds(d, braid_words=[]) == aggregate_bounds(d)
+
+
 def test_aggregate_rejects_trivial():
     with pytest.raises(ValueError):
         aggregate_bounds(parse_pd("O;O"))

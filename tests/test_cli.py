@@ -376,6 +376,17 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert list(ctx.memo.values()) == [(1, 1, None)]
 
 
+def test_cache_skips_blank_lines_without_a_warning(tmp_path, capsys):
+    tref = canonical_code(parse_pd(TREFOIL))
+    hopf = "1,3,2,4,1;4,2,3,1,1|L0"
+    cache_path = tmp_path / "cache.tsv"
+    cache_path.write_text(f"v2\t{tref}\t-\t2,2\n\n\nv2\t{hopf}\t-\t1,1\n")
+    ctx = SolveContext()
+    ResultCache(str(cache_path)).load_into(ctx)
+    assert capsys.readouterr().err == ""
+    assert ctx.memo == {tref: (2, 2, None), hopf: (1, 1, None)}
+
+
 def test_cache_names_a_bad_interval_and_marker(tmp_path, capsys):
     code = canonical_code(parse_pd(TREFOIL))
     cache_path = tmp_path / "cache.tsv"

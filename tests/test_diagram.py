@@ -40,7 +40,6 @@ from skeindepth.diagram import (
     _read_blocks,
     defects,
     faces,
-    first_defect,
     renormalize,
     switch_sheds,
     validate,
@@ -649,17 +648,12 @@ def reference_defects(d):
     return [i for _, i in sorted(found)]
 
 
-def reference_first_defect(d):
-    found = reference_defects(d)
-    return found[0] if found else None
-
-
 def test_first_defect_matches_the_reference():
     """Each diagram of the kernel battery, its mirror and a renamed copy,
     switched at its first defect until it is descending, and at its last
     defect on the way: the walk-order defects match the per-crossing
-    reading, the first of them is first_defect, and switching any defect
-    removes it and keeps the others, which ends the HOMFLY-PT expansion.
+    reading, and switching any defect removes it and keeps the others,
+    which ends the HOMFLY-PT expansion.
     The constructor gives a renamed copy other walk-order labels, with
     its crossings where they were; the components and the split test,
     read from the same table, match the cycles and the reference parts."""
@@ -674,7 +668,6 @@ def test_first_defect_matches_the_reference():
             while True:
                 found = defects(e)
                 assert found == reference_defects(e), pd_text(e)
-                assert first_defect(e) == reference_first_defect(e), pd_text(e)
                 if not found:
                     break
                 assert defects(switch(e, found[-1])) == found[:-1], pd_text(e)

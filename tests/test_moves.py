@@ -48,9 +48,9 @@ from skeindepth.diagram import (
     _other_place,
     _read_blocks,
     arriving_slots,
+    defects,
     faces,
     find_nugatory,
-    first_defect,
     leaving_slots,
     renormalize,
     validate,
@@ -317,10 +317,11 @@ def raw_homfly(d, table):
         for part in parts:
             value = value * raw_homfly(part, table)
     else:
-        i = first_defect(d)
-        if i is None:
+        found = defects(d)
+        if not found:
             value = unlink_value(component_count(d))
         else:
+            i = found[0]
             sw, sm = raw_homfly(switch(d, i), table), raw_homfly(smooth(d, i), table)
             if d.crossings[i].sign > 0:
                 value = A2 * sw + AZ * sm
@@ -1017,7 +1018,7 @@ def test_descent_shares_one_node_budget(monkeypatch, shared_cache):
     # UNLINK4_12_PD is descending, so the recognizer certifies it without
     # a search; its mirror has a defect at every crossing it meets first
     d = mirror(parse_pd(UNLINK4_12_PD))
-    assert first_defect(simplify(d)) is not None
+    assert defects(simplify(d))
     value = homfly(d, shared_cache)
     assert oracle_recognize_unlink(d, value, node_limit=4).is_unknown
     expanded = _count_expansions(monkeypatch)
@@ -1031,8 +1032,8 @@ def test_descent_shares_one_node_budget(monkeypatch, shared_cache):
 
 def _descending(d):
     """d switched at its first defect until it has none."""
-    while (i := first_defect(d)) is not None:
-        d = switch(d, i)
+    while found := defects(d):
+        d = switch(d, found[0])
     return d
 
 
@@ -1047,7 +1048,7 @@ def test_recognizer_certifies_exactly_the_descending_diagrams():
             s = simplify(e)
             if s.is_crossingless():
                 continue
-            want = Verdict.unlink(component_count(s)) if first_defect(s) is None else Verdict.not_unlink()
+            want = Verdict.unlink(component_count(s)) if not defects(s) else Verdict.not_unlink()
             assert recognize_unlink(e, homfly_value=ZERO, node_limit=0) == want, pd_text(e)
             certified += want.is_unlink
     assert certified > 20

@@ -30,7 +30,7 @@ from skeindepth import (
     unlink_value,
 )
 from skeindepth import poly
-from skeindepth.diagram import OrientedDiagram, defects, first_defect, pd_text, switch_sheds
+from skeindepth.diagram import OrientedDiagram, defects, pd_text, switch_sheds
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
 from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, scrambled
@@ -97,6 +97,27 @@ def test_parse_poly_rejects_text_render_poly_never_writes(text):
 def test_parse_poly_names_a_term_without_a_coefficient():
     with pytest.raises(ValueError, match="malformed polynomial term: 'a\\^2'"):
         parse_poly("a^2")
+
+
+def test_the_constructor_takes_int_exponents_and_coefficients():
+    assert LaurentPoly2({(1, -2): 3, (0, 0): 0}).terms == {(1, -2): 3}
+    for terms in ({(1.5, 0): 1}, {("2", 0): 3}, {(0, 2.0): 1}, {(0, 0): 1.5}):
+        with pytest.raises(TypeError):
+            LaurentPoly2(terms)
+
+
+def test_polynomials_are_immutable_values_of_their_own_kind():
+    with pytest.raises(AttributeError, match="immutable"):
+        ONE._terms = {}
+    with pytest.raises(AttributeError, match="immutable"):
+        ONE.degree = 2
+    assert ONE.terms == {(0, 0): 1}
+    for op in (lambda: ONE + 1, lambda: ONE - 1, lambda: ONE * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (ONE == 1) is False
+    assert bool(ZERO) is False and bool(ONE) is True
+    assert repr(ONE) == "LaurentPoly2(1)"
 
 
 def test_pow():
@@ -339,7 +360,7 @@ def test_expansion_records_a_tree_over_loaded_children():
     cache file, with no tree, is expanded all the same, and its computed
     value replaces the loaded one, right or wrong."""
     d = simplify(braid_closure(parse_braid("p=2: 1 1 1 1 1")))  # T(2,5)
-    i = first_defect(d)
+    i = defects(d)[0]
     assert switch_sheds(d)(i)
     sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
     cache = HomflyCache()

@@ -53,7 +53,12 @@ def test_command_line_examples(tmp_path, monkeypatch, capsys):
     ran = []
     for command, want in steps[1:]:
         argv = shlex.split(command)
-        if argv[:2] not in (["skeindepth", "poly"], ["skeindepth", "bounds"], ["skeindepth", "td"]):
+        if argv[:2] not in (
+            ["skeindepth", "poly"],
+            ["skeindepth", "bounds"],
+            ["skeindepth", "td"],
+            ["skeindepth", "tree"],
+        ):
             continue
         # a command with a cache file runs twice: cold, then warm from
         # the file the first run saved
@@ -61,5 +66,6 @@ def test_command_line_examples(tmp_path, monkeypatch, capsys):
             assert main(argv[1:]) == 0, command
             assert capsys.readouterr().out.splitlines() == want, command
         ran.append(argv[1])
-    assert ran == ["poly", "bounds", "td", "td"]
+    assert ran == ["poly", "bounds", "td", "td", "tree"]
     assert Path("tref.cache").read_text().startswith("v2\t")
+    assert Path("tref.dot").read_text().startswith("digraph skein {")

@@ -488,7 +488,8 @@ def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
         assert ctx.nodes == 1
         switched = [(key, outcome) for kind, key, outcome in events if kind == "switch"]
         smoothed = [key for kind, key, _ in events if kind == "smooth"]
-        assert sorted(smoothed) == sorted(key for key, outcome in switched if outcome is True)
+        # a switch child that succeeded returned its proof, (height, tree)
+        assert sorted(smoothed) == sorted(key for key, outcome in switched if isinstance(outcome, tuple))
         assert (len(switched), len(smoothed)) == (7, 3)
     assert warm.homfly_cache.computed == known
 
@@ -521,18 +522,20 @@ def _index_order_search(d, k, ctx, limit):
     node's crossings in index order, each switch testing for itself
     whether it sheds.  Kept as the reference the ordered search is held
     to."""
+    if k < 0:
+        return False
     if d.is_crossingless():
-        return True
+        return 0, SkeinLeaf(d, component_count(d))
     code = ctx.homfly_cache.code_of(d)
     v = ctx.verdict_of(code, d)
     if v.is_unlink:
-        return True
+        return 0, SkeinLeaf(d, v.components)
     if v.is_unknown and ctx.out_of_time():
         return None
-    solver._merge_expansion(ctx, d, code, k)
-    lo, hi, _ = ctx.memo.get(code, solver._OPEN)
+    solver._merge_expansion(ctx, d, code, 1, k)
+    lo, hi, tree = ctx.memo[code]
     if hi <= k:
-        return True
+        return hi, tree
     if k < lo:
         return False
     self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
@@ -544,20 +547,18 @@ def _index_order_search(d, k, ctx, limit):
     ctx.nodes += 1
     saw_unknown = False
     for i in range(d.crossing_count):
-        sw = simplify(switch(d, i))
-        r_sw = _index_order_search(sw, k - 1, ctx, limit)
-        if r_sw is not True:
-            saw_unknown |= r_sw is None
+        p_sw = _index_order_search(simplify(switch(d, i)), k - 1, ctx, limit)
+        if not p_sw:
+            saw_unknown |= p_sw is None
             continue
-        sm = simplify(smooth(d, i))
-        r_sm = _index_order_search(sm, k - 1, ctx, limit)
-        if r_sm is not True:
-            saw_unknown |= r_sm is None
+        p_sm = _index_order_search(simplify(smooth(d, i)), k - 1, ctx, limit)
+        if not p_sm:
+            saw_unknown |= p_sm is None
             continue
-        (h_sw, t_sw), (h_sm, t_sm) = solver._proof(ctx, sw), solver._proof(ctx, sm)
+        (h_sw, t_sw), (h_sm, t_sm) = p_sw, p_sm
         tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
         solver._record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
-        return True
+        return ctx.memo[code][1:]
     if saw_unknown:
         return None
     solver._record(ctx, code, lo=k + 1)
