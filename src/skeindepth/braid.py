@@ -17,7 +17,7 @@ over several words for the same link tightens it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import OrientedDiagram, renormalize
 
@@ -28,6 +28,10 @@ class BraidWord:
 
     strands: int
     letters: tuple[int, ...]
+    # counted once, from the letters: not part of equality, hash or repr
+    positives: int = field(init=False, repr=False, compare=False)
+    negatives: int = field(init=False, repr=False, compare=False)
+    _indices_used: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.strands < 2:
@@ -39,21 +43,17 @@ class BraidWord:
                 raise ValueError(
                     f"generator index {g} out of range for {self.strands} strands"
                 )
+        positives = sum(g > 0 for g in self.letters)
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "negatives", len(self.letters) - positives)
+        object.__setattr__(self, "_indices_used", len({abs(g) for g in self.letters}))
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
-    @property
-    def positives(self) -> int:
-        return sum(1 for g in self.letters if g > 0)
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for g in self.letters if g < 0)
-
     def all_indices_used(self) -> bool:
-        return {abs(g) for g in self.letters} == set(range(1, self.strands))
+        return self._indices_used == self.strands - 1
 
     def __str__(self) -> str:
         return f"p={self.strands}: " + " ".join(str(g) for g in self.letters)
@@ -81,12 +81,16 @@ def braid_closure(w: BraidWord) -> OrientedDiagram:
     """Oriented diagram of the braid closure, all strands running downward.
 
     Strand positions carry the label of the arc currently entering them;
-    position q starts with the provisional label -q.  The arc leaving
-    position q at the bottom runs round the closure into its top, and
-    the two join as simplify's removals join a run of arcs: the run keeps
-    the label of the arc leaving it, -q, written back where the bottom
-    arc left its last crossing.  A position never visited by a letter
-    closes to a free loop.  The result is renumbered once, in walk order.
+    position q starts with the provisional label strands + 1 - q, and the
+    letters' fresh arcs are labeled from strands + 2 up, so every label
+    is positive and below the first one left unused, which bounds the
+    renumbering's lists.  The arc leaving position q at the bottom runs
+    round the closure into its top, and the two join as simplify's
+    removals join a run of arcs: the run keeps the label of the arc
+    leaving it, position q's provisional one, written back where the
+    bottom arc left its last crossing.  A position never visited by a
+    letter closes to a free loop.  The result is renumbered once, in
+    walk order.
 
     For a positive letter at positions (q, q+1) the left strand passes
     over; with L/R the incoming labels and n1/n2 = the two fresh arcs
@@ -94,8 +98,9 @@ def braid_closure(w: BraidWord) -> OrientedDiagram:
     with positive sign.  For a negative letter the left strand dives
     under: (L, n1, n2, R) with negative sign.
     """
-    cur = {q: -q for q in range(1, w.strands + 1)}
-    nxt = 1
+    base = w.strands + 1
+    cur = {q: base - q for q in range(1, w.strands + 1)}
+    nxt = base + 1
     crossings = []
     for g in w.letters:
         i = abs(g)
@@ -107,10 +112,10 @@ def braid_closure(w: BraidWord) -> OrientedDiagram:
         else:
             crossings.append((left, n1, n2, right, -1))
         cur[i], cur[i + 1] = n1, n2
-    top = {cur[q]: -q for q in cur if cur[q] != -q}  # bottom label -> its top label
+    top = {cur[q]: base - q for q in cur if cur[q] != base - q}  # bottom label -> its top label
     get = top.get
     crossings = [(a, get(b, b), get(c, c), get(d, d), sign) for a, b, c, d, sign in crossings]
-    return renormalize(crossings, w.strands - len(top))
+    return renormalize(crossings, w.strands - len(top), nxt)
 
 
 def positive_braid_td(w: BraidWord) -> int:
@@ -135,12 +140,9 @@ def mixed_braid_upper(words: list[BraidWord]) -> int:
     """
     if not words:
         raise ValueError("empty word list")
-    best = None
     for w in words:
         if not w.all_indices_used():
             raise ValueError(
                 f"braid word skips a generator index; closure is split: {w}"
             )
-        bound = w.length - w.strands + 1 + min(w.positives, w.negatives)
-        best = bound if best is None else min(best, bound)
-    return best
+    return min(w.length - w.strands + 1 + min(w.positives, w.negatives) for w in words)

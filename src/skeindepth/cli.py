@@ -205,12 +205,10 @@ def _cmd_braid_bound(args, ctx: SolveContext) -> int:
     uppers = []
     for w in _parsed(args.file, parse_braid):
         used = w.all_indices_used()
-        exact = "-"
-        if used and (w.positives == 0 or w.negatives == 0):
-            exact = str(positive_braid_td(w))
+        exact = positive_braid_td(w) if used and not (w.positives and w.negatives) else "-"
         upper = mixed_braid_upper([w]) if used else "-"
         if used:
-            uppers.append(int(upper))
+            uppers.append(upper)
         print(
             f"{w.length}\t{w.positives}\t{w.negatives}\t{w.strands}\t"
             f"{str(used).lower()}\t{exact}\t{upper}"

@@ -26,8 +26,9 @@ arc is the only one not followed by the next label.  That pass gives the
 label-block table (each block's first label), which the diagram keeps.
 A diagram built by hand with other labels is relabeled in walk order
 there, once, its crossings kept in their order, so the readers return
-the caller's own crossing indices.  The operations that know their
-result's table, :func:`switch` and :func:`mirror` (which keep the
+the caller's own crossing indices; only that relabeling ranks the labels
+in a dict first, as they may be any integers.  The operations that know
+their result's table, :func:`switch` and :func:`mirror` (which keep the
 labels), :func:`renormalize` and simplify's final ranking, build through
 a private builder that reads nothing.  Every reader of the walk takes it
 from the table: :func:`defects` walks labels 1..2c,
@@ -79,15 +80,22 @@ its labels in its own range, increasing from its smallest, so one pass
 at the end that gives each label its rank numbers the walk, and builds
 the label-block table from the input's.  :func:`smooth` joins its two
 runs by the same rule, then renumbers in full: a smoothing joins or
-splits components, which ranks cannot number.
+splits components, which ranks cannot number.  Its labels are its
+parent's, below 2c + 1, so the walk is numbered in label-indexed lists
+of that size (:func:`_walk_numbers`), as simplify's rounds, the corner
+table behind the nugatory test and :func:`switch_sheds`' over-strand
+maps are; every such result is sorted as plain tuples and its
+crossings built once.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
 unlink recognizer all key their tables on it.  It labels each connected
 part by traversal from a start arc and keeps the smallest relabeling.
-Each arc's block and place in it give every start's first relabeled
-crossing in one pass over the part, and only the starts whose first
-crossing is smallest can give the code.  Two of those that relabel the
+A diagram of one part, as most are, is coded from its own crossings;
+the blocks are joined into parts only when there are several.  Each
+arc's block and place in it give every start's first relabeled crossing
+in one pass over the part, and only the starts whose first crossing is
+smallest can give the code.  Two of those that relabel the
 part alike give a symmetry of the part, so only one start in each
 symmetry class is labeled in full, at O(c log c) for a part with c
 crossings, in label-indexed lists: a torus closure, with one tied start
@@ -154,7 +162,7 @@ class OrientedDiagram:
                 raise ValueError("crossing sign must be +1 or -1: %r" % (cr,))
         blocks = _read_blocks(self.crossings)
         if blocks is None:
-            m, blocks = _walk_numbers(_succession(self.crossings))
+            m, blocks = _walk_numbers(self.crossings)
             relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in self.crossings)
             object.__setattr__(self, "crossings", relabeled)
         object.__setattr__(self, "_blocks", blocks)
@@ -218,8 +226,8 @@ def parse_pd(text: str) -> OrientedDiagram:
     if blocks is None:
         # the labels do not run in walk order: name the first component
         # where they break (its walk raises if the succession is broken)
-        m, first = _walk_numbers(_succession(crossings))
-        walk = sorted(m, key=m.__getitem__)
+        m, first = _walk_numbers(crossings, 2 * len(crossings) + 1)
+        walk = sorted(range(1, len(m)), key=m.__getitem__)
         for s, e in zip(first, first[1:]):
             lo = walk[s - 1]
             if walk[s - 1 : e - 1] != list(range(lo, lo + e - s)):
@@ -329,25 +337,6 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
 # -- structural queries -------------------------------------------------------
 
 
-def _succession(crossings: Iterable[tuple[int, ...]]) -> dict[int, int]:
-    """succ[x] = arc following x along its strand, from (a, b, c, d, sign) tuples."""
-    succ: dict[int, int] = {}
-    for a, b, c, d, sign in crossings:
-        if sign < 0:
-            b, d = d, b
-        if a in succ:
-            raise ValueError("arc %d continues in two different ways" % a)
-        succ[a] = c
-        if b in succ:
-            raise ValueError("arc %d continues in two different ways" % b)
-        succ[b] = d
-    return succ
-
-
-def _not_closed(x: int) -> ValueError:
-    return ValueError("arc succession does not close into cycles at arc %d" % x)
-
-
 def component_cycles(d: OrientedDiagram) -> list[list[int]]:
     """Arc cycles of the crossing-bearing components, ordered by min arc,
     each starting at its min arc: the blocks of d's walk-order labels."""
@@ -388,7 +377,10 @@ def defects(d: OrientedDiagram) -> list[int]:
 
 def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:
     """A test, O(1) per crossing j, of whether the switch of d at j has a
-    poke pair through j; the over-strand maps it reads are built once.
+    poke pair through j; the over-strand maps it reads, label-indexed
+    lists of 2c + 1 entries (the crossing whose over-strand arrives, or
+    leaves, by each label), are built once, in one pass over the
+    crossings as plain tuples.
 
     On a diagram simplify returned this is exactly whether simplify
     sheds crossings from that switch: no other move can fire there
@@ -401,16 +393,18 @@ def switch_sheds(d: OrientedDiagram) -> Callable[[int], bool]:
     old over-out.
     """
     crossings = d.crossings
-    by_over_in = {cr.over_in(): k for k, cr in enumerate(crossings)}
-    by_over_out = {cr.over_out(): k for k, cr in enumerate(crossings)}
+    by_over_in = [-1] * (2 * len(crossings) + 1)
+    by_over_out = by_over_in[:]
+    for k, (_, b, _, e, sign) in enumerate(crossings):
+        by_over_in[b if sign > 0 else e] = by_over_out[e if sign > 0 else b] = k
 
     def sheds(j: int) -> bool:
-        cj = crossings[j]
-        over_in, over_out = cj.over_in(), cj.over_out()
-        for k in (by_over_in.get(cj.c), by_over_out.get(cj.a)):
-            if k is not None and k != j:
+        a, b, c, e, sign = crossings[j]
+        over_in, over_out = (b, e) if sign > 0 else (e, b)
+        for k in (by_over_in[c], by_over_out[a]):
+            if k >= 0 and k != j:
                 ck = crossings[k]
-                if ck.c == over_in or ck.a == over_out:
+                if ck[2] == over_in or ck[0] == over_out:
                     return True
         return False
 
@@ -505,44 +499,73 @@ def _parts(crossings: Sequence[tuple[int, ...]], first: list[int]) -> list[list[
 # -- relabeling ---------------------------------------------------------------
 
 
-def renormalize(crossings: Iterable[Crossing], free_loops: int) -> OrientedDiagram:
+def renormalize(crossings: Iterable[Crossing], free_loops: int, size: int = 0) -> OrientedDiagram:
     """Relabel arbitrary integer arcs to the contiguous 1..2c convention,
     with the label-block table filled in.
 
     Components are ordered by their smallest current label and each starts
     at its smallest current label; crossings are sorted for determinism.
     Plain (a, b, c, d, sign) tuples are accepted as crossings, and their
-    signs are taken as they are.
+    signs are taken as they are.  A caller that knows the labels lie in
+    1..size - 1 gives size, and they are numbered in label-indexed lists
+    (:func:`_walk_numbers`).
     """
     crossings = tuple(crossings)
     if not crossings:
         return OrientedDiagram((), free_loops)
-    m, first = _walk_numbers(_succession(crossings))
-    relabeled = sorted((m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings)
-    return _walk_ordered(tuple(map(Crossing._make, relabeled)), free_loops, first)
+    m, first = _walk_numbers(crossings, size)
+    rows = sorted([(m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings])
+    return _walk_ordered(tuple(map(Crossing._make, rows)), free_loops, first)
 
 
-def _walk_numbers(succ: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+def _walk_numbers(
+    crossings: Sequence[tuple[int, ...]], size: int = 0, names: Sequence[int] = ()
+) -> tuple[Sequence[int], list[int]]:
     """Arc -> its label in walk order, and each block's first label, then
-    the label after the last.
+    the label after the last, from (a, b, c, d, sign) tuples.
 
-    The cycles of succ are taken in order of their smallest arc, each
-    walked from that arc, and their arcs numbered 1, 2, ... as walked;
-    an arc met twice, or one that does not continue, raises.
+    The components are taken in order of their smallest arc, each walked
+    from that arc, and their arcs numbered 1, 2, ... as walked; an arc
+    that continues twice, is met twice or does not continue raises.  The
+    one numbering routine: the constructor, :func:`renormalize` and
+    :func:`parse_pd` number through it.  A caller that knows its labels
+    lie in 1..size - 1 gives size, and the successors and the numbers
+    are label-indexed lists of size entries: a smoothing's size is its
+    parent's 2c + 1, and every caller in the library gives one.
+    Hand-built labels (no size: the constructor's, or a renormalize
+    caller's that gives none) may be any integers: they are ranked
+    first, in a dict, their ranks walked in lists, and the numbers come
+    back as a dict keyed on them; names maps a rank back to its label,
+    so the errors name the caller's labels.
     """
-    m: dict[int, int] = {}
+    if not size:
+        labels = sorted({x for cr in crossings for x in cr[:4]})
+        rank = dict(zip(labels, range(1, len(labels) + 1)))
+        ranked = [(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings]
+        m, first = _walk_numbers(ranked, len(labels) + 1, [0, *labels])
+        return {x: m[r] for x, r in rank.items()}, first
+    names = names or range(size)
+    succ = [0] * size
+    for a, b, c, d, sign in crossings:
+        if sign < 0:
+            b, d = d, b
+        if succ[a] or succ[b] or a == b:
+            raise ValueError("arc %d continues in two different ways" % names[a if succ[a] or a == b else b])
+        succ[a] = c
+        succ[b] = d
+    m = [0] * size
     first: list[int] = []
     k = 0
-    for start in sorted(succ):
-        if start in m:
+    for start in range(1, size):
+        if m[start] or not succ[start]:
             continue
         k += 1
         m[start] = k
         first.append(k)
         x = succ[start]
         while x != start:
-            if x in m or x not in succ:
-                raise _not_closed(x)
+            if m[x] or not succ[x]:
+                raise ValueError("arc succession does not close into cycles at arc %d" % names[x])
             k += 1
             m[x] = k
             x = succ[x]
@@ -558,17 +581,23 @@ def canonical_code(d: OrientedDiagram) -> str:
     parts are read from the label-block table: the blocks that share a
     crossing make one part.  Each part is coded by
     :func:`_part_code`; the part codes are sorted and joined with "/",
-    and "|L<n>" counts the free loops.  The code is computed afresh on
+    and "|L<n>" counts the free loops.  A diagram of one block, or of
+    blocks that all join, is one part, coded from its own crossings with
+    no copy.  The code is computed afresh on
     every call and stored nowhere; callers that code one diagram often
     memoize it themselves (:meth:`.poly.HomflyCache.code_of`).
     """
     crossings, first = d.crossings, d._blocks
     block = _block_index(first)
-    parts = sorted(_part_code([crossings[i] for i in g], first, block) for g in _parts(crossings, first))
-    return "/".join(parts) + "|L%d" % d.free_loops
+    parts = _parts(crossings, first) if len(first) > 2 else ()
+    if len(parts) > 1:
+        code = "/".join(sorted(_part_code([crossings[i] for i in g], first, block) for g in parts))
+    else:
+        code = _part_code(crossings, first, block) if crossings else ""
+    return code + "|L%d" % d.free_loops
 
 
-def _part_code(crossings: list[Crossing], first: list[int], block: list[int]) -> str:
+def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]) -> str:
     """Canonical code of one connected part, by traversal labeling.
 
     The part's crossings are labeled in walk order; first and block are
@@ -739,7 +768,9 @@ def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
     The two runs through i, under-in to over-out and over-in to
     under-out, are joined as a removal joins them (:func:`_rejoin`), and
     the result is renumbered in full: a smoothing joins or splits
-    components, which ranks cannot number.
+    components, which ranks cannot number.  The kept labels are d's,
+    below 2c + 1, so :func:`renormalize` numbers them in label-indexed
+    lists of that size.
     """
     if not 0 <= i < d.crossing_count:
         raise IndexError(f"crossing index {i} out of range")
@@ -747,22 +778,7 @@ def smooth(d: OrientedDiagram, i: int) -> OrientedDiagram:
     over_in, over_out = (b, e) if sign > 0 else (e, b)
     rest = list(d.crossings[:i] + d.crossings[i + 1 :])
     loops = _rejoin(rest, _joined(a, over_out, over_in, c))
-    return renormalize(rest, d.free_loops + loops)
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    """Root of x in a path-halving union-find; an unseen x is its own root."""
-    parent.setdefault(x, x)
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: dict[int, int], x: int, y: int) -> None:
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[rx] = ry
+    return renormalize(rest, d.free_loops + loops, 2 * len(d.crossings) + 1)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -775,7 +791,7 @@ def is_split(d: OrientedDiagram) -> bool:
 def split_components(d: OrientedDiagram) -> list[OrientedDiagram]:
     """Maximal connected subdiagrams, free loops last as singletons."""
     parts = [
-        renormalize((d.crossings[ci] for ci in group), 0)
+        renormalize((d.crossings[ci] for ci in group), 0, 2 * d.crossing_count + 1)
         for group in _parts(d.crossings, d._blocks)
     ]
     parts.extend(OrientedDiagram((), 1) for _ in range(d.free_loops))
@@ -788,7 +804,8 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
         Crossing(cr.a + offset, cr.b + offset, cr.c + offset, cr.d + offset, cr.sign)
         for cr in d2.crossings
     )
-    return renormalize(d1.crossings + shifted, d1.free_loops + d2.free_loops)
+    size = offset + 2 * d2.crossing_count + 1
+    return renormalize(d1.crossings + shifted, d1.free_loops + d2.free_loops, size)
 
 
 # -- crossing-removing moves ---------------------------------------------------
@@ -903,18 +920,16 @@ def _side_groups(crossings: Sequence[tuple[int, ...]], i: int, part: list[int]) 
     crossing holds one arc arriving at it and one leaving it, consecutive
     around it, so both of the smoothing's arc pairs lie within one side.
     """
-    parent: dict[int, int] = {}
+    groups: list[tuple[set[int], list[int]]] = []  # each group's arcs and crossings
     for k in part:
         if k != i:
-            a, b, c, d = crossings[k][:4]
-            _union(parent, a, b)
-            _union(parent, a, c)
-            _union(parent, a, d)
-    groups: dict[int, list[int]] = {}
-    for k in part:
-        if k != i:
-            groups.setdefault(_find(parent, crossings[k][0]), []).append(k)
-    return sorted(groups.values(), key=lambda g: (len(g), g))
+            arcs, members = set(crossings[k][:4]), [k]
+            for g in [g for g in groups if not g[0].isdisjoint(arcs)]:
+                groups.remove(g)
+                arcs |= g[0]
+                members += g[1]
+            groups.append((arcs, members))
+    return sorted((sorted(m) for _, m in groups), key=lambda g: (len(g), g))
 
 
 def find_nugatory(d: OrientedDiagram) -> tuple[int, list[int]] | None:
@@ -955,8 +970,8 @@ def _untwist(crossings: list[tuple[int, ...]], first: list[int]) -> int | None:
     nugatory crossing untwisted in place, one side turned over, in the
     kept labels; returns the free loops closed, None when there is none.
     first is the label-block table of the diagram whose labels the
-    crossings keep."""
-    twice = _met_twice(crossings) if len(crossings) >= 2 else None
+    crossings keep; its last entry, that diagram's 2c + 1, bounds them."""
+    twice = _met_twice(crossings, first[-1]) if len(crossings) >= 2 else None
     if not twice:
         return None
     nug = _find_nugatory(crossings, first, twice)
@@ -989,11 +1004,8 @@ def _ranked(crossings: list[tuple[int, ...]], first: list[int], free_loops: int)
     rank = list(accumulate(present))
     blocks = [rank[s - 1] + 1 for s, e in zip(first, first[1:]) if rank[e - 1] > rank[s - 1]]
     blocks.append(rank[-1] + 1)
-    return _walk_ordered(
-        tuple(Crossing(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings),
-        free_loops,
-        blocks,
-    )
+    rows = [(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings]
+    return _walk_ordered(tuple(map(Crossing._make, rows)), free_loops, blocks)
 
 
 def simplify(d: OrientedDiagram) -> OrientedDiagram:
@@ -1046,20 +1058,23 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
 # -- planar faces -------------------------------------------------------------
 
 
-def _corner_successors(crossings: Sequence[tuple[int, ...]]) -> list[int]:
+def _corner_successors(crossings: Sequence[tuple[int, ...]], size: int) -> list[int]:
     """The corner table: corner 4 * ci + s -> the next corner of its face.
 
     The corner (ci, s) walks the arc at slot s away from crossing ci; at
     the arc's other place (cj, t) its face turns to the corner (cj, t + 1).
-    The labels must each appear twice.
+    The labels must each appear twice, and lie below size, which the
+    caller gives (simplify's 2c + 1, or the diagram's in :func:`faces`):
+    the corner where each label is first met is kept in a label-indexed
+    list.
     """
     nxt = [0] * (4 * len(crossings))
-    first: dict[int, int] = {}
+    first = [-1] * size
     k = 0
     for cr in crossings:
         for arc in cr[:4]:
-            j = first.pop(arc, None)
-            if j is None:
+            j = first[arc]
+            if j < 0:
                 first[arc] = k
             else:
                 nxt[k] = (j & ~3) | ((j + 1) & 3)
@@ -1077,7 +1092,7 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     components do not appear.  Faces are listed by their smallest corner,
     and each starts there.
     """
-    nxt = _corner_successors(d.crossings)
+    nxt = _corner_successors(d.crossings, 2 * d.crossing_count + 1)
     seen = [False] * len(nxt)
     out: list[list[tuple[int, int]]] = []
     for start in range(len(nxt)):
@@ -1095,13 +1110,14 @@ def faces(d: OrientedDiagram) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _met_twice(crossings: Sequence[tuple[int, ...]]) -> set[int]:
+def _met_twice(crossings: Sequence[tuple[int, ...]], size: int = 0) -> set[int]:
     """The indices of the crossings that some face meets at two corners.
 
     One walk of the corner table, face after face: a crossing met again
-    in the face that met it last is met twice.
+    in the face that met it last is met twice.  The labels lie below
+    size, by default 2c + 1, as in walk-order labels.
     """
-    nxt = _corner_successors(crossings)
+    nxt = _corner_successors(crossings, size or 2 * len(crossings) + 1)
     seen = [False] * len(nxt)
     last_face = [-1] * len(crossings)
     twice: set[int] = set()

@@ -75,7 +75,7 @@ def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
         Crossing(m, arc, post, m, 1),
         Crossing(m, m, post, arc, -1),
     )
-    return renormalize(_renamed_heads(d, {arc: post}) + [shapes[variant]], d.free_loops)
+    return renormalize(_renamed_heads(d, {arc: post}) + [shapes[variant]], d.free_loops, top + 2)
 
 
 def _poke(
@@ -104,7 +104,7 @@ def _poke(
         (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
     }[(e_fwd, f_fwd)]
     try:
-        nd = renormalize(_renamed_heads(d, {e: ep, f: fp}) + list(added), d.free_loops)
+        nd = renormalize(_renamed_heads(d, {e: ep, f: fp}) + list(added), d.free_loops, top + 4)
         validate(nd)
     except ValueError:
         return None
@@ -190,7 +190,7 @@ def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
                 out = list(d.crossings)
                 out[i], out[j], out[z] = xhat, yhat, zhat
                 try:
-                    nd = renormalize(out, d.free_loops)
+                    nd = renormalize(out, d.free_loops, 2 * d.crossing_count + 1)
                     validate(nd)
                 except ValueError:
                     continue

@@ -74,9 +74,10 @@ class LaurentPoly2:
     def __init__(self, terms: Mapping[tuple[int, int], int] = {}):  # the default is only read
         clean: dict[tuple[int, int], int] = {}
         for (ae, ze), coeff in terms.items():
-            if not isinstance(coeff, int):
+            # exactly int: a bool would render as True, which parse_poly rejects
+            if type(coeff) is not int:
                 raise TypeError("coefficients must be ints, got %r" % (coeff,))
-            if not (isinstance(ae, int) and isinstance(ze, int)):
+            if type(ae) is not int or type(ze) is not int:
                 raise TypeError("exponents must be ints, got %r" % ((ae, ze),))
             if coeff:
                 clean[ae, ze] = coeff

@@ -38,8 +38,11 @@ reaches the node, so a depth at least the expansion's height is proved
 without a search; a success of the search replaces it by a shallower
 tree.  Each success returns the proof it found, ``(height, tree)``: a
 leaf for a certified unlink, else the node's record, and a branch is
-built from the proofs its two children returned.  :func:`depth_at_most`
-answers True for it, and :func:`extract_tree` takes its tree.  Each
+built from the proofs its two children returned, the switch child's
+read again from its record where that is lower: the smoothing's
+search, which runs later, can find a shallower tree for the same code.
+:func:`depth_at_most` answers True for it, and :func:`extract_tree`
+takes its tree.  Each
 write merges with the record as it stands, so a deeper visit of the
 same code (switching a crossing twice gives the node back) is never
 undone.  The k-sweep and sibling subtrees share these records,
@@ -205,7 +208,8 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     order = sorted(range(d.crossing_count), key=lambda i: not sheds(i))
     saw_unknown = False
     for i in order:
-        p_sw = _search(simplify(switch(d, i, sheds)), k - 1, ctx, limit)
+        sw = simplify(switch(d, i, sheds))
+        p_sw = _search(sw, k - 1, ctx, limit)
         if not p_sw:
             saw_unknown |= p_sw is None
             continue
@@ -214,6 +218,10 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
             saw_unknown |= p_sm is None
             continue
         (h_sw, t_sw), (h_sm, t_sm) = p_sw, p_sm
+        if h_sw:  # the smoothing's search can have found a shallower tree for sw's code
+            _, h, t = ctx.memo[ctx.homfly_cache.code_of(sw)]
+            if h < h_sw:
+                h_sw, t_sw = h, t
         tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
         _record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
         return ctx.memo[code][1:]

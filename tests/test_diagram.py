@@ -141,6 +141,9 @@ def test_the_constructor_relabels_in_walk_order():
         ((), -1, "free_loops must be >= 0"),
         ((Crossing(1, 4, 2, 5, 2), Crossing(3, 6, 4, 1, 1), Crossing(5, 2, 6, 3, 1)), 0, "crossing sign must be"),
         ((Crossing(1, 2, 3, 4, 1), Crossing(1, 3, 2, 4, 1)), 0, "arc 1 continues in two different ways"),
+        # hand-built labels are walked by rank; the errors name the labels
+        ((Crossing(10, 20, 30, 40, 1), Crossing(10, 30, 20, 40, 1)), 0, "arc 10 continues in two different ways"),
+        ((Crossing(-5, 7, 6, 9, 1),), 0, "does not close into cycles at arc 6"),
     ],
 )
 def test_the_constructor_rejects(crossings, free_loops, message):

@@ -104,6 +104,12 @@ def test_the_constructor_takes_int_exponents_and_coefficients():
     for terms in ({(1.5, 0): 1}, {("2", 0): 3}, {(0, 2.0): 1}, {(0, 0): 1.5}):
         with pytest.raises(TypeError):
             LaurentPoly2(terms)
+    # bool is an int, but True renders as "True", which parse_poly rejects
+    with pytest.raises(TypeError, match="coefficients"):
+        LaurentPoly2({(0, 0): True})
+    for terms in ({(True, 0): 1}, {(0, False): 2}):
+        with pytest.raises(TypeError, match="exponents"):
+            LaurentPoly2(terms)
 
 
 def test_polynomials_are_immutable_values_of_their_own_kind():

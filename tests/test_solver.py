@@ -452,6 +452,34 @@ def test_search_work_is_pinned(link, render, nodes, computed):
     assert (ctx.nodes, cache.computed) == (nodes, computed)
 
 
+def _tree_nodes(t):
+    return 1 if isinstance(t, SkeinLeaf) else 1 + _tree_nodes(t.switched) + _tree_nodes(t.smoothed)
+
+
+@pytest.mark.parametrize(
+    "word, nodes",
+    [("p=3: 2 2 1 1 -2 -1 -2 -1 -1 -1", 15), ("p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3", 11)],
+)
+def test_a_branch_keeps_the_shallower_switch_subtree(word, nodes):
+    """The smoothing's search can find a shallower tree for the switch
+    child's code after the switch child's own search returned; the
+    branch takes the child's record then, so in the witness every
+    branch below the root is as tall as its code's record says.  Each
+    word's witness kept a switch subtree of height 2 where its record
+    held 1, with 4 nodes more than these."""
+    w = parse_braid(word)
+    ctx = SolveContext()
+    res = compute_td(braid_closure(w), braid_words=[w], ctx=ctx)
+    assert verify_tree(res.witness) == res.diagram_upper
+    assert _tree_nodes(res.witness) == nodes
+    todo = [res.witness]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, SkeinBranch):
+            assert t is res.witness or tree_depth(t) == ctx.memo[canonical_code(t.diagram)][1]
+            todo += [t.switched, t.smoothed]
+
+
 def test_search_builds_a_smoothing_only_when_it_is_needed(monkeypatch):
     """Whether the polynomials are known or not, the search builds the
     smoothing at a crossing only after the switch child there succeeds;
