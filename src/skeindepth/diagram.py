@@ -7,27 +7,29 @@ components are carried as a bare free-loop count.
 
 The over-strand direction at a crossing follows arc succession: the
 crossing is positive when the over-strand runs b -> d.  Text codes do not
-store the sign, so :func:`parse_pd` recovers arc directions from the
-under-strand anchors and the succession of labels; the rare text codes
-where both readings are consistent (a two-arc component that never runs
-under) parse with the b -> d reading.  Internally every crossing carries
-its sign explicitly, and all diagram operations preserve it.
-Sign inference reads the succession of labels, so :func:`parse_pd`
-rejects text whose labels do not run in walk order (below);
-:func:`validate` checks Euler's count of faces, so it also rejects a
-code that is not planar.
+store the sign, and :func:`parse_pd` reads text in walk-order labels
+only (below), so each sign is read from the succession of labels: the
+over-strand runs b -> d exactly when d follows b in walk order.  Only a
+two-arc component reads both ways; an under-passage settles it, and one
+that only runs over has its smaller label arrive at its first passage in
+crossing order.  Internally every crossing carries its sign explicitly,
+and all diagram operations preserve it.  :func:`parse_pd` numbers the
+walk of what it read and rejects text whose numbering is not the
+identity, text not in walk order; :func:`validate` checks Euler's count
+of faces, so it also rejects a code that is not planar.
 
 Every diagram is labeled in walk order: its labels are 1..2c, and each
 component is a block of labels that runs up by one and wraps from its
 last label to its first, the blocks in order of their smallest labels.
-The constructor is the one place that knows this convention.  It reads
-the walk from the labels, in one O(c) pass with no sort: a block's last
-arc is the only one not followed by the next label.  That pass gives the
-label-block table (each block's first label), which the diagram keeps.
-A diagram built by hand with other labels is relabeled in walk order
-there, once, its crossings kept in their order, so the readers return
-the caller's own crossing indices; only that relabeling ranks the labels
-in a dict first, as they may be any integers.  The operations that know
+The constructor is the one place that knows this convention.  It
+numbers the walk, in one O(c) pass with no sort (:func:`_walk_numbers`,
+the one walk reader): the labels run in walk order exactly when that
+numbering is the identity.  The walk gives the label-block table (each
+block's first label), which the diagram keeps.  A diagram built by hand
+with other labels is relabeled by the numbering, once, its crossings
+kept in their order, so the readers return the caller's own crossing
+indices; only labels outside 1..2c are ranked in a dict first, as they
+may be any integers.  The operations that know
 their result's table, :func:`switch` and :func:`mirror` (which keep the
 labels), :func:`renormalize` and simplify's final ranking, build through
 a private builder that reads nothing.  Every reader of the walk takes it
@@ -107,8 +109,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
-from operator import ne
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
@@ -137,16 +138,17 @@ _UNDER_IN, _OVER_B, _UNDER_OUT, _OVER_D = 0, 1, 2, 3
 class OrientedDiagram:
     """An oriented link diagram: signed crossings plus free loops.
 
-    The constructor reads the label-block table.  Crossings whose labels
-    do not run in walk order are relabeled so, by :func:`renormalize`'s
-    walk, and kept in the order given; ValueError when their arcs do not
-    close into components.
+    The constructor numbers the walk (:func:`_walk_numbers`), which
+    gives the label-block table.  Crossings whose labels do not run in
+    walk order, their numbering not the identity, are relabeled by it
+    and kept in the order given; ValueError when their arcs do not close
+    into components.
     """
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
     # functions of the crossings and free loops alone, not part of
-    # equality, hash or repr: the label-block table (_read_blocks), and the
+    # equality, hash or repr: the label-block table (_walk_numbers), and the
     # mark that no move fires on the diagram (set by simplify on what it
     # returns, and by switch)
     _blocks: list[int] = field(init=False, repr=False, compare=False)
@@ -157,13 +159,20 @@ class OrientedDiagram:
             raise ValueError("free_loops must be >= 0")
         if not self.crossings and self.free_loops == 0:
             raise ValueError("empty diagram: no crossings and no free loops")
-        for cr in self.crossings:
-            if cr.sign not in (1, -1):
+        crossings = self.crossings
+        size = 2 * len(crossings) + 1
+        for cr in crossings:
+            a, b, c, e, sign = cr
+            if sign not in (1, -1):
                 raise ValueError("crossing sign must be +1 or -1: %r" % (cr,))
-        blocks = _read_blocks(self.crossings)
-        if blocks is None:
-            m, blocks = _walk_numbers(self.crossings)
-            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in self.crossings)
+            if a < 1 or b < 1 or c < 1 or e < 1:
+                size = 0  # labels below 1 are ranked in a dict
+        try:
+            m, blocks = _walk_numbers(crossings, size)
+        except IndexError:  # a label above 2c
+            m, blocks = _walk_numbers(crossings)
+        if m != list(range(size)):
+            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in crossings)
             object.__setattr__(self, "crossings", relabeled)
         object.__setattr__(self, "_blocks", blocks)
 
@@ -201,9 +210,13 @@ def parse_pd(text: str) -> OrientedDiagram:
     """Parse a PD code such as "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]".
 
     "O" items denote crossingless components.  Raises ValueError on
-    malformed items, arc-label multiplicity errors, labelings that do
-    not trace out consistent oriented components or do not run in walk
-    order, and codes that are not planar.
+    malformed items, arc-label multiplicity errors, labels that do not
+    run in walk order, and codes that are not planar.  The signs are
+    read as if the labels ran in walk order (:func:`_infer_signs`) and
+    the walk is numbered once: the labels run in walk order exactly when
+    it closes and the numbering is the identity, and otherwise the error
+    names the first arc numbered out of place, or the smallest arc that
+    continues twice.
     """
     tuples: list[tuple[int, int, int, int]] = []
     free_loops = 0
@@ -220,18 +233,16 @@ def parse_pd(text: str) -> OrientedDiagram:
         if not m:
             raise ValueError("malformed PD item: %r" % item)
         tuples.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
-    signs = _infer_signs(tuples)
-    crossings = tuple(Crossing(a, b, c, d, s) for (a, b, c, d), s in zip(tuples, signs))
-    blocks = _read_blocks(crossings)
-    if blocks is None:
-        # the labels do not run in walk order: name the first component
-        # where they break (its walk raises if the succession is broken)
-        m, first = _walk_numbers(crossings, 2 * len(crossings) + 1)
-        walk = sorted(range(1, len(m)), key=m.__getitem__)
-        for s, e in zip(first, first[1:]):
-            lo = walk[s - 1]
-            if walk[s - 1 : e - 1] != list(range(lo, lo + e - s)):
-                raise ValueError("broken cyclic arc sequence in component containing arc %d" % lo)
+    crossings = tuple(map(Crossing._make, [(*t, s) for t, s in zip(tuples, _infer_signs(tuples))]))
+    size = 2 * len(crossings) + 1
+    try:
+        numbers, blocks = _walk_numbers(crossings, size)
+        bad = [] if numbers == list(range(size)) else [x for x, k in enumerate(numbers) if x != k]
+    except ValueError:  # an arc continues twice
+        ins = sorted(x for a, b, _, d, sign in crossings for x in (a, b if sign > 0 else d))
+        bad = [x for x, y in zip(ins, ins[1:]) if x == y]
+    if bad:
+        raise ValueError("arc labels do not run in walk order at arc %d" % bad[0])
     diagram = _walk_ordered(crossings, free_loops, blocks)
     validate(diagram)
     return diagram
@@ -256,14 +267,6 @@ def _occurrences(tuples: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int,
     return occ
 
 
-def _other_place(
-    occ: dict[int, list[tuple[int, int]]], arc: int, place: tuple[int, int]
-) -> tuple[int, int]:
-    """The place of arc at its other end from place."""
-    places = occ[arc]
-    return places[1] if places[0] == place else places[0]
-
-
 def _check_labels(occ: dict[int, list[tuple[int, int]]], n: int) -> None:
     """Each arc label appears twice, and the labels are 1..2n."""
     bad = [label for label, places in occ.items() if len(places) != 2]
@@ -277,61 +280,32 @@ def _check_labels(occ: dict[int, list[tuple[int, int]]], n: int) -> None:
 
 
 def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
-    """Recover crossing signs from a bare PD code.
+    """Crossing signs of a bare PD code in walk-order labels.
 
-    Directions propagate from the under-strand slots (a arrives, c
-    leaves): each arc has one head and one tail occurrence, and each over
-    pair holds one arriving and one leaving arc.  A worklist carries each
-    newly known place to the other end of its arc and to the opposite
-    slot of its crossing.  Arc succession settles whatever propagation
-    cannot reach, one unanchored crossing at a time: each reading is
-    propagated before the next crossing is read, so a strand that only
-    runs over gets one direction throughout.
+    The over-strand runs b -> d exactly when d follows b in walk order:
+    d = b + 1, or b > d + 1 (b closes its block and d opens it).  Only a
+    two-arc component {x, x + 1} reads both ways: its two passages are
+    the two places its pair of labels meets, and the arc that left one
+    passage arrives at the other, so the smaller label arrives at one
+    and the larger at the other.  An under-passage (a, c) with
+    |a - c| = 1 settles which; a component that only runs over has the
+    smaller label arrive at its first passage in crossing order and the
+    larger at its second.  Text in other labels gets some signs here and
+    is rejected by :func:`parse_pd`'s walk.
     """
-    n = len(tuples)
-    occ = _occurrences(tuples)
-    _check_labels(occ, n)
-
-    # role[ci][slot]: True if the arc arrives at this slot, False if it
-    # leaves, None if not yet known.  The under pair is opposite from the
-    # start, so every slot's opposite (slot ^ 2) must take the other role.
-    role: list[list[bool | None]] = [[True, None, False, None] for _ in range(n)]
-
-    def propagate(todo: list[tuple[int, int]]) -> None:
-        while todo:
-            ci, slot = todo.pop()
-            r = role[ci][slot]
-            arc_end = _other_place(occ, tuples[ci][slot], (ci, slot))
-            for cj, t in (arc_end, (ci, slot ^ 2)):
-                if role[cj][t] is None:
-                    role[cj][t] = not r
-                    todo.append((cj, t))
-                elif role[cj][t] == r:
-                    if cj == ci and t == slot ^ 2:
-                        raise ValueError("over strand at crossing %d has no consistent direction" % ci)
-                    raise ValueError(
-                        "arc %d cannot both arrive at and leave its endpoints" % tuples[ci][slot]
-                    )
-
-    propagate([(ci, slot) for ci in range(n) for slot in (_UNDER_IN, _UNDER_OUT)])
-    for ci in range(n):
-        if role[ci][_OVER_B] is None:
-            # never anchored by an under passage: fall back to label
-            # succession (b -> d wins when both readings close up), then
-            # carry that direction along the whole strand before the next
-            # unanchored crossing is read on its own
-            b, d = tuples[ci][_OVER_B], tuples[ci][_OVER_D]
-            if d == b + 1:
-                arrives_at_b = True
-            elif b == d + 1:
-                arrives_at_b = False
-            else:
-                # the succession must wrap a component block: max -> min
-                arrives_at_b = b > d
-            role[ci][_OVER_B] = arrives_at_b
-            propagate([(ci, _OVER_B)])
-
-    return [1 if role[ci][_OVER_B] else -1 for ci in range(n)]
+    _check_labels(_occurrences(tuples), len(tuples))
+    # the smaller label of a passage's pair -> whether it arrived there
+    arrived = {min(a, c): a < c for a, _, c, _ in tuples if abs(a - c) == 1}
+    signs = []
+    for _, b, _, d in tuples:
+        if abs(b - d) == 1:
+            # the smaller arrives unless it arrived at the pair's other passage
+            lo = min(b, d)
+            arrived[lo] = not arrived.get(lo, False)
+            signs.append(1 if arrived[lo] == (b < d) else -1)
+        else:
+            signs.append(1 if b > d else -1)
+    return signs
 
 
 # -- structural queries -------------------------------------------------------
@@ -428,39 +402,6 @@ def validate(d: OrientedDiagram) -> None:
 # -- the walk, read from the labels -------------------------------------------
 
 
-def _read_blocks(crossings: tuple[Crossing, ...]) -> list[int] | None:
-    """Each block's first label, then 2c + 1; None unless the labels run
-    in walk order.
-
-    In walk order the labels are 1..2c and each component is a block of
-    labels that runs up by one, so a block's last arc is the only one
-    not followed by the next label, and it is followed by the block's
-    first.  One pass over the crossings and one over the labels check
-    that: the 2c arcs that continue must be 1..2c, so each continues
-    once.  The constructor reads the table once per diagram, and
-    :func:`parse_pd` reads it to reject text in other labels.
-    """
-    n = 2 * len(crossings)
-    if n and min(min(cr[:4]) for cr in crossings) < 1:
-        return None  # succ would take a label below 1 from its end
-    succ = [0] * (n + 2)
-    try:
-        for a, b, c, d, sign in crossings:
-            succ[a] = c
-            if sign > 0:
-                succ[b] = d
-            else:
-                succ[d] = b
-    except IndexError:  # a label above n
-        return None
-    first = [1]
-    for end in compress(range(1, n + 1), map(ne, succ[1 : n + 1], range(2, n + 2))):
-        if succ[end] != first[-1]:
-            return None
-        first.append(end + 1)
-    return first if first[-1] == n + 1 else None
-
-
 def _block_index(first: list[int]) -> list[int]:
     """label -> the index of its block; entry 0 stands for no label."""
     block = [0]
@@ -469,7 +410,9 @@ def _block_index(first: list[int]) -> list[int]:
     return block
 
 
-def _parts(crossings: Sequence[tuple[int, ...]], first: list[int]) -> list[list[int]]:
+def _parts(
+    crossings: Sequence[tuple[int, ...]], first: list[int], block: Sequence[int] = ()
+) -> list[list[int]]:
     """The connected parts' crossing indices, in ascending order of their
     first index, each ascending.
 
@@ -478,11 +421,12 @@ def _parts(crossings: Sequence[tuple[int, ...]], first: list[int]) -> list[list[
     of blocks that all join, is one part.  first is the label-block
     table; simplify's run of removals pairs the crossings whose labels it
     kept with the table of the diagram it kept them from: each label
-    stays in its block's range.
+    stays in its block's range.  block is first's label -> block index,
+    when the caller has built it already.
     """
     if len(first) <= 2:
         return [list(range(len(crossings)))] if crossings else []
-    block = _block_index(first)
+    block = block or _block_index(first)
     part = list(range(len(first) - 1))  # block -> the name of its part
     for x, y in {(block[a], block[b]) for a, b, _, _, _ in crossings}:
         x, y = part[x], part[y]
@@ -527,16 +471,19 @@ def _walk_numbers(
     The components are taken in order of their smallest arc, each walked
     from that arc, and their arcs numbered 1, 2, ... as walked; an arc
     that continues twice, is met twice or does not continue raises.  The
-    one numbering routine: the constructor, :func:`renormalize` and
-    :func:`parse_pd` number through it.  A caller that knows its labels
-    lie in 1..size - 1 gives size, and the successors and the numbers
-    are label-indexed lists of size entries: a smoothing's size is its
-    parent's 2c + 1, and every caller in the library gives one.
-    Hand-built labels (no size: the constructor's, or a renormalize
-    caller's that gives none) may be any integers: they are ranked
-    first, in a dict, their ranks walked in lists, and the numbers come
-    back as a dict keyed on them; names maps a rank back to its label,
-    so the errors name the caller's labels.
+    one numbering routine and the one walk reader: the constructor,
+    :func:`renormalize` and :func:`parse_pd` number through it, and
+    labels run in walk order exactly when the numbering is the identity.
+    A caller that knows its labels lie in 1..size - 1 gives size, and
+    the successors and the numbers are label-indexed lists of size
+    entries: a smoothing's size is its parent's 2c + 1, and every caller
+    in the library gives one.  A label at or above size raises
+    IndexError; the constructor, which gives 2c + 1 when no label is
+    below 1, then takes the ranked path.  Hand-built labels (no size)
+    may be any integers: they are ranked first, in a dict, their ranks
+    walked in lists, and the numbers come back as a dict keyed on them;
+    names maps a rank back to its label, so the errors name the
+    caller's labels.
     """
     if not size:
         labels = sorted({x for cr in crossings for x in cr[:4]})
@@ -589,7 +536,7 @@ def canonical_code(d: OrientedDiagram) -> str:
     """
     crossings, first = d.crossings, d._blocks
     block = _block_index(first)
-    parts = _parts(crossings, first) if len(first) > 2 else ()
+    parts = _parts(crossings, first, block) if len(first) > 2 else ()
     if len(parts) > 1:
         code = "/".join(sorted(_part_code([crossings[i] for i in g], first, block) for g in parts))
     else:
@@ -873,8 +820,8 @@ def _joined(p: int, q: int, u: int, v: int) -> tuple[tuple[int, int], ...]:
 
 def _rejoin(crossings: list[tuple[int, ...]], runs: Iterable[tuple[int, int]]) -> int:
     """The crossings a move left, each run of arcs it merged named by its
-    last arc, sorted again in place; returns the runs that closed into
-    free loops.
+    last arc, in place and in their order; returns the runs that closed
+    into free loops.
 
     A move merges the arcs along each strand it removes crossings from:
     a run (x, y) goes from the arc x arriving at a removed crossing to
@@ -900,7 +847,6 @@ def _rejoin(crossings: list[tuple[int, ...]], runs: Iterable[tuple[int, int]]) -
                 else:
                     continue  # x is 1 and matched the sign
                 break
-    crossings.sort()
     return loops
 
 
@@ -1022,13 +968,14 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     function, :func:`_shed`, and the nugatory test, run when the corner
     walk finds a candidate, reads the same tuples (:func:`_untwist`).
     Each removal names a merged run of arcs by the arc leaving it
-    (:func:`_rejoin`) and sorts the list again, and one pass at the end
-    gives each label its rank (:func:`_ranked`).  That is the diagram a
-    renumbering in walk order after every removal gives: each such
-    renumbering only ranks the kept labels, and ranks compose.  The
-    moves read label equalities, the sorted order and the blocks alone,
-    which ranks keep, so the same moves fire.  d's labels are 1..2c, so
-    every label-indexed list is sized from the crossing count.
+    (:func:`_rejoin`), the loop sorts the list again after each round,
+    and one pass at the end gives each label its rank (:func:`_ranked`).
+    That is the diagram a renumbering in walk order after every removal
+    gives: each such renumbering only ranks the kept labels, and ranks
+    compose.  The moves read label equalities, the sorted order and the
+    blocks alone, which ranks keep, so the same moves fire.  d's labels
+    are 1..2c, so every label-indexed list is sized from the crossing
+    count.
 
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
@@ -1050,6 +997,7 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
             if loops is None:
                 break
         free_loops += loops
+        crossings.sort()
     out = d if len(crossings) == d.crossing_count else _ranked(crossings, d._blocks, free_loops)
     object.__setattr__(out, "_simple", True)
     return out

@@ -5,6 +5,7 @@ orientations/mirrors); every polynomial, writhe, and depth claim about
 them is re-derived in the tests rather than trusted.
 """
 
+import re
 from itertools import islice, permutations
 
 import pytest
@@ -27,7 +28,7 @@ from skeindepth import (
     triangle_moves,
 )
 from skeindepth import moves
-from skeindepth.diagram import faces
+from skeindepth.diagram import _OVER_B, _OVER_D, _UNDER_IN, _UNDER_OUT, _check_labels, _occurrences, faces, validate
 from skeindepth.poly import monomial
 
 # name -> (pd text, components)
@@ -220,3 +221,99 @@ def scrambled(d, rng):
     crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]
     rng.shuffle(crs)
     return OrientedDiagram(tuple(crs), d.free_loops)
+
+
+def reference_cycles(crossings):
+    """The arc cycles of the crossings' components, each from the first
+    arc met, read from a successor dict."""
+    succ = {}
+    for cr in crossings:
+        succ[cr.a] = cr.c
+        succ[cr.over_in()] = cr.over_out()
+    cycles, seen = [], set()
+    for start in succ:
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = succ[x]
+            cycles.append(cycle)
+    return cycles
+
+
+def walk_order_blocks(crossings):
+    """Each block's first label, then 2c + 1, when the crossings' labels
+    are 1..2c and each component's cycle, from its smallest label, runs
+    up by one; else None."""
+    n = 2 * len(crossings)
+    cycles = []
+    for cycle in reference_cycles(crossings):  # the test's own walk
+        k = cycle.index(min(cycle))
+        cycles.append(cycle[k:] + cycle[:k])
+    cycles.sort()
+    if sorted(x for cycle in cycles for x in cycle) != list(range(1, n + 1)):
+        return None
+    if any(cycle != list(range(cycle[0], cycle[0] + len(cycle))) for cycle in cycles):
+        return None
+    return [cycle[0] for cycle in cycles] + [n + 1]
+
+
+def reference_signs(tuples):
+    """Crossing signs of a bare PD code by the general worklist, which
+    reads any labels: directions propagate from the under-strand slots
+    (a arrives, c leaves), each arc having one head and one tail
+    occurrence and each over pair one arriving and one leaving arc.  A
+    worklist carries each newly known place to the other end of its arc
+    and to the opposite slot of its crossing.  Arc succession settles
+    whatever propagation cannot reach, one unanchored crossing at a
+    time: each reading is propagated before the next crossing is read,
+    so a strand that only runs over gets one direction throughout."""
+    n = len(tuples)
+    occ = _occurrences(tuples)
+    _check_labels(occ, n)
+
+    # role[ci][slot]: True if the arc arrives at this slot, False if it
+    # leaves, None if not yet known; the opposite slot (slot ^ 2) takes
+    # the other role
+    role = [[True, None, False, None] for _ in range(n)]
+
+    def propagate(todo):
+        while todo:
+            ci, slot = todo.pop()
+            r = role[ci][slot]
+            places = occ[tuples[ci][slot]]
+            arc_end = places[1] if places[0] == (ci, slot) else places[0]
+            for cj, t in (arc_end, (ci, slot ^ 2)):
+                if role[cj][t] is None:
+                    role[cj][t] = not r
+                    todo.append((cj, t))
+                elif role[cj][t] == r:
+                    raise ValueError("arc %d has no consistent direction" % tuples[ci][slot])
+
+    propagate([(ci, slot) for ci in range(n) for slot in (_UNDER_IN, _UNDER_OUT)])
+    for ci in range(n):
+        if role[ci][_OVER_B] is None:
+            # label succession, b -> d when both readings close up
+            b, d = tuples[ci][_OVER_B], tuples[ci][_OVER_D]
+            if d == b + 1:
+                role[ci][_OVER_B] = True
+            elif b == d + 1:
+                role[ci][_OVER_B] = False
+            else:
+                role[ci][_OVER_B] = b > d  # the succession wraps a block
+            propagate([(ci, _OVER_B)])
+    return [1 if role[ci][_OVER_B] else -1 for ci in range(n)]
+
+
+def reference_parse(text):
+    """parse_pd by the reference signs and walk: the diagram it must
+    return, or ValueError where it must raise."""
+    items = [item.strip() for item in text.split(";")]
+    tuples = [tuple(map(int, re.findall(r"-?\d+", item))) for item in items if item != "O"]
+    crossings = tuple(Crossing(*t, s) for t, s in zip(tuples, reference_signs(tuples)))
+    if walk_order_blocks(crossings) is None:
+        raise ValueError("labels not in walk order")
+    d = OrientedDiagram(crossings, items.count("O"))
+    validate(d)
+    return d

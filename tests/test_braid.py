@@ -22,9 +22,8 @@ from skeindepth import (
     simplify,
     writhe,
 )
-from skeindepth.diagram import _read_blocks
 
-from conftest import FIXTURE_PDS
+from conftest import FIXTURE_PDS, walk_order_blocks
 from test_diagram import reference_rewire
 
 K11N183 = "p=4: -1 2 -1 -3 -2 -2 -1 -3 -2 -2 -3"
@@ -107,7 +106,7 @@ def test_closure_matches_the_reference():
     for w in words:
         d, want = braid_closure(w), reference_closure(w)
         assert (d.crossings, d.free_loops) == (want.crossings, want.free_loops), w
-        assert d._blocks == _read_blocks(want.crossings), w
+        assert d._blocks == walk_order_blocks(want.crossings), w
         loops += d.free_loops
     assert braid_closure(parse_braid("p=4: 1 1 1")).free_loops == 2
     assert loops > 100, loops

@@ -37,7 +37,6 @@ from skeindepth.diagram import (
     _met_twice,
     _part_code,
     _parts,
-    _read_blocks,
     defects,
     faces,
     renormalize,
@@ -54,7 +53,11 @@ from conftest import (
     check_slides_once,
     closure_battery,
     finder_battery,
+    reference_cycles,
+    reference_parse,
+    reference_signs,
     scrambled,
+    walk_order_blocks,
 )
 
 
@@ -81,9 +84,9 @@ def test_parse_whitespace_tolerant():
 # succession of labels, so text in other labels is rejected, not relabeled
 SWAPPED_TREFOIL = "X[1,4,3,5];X[2,6,4,1];X[5,3,6,2]"
 REJECT_MESSAGES = {
-    SWAPPED_TREFOIL: "broken cyclic arc sequence",
+    SWAPPED_TREFOIL: "arc labels do not run in walk order at arc 2",
     "X[1,4,2,5];;X[3,6,4,1]": "empty PD item",
-    "X[2,4,3,1];X[1,2,3,4]": "arc 3 cannot both arrive at and leave its endpoints",
+    "X[2,4,3,1];X[1,2,3,4]": "arc labels do not run in walk order at arc 4",
 }
 
 
@@ -102,7 +105,7 @@ REJECT_MESSAGES = {
         "X[1,4,2,3];X[2,3,1,4]",  # not planar
         SWAPPED_TREFOIL,
         "X[1,4,2,5];;X[3,6,4,1]",  # an empty item
-        "X[2,4,3,1];X[1,2,3,4]",  # arc 3 leaves both its ends
+        "X[2,4,3,1];X[1,2,3,4]",  # read in walk order, arc 4 continues twice
     ],
 )
 def test_parse_rejects(bad):
@@ -123,7 +126,7 @@ def test_the_constructor_relabels_in_walk_order():
         Crossing(3, 1, 4, 6, -1),
         Crossing(5, 3, 6, 2, -1),
     )
-    assert d._blocks == _read_blocks(d.crossings) == [1, 7]
+    assert d._blocks == walk_order_blocks(d.crossings) == [1, 7]
     assert canonical_code(d) == canonical_code(mirror(tref))
     assert OrientedDiagram(d.crossings) == d
     renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr.sign) for cr in tref.crossings))
@@ -183,6 +186,86 @@ def test_over_only_component_parses_with_the_b_to_d_reading():
     assert d == OrientedDiagram((Crossing(1, 3, 2, 4, 1), Crossing(2, 3, 1, 4, -1)))
     assert pd_text(d) == text
     assert parse_pd(pd_text(d)) == d
+
+
+def switch_mask_texts(seed, over_only_wanted):
+    """The texts of seeded 2-5 strand closures with a two-arc component,
+    switched at every subset of their first six crossings, until the
+    texts that have a two-arc component running only over number
+    over_only_wanted; returns the texts and that count."""
+    rng = random.Random(seed)
+    texts, over_only = [], 0
+    while over_only < over_only_wanted:
+        p = rng.randint(2, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(2, 8))]
+        d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
+        pairs = [s for s, e in zip(d._blocks, d._blocks[1:]) if e - s == 2]
+        if not pairs:
+            continue
+        n = min(d.crossing_count, 6)
+        for mask in range(1 << n):
+            e = d
+            for i in range(n):
+                if mask >> i & 1:
+                    e = switch(e, i)
+            under = {x for cr in e.crossings for x in (cr.a, cr.c)}
+            over_only += any(s not in under and s + 1 not in under for s in pairs)
+            texts.append(pd_text(e))
+    return texts, over_only
+
+
+def perturbed(text, rng):
+    """text with one crossing's entries swapped, rotated or reversed, or
+    with two labels exchanged throughout: most such texts are rejected,
+    some read as another diagram."""
+    items = text.split(";")
+    rows = [[int(x) for x in item[2:-1].split(",")] for item in items if item != "O"]
+    row = rng.choice(rows)
+    kind = rng.randrange(4)
+    if kind == 0:
+        i, j = rng.sample(range(4), 2)
+        row[i], row[j] = row[j], row[i]
+    elif kind == 1:
+        r = rng.randint(1, 3)
+        row[:] = row[r:] + row[:r]
+    elif kind == 2:
+        row.reverse()
+    else:
+        x, y = rng.sample(range(1, 2 * len(rows) + 1), 2)
+        rows = [[y if v == x else x if v == y else v for v in r] for r in rows]
+    return ";".join(["X[%d,%d,%d,%d]" % tuple(r) for r in rows] + ["O"] * items.count("O"))
+
+
+def test_parse_pd_reads_signs_as_the_worklist_does():
+    """parse_pd reads each sign from label succession; the general
+    worklist (conftest's reference_signs) propagates directions from the
+    under-strands.  On walk-order texts, over 1,000 of them with a
+    two-arc component that only runs over, both give the same signs, and
+    on texts perturbed from them both accept or reject alike, the
+    accepted ones parsing to the same crossings, free loops and
+    label-block table."""
+    texts, over_only = switch_mask_texts(32, 1000)
+    assert over_only >= 1000 and len(texts) > 3000
+    for text in texts:
+        d = parse_pd(text)
+        tuples = [cr.arcs() for cr in d.crossings]
+        assert [cr.sign for cr in d.crossings] == reference_signs(tuples), text
+        assert d._blocks == walk_order_blocks(d.crossings), text
+    rng = random.Random(33)
+    accepted = rejected = 0
+    for text in map(perturbed, rng.sample(texts, 3000), itertools.repeat(rng)):
+        try:
+            want = reference_parse(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_pd(text)
+            rejected += 1
+            continue
+        got = parse_pd(text)
+        assert (got.crossings, got.free_loops) == (want.crossings, want.free_loops), text
+        assert got._blocks == want._blocks == walk_order_blocks(got.crossings), text
+        accepted += 1
+    assert accepted > 200 and rejected > 1000, (accepted, rejected)
 
 
 def test_component_count_and_cycles():
@@ -323,7 +406,7 @@ def test_the_marks_on_a_diagram_are_its_recomputed_state():
 
     def check_walk(d):
         nonlocal walks
-        assert d._blocks == fresh(d)._blocks == _read_blocks(d.crossings), pd_text(d)
+        assert d._blocks == fresh(d)._blocks == walk_order_blocks(d.crossings), pd_text(d)
         walks += 1
 
     for d in closure_battery() + [simplify(d) for d in finder_battery()]:
@@ -385,7 +468,7 @@ def test_validate_catches_bad_succession():
     # the text is rejected, and the diagram, which the constructor
     # relabels, is not planar
     crs = (Crossing(1, 4, 3, 2, 1), Crossing(3, 2, 1, 4, 1))
-    with pytest.raises(ValueError, match="broken cyclic arc sequence"):
+    with pytest.raises(ValueError, match="arc labels do not run in walk order at arc 4"):
         parse_pd("X[1,4,3,2];X[3,2,1,4]")
     with pytest.raises(ValueError):
         validate(OrientedDiagram(crs, 0))
@@ -644,7 +727,7 @@ def reference_defects(d):
     under-strand arrives before its over-strand, and the defects are met
     in the order their under-strands arrive."""
     place = {}
-    for cycle in _reference_cycles(d.crossings):
+    for cycle in reference_cycles(d.crossings):
         m = cycle.index(min(cycle))
         place.update((arc, (min(cycle), step)) for step, arc in enumerate(cycle[m:] + cycle[:m]))
     found = [(place[cr.a], i) for i, cr in enumerate(d.crossings) if place[cr.a] < place[cr.over_in()]]
@@ -679,23 +762,6 @@ def test_first_defect_matches_the_reference():
     assert descending > 1500 and renamed > 400
 
 
-def _walk_order_blocks(d):
-    """Each block's first label, then 2c + 1, when d's labels are 1..2c
-    and each component's cycle, from its smallest label, runs up by one;
-    else None."""
-    n = 2 * d.crossing_count
-    cycles = []
-    for cycle in _reference_cycles(d.crossings):  # the test's own walk
-        k = cycle.index(min(cycle))
-        cycles.append(cycle[k:] + cycle[:k])
-    cycles.sort()
-    if sorted(x for cycle in cycles for x in cycle) != list(range(1, n + 1)):
-        return None
-    if any(cycle != list(range(cycle[0], cycle[0] + len(cycle))) for cycle in cycles):
-        return None
-    return [cycle[0] for cycle in cycles] + [n + 1]
-
-
 def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
     """The fast readers take the walk from the labels, and the library
     builds what it returns in walk order, with the label-block table of
@@ -709,9 +775,10 @@ def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
     def check(built):
         nonlocal checked
         for d in built + [mirror(d) for d in built]:
-            want = _walk_order_blocks(d)
+            want = walk_order_blocks(d.crossings)
             assert want is not None, pd_text(d)
-            assert _read_blocks(d.crossings) == want == d._blocks, pd_text(d)
+            fresh = OrientedDiagram(d.crossings, d.free_loops)
+            assert fresh.crossings == d.crossings and want == fresh._blocks == d._blocks, pd_text(d)
             checked += 1
 
     check([parse_pd(text) for text, _ in FIXTURE_PDS.values()])
@@ -763,26 +830,9 @@ def test_switch_sheds_exactly_when_simplify_shrinks_the_switch():
 def _off_component_starts(crossings):
     """Start arcs whose head crossing has an over arc on another component."""
     comp = {}
-    for k, cycle in enumerate(_reference_cycles(crossings)):
+    for k, cycle in enumerate(reference_cycles(crossings)):
         comp.update(dict.fromkeys(cycle, k))
     return [cr.a for cr in crossings if comp[cr.b] != comp[cr.a] or comp[cr.d] != comp[cr.a]]
-
-
-def _reference_cycles(crossings):
-    succ = {}
-    for cr in crossings:
-        succ[cr.a] = cr.c
-        succ[cr.over_in()] = cr.over_out()
-    cycles, seen = [], set()
-    for start in succ:
-        if start not in seen:
-            cycle, x = [], start
-            while x not in seen:
-                seen.add(x)
-                cycle.append(x)
-                x = succ[x]
-            cycles.append(cycle)
-    return cycles
 
 
 def _torus_closure(p, q):
