@@ -21,7 +21,13 @@ them; the search in :mod:`.solver` prunes with their maximum,
   which also gives the z-degree bound.
 * skein reachability: the polynomial is not one that any link of depth
   <= d with the same component count can have, see
-  :func:`skein_reachable`.
+  :func:`skein_reachable`.  The values of depth <= d have z-degree
+  <= d, so the tables are read from P's z-degree up, and a P of
+  z-degree above REACH_DEPTH reads none.
+
+The z-degree bound compares P with the unlink value only when P has
+the unlink's z-degree, 1 - r.  ``aggregate_bounds`` picks its two ends
+as it lists the contributions, each the first listed of its value.
 
 Genus and component count give 2g + r - 1.  Upper bounds come from the
 simplified crossing number minus one and from braid presentations.
@@ -111,14 +117,20 @@ def skein_reachable(depth: int, components: int) -> frozenset[LaurentPoly2]:
     return frozenset(out)
 
 
-def skein_reach_lower_bound(p: LaurentPoly2, components: int) -> int:
+def skein_reach_lower_bound(p: LaurentPoly2, components: int, degree: int | None = None) -> int:
     """Least d <= REACH_DEPTH with p in skein_reachable(d, components),
     else REACH_DEPTH + 1.
 
     A link with polynomial p and that many components has depth at least
-    this value: a tree of height d would put p in the depth-d set.
+    this value: a tree of height d would put p in the depth-d set.  Every
+    value in the depth-d set has z-degree <= d (an unlink's is 1 - r,
+    and each skein step raises it by at most one), so the tables are
+    read from p's z-degree up, degree when the caller has it already: a
+    p of z-degree above REACH_DEPTH reads none.
     """
-    for d in range(REACH_DEPTH + 1):
+    if degree is None:
+        degree = p.z_degree()
+    for d in range(max(degree, 0), REACH_DEPTH + 1):
         if p in skein_reachable(d, components):
             return d
     return REACH_DEPTH + 1
@@ -126,9 +138,12 @@ def skein_reach_lower_bound(p: LaurentPoly2, components: int) -> int:
 
 def _z_degree_bound(p: LaurentPoly2, degree: int, components: int) -> int:
     # the floor of 1 needs a nontriviality certificate, which the
-    # polynomial itself supplies unless it matches the unlink value
+    # polynomial itself supplies unless it matches the unlink value,
+    # whose z-degree is 1 - components
     if degree >= 1:
         return degree
+    if degree != 1 - components:
+        return 1
     return 0 if p == unlink_value(components) else 1
 
 
@@ -151,7 +166,7 @@ def polynomial_contributions(p: LaurentPoly2, components: int) -> tuple[tuple[st
     return (
         ("homfly z-degree", _z_degree_bound(p, degree, components)),
         ("leading coefficient", _leading_coefficient_bound(degree, top)),
-        ("skein reachability", skein_reach_lower_bound(p, components)),
+        ("skein reachability", skein_reach_lower_bound(p, components, degree)),
     )
 
 
@@ -183,22 +198,34 @@ def aggregate_bounds(
     r = component_count(s)
     p = homfly(s, cache)
 
-    contribs = [(name, value, "lower") for name, value in polynomial_contributions(p, r)]
+    # each end is picked as the contributions are listed: the first of
+    # equal values, which a contradiction names
+    contribs = []
+    lo = None
+    for name, value in polynomial_contributions(p, r):
+        contribs.append((name, value, "lower"))
+        if lo is None or value > lo[1]:
+            lo = contribs[-1]
     if genus is not None:
         contribs.append(("genus-components", genus_lower_bound(genus, r), "lower"))
-    contribs.append(("crossing count", s.crossing_count - 1, "upper"))
+        if contribs[-1][1] > lo[1]:
+            lo = contribs[-1]
+    hi = ("crossing count", s.crossing_count - 1, "upper")
+    contribs.append(hi)
     words = list(braid_words or ())
     if words:
         contribs.append(("mixed braid", mixed_braid_upper(words), "upper"))
-        exact = min(
-            (positive_braid_td(w) for w in words if w.positives == 0 or w.negatives == 0),
-            default=None,
-        )
-        if exact is not None:
+        if contribs[-1][1] < hi[1]:
+            hi = contribs[-1]
+        signed = [positive_braid_td(w) for w in words if w.positives == 0 or w.negatives == 0]
+        if signed:
+            exact = min(signed)
             contribs.append(("one-signed braid", exact, "lower"))
             contribs.append(("one-signed braid", exact, "upper"))
-    lo = max((c for c in contribs if c[2] == "lower"), key=lambda c: c[1])
-    hi = min((c for c in contribs if c[2] == "upper"), key=lambda c: c[1])
+            if exact > lo[1]:
+                lo = contribs[-2]
+            if exact < hi[1]:
+                hi = contribs[-1]
     if lo[1] > hi[1]:
         raise ValueError(
             f"contradictory bounds: {lo[0]} lower bound {lo[1]} "

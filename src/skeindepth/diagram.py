@@ -254,29 +254,33 @@ def pd_text(d: OrientedDiagram) -> str:
     return ";".join(items)
 
 
-def _occurrences(tuples: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, int]]]:
-    """arc label -> its places (crossing index, slot), in crossing order.
+def _check_label_counts(tuples: list[tuple[int, int, int, int]]) -> None:
+    """Each arc label appears twice, and the labels are 1..2n, n crossings.
 
-    A Crossing is a tuple whose first four entries are its slots, so the
-    crossings of a diagram can be passed as they are.
+    The labels are counted in a list indexed by 1..2n; the few outside
+    that range, which only bad text has, are kept apart.  A label that
+    appears other than twice is named, the smallest first, with its
+    count.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, tup in enumerate(tuples):
-        for slot in range(4):
-            occ.setdefault(tup[slot], []).append((ci, slot))
-    return occ
-
-
-def _check_labels(occ: dict[int, list[tuple[int, int]]], n: int) -> None:
-    """Each arc label appears twice, and the labels are 1..2n."""
-    bad = [label for label, places in occ.items() if len(places) != 2]
+    size = 2 * len(tuples) + 1
+    count = [0] * size
+    outside = []
+    for t in tuples:
+        for x in t:
+            if 0 < x < size:
+                count[x] += 1
+            else:
+                outside.append(x)
+    bad = [x for x in range(1, size) if count[x] not in (0, 2)]
+    bad += [x for x in outside if outside.count(x) != 2]
     if bad:
         label = min(bad)
-        raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(occ[label])))
+        times = count[label] if 0 < label < size else outside.count(label)
+        raise ValueError("arc label %d appears %d times (expected 2)" % (label, times))
     # 2n labels, each twice, fill the 4n slots: they are 1..2n exactly
-    # when the smallest is 1 and the largest 2n
-    if n and (min(occ) != 1 or max(occ) != 2 * n):
-        raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
+    # when none lies outside
+    if outside:
+        raise ValueError("arc labels must be exactly 1..%d" % (size - 1))
 
 
 def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
@@ -293,7 +297,7 @@ def _infer_signs(tuples: list[tuple[int, int, int, int]]) -> list[int]:
     larger at its second.  Text in other labels gets some signs here and
     is rejected by :func:`parse_pd`'s walk.
     """
-    _check_labels(_occurrences(tuples), len(tuples))
+    _check_label_counts(tuples)
     # the smaller label of a passage's pair -> whether it arrived there
     arrived = {min(a, c): a < c for a, _, c, _ in tuples if abs(a - c) == 1}
     signs = []
@@ -391,9 +395,20 @@ def validate(d: OrientedDiagram) -> None:
     The constructor has checked the labels: they are 1..2c in walk
     order, each arriving once and leaving once.  Planarity is Euler's
     count: the counterclockwise tuples embed each connected part of c
-    crossings in a sphere exactly when it has c + 2 faces.
+    crossings in a sphere exactly when it has c + 2 faces.  The faces
+    are counted as the cycles of the corner table, as :func:`_met_twice`
+    walks it, and not listed.
     """
-    found = len(faces(d))
+    nxt = _corner_successors(d.crossings, 2 * d.crossing_count + 1)
+    seen = [False] * len(nxt)
+    found = 0
+    for start in range(len(nxt)):
+        if not seen[start]:
+            found += 1
+            cur = start
+            while not seen[cur]:
+                seen[cur] = True
+                cur = nxt[cur]
     need = d.crossing_count + 2 * len(_parts(d.crossings, d._blocks))
     if found != need:
         raise ValueError("not planar: the Euler count needs %d faces, found %d" % (need, found))

@@ -287,20 +287,33 @@ def parse_poly(text: str) -> LaurentPoly2:
         return ZERO
     terms: dict[tuple[int, int], int] = {}
     for chunk in text.split(" + "):
-        factors: dict[str, int] = {}
+        coeff = a = z = None
         for factor in chunk.split("*"):
             factor = factor.strip()
-            kind = factor[:2] if factor[:2] in ("a^", "z^") else ""
-            if kind in factors:
-                raise ValueError("repeated %s factor in polynomial term: %r" % (kind or "coefficient", chunk))
-            factors[kind] = int(factor[len(kind) :])
-        if "" not in factors:
+            head = factor[:2]
+            if head == "a^":
+                if a is not None:
+                    raise ValueError("repeated a^ factor in polynomial term: %r" % chunk)
+                a = int(factor[2:])
+            elif head == "z^":
+                if z is not None:
+                    raise ValueError("repeated z^ factor in polynomial term: %r" % chunk)
+                z = int(factor[2:])
+            elif coeff is None:
+                coeff = int(factor)
+            else:
+                raise ValueError("repeated coefficient factor in polynomial term: %r" % chunk)
+        if coeff is None:
             raise ValueError("malformed polynomial term: %r" % chunk)
-        key = (factors.get("a^", 0), factors.get("z^", 0))
+        key = (a or 0, z or 0)
         if key in terms:
             raise ValueError("repeated monomial in polynomial: %r" % chunk)
-        terms[key] = factors[""]
-    return LaurentPoly2(terms)
+        terms[key] = coeff
+    # the ints read are exactly what the private constructor takes, once
+    # a zero coefficient, which render_poly never writes, is dropped
+    if 0 in terms.values():
+        terms = {key: c for key, c in terms.items() if c}
+    return LaurentPoly2._of(terms)
 
 
 # -- the skein invariant -------------------------------------------------------

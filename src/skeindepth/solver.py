@@ -3,8 +3,11 @@
 ``depth_at_most(d, k)`` asks whether some tree of switch/smooth
 resolutions of height <= k ends in certified unlinks at every leaf; the
 answer is three-valued (True / False / None for "budget ran out").
-``compute_td`` sweeps k upward from the best lower bound and reports
-either an exact depth with a witness tree or a certified interval.
+``compute_td`` codes its simplified root once, merges the HOMFLY-PT
+expansion's tree into the root's record, and sweeps k upward from the
+best lower bound only when that record does not already stand there; it
+reports either an exact depth with a witness tree or a certified
+interval.
 
 Soundness rules the search lives by:
 
@@ -57,8 +60,9 @@ change.  The search and the expansion take codes from
 :meth:`.poly.HomflyCache.code_of`, which codes each labeled diagram once
 per context.  :func:`verify_tree` replays a fresh copy of each diagram
 of the tree, built from its crossings and free loops, and codes it with
-the bare :func:`.diagram.canonical_code`, so a replay rests on nothing
-the solve stored, in a context or on a diagram object.
+the bare :func:`.diagram.canonical_code`, once per labeled diagram in a
+memo of its own call, so a replay rests on nothing the solve stored, in
+a context or on a diagram object.
 
 A call without ``ctx`` solves in a fresh context of its own; calls share
 work only through a context passed to each of them.  :class:`ResultCache`
@@ -296,12 +300,23 @@ def verify_tree(tree: SkeinTree) -> int:
     diagram is read as a fresh copy, ``OrientedDiagram(crossings,
     free_loops)``, so nothing stored on the tree's diagram objects is
     trusted.  A subtree object shared by several branches is checked
-    once per call.  Raises ValueError on the first violation.
+    once per call, and each labeled diagram is coded once per call: the
+    code is a function of the crossings and free loops alone, and a
+    child the expansion built has those of the move's result.  Raises
+    ValueError on the first violation.
     """
     heights: dict[int, int] = {}
+    codes: dict[tuple[tuple, int], str] = {}
 
     def fresh(d: OrientedDiagram) -> OrientedDiagram:
         return OrientedDiagram(d.crossings, d.free_loops)
+
+    def code(d: OrientedDiagram) -> str:
+        key = (d.crossings, d.free_loops)
+        c = codes.get(key)
+        if c is None:
+            c = codes[key] = canonical_code(d)
+        return c
 
     def replay(t: SkeinTree) -> int:
         h = heights.get(id(t))
@@ -324,8 +339,8 @@ def verify_tree(tree: SkeinTree) -> int:
                 (t.switched, switch, "switch"),
                 (t.smoothed, smooth, "smoothing"),
             ):
-                want = canonical_code(simplify(op(d, t.crossing)))
-                if canonical_code(fresh(child.diagram)) != want:
+                want = code(simplify(op(d, t.crossing)))
+                if code(fresh(child.diagram)) != want:
                     raise ValueError(f"{name} child does not match the recorded move")
             h = 1 + max(replay(t.switched), replay(t.smoothed))
         heights[id(t)] = h
@@ -390,6 +405,12 @@ def compute_td(
     record where that is lower than the bound report's.  The root's
     record holds the bound report's lower end, so a cache saved from ctx
     carries both ends.
+
+    The root is coded once, for its verdict, its record and the sweep.
+    The sweep starts where the root's record stands: a record whose hi
+    is already the lower end (the expansion's tree, or a loaded interval,
+    proves it) answers without a probe, as the first probe would only
+    read it; otherwise the sweep probes from the lower end up.
     """
     ctx = ctx or SolveContext()
     saved_deadline = ctx.deadline
@@ -397,32 +418,35 @@ def compute_td(
         ctx.deadline = time.monotonic() + timeout_secs
     try:
         work = simplify(d)
-        if work.is_crossingless() or ctx.verdict_of(ctx.homfly_cache.code_of(work), work).is_unlink:
+        if work.is_crossingless() or ctx.verdict_of(root := ctx.homfly_cache.code_of(work), work).is_unlink:
             return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
 
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
         lower, upper = rep.lower, rep.upper
-        root = ctx.homfly_cache.code_of(work)
         # the root's record takes the sound lower end with the
         # expansion's tree in one write, so a loaded record that
         # contradicts either gives way to what the solve proves (see
         # _record), and the tree holds even when max_depth stops the
         # sweep before its first probe
         _merge_expansion(ctx, work, root, lower, lower)
-        kmax = upper if max_depth is None else min(upper, max_depth)
-        witness = None
-        exhausted = False
-        for k in range(lower, kmax + 1):
-            res = depth_at_most(work, k, budget, ctx)
-            if res is not False:
-                exhausted = res is None
-                break
-        # however the sweep ended, the root's record holds the best proof
-        # found: a success's tree, else the HOMFLY-PT expansion's, which
-        # narrows an interval the budget, the deadline or max_depth left
-        # open.  The tree is None when the proof rests on a cache-loaded
-        # interval.
         _, hi, tree = ctx.memo[root]
+        exhausted = False
+        # a record already at the lower end is all that a probe there
+        # would read; the sweep starts only when the record's hi is above it
+        if hi > lower:
+            kmax = upper if max_depth is None else min(upper, max_depth)
+            for k in range(lower, kmax + 1):
+                res = depth_at_most(work, k, budget, ctx)
+                if res is not False:
+                    exhausted = res is None
+                    break
+            # however the sweep ended, the root's record holds the best
+            # proof found: a success's tree, else the HOMFLY-PT
+            # expansion's, which narrows an interval the budget, the
+            # deadline or max_depth left open.  The tree is None when the
+            # proof rests on a cache-loaded interval.
+            _, hi, tree = ctx.memo[root]
+        witness = None
         if hi <= upper:
             upper, witness = hi, tree
         return TdResult(

@@ -28,7 +28,7 @@ from skeindepth import (
     triangle_moves,
 )
 from skeindepth import moves
-from skeindepth.diagram import _OVER_B, _OVER_D, _UNDER_IN, _UNDER_OUT, _check_labels, _occurrences, faces, validate
+from skeindepth.diagram import _OVER_B, _OVER_D, _UNDER_IN, _UNDER_OUT, faces, validate
 from skeindepth.poly import monomial
 
 # name -> (pd text, components)
@@ -259,6 +259,32 @@ def walk_order_blocks(crossings):
     return [cycle[0] for cycle in cycles] + [n + 1]
 
 
+def occurrences(tuples):
+    """arc label -> its places (crossing index, slot), in crossing order.
+
+    A Crossing is a tuple whose first four entries are its slots, so the
+    crossings of a diagram can be passed as they are.
+    """
+    occ = {}
+    for ci, tup in enumerate(tuples):
+        for slot in range(4):
+            occ.setdefault(tup[slot], []).append((ci, slot))
+    return occ
+
+
+def reference_check_labels(occ, n):
+    """The label check read from the places: each arc label appears
+    twice, and the labels are 1..2n."""
+    bad = [label for label, places in occ.items() if len(places) != 2]
+    if bad:
+        label = min(bad)
+        raise ValueError("arc label %d appears %d times (expected 2)" % (label, len(occ[label])))
+    # 2n labels, each twice, fill the 4n slots: they are 1..2n exactly
+    # when the smallest is 1 and the largest 2n
+    if n and (min(occ) != 1 or max(occ) != 2 * n):
+        raise ValueError("arc labels must be exactly 1..%d" % (2 * n))
+
+
 def reference_signs(tuples):
     """Crossing signs of a bare PD code by the general worklist, which
     reads any labels: directions propagate from the under-strand slots
@@ -270,8 +296,8 @@ def reference_signs(tuples):
     time: each reading is propagated before the next crossing is read,
     so a strand that only runs over gets one direction throughout."""
     n = len(tuples)
-    occ = _occurrences(tuples)
-    _check_labels(occ, n)
+    occ = occurrences(tuples)
+    reference_check_labels(occ, n)
 
     # role[ci][slot]: True if the arc arrives at this slot, False if it
     # leaves, None if not yet known; the opposite slot (slot ^ 2) takes

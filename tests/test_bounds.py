@@ -22,7 +22,7 @@ from skeindepth import (
     switch,
     unlink_value,
 )
-from skeindepth.bounds import polynomial_contributions
+from skeindepth.bounds import REACH_DEPTH, polynomial_contributions
 from skeindepth.poly import ONE
 
 from conftest import CROSSED, FIXTURE_PDS, GAP_WORD, INF, ORACLE_WORDS, brute_min_height
@@ -263,6 +263,69 @@ def test_contradictory_claims_are_an_input_error():
     with pytest.raises(ValueError) as err:
         aggregate_bounds(tref, braid_words=[parse_braid("p=3: 1 2")])
     assert "homfly z-degree lower bound 2 exceeds mixed braid upper bound 0" in str(err.value)
+
+
+def test_tied_contradictions_name_the_first_of_equal_bounds():
+    """Each end of the report is the first contribution listed with its
+    value, lower or upper, and a contradiction names those two."""
+    tref = parse_pd(FIXTURE_PDS["trefoil"][0])
+    # genus 2 and the one-signed T(2,5) word both claim 4 from below;
+    # crossing count 2 is the least upper end
+    with pytest.raises(ValueError) as err:
+        aggregate_bounds(tref, genus=2, braid_words=[parse_braid("p=2: 1 1 1 1 1")])
+    assert "genus-components lower bound 4 exceeds crossing count upper bound 2" in str(err.value)
+    # the trefoil's own word ties crossing count, mixed braid and
+    # one-signed braid at 2 from above
+    rep = aggregate_bounds(tref, braid_words=[parse_braid("p=2: 1 1 1")])
+    assert [v for n, v, k in rep.contributions if k == "upper"] == [2, 2, 2]
+    with pytest.raises(ValueError) as err:
+        aggregate_bounds(tref, genus=5, braid_words=[parse_braid("p=2: 1 1 1")])
+    assert "genus-components lower bound 10 exceeds crossing count upper bound 2" in str(err.value)
+
+
+def test_reachable_values_have_z_degree_at_most_their_depth():
+    for d in range(3):
+        for r in range(1, 6):
+            assert max(p.z_degree() for p in skein_reachable(d, r)) <= d, (d, r)
+
+
+def _reach_from_depth_zero(p, r):
+    """skein_reach_lower_bound as a scan of every table from depth 0."""
+    return next((d for d in range(REACH_DEPTH + 1) if p in skein_reachable(d, r)), REACH_DEPTH + 1)
+
+
+def test_skein_reach_bound_is_the_scan_from_depth_zero():
+    """Reading the tables from p's z-degree up gives the least depth the
+    scan from 0 gives, on the fixtures, the ORACLE_WORDS closures, their
+    simplified children, the mirrors of all of these, and the unlinks."""
+    cache = HomflyCache()
+    roots = [simplify(parse_pd(text)) for text, _ in FIXTURE_PDS.values()] + [_closure(w) for w in ORACLE_WORDS]
+    battery = list(roots)
+    for d in roots:
+        for i in range(d.crossing_count):
+            battery += [simplify(switch(d, i)), simplify(smooth(d, i))]
+    battery += [mirror(d) for d in battery]
+    cases = [(homfly(d, cache), component_count(d)) for d in battery]
+    cases += [(unlink_value(r), r) for r in range(1, 5)] + [(unlink_value(r), r + 1) for r in range(1, 4)]
+    found = set()
+    for p, r in cases:
+        want = _reach_from_depth_zero(p, r)
+        assert skein_reach_lower_bound(p, r) == want, (p, r)
+        assert skein_reach_lower_bound(p, r, p.z_degree()) == want, (p, r)
+        assert dict(polynomial_contributions(p, r))["skein reachability"] == want, (p, r)
+        found.add(want)
+    assert len(cases) > 150 and found == {0, 1, 2, 3}, found
+
+
+def test_z_degree_bound_compares_with_the_unlink_only_at_its_degree():
+    """0 for the unlink value; 1 for another polynomial of the unlink's
+    z-degree 1 - r, and for one of z-degree 0 with two components."""
+    for r in range(1, 5):
+        assert dict(polynomial_contributions(unlink_value(r), r))["homfly z-degree"] == 0
+        other = unlink_value(r) + unlink_value(r)
+        assert other.z_degree() == 1 - r
+        assert dict(polynomial_contributions(other, r))["homfly z-degree"] == 1
+    assert dict(polynomial_contributions(ONE, 2))["homfly z-degree"] == 1
 
 
 def test_render_row():

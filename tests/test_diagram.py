@@ -53,6 +53,8 @@ from conftest import (
     check_slides_once,
     closure_battery,
     finder_battery,
+    occurrences,
+    reference_check_labels,
     reference_cycles,
     reference_parse,
     reference_signs,
@@ -266,6 +268,69 @@ def test_parse_pd_reads_signs_as_the_worklist_does():
         assert got._blocks == want._blocks == walk_order_blocks(got.crossings), text
         accepted += 1
     assert accepted > 200 and rejected > 1000, (accepted, rejected)
+
+
+def _message(f, *args):
+    """The ValueError message f(*args) raises, or None."""
+    try:
+        f(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_label_count_names_what_the_places_reference_names():
+    """The label-indexed count gives the message of the count over each
+    label's places (conftest's reference_check_labels): the smallest bad
+    label with its count, or the 1..2n message, on walk-order labels
+    with one to three entries replaced by a label in 0..2n + 2, and on
+    labels shifted by -1..2."""
+    texts, _ = switch_mask_texts(35, 100)
+    rng = random.Random(36)
+    seen = set()
+    for text in rng.sample(texts, min(len(texts), 1500)):
+        tuples = [cr.arcs() for cr in parse_pd(text).crossings]
+        n = len(tuples)
+        flat = [x for t in tuples for x in t]
+        for _ in range(rng.randint(1, 3)):
+            flat[rng.randrange(len(flat))] = rng.randint(0, 2 * n + 2)
+        cases = [[tuple(flat[i : i + 4]) for i in range(0, len(flat), 4)]]
+        cases += [[tuple(x + s for x in t) for t in tuples] for s in (-1, 0, 1, 2)]
+        for case in cases:
+            want = _message(reference_check_labels, occurrences(case), n)
+            assert _message(diagram._check_label_counts, case) == want, case
+            seen.add(want.split()[1] if want else None)
+    # a count message, the 1..2n message, and no message all occur
+    assert seen == {None, "label", "labels"}, seen
+
+
+def test_validate_counts_the_faces_it_does_not_list():
+    """validate's cycle count of the corner table is len(faces(d)): on
+    walk-order diagrams and on copies with one or two crossings
+    reflected (b and d exchanged, the sign flipped, which keeps the walk
+    but not, as a rule, planarity) it raises exactly when that count
+    misses Euler's, with the same numbers."""
+    texts, _ = switch_mask_texts(37, 100)
+    rng = random.Random(38)
+    planar = nonplanar = 0
+    for text in rng.sample(texts, min(len(texts), 600)):
+        d = parse_pd(text)
+        for _ in range(2):
+            rows = list(d.crossings)
+            for i in rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 2))):
+                a, b, c, e, sign = rows[i]
+                rows[i] = Crossing(a, e, c, b, -sign)
+            x = OrientedDiagram(tuple(rows), d.free_loops)
+            need = x.crossing_count + 2 * len(_parts(x.crossings, x._blocks))
+            found = len(faces(x))
+            want = None
+            if found != need:
+                want = "not planar: the Euler count needs %d faces, found %d" % (need, found)
+            assert _message(validate, x) == want, x
+            planar += want is None
+            nonplanar += want is not None
+        assert _message(validate, d) is None
+    assert planar > 50 and nonplanar > 500, (planar, nonplanar)
 
 
 def test_component_count_and_cycles():

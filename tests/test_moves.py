@@ -43,8 +43,6 @@ from skeindepth.diagram import (
     _OVER_D,
     _UNDER_IN,
     _UNDER_OUT,
-    _check_labels,
-    _occurrences,
     arriving_slots,
     defects,
     faces,
@@ -70,6 +68,8 @@ from conftest import (
     check_slides_once,
     closure_battery,
     finder_battery,
+    occurrences,
+    reference_check_labels,
     reference_pokes,
     scrambled,
     walk_order_blocks,
@@ -714,7 +714,7 @@ def reference_heads(d):
 def reference_validate(d):
     """validate, and the label count: each label twice, the labels
     1..2c."""
-    _check_labels(_occurrences(d.crossings), d.crossing_count)
+    reference_check_labels(occurrences(d.crossings), d.crossing_count)
     validate(d)
 
 
@@ -794,7 +794,7 @@ def _other_place(occ, arc, place):
 def reference_triangle_moves(d):
     """triangle_moves over the occurrence dict, each strand's direction
     at Z checked again."""
-    occ = _occurrences(d.crossings)
+    occ = occurrences(d.crossings)
     for i in range(d.crossing_count):
         X = d.crossings[i]
         eA = X.over_out()

@@ -30,10 +30,11 @@ from skeindepth import (
     unlink_value,
 )
 from skeindepth import poly
+from skeindepth.bounds import skein_reachable
 from skeindepth.diagram import OrientedDiagram, defects, pd_text, switch_sheds
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
-from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, scrambled
+from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, finder_battery, scrambled
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -97,6 +98,87 @@ def test_parse_poly_rejects_text_render_poly_never_writes(text):
 def test_parse_poly_names_a_term_without_a_coefficient():
     with pytest.raises(ValueError, match="malformed polynomial term: 'a\\^2'"):
         parse_poly("a^2")
+
+
+def test_parse_poly_reads_back_every_battery_and_reachable_value(shared_cache):
+    """parse_poly(render_poly(p)) == p for the polynomials of the tests'
+    batteries, their mirrors, and every value in skein_reachable(d, r),
+    d <= 2, r <= 4."""
+    values = {homfly(d, shared_cache) for d in closure_battery() + finder_battery()}
+    values |= {homfly(parse_pd(text), shared_cache) for text, _ in FIXTURE_PDS.values()}
+    values |= {p.mirror() for p in values}
+    values |= {p for d in range(3) for r in range(1, 5) for p in skein_reachable(d, r)}
+    assert len(values) > 80
+    for p in values:
+        assert parse_poly(render_poly(p)) == p, render_poly(p)
+
+
+def reference_parse_poly(text):
+    """parse_poly as a dict of factors per term, read through the public
+    constructor."""
+    text = text.strip()
+    if text == "0":
+        return ZERO
+    terms = {}
+    for chunk in text.split(" + "):
+        factors = {}
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            kind = factor[:2] if factor[:2] in ("a^", "z^") else ""
+            if kind in factors:
+                raise ValueError("repeated %s factor in polynomial term: %r" % (kind or "coefficient", chunk))
+            factors[kind] = int(factor[len(kind) :])
+        if "" not in factors:
+            raise ValueError("malformed polynomial term: %r" % chunk)
+        key = (factors.get("a^", 0), factors.get("z^", 0))
+        if key in terms:
+            raise ValueError("repeated monomial in polynomial: %r" % chunk)
+        terms[key] = factors[""]
+    return LaurentPoly2(terms)
+
+
+def test_parse_poly_accepts_and_rejects_as_the_factor_dict_did():
+    """On rendered values with terms repeated, reordered, joined or
+    padded, factors repeated, dropped or zeroed, parse_poly gives the
+    reference's value or raises its ValueError message."""
+    rng = random.Random(41)
+    values = [homfly(d) for d in closure_battery()[:40]] + [unlink_value(3), ONE]
+    kinds = set()
+    for p in values:
+        terms = render_poly(p).split(" + ")
+        for _ in range(40):
+            t = list(terms)
+            i = rng.randrange(len(t))
+            factors = t[i].split("*")
+            kind = rng.randrange(7)
+            if kind == 0:  # a term twice
+                t.append(t[i])
+            elif kind == 1:  # a factor twice
+                factors.append(rng.choice(factors))
+            elif kind == 2:  # a factor dropped
+                factors.pop(rng.randrange(len(factors)))
+            elif kind == 3:  # factors reordered and padded
+                rng.shuffle(factors)
+                factors = [" %s " % f for f in factors]
+            elif kind == 4:  # a zero coefficient
+                factors[0] = "0"
+            elif kind == 5:  # a factor emptied
+                factors[rng.randrange(len(factors))] = ""
+            else:  # terms reordered
+                rng.shuffle(t)
+            t[i] = "*".join(factors)
+            text = " + ".join(t)
+            try:
+                want = reference_parse_poly(text)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    parse_poly(text)
+                assert str(got.value) == str(e), text
+                kinds.add(str(e).split()[0])
+                continue
+            assert parse_poly(text) == want, text
+            kinds.add("value")
+    assert {"value", "repeated", "malformed", "invalid"} <= kinds, kinds
 
 
 def test_the_constructor_takes_int_exponents_and_coefficients():

@@ -147,6 +147,26 @@ def test_verify_tree_trusts_nothing_stored_on_a_diagram():
         verify_tree(planted)
 
 
+def test_a_root_record_at_the_lower_end_is_not_probed(monkeypatch):
+    """The trefoil's expansion tree already has the height 2 its lower
+    end proves, so compute_td reads the root's record and makes no
+    depth_at_most probe; its witness replays at height 2."""
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args[1])
+        return depth_at_most(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "depth_at_most", counted)
+    res = compute_td(braid_closure(parse_braid("p=2: 1 1 1")))
+    assert res.status == "Exact(2)" and not res.budget_exhausted
+    assert probes == []
+    assert verify_tree(res.witness) == 2
+    # a record above the lower end is still swept from the lower end up
+    res = compute_td(braid_closure(parse_braid(DEPTH2_WORD)))
+    assert probes and probes[0] == res.link_lower
+
+
 def _share_leaves(tree, leaves):
     """tree with one leaf object per leaf code, taken from or put into
     leaves."""
