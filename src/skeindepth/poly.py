@@ -54,7 +54,8 @@ def _merged(
     """out plus sign * a^da z^dz * terms, merged into out, which is returned.
 
     Both are term dicts without zeros, and so is the result: a sum that
-    cancels drops its key.
+    cancels drops its key.  sign is any nonzero int, so a product is one
+    merge per term of a factor.
     """
     for (ae, ze), c in terms.items():
         key = (ae + da, ze + dz)
@@ -127,22 +128,17 @@ class LaurentPoly2:
         return LaurentPoly2._of(_merged(dict(self._terms), other._terms, 0, 0, -1))
 
     def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2._of({k: -c for k, c in self._terms.items()})
+        return LaurentPoly2._of(_merged({}, self._terms, 0, 0, -1))
 
     def __mul__(self, other) -> "LaurentPoly2":
         if isinstance(other, int):
-            return LaurentPoly2({k: c * other for k, c in self._terms.items()})
+            # other is the sign of one merge; times 0 is the zero polynomial
+            return LaurentPoly2._of(_merged({}, self._terms, 0, 0, other) if other else {})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
-        for (a1, z1), c1 in self._terms.items():
-            for (a2, z2), c2 in other._terms.items():
-                key = (a1 + a2, z1 + z2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+        for (ae, ze), c in self._terms.items():
+            _merged(out, other._terms, ae, ze, c)
         return LaurentPoly2._of(out)
 
     __rmul__ = __mul__

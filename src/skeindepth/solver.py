@@ -12,7 +12,10 @@ interval.
 Soundness rules the search lives by:
 
 * every node diagram is simplified before anything else happens to it;
-* a node counts as a leaf only when the unlink recognizer certifies it;
+* a node counts as a leaf only when the unlink recognizer's verdict
+  for its code certifies it (:meth:`SolveContext.verdict_of`, which
+  answers a crossingless diagram at once), in the search, at the root
+  and in the replay alike;
 * the polynomial lower bound (:func:`.bounds.polynomial_lower_bound`,
   the same one the bound report uses) prunes a subtree only because
   every valid tree under a diagram is at least that tall;
@@ -35,19 +38,22 @@ simplify at once.
 
 A SolveContext keeps one search record per canonical code, ``(lo, hi,
 tree)``: the certified depth interval and the tree of height hi that
-proves its upper end.  A record starts from the HOMFLY-PT expansion's
-tree for its code (see :mod:`.poly`), merged in when the search first
-reaches the node, so a depth at least the expansion's height is proved
-without a search; a success of the search replaces it by a shallower
-tree.  Each success returns the proof it found, ``(height, tree)``: a
-leaf for a certified unlink, else the node's record, and a branch is
-built from the proofs its two children returned, the switch child's
-read again from its record where that is lower: the smoothing's
-search, which runs later, can find a shallower tree for the same code.
-:func:`depth_at_most` answers True for it, and :func:`extract_tree`
-takes its tree.  Each
-write merges with the record as it stands, so a deeper visit of the
-same code (switching a crossing twice gives the node back) is never
+proves its upper end.  Every node opens its record by one rule, one
+write of the node's lower end with the HOMFLY-PT expansion's tree for
+its code (see :mod:`.poly`): at a search node the lower end is its
+polynomial bound, at the root of :func:`compute_td` the bound report's.
+So a depth at least the expansion's height is proved without a search,
+and a loaded record that the node's lower end contradicts gives way at
+every node the solve reaches (see :func:`_record`).  A success of the
+search replaces the tree by a shallower one.  Each success returns the
+proof it found, ``(height, tree)``: a leaf for a certified unlink, else
+the node's record, and a branch is built from the proofs its two
+children returned, the switch child's read again from its record where
+that is lower: the smoothing's search, which runs later, can find a
+shallower tree for the same code.  :func:`depth_at_most` answers True
+for it, and :func:`extract_tree` takes its tree.  Each write merges
+with the record as it stands, so a deeper visit of the same code
+(switching a crossing twice gives the node back) is never
 undone.  The k-sweep and sibling subtrees share these records,
 the recognizer verdicts and the polynomials.  The search tries first the
 crossings of a node whose switch sheds (:func:`.diagram.switch_sheds`,
@@ -59,10 +65,12 @@ needs every one to fail; only the witness found and the work spent
 change.  The search and the expansion take codes from
 :meth:`.poly.HomflyCache.code_of`, which codes each labeled diagram once
 per context.  :func:`verify_tree` replays a fresh copy of each diagram
-of the tree, built from its crossings and free loops, and codes it with
-the bare :func:`.diagram.canonical_code`, once per labeled diagram in a
-memo of its own call, so a replay rests on nothing the solve stored, in
-a context or on a diagram object.
+of the tree, built from its crossings and free loops, in a SolveContext
+of its own call: each leaf is certified by that context's verdict for
+its code, and each child is compared with the replayed move's result,
+both coded with the bare :func:`.diagram.canonical_code` only when their
+crossings or free loops differ.  So a replay rests on nothing the solve
+stored, in a context or on a diagram object.
 
 A call without ``ctx`` solves in a fresh context of its own; calls share
 work only through a context passed to each of them.  :class:`ResultCache`
@@ -139,9 +147,10 @@ class SolveContext:
 _shared_context: SolveContext | None = None
 
 
-def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None) -> None:
+def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None):
     """Merge what a search proved about code into its record as it stands
-    now: lo only rises, hi only falls, and the tree goes with its hi.
+    now, and return the record written: lo only rises, hi only falls, and
+    the tree goes with its hi.
 
     A merge that would leave lo > hi meets a record this run's proof
     contradicts, which a cache file loaded: the record becomes what was
@@ -151,22 +160,24 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
         old_lo, old_hi, old_tree = _OPEN
     if hi > old_hi or (hi == old_hi and old_tree is not None):
         hi, tree = old_hi, old_tree
-    ctx.memo[code] = (max(lo, old_lo), hi, tree)
+    record = ctx.memo[code] = (max(lo, old_lo), hi, tree)
+    return record
 
 
-def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, lo: int, k: int) -> None:
-    """Merge lo, a lower end the caller proved for d, whose code is code,
-    and the HOMFLY-PT expansion's tree for d into code's record in one
-    write.  A value loaded from a cache file has no tree: d is expanded
-    for one, as a cold solve has, unless the record already proves a
-    depth in [lo, k]; lo alone is then merged."""
+def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, lo: int, k: int):
+    """Open code's record for a visit of d, whose code is code: merge lo,
+    the lower end the caller proved for d, and the HOMFLY-PT expansion's
+    tree for d in one write, and return the record written.  A value
+    loaded from a cache file has no tree: d is expanded for one, as a
+    cold solve has, unless the record already proves a depth in [lo, k];
+    lo alone is then merged.  A loaded record below lo gives way to it
+    (see :func:`_record`)."""
     expanded = ctx.homfly_cache.trees.get(code)
     if expanded is None:
         if lo <= ctx.memo.get(code, _OPEN)[1] <= k:
-            _record(ctx, code, lo)
-            return
+            return _record(ctx, code, lo)
         expanded = expansion(d, ctx.homfly_cache)
-    _record(ctx, code, lo, *expanded)
+    return _record(ctx, code, lo, *expanded)
 
 
 def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
@@ -175,15 +186,16 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
     the deadline ran out first).
 
     d must be simplified; the children searched are simplified in turn.
-    The expansion's tree for d is merged into d's record first (see
-    :func:`_merge_expansion`).  An unlink's proof is a leaf, any other a
-    record's ``(hi, tree)``; the tree is None when the proof rests on a
-    cache-loaded interval.
+    A node is a leaf when its verdict certifies an unlink, crossingless
+    or not.  Any other node opens its record with its polynomial bound
+    and the expansion's tree (see :func:`_merge_expansion`); the record
+    then decides: hi <= k is a proof, k < lo a refutation, and only a
+    node with k in [lo, hi) is searched.  An unlink's proof is a leaf,
+    any other a record's ``(hi, tree)``; the tree is None when the proof
+    rests on a cache-loaded interval.
     """
     if k < 0:
         return False
-    if d.is_crossingless():
-        return 0, SkeinLeaf(d, component_count(d))
     code = ctx.homfly_cache.code_of(d)
     v = ctx.verdict_of(code, d)
     if v.is_unlink:
@@ -192,15 +204,11 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
         # the deadline may have cut the recognizer short: refute nothing
         return None
 
-    _merge_expansion(ctx, d, code, 1, k)
-    lo, hi, tree = ctx.memo[code]
+    self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
+    lo, hi, tree = _merge_expansion(ctx, d, code, self_lb, k)
     if hi <= k:
         return hi, tree
     if k < lo:
-        return False
-    self_lb = polynomial_lower_bound(homfly(d, ctx.homfly_cache), component_count(d))
-    if self_lb > k:
-        _record(ctx, code, lo=self_lb)
         return False
 
     if ctx.nodes >= limit or ctx.out_of_time():
@@ -227,8 +235,7 @@ def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
             if h < h_sw:
                 h_sw, t_sw = h, t
         tree = SkeinBranch(d, i, t_sw, t_sm) if t_sw is not None and t_sm is not None else None
-        _record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)
-        return ctx.memo[code][1:]
+        return _record(ctx, code, hi=1 + max(h_sw, h_sm), tree=tree)[1:]
     if saw_unknown:
         return None
     _record(ctx, code, lo=k + 1)
@@ -299,24 +306,20 @@ def verify_tree(tree: SkeinTree) -> int:
     and smoothing of the node diagram at the stored crossing.  Every
     diagram is read as a fresh copy, ``OrientedDiagram(crossings,
     free_loops)``, so nothing stored on the tree's diagram objects is
-    trusted.  A subtree object shared by several branches is checked
-    once per call, and each labeled diagram is coded once per call: the
-    code is a function of the crossings and free loops alone, and a
-    child the expansion built has those of the move's result.  Raises
-    ValueError on the first violation.
+    trusted.  A leaf is certified as the search certifies one, by
+    :meth:`SolveContext.verdict_of`, in a context of this call alone, so
+    each leaf polynomial and verdict is computed once per code and
+    nothing from the solve is read.  A child whose crossings and free
+    loops are those of the move's result, as a child the expansion built
+    has, needs no code; any other child is coded with the move's result
+    and must match it.  A subtree object shared by several branches is
+    checked once per call.  Raises ValueError on the first violation.
     """
+    ctx = SolveContext()
     heights: dict[int, int] = {}
-    codes: dict[tuple[tuple, int], str] = {}
 
     def fresh(d: OrientedDiagram) -> OrientedDiagram:
         return OrientedDiagram(d.crossings, d.free_loops)
-
-    def code(d: OrientedDiagram) -> str:
-        key = (d.crossings, d.free_loops)
-        c = codes.get(key)
-        if c is None:
-            c = codes[key] = canonical_code(d)
-        return c
 
     def replay(t: SkeinTree) -> int:
         h = heights.get(id(t))
@@ -324,7 +327,7 @@ def verify_tree(tree: SkeinTree) -> int:
             return h
         d = fresh(t.diagram)
         if isinstance(t, SkeinLeaf):
-            v = recognize_unlink(d)
+            v = ctx.verdict_of(ctx.homfly_cache.code_of(d), d)
             if not v.is_unlink:
                 raise ValueError(f"leaf not certified as an unlink: {d!r}")
             if v.components != t.components:
@@ -339,8 +342,8 @@ def verify_tree(tree: SkeinTree) -> int:
                 (t.switched, switch, "switch"),
                 (t.smoothed, smooth, "smoothing"),
             ):
-                want = code(simplify(op(d, t.crossing)))
-                if code(fresh(child.diagram)) != want:
+                want, got = simplify(op(d, t.crossing)), fresh(child.diagram)
+                if want != got and canonical_code(want) != canonical_code(got):
                     raise ValueError(f"{name} child does not match the recorded move")
             h = 1 + max(replay(t.switched), replay(t.smoothed))
         heights[id(t)] = h
@@ -403,10 +406,12 @@ def compute_td(
     upper still stands).  Budget or time exhaustion widens the answer to
     an interval, never falsifies it; its upper end is still the root's
     record where that is lower than the bound report's.  The root's
-    record holds the bound report's lower end, so a cache saved from ctx
-    carries both ends.
+    record opens with the bound report's lower end, as a search node's
+    opens with its polynomial bound, so a cache saved from ctx carries
+    both ends.
 
-    The root is coded once, for its verdict, its record and the sweep.
+    The root is coded once, for its verdict, its record and the sweep;
+    it is a leaf when its verdict certifies an unlink.
     The sweep starts where the root's record stands: a record whose hi
     is already the lower end (the expansion's tree, or a loaded interval,
     proves it) answers without a probe, as the first probe would only
@@ -418,7 +423,8 @@ def compute_td(
         ctx.deadline = time.monotonic() + timeout_secs
     try:
         work = simplify(d)
-        if work.is_crossingless() or ctx.verdict_of(root := ctx.homfly_cache.code_of(work), work).is_unlink:
+        root = ctx.homfly_cache.code_of(work)
+        if ctx.verdict_of(root, work).is_unlink:
             return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
 
         rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
@@ -428,8 +434,7 @@ def compute_td(
         # contradicts either gives way to what the solve proves (see
         # _record), and the tree holds even when max_depth stops the
         # sweep before its first probe
-        _merge_expansion(ctx, work, root, lower, lower)
-        _, hi, tree = ctx.memo[root]
+        _, hi, tree = _merge_expansion(ctx, work, root, lower, lower)
         exhausted = False
         # a record already at the lower end is all that a probe there
         # would read; the sweep starts only when the record's hi is above it

@@ -14,14 +14,18 @@ from skeindepth import (
     Crossing,
     HomflyCache,
     OrientedDiagram,
+    SolveContext,
     braid_closure,
     canonical_code,
+    component_count,
+    compute_td,
     disjoint_union,
     insert_kink,
     mirror,
     parse_braid,
     parse_pd,
     poke_moves,
+    polynomial_lower_bound,
     simplify,
     smooth,
     switch,
@@ -82,6 +86,28 @@ SEARCH_WORDS = [DEPTH2_WORD, GAP_WORD, "p=4: 2 3 -1 2 -3 2 -3 -3 -3 -3"]
 INTERVAL_WORD = "p=4: 2 2 3 3 3 2 1 -3 2 3 -2 3 -1 1"
 
 INF = 10**9
+
+# closures whose cold solve, of depth 3, reaches a node below the root
+# whose polynomial bound is at least 2
+INNER_BOUND_WORDS = ["p=3: 1 2 -1 -1 -1 1 -2 1 -2", "p=4: 1 -2 1 1 -2 -1 3 2"]
+
+
+def inner_records(d):
+    """[(code, polynomial, bound)] for each record of a cold solve of d,
+    the root's left out, that has a tree and a polynomial bound >= 2."""
+    ctx = SolveContext()
+    assert compute_td(d, ctx=ctx).render() == "3"
+    root = canonical_code(simplify(d))
+    out = []
+    for code, (_, _, tree) in ctx.memo.items():
+        if code == root or tree is None:
+            continue
+        value = ctx.homfly_cache.table[code]
+        bound = polynomial_lower_bound(value, component_count(tree.diagram))
+        if bound >= 2:
+            out.append((code, value, bound))
+    assert out
+    return out
 
 
 def brute_min_height(d, cap):

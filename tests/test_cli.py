@@ -15,6 +15,7 @@ from skeindepth import (
     parse_braid,
     parse_pd,
     pd_text,
+    simplify,
     verify_tree,
 )
 from skeindepth.cli import (
@@ -24,8 +25,9 @@ from skeindepth.cli import (
     main,
     parse_dataset_row,
 )
+from skeindepth.poly import render_poly
 
-from conftest import DEPTH2_WORD, FIXTURE_PDS, INTERVAL_WORD
+from conftest import DEPTH2_WORD, FIXTURE_PDS, INNER_BOUND_WORDS, INTERVAL_WORD, inner_records
 
 TREFOIL = FIXTURE_PDS["trefoil"][0]
 
@@ -423,6 +425,30 @@ def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
     ctx = SolveContext()
     ResultCache(str(cache_path)).load_into(ctx)
     assert ctx.homfly_cache.table[code] == homfly(parse_pd(TREFOIL))
+
+
+@pytest.mark.parametrize("word", INNER_BOUND_WORDS)
+def test_td_cache_corrects_an_inner_interval_the_solve_contradicts(tmp_path, monkeypatch, capsys, word):
+    # a loaded [1, 1] for a node below the root whose polynomial bound is
+    # at least 2 once made every run print the empty interval 3 2 [3, 2];
+    # the solve proves the node's bound, prints what a cold run prints,
+    # and appends the corrected line, which the second run reads
+    monkeypatch.delenv("SKEIN_CACHE", raising=False)
+    d = braid_closure(parse_braid(word))
+    f = tmp_path / "link.pd"
+    f.write_text(pd_text(simplify(d)) + "\n")
+    for n, (code, value, bound) in enumerate(inner_records(d)):
+        cache_path = tmp_path / f"cache{n}.tsv"
+        cache_path.write_text(f"v2\t{code}\t{render_poly(value)}\t1,1\n")
+        for _ in range(2):
+            assert main(["td", str(f), "--cache", str(cache_path)]) == 0
+            assert capsys.readouterr().out == "3\t3\t3\n"
+        lines = cache_path.read_text().splitlines()
+        assert len(lines) > 1
+        ctx = SolveContext()
+        ResultCache(str(cache_path)).load_into(ctx)
+        lo, hi, _ = ctx.memo[code]
+        assert bound <= lo <= hi
 
 
 def test_cache_skips_a_polynomial_with_a_repeated_factor(tmp_path, monkeypatch, capsys):

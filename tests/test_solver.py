@@ -38,12 +38,14 @@ from conftest import (
     FIXTURE_PDS,
     GAP_WORD,
     INF,
+    INNER_BOUND_WORDS,
     INTERVAL_WORD,
     ORACLE_WORDS,
     SEARCH_WORDS,
     UNKNOT_7_PD,
     brute_min_height,
     closure_battery,
+    inner_records,
 )
 
 def test_depth_ladder_hopf():
@@ -190,9 +192,9 @@ def test_verify_tree_checks_a_shared_subtree_once(monkeypatch):
 
     calls = []
 
-    def counted(d):
+    def counted(d, **kwargs):
         calls.append(d)
-        return recognize_unlink(d)
+        return recognize_unlink(d, **kwargs)
 
     monkeypatch.setattr(solver, "recognize_unlink", counted)
     assert verify_tree(shared) == 2 and len(calls) == len(leaves) == 2
@@ -200,6 +202,52 @@ def test_verify_tree_checks_a_shared_subtree_once(monkeypatch):
     tampered = _share_leaves(tree, {unknot: SkeinLeaf(parse_pd("O"), 2)})
     with pytest.raises(ValueError):
         verify_tree(tampered)
+
+
+@pytest.mark.parametrize("word, calls", [("p=2: 1 1 1", 0), ("p=2: 1 1 1 1 1", 2)])
+def test_a_replay_codes_only_a_relabeled_child(monkeypatch, word, calls):
+    """verify_tree compares each child's crossings and free loops with
+    those of the replayed move before it codes either: a child that is
+    exactly the move's result is not coded, a relabeled one is coded
+    with the move's result, two codes per such child."""
+    res = compute_td(braid_closure(parse_braid(word)))
+    coded = []
+
+    def counted(d):
+        coded.append(d)
+        return canonical_code(d)
+
+    monkeypatch.setattr(solver, "canonical_code", counted)
+    assert verify_tree(res.witness) == res.value
+    assert len(coded) == calls
+
+
+def test_a_replay_recognizes_each_leaf_code_once(monkeypatch):
+    """Distinct leaf objects with one code cost one recognizer call: the
+    replay's verdicts are kept per code, in a context of its own call."""
+    tree = extract_tree(parse_pd(FIXTURE_PDS["trefoil"][0]), 2, ctx=SolveContext())
+    leaves = []
+
+    def walk(t):
+        if isinstance(t, SkeinLeaf):
+            leaves.append(t)
+        else:
+            walk(t.switched)
+            walk(t.smoothed)
+
+    walk(tree)
+    codes = {canonical_code(leaf.diagram) for leaf in leaves}
+    assert len({id(leaf) for leaf in leaves}) == 3 and len(codes) == 2
+    calls = []
+
+    def counted(d, **kwargs):
+        calls.append(d)
+        return recognize_unlink(d, **kwargs)
+
+    monkeypatch.setattr(solver, "recognize_unlink", counted)
+    assert verify_tree(tree) == 2 and len(calls) == 2
+    # a second replay trusts nothing the first one kept
+    assert verify_tree(tree) == 2 and len(calls) == 4
 
 
 def test_expansion_trees_are_upper_ends():
@@ -370,6 +418,42 @@ def test_a_root_record_the_solve_contradicts_gives_way(loaded):
     lo, hi, tree = ctx.memo[code]
     assert (res.link_lower, res.diagram_upper) == (6, 9) == (lo, hi)
     assert res.witness is tree and verify_tree(tree) == 9
+
+
+@pytest.mark.parametrize("word", INNER_BOUND_WORDS)
+def test_an_inner_record_the_solve_contradicts_gives_way(tmp_path, word):
+    """A cache line claiming [1, 1] for a node below the root whose
+    polynomial bound is at least 2 gives way where the search reaches
+    that node, as a root record does: the answer is the cold one, not the
+    empty interval [3, 2], and the node's record opens at its bound."""
+    d = braid_closure(parse_braid(word))
+    for code, value, bound in inner_records(d):
+        path = tmp_path / "cache.tsv"
+        path.write_text(f"v2\t{code}\t{poly.render_poly(value)}\t1,1\n")
+        ctx = SolveContext()
+        ResultCache(str(path)).load_into(ctx)
+        assert compute_td(d, ctx=ctx).render() == "3"
+        lo, hi, _ = ctx.memo[code]
+        assert bound <= lo <= hi
+
+
+def test_every_record_opens_at_its_polynomial_bound():
+    """After cold solves of the benchmark's pool in one context, no
+    record with a polynomial claims a lower end below that polynomial's
+    bound: every node the search reaches opens its record with it."""
+    ctx = SolveContext()
+    for word in _pool_words():
+        compute_td(braid_closure(parse_braid(word)), ctx=ctx)
+    below, checked = [], 0
+    for code, (lo, _, tree) in ctx.memo.items():
+        value = ctx.homfly_cache.table.get(code)
+        if value is None:
+            continue
+        assert tree is not None  # a cold solve records a tree with each value
+        checked += 1
+        if lo < polynomial_lower_bound(value, component_count(tree.diagram)):
+            below.append(code)
+    assert checked > 90 and below == []
 
 
 def test_max_depth_caps_search_not_claim():
