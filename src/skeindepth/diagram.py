@@ -53,9 +53,10 @@ the polynomial expansion and the unlink recognizer rely on.
 sheds crossings from a simplified diagram's switch there, which is how
 the expansion picks the defect it resolves.  :func:`simplify` looks
 for kinks and poke pairs in one function over a sorted list of plain
-tuples, at most two linear passes a round; the nugatory test takes as
-candidates the crossings that some face meets at two corners, which
-are the cut crossings of the crossing graph and the kink crossings.
+tuples, at most two linear passes a round; the nugatory test, run only
+from five crossings, takes as candidates the crossings that some face
+meets at two corners, which are the cut crossings of the crossing graph
+and the kink crossings.
 
 Beside its crossings and free loops a diagram keeps its label-block
 table and one mark, neither part of its equality, hash or repr: whether
@@ -76,18 +77,18 @@ arcs it joins make one run, named by the arc leaving the run; only the
 crossing that the run's first arc leaves is rebuilt, and a run that
 meets no crossing left closed into a free loop.
 :func:`simplify` makes its whole run of removals in these kept labels,
-in a list of plain tuples sorted again after each removal, nugatory
-tests included, and builds a diagram once at the end.  Each block keeps
-its labels in its own range, increasing from its smallest, so one pass
-at the end that gives each label its rank numbers the walk, and builds
-the label-block table from the input's.  :func:`smooth` joins its two
-runs by the same rule, then renumbers in full: a smoothing joins or
-splits components, which ranks cannot number.  Its labels are its
-parent's, below 2c + 1, so the walk is numbered in label-indexed lists
-of that size (:func:`_walk_numbers`), as simplify's rounds, the corner
-table behind the nugatory test and :func:`switch_sheds`' over-strand
-maps are; every such result is sorted as plain tuples and its
-crossings built once.
+in a sorted list of plain tuples, which a kink or poke removal keeps
+sorted and which is sorted again after an untwist only, and builds a
+diagram once at the end.  Each block keeps its labels in its own range,
+increasing from its smallest, so one pass at the end that gives each
+label its rank numbers the walk, and builds the label-block table from
+the input's.  :func:`smooth` joins its two runs by the same rule,
+then renumbers in full: a smoothing joins or splits components, which
+ranks cannot number.  Its labels are its parent's, below 2c + 1, so
+the walk is numbered in label-indexed lists of that size
+(:func:`_walk_numbers`), as simplify's rounds, the corner table behind
+the nugatory test and :func:`switch_sheds`' over-strand maps are; every
+such result is sorted as plain tuples and its crossings built once.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -774,8 +775,11 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
 #
 # simplify's run works in a sorted list of plain (a, b, c, d, sign) tuples.
 # A round of kinks and poke pairs (_shed) is at most two passes over it, so
-# it costs O(c); the nugatory test, once the corner walk finds a crossing
-# that a face meets twice, reads the same tuples.
+# it costs O(c), and it keeps the list sorted: the first slots, which order
+# it, are all distinct and _rejoin never rewrites one.  The nugatory test,
+# run from five crossings, walks the corner table for crossings that a face
+# meets twice and reads the same tuples; its untwist turns a side over, so
+# the list is sorted again after it.
 
 
 def _shed(crossings: list[tuple[int, ...]], size: int) -> int | None:
@@ -930,9 +934,12 @@ def _untwist(crossings: list[tuple[int, ...]], first: list[int]) -> int | None:
     """simplify's round once :func:`_shed` finds nothing: the first
     nugatory crossing untwisted in place, one side turned over, in the
     kept labels; returns the free loops closed, None when there is none.
-    first is the label-block table of the diagram whose labels the
-    crossings keep; its last entry, that diagram's 2c + 1, bounds them."""
-    twice = _met_twice(crossings, first[-1]) if len(crossings) >= 2 else None
+    Turning a side over rewrites first slots, so the crossings are left
+    unsorted.  Any count of crossings is accepted; simplify calls it
+    only from five.  first is the label-block table of the diagram whose
+    labels the crossings keep; its last entry, that diagram's 2c + 1,
+    bounds them."""
+    twice = _met_twice(crossings, first[-1])
     if not twice:
         return None
     nug = _find_nugatory(crossings, first, twice)
@@ -983,14 +990,30 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     function, :func:`_shed`, and the nugatory test, run when the corner
     walk finds a candidate, reads the same tuples (:func:`_untwist`).
     Each removal names a merged run of arcs by the arc leaving it
-    (:func:`_rejoin`), the loop sorts the list again after each round,
-    and one pass at the end gives each label its rank (:func:`_ranked`).
-    That is the diagram a renumbering in walk order after every removal
-    gives: each such renumbering only ranks the kept labels, and ranks
-    compose.  The moves read label equalities, the sorted order and the
-    blocks alone, which ranks keep, so the same moves fire.  d's labels
-    are 1..2c, so every label-indexed list is sized from the crossing
-    count.
+    (:func:`_rejoin`), and one pass at the end gives each label its rank
+    (:func:`_ranked`).  That is the diagram a renumbering in walk order
+    after every removal gives: each such renumbering only ranks the kept
+    labels, and ranks compose.  The moves read label equalities, the
+    sorted order and the blocks alone, which ranks keep, so the same
+    moves fire.  d's labels are 1..2c, so every label-indexed list is
+    sized from the crossing count.
+
+    The list stays sorted through a kink or poke removal: it is ordered
+    by its first slots, the under-in arcs, which are all distinct, and
+    :func:`_rejoin` rewrites only the other slots.  An untwist turns a
+    side over, which rewrites first slots, so the loop sorts only after
+    an untwist.
+
+    The nugatory test runs only from five crossings.  When no kink and
+    no poke pair is left, each of a nugatory crossing's four ends reaches
+    another crossing, and cutting it out leaves two sides or more, each
+    meeting it at an even number of ends, so two sides meeting it at two.  A side of one crossing
+    would join that crossing's other two ends to each other, a kink; so
+    each side holds two crossings or more, and the part five or more.
+    Below five crossings the loop stops without walking the corner
+    table.  The floor is tight: the closure of the 4-braid
+    s1 s1 s2 s3 s3 has five crossings, no kink, no poke pair and a
+    nugatory crossing.
 
     The result is marked, and a marked diagram is returned at once.  On
     the switch of a marked diagram at crossing s only a poke pair through
@@ -1008,11 +1031,13 @@ def simplify(d: OrientedDiagram) -> OrientedDiagram:
     while crossings:
         loops = _shed(crossings, size)
         if loops is None:
+            if len(crossings) < 5:
+                break
             loops = _untwist(crossings, d._blocks)
             if loops is None:
                 break
+            crossings.sort()
         free_loops += loops
-        crossings.sort()
     out = d if len(crossings) == d.crossing_count else _ranked(crossings, d._blocks, free_loops)
     object.__setattr__(out, "_simple", True)
     return out

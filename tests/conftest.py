@@ -184,6 +184,10 @@ def check_slides_once(d):
 # disconnects the other crossings, so it is nugatory by definition
 NUGATORY_PD = "X[1,6,2,7];X[2,5,3,6];X[3,4,4,5];X[10,7,1,8];X[8,9,9,10]"
 
+# five crossings, no kink and no poke pair, and the sigma_2 crossing
+# nugatory: a two-sided nugatory crossing needs two crossings on each side
+TIGHT_NUGATORY_WORDS = ["p=4: 1 1 2 3 3", "p=4: 1 1 -2 3 3", "p=4: -1 -1 2 -3 -3"]
+
 
 def finder_battery():
     """Braid closures with their raw and simplified switch and smoothing

@@ -60,6 +60,7 @@ from conftest import (
     FIXTURE_PDS,
     NUGATORY_PD,
     ORACLE_WORDS,
+    TIGHT_NUGATORY_WORDS,
     UNKNOT_7_PD,
     UNLINK4_12_PD,
     Am2,
@@ -552,8 +553,10 @@ def test_each_round_is_one_removal_of_the_loop():
             closed = diagram._shed(crs, 2 * d.crossing_count + 1)
             if closed is None:
                 closed = diagram._untwist(crs, first)
+                crs.sort()  # turning a side over rewrites its first slots
+            else:
+                assert crs == sorted(crs), d  # a kink or poke round keeps the order
             loops += closed
-            crs.sort()  # simplify's loop sorts after each round
             got = diagram._ranked(crs, first, loops)
             assert (got.crossings, got.free_loops) == (want.crossings, want.free_loops), d
             rounds += 1
@@ -561,6 +564,103 @@ def test_each_round_is_one_removal_of_the_loop():
         assert diagram._shed(crs, 2 * d.crossing_count + 1) is None, d
         assert diagram._untwist(crs, first) is None, d
     assert rounds > 1000 and several_kinks >= 50, (rounds, several_kinks)
+
+
+def four_five_strand_draw():
+    """Closures of seeded mixed words on 4-5 strands, of length 12-18,
+    with the switch and smoothing children of their simplified
+    diagrams."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(60):
+        p = rng.randint(4, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(12, 18))]
+        d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
+        s = simplify(d)
+        out.append(d)
+        out += [child(s, i) for i in range(s.crossing_count) for child in (switch, smooth)]
+    return out
+
+
+def test_no_nugatory_crossing_below_five_crossings():
+    """The floor of simplify's nugatory test.  With no kink and no poke
+    pair left, cutting a nugatory crossing out leaves two sides, each
+    meeting it at two ends; a side of one crossing would join that
+    crossing's other two ends, a kink, so each side holds two crossings
+    or more and the part five or more.  simplify's run is replayed, and
+    at every state of fewer than five crossings where _shed finds
+    nothing, the full corner walk and side test find no nugatory
+    crossing."""
+    states = 0
+    for d in run_battery() + four_five_strand_draw():
+        first = d._blocks
+        crs = sorted(d.crossings)
+        while crs:
+            if diagram._shed(crs, first[-1]) is not None:
+                continue
+            if len(crs) < 5:
+                assert diagram._find_nugatory(crs, first, diagram._met_twice(crs, first[-1])) is None, d
+                states += 1
+                break
+            if diagram._untwist(crs, first) is None:
+                break
+            crs.sort()
+    assert states >= 500, states
+
+
+def test_the_five_crossing_floor_is_tight():
+    """Each closure of TIGHT_NUGATORY_WORDS has five crossings, no kink
+    and no poke pair, and one nugatory crossing, which simplify
+    untwists: a floor above five would leave it."""
+    for word in TIGHT_NUGATORY_WORDS:
+        d = braid_closure(parse_braid(word))
+        crs = sorted(d.crossings)
+        assert len(crs) == 5 and diagram._shed(crs, 11) is None, word
+        _, steps = reference_run(d)
+        assert [move for move, *_ in steps] == ["nugatory"], word
+        assert simplify(d).crossing_count == 4, word
+
+
+def reference_walks(d):
+    """The crossing counts at which simplify's run walks the corner
+    table: each state of five crossings or more with no kink and no poke
+    pair, before a nugatory removal and where the run ends."""
+    if d._simple:
+        return []
+    _, steps = reference_run(d)
+    before = [d.crossing_count] + [left for *_, left, _ in steps]
+    walks = [n for (move, *_), n in zip(steps, before) if move == "nugatory"]
+    return walks + [before[-1]] * (before[-1] >= 5)
+
+
+def test_simplify_walks_only_from_five_crossings(monkeypatch):
+    """simplify walks the corner table exactly at the states its run
+    reaches with no kink, no poke pair and five crossings or more, and
+    never on fewer; counted as test_simplify_renumbers_once_per_call
+    counts renumberings."""
+    battery = []
+    for d in mixed_closures(29, 60):
+        s = simplify(d)
+        battery += [d, OrientedDiagram(s.crossings, s.free_loops)]
+        battery += [child(s, i) for i in range(s.crossing_count) for child in (switch, smooth)]
+    want = [reference_walks(d) for d in battery]
+    walks = []
+    real = diagram._met_twice
+
+    def counted(crossings, size=0):
+        walks.append(len(crossings))
+        return real(crossings, size)
+
+    monkeypatch.setattr(diagram, "_met_twice", counted)
+    ends_below = 0
+    for d, w in zip(battery, want):
+        del walks[:]
+        out = simplify(d)
+        assert walks == w, d
+        ends_below += out is not d and out.crossing_count < 5
+    at_five = sum(w.count(5) for w in want)
+    assert sum(map(len, want)) >= 300 and at_five >= 50 and ends_below >= 200, (want, ends_below)
+    assert sum(len(w) > 1 for w in want) >= 5
 
 
 def test_simplify_renumbers_once_per_call(monkeypatch):
