@@ -95,10 +95,12 @@ reordering its crossings; the solver, the polynomial cache and the
 unlink recognizer all key their tables on it.  It labels each connected
 part by traversal from a start arc and keeps the smallest relabeling.
 A diagram of one part, as most are, is coded from its own crossings;
-the blocks are joined into parts only when there are several.  Each
-arc's block and place in it give every start's first relabeled crossing
-in one pass over the part, and only the starts whose first crossing is
-smallest can give the code.  Two of those that relabel the
+the blocks are joined into parts only when there are several, and a
+diagram of one block builds no block index.  Each arc's block and place
+in it give every start's first relabeled crossing, and one pass over the
+part keeps the smallest and the starts that give it, the tied starts:
+only they can give the code.  A lone tied start is labeled once, its
+relabeled crossings sorted in place.  Two tied starts that relabel the
 part alike give a symmetry of the part, so only one start in each
 symmetry class is labeled in full, at O(c log c) for a part with c
 crossings, in label-indexed lists: a torus closure, with one tied start
@@ -444,8 +446,8 @@ def _parts(
         return [list(range(len(crossings)))] if crossings else []
     block = block or _block_index(first)
     part = list(range(len(first) - 1))  # block -> the name of its part
-    for x, y in {(block[a], block[b]) for a, b, _, _, _ in crossings}:
-        x, y = part[x], part[y]
+    for a, b, _, _, _ in crossings:
+        x, y = part[block[a]], part[block[b]]
         if x != y:
             part = [x if p == y else p for p in part]
     if part.count(part[0]) == len(part):
@@ -544,14 +546,16 @@ def canonical_code(d: OrientedDiagram) -> str:
     parts are read from the label-block table: the blocks that share a
     crossing make one part.  Each part is coded by
     :func:`_part_code`; the part codes are sorted and joined with "/",
-    and "|L<n>" counts the free loops.  A diagram of one block, or of
-    blocks that all join, is one part, coded from its own crossings with
-    no copy.  The code is computed afresh on
-    every call and stored nowhere; callers that code one diagram often
-    memoize it themselves (:meth:`.poly.HomflyCache.code_of`).
+    and "|L<n>" counts the free loops.  A diagram of one block is one
+    part, coded with a block index of zeros: it builds no label -> block
+    index and joins no blocks.  A diagram whose blocks all join is one
+    part too; either is coded from its own crossings with no copy.  The
+    code is computed afresh on every call and stored nowhere; callers
+    that code one diagram often memoize it themselves
+    (:meth:`.poly.HomflyCache.code_of`).
     """
     crossings, first = d.crossings, d._blocks
-    block = _block_index(first)
+    block = _block_index(first) if len(first) > 2 else [0] * first[-1]
     parts = _parts(crossings, first, block) if len(first) > 2 else ()
     if len(parts) > 1:
         code = "/".join(sorted(_part_code([crossings[i] for i in g], first, block) for g in parts))
@@ -585,7 +589,17 @@ def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]
     block's length.  Otherwise the traversal, done with the start's
     component of length n, opens the next one at b: L(b) = n + 1, and d
     is labeled by its distance from b.  Only the starts whose first
-    tuple is the smallest, the tied starts, can give the code.
+    tuple is the smallest, the tied starts, can give the code.  They are
+    found in one pass over the crossings, which keeps the least tuple
+    met so far and its starts.  The pass compares (L(b), L(d), sign),
+    each label less one: the leading 1 is the same for every start, and
+    so is L(c) = 2, as c follows a on a component of two arcs or more (a
+    component of one arc would meet the other strand at its crossing
+    once, which no planar diagram does).
+
+    A lone tied start gives the code: it is labeled once and its
+    relabeled crossings are sorted in place.  Several tied starts are
+    labeled as follows.
 
     Two starts whose candidates are equal, s first and t, give the map
     psi = L_s^-1 . L_t, taking t to s.  It maps each crossing's arcs to a
@@ -597,45 +611,49 @@ def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]
     not labeled: its candidate is already known.  The automorphisms stay
     automorphisms whichever candidate turns out smallest.
     """
-    # each start's first tuple
-    keys = []
+    # each start's first tuple, without its constant 1 and L(c) = 2 and
+    # each label less one; the least so far starts above every label
+    least: tuple = (len(block),)
     for a, b, c, d, sign in crossings:
         k = block[a]
         n = first[k + 1] - first[k]
         kb = block[b]  # d follows or precedes b: it is on b's block
         if kb == k:
-            lb, ld = (b - a) % n + 1, (d - a) % n + 1
+            key = ((b - a) % n, (d - a) % n, sign)
         else:
-            lb = n + 1
-            ld = lb + (d - b) % (first[kb + 1] - first[kb])
-        keys.append(((1, lb, (c - a) % n + 1, ld, sign), a))
-    least = min(keys)[0]
-    starts = [a for key, a in keys if key == least]
-    # label -> the crossing it arrives at, for the traversal's scan; a
-    # part with one block is labeled without one
-    head: list[Crossing | None] | None = None
+            key = (n, n + (d - b) % (first[kb + 1] - first[kb]), sign)
+        if key < least:
+            least, starts = key, [a]
+        elif key == least:
+            starts.append(a)
+    # label -> the other strand's first arc at the crossing it arrives
+    # at, for the traversal's scan; a diagram of one block is labeled
+    # without one
+    across: list[int] | None = None
     if len(first) > 2:
-        head = [None] * len(block)
-        for cr in crossings:
-            head[cr[0]] = head[cr[1] if cr[4] > 0 else cr[3]] = cr
+        across = [0] * len(block)
+        for a, b, c, d, sign in crossings:
+            across[a], across[b if sign > 0 else d] = b, a
     size = 2 * len(crossings)
+    if len(starts) == 1:
+        label = _traversal_labels(starts[0], first, block, across, size)
+        rows = [(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings]
+        rows.sort()
+        return ";".join(map("%d,%d,%d,%d,%d".__mod__, rows))
     labelings: dict[tuple, list[int]] = {}  # candidate -> a labeling giving it
     automorphisms: list[dict[int, int]] = []  # on the tied starts
     known: set[int] = set()  # the orbits of the labeled starts
     for start in starts:
         if start in known:
             continue
-        label = _traversal_labels(start, first, block, head, size)
-        candidate = tuple(
-            sorted([(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings])
-        )
+        label = _traversal_labels(start, first, block, across, size)
+        rows = [(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings]
+        rows.sort()
         known.add(start)
         grow = [start]  # close start's orbit, or every orbit under a new psi
-        other = labelings.setdefault(candidate, label)
+        other = labelings.setdefault(tuple(rows), label)
         if other is not label:
-            arc_of = [0] * (size + 1)
-            for x, lab in enumerate(other):
-                arc_of[lab] = x
+            arc_of = {lab: x for x, lab in enumerate(other)}
             automorphisms.append({x: arc_of[label[x]] for x in starts})
             grow = list(known)
         while grow:
@@ -649,13 +667,17 @@ def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]
 
 
 def _traversal_labels(
-    start: int, first: list[int], block: list[int], head: list | None, size: int
+    start: int, first: list[int], block: list[int], across: list[int] | None, size: int
 ) -> list[int]:
     """Label-indexed list, arc -> label, of the traversal labeling from
     start of a connected part of size arcs; 0 off the part.
 
     Each component is a block, so it is labeled in two slices: from the
     arc it is entered by to the block's end, then from the block's start.
+    across gives, per label, the first arc of the other strand at the
+    crossing it arrives at: b for an arc arriving under, a for one
+    arriving over.  It is None for a diagram of one block, whose
+    traversal needs no scan.
     """
     label = [0] * len(block)
     order: list[int] = []  # the labeled arcs, in label order
@@ -673,13 +695,11 @@ def _traversal_labels(
         order += range(s, x)
         # the first labeled arc whose head crossing still has an
         # unlabeled arc, the first in slot order: a and c lie on one
-        # block, b and d on one; arcs before it have fully labeled heads
-        while True:
-            a, b = head[order[scan]][:2]
-            x = b if label[a] else a
-            if not label[x]:
-                break
+        # block, b and d on one, so it is the arc across from the labeled
+        # one; arcs before it have fully labeled heads
+        while label[across[order[scan]]]:
             scan += 1
+        x = across[order[scan]]
 
 
 def mirror(d: OrientedDiagram) -> OrientedDiagram:

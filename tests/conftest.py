@@ -5,6 +5,7 @@ orientations/mirrors); every polynomial, writhe, and depth claim about
 them is re-derived in the tests rather than trusted.
 """
 
+import random
 import re
 from itertools import islice, permutations
 
@@ -214,6 +215,22 @@ def finder_battery():
         # a nugatory crossing with sides larger than the other part
         disjoint_union(parse_pd(NUGATORY_PD), parse_pd(FIXTURE_PDS["kink+"][0])),
     ]
+    return out
+
+
+def four_five_strand_draw():
+    """Closures of seeded mixed words on 4-5 strands, of length 12-18,
+    with the switch and smoothing children of their simplified
+    diagrams."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(60):
+        p = rng.randint(4, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(12, 18))]
+        d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
+        s = simplify(d)
+        out.append(d)
+        out += [child(s, i) for i in range(s.crossing_count) for child in (switch, smooth)]
     return out
 
 

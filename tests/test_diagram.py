@@ -53,6 +53,7 @@ from conftest import (
     check_slides_once,
     closure_battery,
     finder_battery,
+    four_five_strand_draw,
     occurrences,
     reference_check_labels,
     reference_cycles,
@@ -915,8 +916,22 @@ def symmetric_battery():
     return out + [mirror(d) for d in out]
 
 
+def split_battery():
+    """Split unions of kernel-battery diagrams, some carrying free loops."""
+    some = kernel_battery()[::40]
+    loops = parse_pd("O;O")
+    out = [disjoint_union(x, y) for x, y in zip(some, reversed(some))]
+    return out + [disjoint_union(disjoint_union(x, loops), y) for x, y in zip(some[::2], some[1::2])]
+
+
 def test_canonical_code_matches_the_all_starts_reference():
-    battery = kernel_battery() + symmetric_battery()
+    """On the kernel and symmetric batteries, the 4-5 strand draw with its
+    children raw and simplified, split unions with free loops, and
+    scrambled relabelings of the last three."""
+    rng = random.Random(37)
+    draw = four_five_strand_draw()
+    extra = draw + [simplify(d) for d in draw] + split_battery()
+    battery = kernel_battery() + symmetric_battery() + extra + [scrambled(d, rng) for d in extra]
     off = 0
     for d in battery:
         groups = _parts(d.crossings, d._blocks)
@@ -966,6 +981,33 @@ def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monke
             pruned_off += len(set(_off_component_starts(crs)) - tied)
             skipped += len(tied) - len(labeled)
     assert pruned_off > 100 and total > 2000 and skipped > 300
+
+
+def test_a_lone_tied_start_is_labeled_once(monkeypatch):
+    """A part whose smallest first crossing one start alone gives is
+    labeled once, from that start, and so is a diagram of that one part
+    coded whole, of one block or several."""
+    labeled = _recording_labels(monkeypatch)
+    lone = 0
+    whole = [0, 0]  # one block, several
+    for d in kernel_battery() + four_five_strand_draw():
+        groups = reference_groups(d)
+        for g in groups:
+            crs = [d.crossings[ci] for ci in g]
+            cands = reference_candidates(crs)
+            first = min(c[0] for c in cands.values())
+            tied = [s for s, c in cands.items() if c[0] == first]
+            if len(tied) == 1:
+                labeled.clear()
+                _part_code(crs, d._blocks, _block_index(d._blocks))
+                assert labeled == tied, crs
+                lone += 1
+                if len(groups) == 1:
+                    labeled.clear()
+                    canonical_code(d)
+                    assert labeled == tied, d
+                    whole[len(d._blocks) > 2] += 1
+    assert lone > 800 and min(whole) > 100, (lone, whole)
 
 
 @pytest.mark.parametrize("p, q, tied", [(2, 13, 13), (5, 7, 7)])

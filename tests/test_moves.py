@@ -69,6 +69,7 @@ from conftest import (
     check_slides_once,
     closure_battery,
     finder_battery,
+    four_five_strand_draw,
     occurrences,
     reference_check_labels,
     reference_pokes,
@@ -564,22 +565,6 @@ def test_each_round_is_one_removal_of_the_loop():
         assert diagram._shed(crs, 2 * d.crossing_count + 1) is None, d
         assert diagram._untwist(crs, first) is None, d
     assert rounds > 1000 and several_kinks >= 50, (rounds, several_kinks)
-
-
-def four_five_strand_draw():
-    """Closures of seeded mixed words on 4-5 strands, of length 12-18,
-    with the switch and smoothing children of their simplified
-    diagrams."""
-    rng = random.Random(5)
-    out = []
-    for _ in range(60):
-        p = rng.randint(4, 5)
-        letters = [rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(rng.randint(12, 18))]
-        d = braid_closure(parse_braid("p=%d: %s" % (p, " ".join(map(str, letters)))))
-        s = simplify(d)
-        out.append(d)
-        out += [child(s, i) for i in range(s.crossing_count) for child in (switch, smooth)]
-    return out
 
 
 def test_no_nugatory_crossing_below_five_crossings():
