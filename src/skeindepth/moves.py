@@ -1,17 +1,18 @@
 """Diagram rewrites that do not shrink a diagram, and unlink recognition.
 
-The crossing-increasing pokes, kink insertions and triangle slides here
-never shrink a diagram; they feed the bounded unlink search in
-:func:`recognize_unlink` and the randomized invariance tests.  Each poke
-and each slide is generated once.  Every diagram is labeled in walk
-order, 1..2c, so each arc leaves one slot and arrives at one: the
-rewrites read an arc's ends from its label, rename an arc where it
-arrives, and take their fresh labels from 2c + 1.  A rewrite is kept
-only when :func:`.diagram.validate` finds it planar; the constructor
-has checked its labels.  The search restarts from the first diagram it
-meets with fewer crossings than its start (monotone descent), spends
-one node budget across all restarts, and gives up with ``unknown`` once
-its deadline passes.  The crossing-removing moves, made inside
+The crossing-increasing pokes and kink insertions and the triangle
+slides here never shrink a diagram.  The slides feed the bounded unlink
+search in :func:`recognize_unlink`; pokes and kinks serve the
+randomized invariance tests.  Each poke and each slide is generated
+once.  Every diagram is labeled in walk order, 1..2c, so each arc
+leaves one slot and arrives at one: the rewrites read an arc's ends
+from its label, rename an arc where it arrives, and take their fresh
+labels from 2c + 1.  A rewrite is kept only when
+:func:`.diagram.validate` finds it planar; the constructor has checked
+its labels.  The search restarts from the first diagram it meets with
+fewer crossings than its start (monotone descent), spends one node
+budget across all restarts, and gives up with ``unknown`` once its
+deadline passes.  The crossing-removing moves, made inside
 :func:`.diagram.simplify`, like the skein operations
 :func:`.diagram.switch` and :func:`.diagram.smooth`, live in
 :mod:`.diagram`; this module takes only its public names and slot
@@ -23,7 +24,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 
 from .diagram import (
@@ -42,10 +43,6 @@ from .diagram import (
     validate,
 )
 from .poly import homfly, unlink_value
-
-# extra crossings the unlink search allows over the diagram it started
-# from, or last restarted from
-_CROSSING_MARGIN = 2
 
 
 # -- crossing-increasing moves -------------------------------------------------
@@ -232,36 +229,33 @@ class Verdict:
         return Verdict("unknown")
 
 
-def _candidates(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
-    """Each slide and poke of d, raw and then simplified; the raw children
-    stay because simplification would undo every poke."""
-    for child in chain(triangle_moves(d), poke_moves(d)):
-        yield child
-        yield simplify(child)
-
-
 def recognize_unlink(
     d: OrientedDiagram,
     homfly_value=None,
     node_limit: int = 10000,
     deadline: float | None = None,
+    code: str | None = None,
 ) -> Verdict:
     """Three-valued unlink test; unlink/not_unlink answers are never wrong.
 
     Simplification settles most inputs; a simplified diagram with no
     defect (:func:`.diagram.defects`) is descending, hence an
     unlink; a polynomial mismatch against the split-union value
-    certifies not_unlink; otherwise a bounded search
-    over slides and pokes (allowing _CROSSING_MARGIN extra crossings over
-    the diagram it started from) hunts for a crossingless diagram.  The
-    search descends greedily: the first candidate with fewer crossings
-    than its start drops the queue and the seen set, and the search
-    restarts from that candidate.  Every candidate is isotopic to d, so
-    an unlink found below a restart proves d one.  All restarts share
-    node_limit expansions, so each call expands at most that many nodes.
-    unknown means the node budget ran out or time.monotonic() passed
+    certifies not_unlink; otherwise a bounded search over triangle
+    slides, each simplified, hunts for a crossingless diagram.  A slide
+    keeps the crossing count and simplify only lowers it, so every
+    queued diagram has the floor's crossings: those of the diagram the
+    search started from, or last restarted from.  The search descends
+    greedily: the first simplified slide below the floor drops the queue
+    and the seen set, and the search restarts from it.  Every candidate
+    is isotopic to d, so an unlink found below a restart proves d one.
+    All restarts share node_limit expansions, so each call expands at
+    most that many nodes.  unknown means the floor's slides ran out with
+    the queue empty, the node budget ran out, or time.monotonic() passed
     deadline, never that the answer is known.  homfly_value, when
-    supplied, must be the polynomial of (the link of) d.
+    supplied, must be the polynomial of (the link of) d, and code, when
+    supplied, :func:`.diagram.canonical_code` of d; it is used only when
+    d is already simplified.
     """
     start = simplify(d)
     r = component_count(start)
@@ -272,7 +266,7 @@ def recognize_unlink(
         return Verdict.not_unlink()
 
     floor = start.crossing_count
-    seen = {canonical_code(start)}
+    seen = {code if code is not None and start is d else canonical_code(start)}
     queue: deque[OrientedDiagram] = deque([start])
     nodes = 0
     while queue and nodes < node_limit:
@@ -280,7 +274,8 @@ def recognize_unlink(
             break
         cur = queue.popleft()
         nodes += 1
-        for cand in _candidates(cur):
+        for slid in triangle_moves(cur):
+            cand = simplify(slid)
             if cand.is_crossingless():
                 return Verdict.unlink(r)
             if cand.crossing_count < floor:
@@ -288,10 +283,8 @@ def recognize_unlink(
                 seen = {canonical_code(cand)}
                 queue = deque([cand])
                 break
-            if cand.crossing_count > floor + _CROSSING_MARGIN:
-                continue
-            code = canonical_code(cand)
-            if code not in seen:
-                seen.add(code)
+            cand_code = canonical_code(cand)
+            if cand_code not in seen:
+                seen.add(cand_code)
                 queue.append(cand)
     return Verdict.unknown()

@@ -135,7 +135,9 @@ class SolveContext:
     def verdict_of(self, code: str, d: OrientedDiagram) -> Verdict:
         v = self.verdicts.get(code)
         if v is None:
-            v = recognize_unlink(d, homfly_value=homfly(d, self.homfly_cache), deadline=self.deadline)
+            v = recognize_unlink(
+                d, homfly_value=homfly(d, self.homfly_cache), deadline=self.deadline, code=code
+            )
             # an unknown cut short by the deadline may yet be certified
             # by a later solve with more time
             if not (v.is_unknown and self.out_of_time()):

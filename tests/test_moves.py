@@ -1195,3 +1195,81 @@ def test_descent_battery_matches_the_oracle(shared_cache):
             if oracle_recognize_unlink(s, value).is_unlink:
                 assert v.is_unlink, code
     assert searched >= 10
+
+
+def test_the_search_stays_on_its_floor(monkeypatch, shared_cache):
+    """A slide keeps the crossing count and simplify only lowers it, so
+    every node the search expands has the crossings of the diagram it
+    started or last restarted from, and each labeled diagram it meets is
+    coded once: a slide that simplify leaves alone is coded as itself."""
+    expanded = _count_expansions(monkeypatch)
+    coded = []
+    code_of = moves.canonical_code
+
+    def counted(d):
+        coded.append((len(expanded), d.crossing_count, (d.crossings, d.free_loops)))
+        return code_of(d)
+
+    monkeypatch.setattr(moves, "canonical_code", counted)
+    restarts = 0
+    for text in (UNKNOT_7_PD, UNLINK4_12_PD):
+        for d in (parse_pd(text), mirror(parse_pd(text))):
+            s = simplify(d)
+            if not defects(s):
+                continue
+            value = homfly(s, shared_cache)
+            for given in (None, canonical_code(s)):
+                expanded.clear()
+                coded.clear()
+                assert recognize_unlink(s, value, code=given).is_unlink
+                assert expanded
+                keys = [key for _, _, key in coded]
+                assert len(keys) == len(set(keys)), pd_text(d)
+                # the caller's code of a simplified start stands in for its own
+                assert ((s.crossings, s.free_loops) in keys) == (given is None)
+                floor = s.crossing_count
+                for k, count in enumerate(expanded):
+                    floor = min([floor] + [c for n, c, _ in coded if n <= k])
+                    assert count == floor, (pd_text(d), k)
+                restarts += expanded[-1] < s.crossing_count
+    assert restarts >= 2
+
+
+def scrambled_unlinks(seed, walks, cap=18, slides=8):
+    """(diagram, components) along seeded walks: a split union of one to
+    three kinked unknots grown by kinks and pokes to cap crossings, then
+    slid at random, each slide yielded."""
+    rng = random.Random(seed)
+    kinked = parse_pd("X[2,2,1,1]")
+    for _ in range(walks):
+        r = rng.randint(1, 3)
+        d = kinked
+        for _ in range(r - 1):
+            d = disjoint_union(d, kinked)
+        while d.crossing_count + 2 <= cap:
+            if rng.random() < 0.1:
+                d = insert_kink(d, rng.randrange(1, 2 * d.crossing_count + 1), rng.randrange(4))
+            else:
+                face = rng.choice(faces(d))
+                if len(face) > 1:
+                    d = moves._poke(d, *rng.sample(face, 2)) or d
+        for _ in range(slides):
+            d = rng.choice(list(triangle_moves(d)) or [d])
+            yield d, r
+
+
+def test_slides_alone_certify_scrambled_unlinks():
+    """Unlinks scrambled by kinks, pokes and slides that simplify cannot
+    settle: the slide-only search certifies each, with its components."""
+    codes = set()
+    for d, r in scrambled_unlinks(12, 300):
+        s = simplify(d)
+        if s.is_crossingless() or not defects(s):
+            continue
+        code = canonical_code(s)
+        if code in codes:
+            continue
+        codes.add(code)
+        # d is an unlink by construction, so this is its polynomial
+        assert recognize_unlink(d, unlink_value(r)) == Verdict.unlink(r), pd_text(d)
+    assert len(codes) >= 40
