@@ -27,7 +27,8 @@ them; the search in :mod:`.solver` prunes with their maximum,
 
 The z-degree bound compares P with the unlink value only when P has
 the unlink's z-degree, 1 - r.  ``aggregate_bounds`` picks its two ends
-as it lists the contributions, each the first listed of its value.
+with ``max`` and ``min`` over the contributions it lists, each the
+first listed of its value.
 
 Genus and component count give 2g + r - 1.  Upper bounds come from the
 simplified crossing number minus one and from braid presentations.
@@ -198,34 +199,21 @@ def aggregate_bounds(
     r = component_count(s)
     p = homfly(s, cache)
 
-    # each end is picked as the contributions are listed: the first of
-    # equal values, which a contradiction names
-    contribs = []
-    lo = None
-    for name, value in polynomial_contributions(p, r):
-        contribs.append((name, value, "lower"))
-        if lo is None or value > lo[1]:
-            lo = contribs[-1]
+    contribs = [(name, value, "lower") for name, value in polynomial_contributions(p, r)]
     if genus is not None:
         contribs.append(("genus-components", genus_lower_bound(genus, r), "lower"))
-        if contribs[-1][1] > lo[1]:
-            lo = contribs[-1]
-    hi = ("crossing count", s.crossing_count - 1, "upper")
-    contribs.append(hi)
+    contribs.append(("crossing count", s.crossing_count - 1, "upper"))
     words = list(braid_words or ())
     if words:
         contribs.append(("mixed braid", mixed_braid_upper(words), "upper"))
-        if contribs[-1][1] < hi[1]:
-            hi = contribs[-1]
         signed = [positive_braid_td(w) for w in words if w.positives == 0 or w.negatives == 0]
         if signed:
             exact = min(signed)
             contribs.append(("one-signed braid", exact, "lower"))
             contribs.append(("one-signed braid", exact, "upper"))
-            if exact > lo[1]:
-                lo = contribs[-2]
-            if exact < hi[1]:
-                hi = contribs[-1]
+    # max and min return the first of equal values, which a contradiction names
+    lo = max((c for c in contribs if c[2] == "lower"), key=lambda c: c[1])
+    hi = min((c for c in contribs if c[2] == "upper"), key=lambda c: c[1])
     if lo[1] > hi[1]:
         raise ValueError(
             f"contradictory bounds: {lo[0]} lower bound {lo[1]} "

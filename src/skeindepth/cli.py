@@ -4,7 +4,8 @@ One verb per artifact:
 
 * ``poly <file> [--cache PATH]`` — polynomial of each diagram in the file
 * ``bounds <file> [--genus N] [--braids <file>] [--cache PATH]`` — bound
-  report rows
+  report rows; a diagram that simplifies to an unlink gets the row
+  ``0 0 unlink=0(lower),unlink=0(upper)``
 * ``td <file> [--max-depth K] [--budget N] [--timeout-secs S]
   [--cache PATH]`` — depth per diagram
 * ``braid-bound <braidfile>`` — word statistics and formula bounds
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 from . import braid
-from .bounds import aggregate_bounds
+from .bounds import BoundsReport, aggregate_bounds
 from .braid import BraidWord, mixed_braid_upper, parse_braid, positive_braid_td
-from .diagram import OrientedDiagram, parse_pd, pd_text
+from .diagram import OrientedDiagram, parse_pd, pd_text, simplify
 from .poly import homfly, render_poly
 from .solver import (
     DEFAULT_BUDGET,
@@ -181,7 +182,11 @@ def _cmd_bounds(args, ctx: SolveContext) -> int:
     if args.braids:
         words = list(_parsed(args.braids, parse_braid))
     for idx, d in enumerate(_parsed(args.file, parse_pd), 1):
-        rep = aggregate_bounds(d, genus=args.genus, braid_words=words, cache=ctx.homfly_cache)
+        if simplify(d).is_crossingless():
+            # every tree of an unlink diagram has depth 0, as td answers
+            rep = BoundsReport(0, 0, (("unlink", 0, "lower"), ("unlink", 0, "upper")))
+        else:
+            rep = aggregate_bounds(d, genus=args.genus, braid_words=words, cache=ctx.homfly_cache)
         print(rep.render_row(f"row{idx}"))
     return 0
 

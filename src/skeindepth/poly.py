@@ -20,14 +20,14 @@ simplified children, down to descending diagrams.  The defect is the
 first, in walk order, whose simplified switch sheds crossings, or the
 first defect when none does, so the switch child is smaller where it
 can be.  That expansion is a skein resolution tree, and
-:class:`HomflyCache` keeps it, with its height, for each code it
-expands.  A value has one of two sources: the expansion, which records
-its tree, or a cache file, which records none.  A loaded value answers
-a call of :func:`homfly` on its code, but an expansion that meets it
-as a child resolves that child as it would any other, and
-:func:`expansion` expands a code for its tree: the depth search calls
-it on each node it reaches with a loaded value that no loaded record
-answers.  So every value the expansion computes has its tree.
+:class:`HomflyCache` keeps one entry per code, ``(value, height,
+tree)``.  A value has one of two sources: the expansion, which records
+its tree, or a cache file, which records none: a loaded value is an
+entry without a tree.  It answers a call of :func:`homfly` on its code,
+but :func:`expansion`, the one recursion, resolves a code whose entry
+has no tree as it would any other, a child included: the depth search
+calls it on each node it reaches with a loaded value that no loaded
+record answers.  So every value the expansion computes has its tree.
 """
 
 from __future__ import annotations
@@ -334,30 +334,29 @@ def parse_poly(text: str) -> LaurentPoly2:
 # either drops crossings or returns its input unchanged.
 #
 # The expansion is itself a skein resolution tree with descending
-# leaves, so each code it expands also records that tree and its
-# height, an upper bound on the code's depth that the search starts
-# from.  A value loaded from a cache file comes without a tree, so a
-# child with such a value is expanded all the same; the value it
-# computes replaces the loaded one, which a correct file gives equal.
+# leaves, so each code's entry also holds that tree and its height, an
+# upper bound on the code's depth that the search starts from.  A value
+# loaded from a cache file comes without a tree, so a child with such a
+# value is expanded all the same; the entry it computes replaces the
+# loaded one, whose value a correct file gives equal.
 
 
 class HomflyCache:
     """Memo table keyed by canonical diagram code, with usage counters.
 
-    computed counts the values stored by a skein expansion, a loaded
-    value it re-derives included; hits counts the calls of
-    :func:`homfly` answered from table and the children an expansion
-    found expanded already.  trees holds, per code the expansion
-    resolved down to its leaves, the height of that resolution and its
-    tree.  A code in table with no tree has a value loaded from a cache
-    file that neither an expansion nor the depth search has expanded
-    again.  codes holds the canonical code of each labeled diagram met,
-    for :meth:`code_of`.
+    table holds one entry per code, ``(value, height, tree)``: the
+    HOMFLY-PT value, and the height and tree of the expansion that
+    computed it.  A value loaded from a cache file is an entry without a
+    tree, ``(value, None, None)``, until an expansion or the depth search
+    expands its code.  computed counts the entries stored by a skein
+    expansion, a loaded value it re-derives included; hits counts the
+    calls of :func:`homfly` answered from table and the children an
+    expansion found expanded already.  codes holds the canonical code of
+    each labeled diagram met, for :meth:`code_of`.
     """
 
     def __init__(self):
-        self.table: dict[str, LaurentPoly2] = {}
-        self.trees: dict[str, tuple[int, SkeinTree]] = {}
+        self.table: dict[str, tuple[LaurentPoly2, int | None, SkeinTree | None]] = {}
         self.codes: dict[tuple[tuple, int], str] = {}
         self.hits = 0
         self.computed = 0
@@ -401,52 +400,44 @@ def homfly(d: OrientedDiagram, cache: HomflyCache | None = None) -> LaurentPoly2
     children of a defect crossing, chosen as the module says.  Results
     are memoized on canonical codes in `cache`, so repeated and nested
     calls stay cheap; without one, the call uses a fresh table of its
-    own.  A value in the table answers at once, loaded or computed.
+    own.  An entry in the table answers at once, loaded or computed.
     """
     if cache is None:
         cache = HomflyCache()
     if not d.is_crossingless():
-        got = cache.table.get(cache.code_of(d))
-        if got is not None:
+        entry = cache.table.get(cache.code_of(d))
+        if entry is not None:
             cache.hits += 1
-            return got
-    return _homfly(d, cache)[0]
+            return entry[0]
+    return expansion(d, cache)[0]
 
 
-def expansion(d: OrientedDiagram, cache: HomflyCache) -> tuple[int, SkeinTree]:
-    """Height and tree of the skein expansion of d, expanding d when its
-    code has no tree yet, a value loaded from a cache file included."""
-    _, height, tree = _homfly(d, cache)
-    return height, tree
-
-
-def _homfly(d: OrientedDiagram, cache: HomflyCache) -> tuple[LaurentPoly2, int, SkeinTree]:
-    """The value of d, and the height and tree of its expansion: from the
-    cache when d's code has a tree, else expanded, a loaded value
-    replaced."""
+def expansion(d: OrientedDiagram, cache: HomflyCache) -> tuple[LaurentPoly2, int, SkeinTree]:
+    """The entry of d, ``(value, height, tree)``: the stored one when d's
+    code has a tree, else d expanded and its entry stored, over a loaded
+    value."""
     if d.is_crossingless():
         return unlink_value(d.free_loops), 0, SkeinLeaf(d, d.free_loops)
     key = cache.code_of(d)
-    expanded = cache.trees.get(key)
-    if expanded is not None:
+    entry = cache.table.get(key)
+    if entry is not None and entry[2] is not None:
         cache.hits += 1
-        return cache.table[key], expanded[0], expanded[1]
+        return entry
 
     found = defects(d)
     if not found:
         r = component_count(d)
-        value, height, tree = unlink_value(r), 0, SkeinLeaf(d, r)
+        entry = unlink_value(r), 0, SkeinLeaf(d, r)
     else:
         sheds = switch_sheds(d)
         i = next((j for j in found if sheds(j)), found[0])
-        p_sw, h_sw, t_sw = _homfly(simplify(switch(d, i, sheds)), cache)
-        p_sm, h_sm, t_sm = _homfly(simplify(smooth(d, i)), cache)
+        p_sw, h_sw, t_sw = expansion(simplify(switch(d, i, sheds)), cache)
+        p_sm, h_sm, t_sm = expansion(simplify(smooth(d, i)), cache)
         value = skein_value(d.crossings[i].sign, p_sw, p_sm)
-        height, tree = 1 + max(h_sw, h_sm), SkeinBranch(d, i, t_sw, t_sm)
-    cache.trees[key] = (height, tree)
-    cache.table[key] = value
+        entry = value, 1 + max(h_sw, h_sm), SkeinBranch(d, i, t_sw, t_sm)
+    cache.table[key] = entry
     cache.computed += 1
-    return value, height, tree
+    return entry
 
 
 def conway(d: OrientedDiagram, cache: HomflyCache | None = None) -> dict[int, int]:

@@ -25,11 +25,13 @@ Soundness rules the search lives by:
   reported interval.
 
 Every polynomial the search needs comes from the HOMFLY-PT expansion
-(see :mod:`.poly`), which records its tree, or from a cache file.  A
-node whose polynomial was loaded is expanded for its tree, as a cold
-solve has expanded it, unless a loaded record already proves the depth
-asked of it: the bound report's lower end at the root of
-:func:`compute_td`, k at a node the search reaches.  The smoothing at
+(see :mod:`.poly`), whose entry for a code holds its tree, or from a
+cache file, whose value is an entry without a tree; a loaded line
+never replaces a computed entry.  A node whose polynomial was loaded
+is expanded for its tree, as a cold solve has expanded it, unless a
+loaded record already proves the depth asked of it: the bound
+report's lower end at the root of :func:`compute_td`, k at a node the
+search reaches.  The smoothing at
 a crossing is built only once the switch child there has succeeded,
 since a switch child that fails or runs out of budget ends that branch.  Each child
 is simplified; a switch child that :func:`.diagram.switch` marked,
@@ -75,7 +77,7 @@ stored, in a context or on a diagram object.
 A call without ``ctx`` solves in a fresh context of its own; calls share
 work only through a context passed to each of them.  :class:`ResultCache`
 persists the polynomials and depth intervals of a context to a file and
-loads them into another, as records without a tree.
+loads them into another, as entries and records without a tree.
 """
 
 from __future__ import annotations
@@ -167,19 +169,20 @@ def _record(ctx: SolveContext, code: str, lo: int = 1, hi: int = _INF, tree=None
 
 
 def _merge_expansion(ctx: SolveContext, d: OrientedDiagram, code: str, lo: int, k: int):
-    """Open code's record for a visit of d, whose code is code: merge lo,
-    the lower end the caller proved for d, and the HOMFLY-PT expansion's
-    tree for d in one write, and return the record written.  A value
-    loaded from a cache file has no tree: d is expanded for one, as a
-    cold solve has, unless the record already proves a depth in [lo, k];
-    lo alone is then merged.  A loaded record below lo gives way to it
-    (see :func:`_record`)."""
-    expanded = ctx.homfly_cache.trees.get(code)
-    if expanded is None:
+    """Open code's record for a visit of d, whose code is code and whose
+    polynomial the caller has computed: merge lo, the lower end the
+    caller proved for d, and the HOMFLY-PT expansion's tree for d in one
+    write, and return the record written.  A value loaded from a cache
+    file has no tree: d is expanded for one, as a cold solve has, unless
+    the record already proves a depth in [lo, k]; lo alone is then
+    merged.  A loaded record below lo gives way to it (see
+    :func:`_record`)."""
+    _, height, tree = ctx.homfly_cache.table[code]
+    if tree is None:
         if lo <= ctx.memo.get(code, _OPEN)[1] <= k:
             return _record(ctx, code, lo)
-        expanded = expansion(d, ctx.homfly_cache)
-    return _record(ctx, code, lo, *expanded)
+        _, height, tree = expansion(d, ctx.homfly_cache)
+    return _record(ctx, code, lo, height, tree)
 
 
 def _search(d: OrientedDiagram, k: int, ctx: SolveContext, limit: int):
@@ -484,7 +487,10 @@ class ResultCache:
     Lines are tab-separated: the format marker, then the three values; a
     missing value is "-".  Later lines win on reload, so appending an
     improved interval supersedes the old one.  Loaded intervals go into
-    the context's memo as records without a tree.  A save writes every
+    the context's memo as records without a tree, and loaded polynomials
+    into its HOMFLY-PT table as entries without a tree, only where the
+    code's entry has none: a later line replaces an earlier loaded
+    value, never one the context computed.  A save writes every
     polynomial as render_poly does, and appends a line for each code
     whose text or interval differs from its loaded line: so a value the
     expansion corrected, and a loaded line render_poly did not write, are
@@ -530,8 +536,10 @@ class ResultCache:
                         if lo > hi:
                             raise ValueError(f"empty interval {interval!r}")
                         ctx.memo[code] = (lo, hi, None)
-                    if value is not None:
-                        ctx.homfly_cache.table[code] = value
+                    # a loaded value never replaces a computed entry
+                    entry = ctx.homfly_cache.table.get(code)
+                    if value is not None and (entry is None or entry[2] is None):
+                        ctx.homfly_cache.table[code] = (value, None, None)
                     self.loaded[code] = (poly_text, interval)
                 except (ValueError, IndexError) as e:  # UnicodeDecodeError too
                     print(
@@ -549,8 +557,8 @@ class ResultCache:
     def save_from(self, ctx: SolveContext) -> None:
         rows = []
         for code in sorted(set(ctx.homfly_cache.table) | set(ctx.memo)):
-            value = ctx.homfly_cache.table.get(code)
-            poly_text = "-" if value is None else render_poly(value)
+            entry = ctx.homfly_cache.table.get(code)
+            poly_text = "-" if entry is None else render_poly(entry[0])
             lo, hi, _ = ctx.memo.get(code, _OPEN)
             if (lo, hi) == (1, _INF):
                 interval = "-"

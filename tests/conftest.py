@@ -93,6 +93,23 @@ INF = 10**9
 INNER_BOUND_WORDS = ["p=3: 1 2 -1 -1 -1 1 -2 1 -2", "p=4: 1 -2 1 1 -2 -1 3 2"]
 
 
+def load_values(cache, values):
+    """Store values, {code: polynomial}, in cache as a cache file's lines
+    give them: each an entry without a tree, over any entry its code
+    has."""
+    cache.table.update((code, (value, None, None)) for code, value in values.items())
+
+
+def values_of(cache):
+    """{code: polynomial} for every entry of cache."""
+    return {code: value for code, (value, _, _) in cache.table.items()}
+
+
+def expanded_codes(cache):
+    """The codes whose entry in cache holds the expansion's tree."""
+    return {code for code, (_, _, tree) in cache.table.items() if tree is not None}
+
+
 def inner_records(d):
     """[(code, polynomial, bound)] for each record of a cold solve of d,
     the root's left out, that has a tree and a polynomial bound >= 2."""
@@ -103,7 +120,7 @@ def inner_records(d):
     for code, (_, _, tree) in ctx.memo.items():
         if code == root or tree is None:
             continue
-        value = ctx.homfly_cache.table[code]
+        value = ctx.homfly_cache.table[code][0]
         bound = polynomial_lower_bound(value, component_count(tree.diagram))
         if bound >= 2:
             out.append((code, value, bound))

@@ -131,6 +131,19 @@ def test_bounds_verb(tmp_path, capsys):
     assert "genus-components=2(lower)" in out
 
 
+def test_bounds_verb_gives_an_unlink_diagram_a_row_of_its_own(tmp_path, capsys):
+    """A diagram that simplifies to an unlink gets the row 0 0, named for
+    why, as td answers 0 for it, and the rows after it are printed."""
+    f = tmp_path / "in.pd"
+    f.write_text(f"{TREFOIL}\nX[1,1,2,2]\n{FIXTURE_PDS['fig8'][0]}\n")
+    assert main(["bounds", str(f)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[:3] for row in rows] == [["row1", "2", "2"], ["row2", "0", "0"], ["row3", "2", "3"]]
+    assert rows[1] == "row2\t0\t0\tunlink=0(lower),unlink=0(upper)"
+    assert main(["td", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0\t0\t0"
+
+
 def test_contradictory_claims_are_input_errors(tmp_path, capsys):
     f = tmp_path / "in.pd"
     f.write_text(TREFOIL + "\n")
@@ -424,7 +437,7 @@ def test_skipped_cache_lines_contribute_nothing(tmp_path, monkeypatch, capsys):
     # the run saved the trefoil's own value, not the skipped one
     ctx = SolveContext()
     ResultCache(str(cache_path)).load_into(ctx)
-    assert ctx.homfly_cache.table[code] == homfly(parse_pd(TREFOIL))
+    assert ctx.homfly_cache.table[code][0] == homfly(parse_pd(TREFOIL))
 
 
 @pytest.mark.parametrize("word", INNER_BOUND_WORDS)

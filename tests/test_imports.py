@@ -2,8 +2,9 @@
 cycle, only diagram lends out underscore names, only its slot numbers
 and only to moves, every private module-level name in the package has a
 caller, every module-level import is read, every exported name exists,
-and the names the benchmark's tracer patches and its worker read
-exist."""
+the names the benchmark's tracer patches and its worker read exist, and
+no module keeps a mutable container or a functools cache at module
+level."""
 
 import ast
 import importlib.util
@@ -193,3 +194,65 @@ def test_worker_read_context_attributes_exist():
     ]
     read = set(re.findall(r"\b(?:ctx|cache)\.(\w+)", text))
     assert {"memo", "verdicts", "homfly_cache", "nodes", "computed", "hits"} <= read and missing == []
+
+
+# module-level mutable state allowed in the package besides dunder names
+# such as __all__: the cached reachability tables, which ROADMAP.md plans
+# to delete with the term-wise polynomial bounds
+ALLOWED_GLOBAL_STATE = {"bounds.skein_reachable"}
+_CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _called_name(node):
+    """The last name of node, a name or attribute, or of what it calls."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _module_statements(node):
+    """The statements of a module that run at import: those outside any
+    function or class body, within if, try or with blocks included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(child, ast.stmt):
+            yield child
+        yield from _module_statements(child)
+
+
+def _global_state():
+    """module.name of each module-level dict, list or set (a display, a
+    comprehension or a constructor call) and each function decorated
+    with functools.cache or lru_cache, in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _module_statements(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and (
+                isinstance(value, _CONTAINER_DISPLAYS)
+                or (isinstance(value, ast.Call) and _called_name(value) in _CONTAINER_TYPES)
+            ):
+                found += [f"{path.stem}.{ast.unparse(target)}" for target in targets]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _called_name(dec) in _CACHE_DECORATORS for dec in node.decorator_list
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_module_global_mutable_caches():
+    """No module of the package keeps mutable state at module level,
+    where every caller shares it: per-run state lives in a SolveContext.
+    Dunder names and ALLOWED_GLOBAL_STATE are left out."""
+    found = _global_state()
+    assert "__init__.__all__" in found  # the scan sees a module-level list
+    flagged = [
+        name for name in found if not re.fullmatch(r"\w+\.__\w+__", name) and name not in ALLOWED_GLOBAL_STATE
+    ]
+    assert flagged == []

@@ -34,7 +34,20 @@ from skeindepth.bounds import skein_reachable
 from skeindepth.diagram import OrientedDiagram, defects, pd_text, switch_sheds
 from skeindepth.poly import DELTA, ONE, ZERO, monomial, skein_value
 
-from conftest import A2, AZ, CROSSED, FIXTURE_PDS, Am2, AmZ, closure_battery, finder_battery, scrambled
+from conftest import (
+    A2,
+    AZ,
+    CROSSED,
+    FIXTURE_PDS,
+    Am2,
+    AmZ,
+    closure_battery,
+    expanded_codes,
+    finder_battery,
+    load_values,
+    scrambled,
+    values_of,
+)
 
 A = monomial(1, 1, 0)
 Ainv = monomial(1, -1, 0)
@@ -399,14 +412,14 @@ def test_cache_counters_on_a_warm_table():
     assert cold.computed > 2
 
     warm = HomflyCache()
-    warm.table.update(cold.table)  # as load_into stores them: no trees
+    load_values(warm, values_of(cold))
     assert homfly(d, warm) == p and (warm.computed, warm.hits) == (0, 1)
 
     warm = HomflyCache()
-    warm.table.update((code, value) for code, value in cold.table.items() if code != root)
+    load_values(warm, {code: value for code, value in values_of(cold).items() if code != root})
     assert homfly(d, warm) == p
     assert (warm.computed, warm.hits) == (cold.computed, cold.hits)
-    assert warm.table == cold.table and set(warm.trees) == set(cold.trees)
+    assert values_of(warm) == values_of(cold) and expanded_codes(warm) == expanded_codes(cold)
     homfly(d, warm)
     assert (warm.computed, warm.hits) == (cold.computed, cold.hits + 1)
 
@@ -453,7 +466,7 @@ def test_expansion_records_a_tree_over_loaded_children():
     sw, sm = simplify(switch(d, i)), simplify(smooth(d, i))
     cache = HomflyCache()
     p = homfly(d, cache)
-    height, tree = cache.trees[canonical_code(d)]
+    _, height, tree = cache.table[canonical_code(d)]
     assert height == 4 and (tree.diagram, tree.crossing) == (d, i)
     assert {canonical_code(tree.switched.diagram), canonical_code(tree.smoothed.diagram)} == {
         canonical_code(sw),
@@ -463,13 +476,13 @@ def test_expansion_records_a_tree_over_loaded_children():
 
     for child in (sw, sm):
         code = canonical_code(child)
-        for loaded in (homfly(child), homfly(child) + ONE):  # as load_into stores it
+        for loaded in (homfly(child), homfly(child) + ONE):
             known = HomflyCache()
-            known.table[code] = loaded
+            load_values(known, {code: loaded})
             assert homfly(d, known) == p
-            assert known.trees[canonical_code(d)][0] == height
-            assert known.table[code] == cache.table[code] and known.trees[code][0] == cache.trees[code][0]
-            assert set(known.table) == set(known.trees)
+            assert known.table[canonical_code(d)][1] == height
+            assert known.table[code][:2] == cache.table[code][:2]
+            assert expanded_codes(known) == set(known.table)
 
 
 def test_expansion_resolves_the_first_defect_whose_switch_sheds():
@@ -486,6 +499,6 @@ def test_expansion_resolves_the_first_defect_whose_switch_sheds():
     assert [j for j in defects(d) if sheds(j)] == [2, 3]
     cache = HomflyCache()
     p = homfly(d, cache)
-    assert cache.trees[canonical_code(d)][1].crossing == 2
+    assert cache.table[canonical_code(d)][2].crossing == 2
     first = simplify(switch(d, 0)), simplify(smooth(d, 0))
     assert p == skein_value(d.crossings[0].sign, homfly(first[0]), homfly(first[1]))

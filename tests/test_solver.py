@@ -45,7 +45,10 @@ from conftest import (
     UNKNOT_7_PD,
     brute_min_height,
     closure_battery,
+    expanded_codes,
     inner_records,
+    load_values,
+    values_of,
 )
 
 def test_depth_ladder_hopf():
@@ -86,7 +89,7 @@ def test_failed_search_memoizes_refutation():
     code = canonical_code(simplify(tref))
     # a polynomial loaded from a cache file comes with no expansion tree;
     # the search expands it for one, and the refutation raises lo
-    ctx.homfly_cache.table[code] = homfly(tref)
+    load_values(ctx.homfly_cache, {code: homfly(tref)})
     assert depth_at_most(tref, 1, ctx=ctx) is False
     lo, hi, tree = ctx.memo[code]
     assert lo >= 2 and hi == 2 and verify_tree(tree) == 2
@@ -259,7 +262,7 @@ def test_expansion_trees_are_upper_ends():
         if d.is_crossingless():
             continue
         homfly(d, cache)
-        height, tree = cache.trees[canonical_code(d)]
+        _, height, tree = cache.table[canonical_code(d)]
         assert verify_tree(tree) == height
         if d.crossing_count <= 4:
             assert height >= brute_min_height(d, d.crossing_count)
@@ -272,7 +275,7 @@ def test_expansion_trees_are_upper_ends():
     ):
         d = simplify(d)
         p = homfly(d, cache)
-        height, tree = cache.trees[canonical_code(d)]
+        _, height, tree = cache.table[canonical_code(d)]
         assert verify_tree(tree) == height >= polynomial_lower_bound(p, component_count(d)) == lower
 
 
@@ -412,7 +415,7 @@ def test_a_root_record_the_solve_contradicts_gives_way(loaded):
     ctx = SolveContext()
     code = canonical_code(simplify(d))
     homfly(d, ctx.homfly_cache)
-    ctx.homfly_cache.trees.clear()  # a loaded polynomial has no tree
+    load_values(ctx.homfly_cache, values_of(ctx.homfly_cache))  # a loaded polynomial has no tree
     ctx.memo[code] = (*loaded, None)
     res = compute_td(d, max_depth=0, ctx=ctx)
     lo, hi, tree = ctx.memo[code]
@@ -446,9 +449,9 @@ def test_every_record_opens_at_its_polynomial_bound():
         compute_td(braid_closure(parse_braid(word)), ctx=ctx)
     below, checked = [], 0
     for code, (lo, _, tree) in ctx.memo.items():
-        value = ctx.homfly_cache.table.get(code)
-        if value is None:
+        if code not in ctx.homfly_cache.table:
             continue
+        value = ctx.homfly_cache.table[code][0]
         assert tree is not None  # a cold solve records a tree with each value
         checked += 1
         if lo < polynomial_lower_bound(value, component_count(tree.diagram)):
@@ -496,7 +499,7 @@ def test_deadline_passing_mid_search_refutes_nothing():
     # with the root's polynomial loaded from a cache file, the search
     # expands the root for its tree, which proves only its hi
     ctx = DeadlineAfterRoot()
-    ctx.homfly_cache.table[root] = homfly(d)
+    load_values(ctx.homfly_cache, {root: homfly(d)})
     assert depth_at_most(d, 1, ctx=ctx) is None
     assert ctx.memo[root][:2] == (1, 4)
     assert depth_at_most(d, 1, ctx=SolveContext()) is True
@@ -802,7 +805,7 @@ def _replay_every_tree(ctx):
     tree's height is read from one walk over them all.
     """
     trees = [(code, hi, tree) for code, (_, hi, tree) in ctx.memo.items() if tree is not None]
-    expanded = [(code, h, tree) for code, (h, tree) in ctx.homfly_cache.trees.items()]
+    expanded = [(code, h, tree) for code, (_, h, tree) in ctx.homfly_cache.table.items() if tree is not None]
     heights: dict[int, int] = {}
     inner: set[int] = set()
 
@@ -835,7 +838,7 @@ def test_every_recorded_tree_replays(tmp_path):
     root = canonical_code(depth2)
     ctx = SolveContext()
     compute_td(depth2, ctx=ctx)
-    assert (ctx.homfly_cache.trees[root][0], ctx.memo[root][1]) == (6, 2)
+    assert (ctx.homfly_cache.table[root][1], ctx.memo[root][1]) == (6, 2)
     records, expanded = _replay_every_tree(ctx)
     assert records > 5 and expanded > 5
 
@@ -876,16 +879,16 @@ def test_a_polynomial_without_a_tree_came_from_a_cache_file(tmp_path, monkeypatc
     ctx = SolveContext()
     for d in links:
         compute_td(d, ctx=ctx)
-    assert set(ctx.homfly_cache.table) == set(ctx.homfly_cache.trees)
+    assert set(ctx.homfly_cache.table) == expanded_codes(ctx.homfly_cache)
 
     warm = _cold_half_cache(links, str(tmp_path / "cache.tsv"))
     cache = warm.homfly_cache
-    loaded = dict(cache.table)
-    assert loaded and not cache.trees
+    loaded = values_of(cache)
+    assert loaded and not expanded_codes(cache)
 
     children: set[str] = set()  # codes an expansion met as a child
     depth = [0]
-    expand = poly._homfly
+    expand = poly.expansion
 
     def spy(d, cache):
         if depth[0] and not d.is_crossingless():
@@ -896,16 +899,19 @@ def test_a_polynomial_without_a_tree_came_from_a_cache_file(tmp_path, monkeypatc
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(poly, "_homfly", spy)
+    # the recursion's own calls, and the search's calls from solver
+    monkeypatch.setattr(poly, "expansion", spy)
+    monkeypatch.setattr(solver, "expansion", spy)
     for d in links:
         compute_td(d, ctx=warm)
-    treeless = set(cache.table) - set(cache.trees)
+    treeless = set(cache.table) - expanded_codes(cache)
     assert treeless and treeless <= set(loaded) and not treeless & children
-    assert children <= set(cache.trees)
+    assert children <= expanded_codes(cache)
     rederived = set(loaded) & children
     assert rederived
     for code in rederived:
-        assert cache.table[code] == loaded[code] and cache.table[code] is not loaded[code], code
+        value = cache.table[code][0]
+        assert value == loaded[code] and value is not loaded[code], code
 
 
 def _random_words(seed, count):
@@ -960,16 +966,16 @@ def test_a_solve_expands_its_loaded_diagram_unless_a_record_answers():
     cold = SolveContext()
     want = compute_td(d, ctx=cold)
     assert (want.render(), cold.nodes) == ("4", 0)
-    value = cold.homfly_cache.table[code]
+    value = cold.homfly_cache.table[code][0]
 
     warm = SolveContext()
-    warm.homfly_cache.table[code] = value  # as load_into stores it
+    load_values(warm.homfly_cache, {code: value})
     got = compute_td(d, ctx=warm)
     assert (got.render(), warm.nodes) == ("4", 0) and verify_tree(got.witness) == 4
     assert warm.homfly_cache.computed == cold.homfly_cache.computed
 
     warm = SolveContext()
-    warm.homfly_cache.table[code] = value
+    load_values(warm.homfly_cache, {code: value})
     warm.memo[code] = (4, 4, None)
     got = compute_td(d, ctx=warm)
     assert (got.render(), got.witness, warm.nodes, warm.homfly_cache.computed) == ("4", None, 0, 0)
@@ -982,11 +988,11 @@ def test_a_wrong_loaded_polynomial_is_replaced_and_saved(tmp_path):
     d = simplify(braid_closure(parse_braid(GAP_WORD)))
     cold = SolveContext()
     want = compute_td(d, ctx=cold)
-    tree = cold.homfly_cache.trees[canonical_code(d)][1]
+    tree = cold.homfly_cache.table[canonical_code(d)][2]
     child = tree.switched.diagram
     assert not child.is_crossingless()
     code = canonical_code(child)
-    right = cold.homfly_cache.table[code]
+    right = cold.homfly_cache.table[code][0]
     wrong = right + poly.ONE
     path = tmp_path / "cache.tsv"
     path.write_text(f"{solver.CACHE_FORMAT}\t{code}\t{poly.render_poly(wrong)}\t-\n")
@@ -994,17 +1000,58 @@ def test_a_wrong_loaded_polynomial_is_replaced_and_saved(tmp_path):
     warm = SolveContext()
     store = ResultCache(str(path))
     store.load_into(warm)
-    assert warm.homfly_cache.table[code] == wrong
+    assert warm.homfly_cache.table[code] == (wrong, None, None)
     got = compute_td(d, ctx=warm)
     assert (got.render(), got.status) == (want.render(), want.status)
     assert verify_tree(got.witness) == verify_tree(want.witness)
-    assert warm.homfly_cache.table[code] == right
+    assert warm.homfly_cache.table[code][0] == right
     store.save_from(warm)
     lines = [line.split("\t") for line in path.read_text().splitlines()]
     assert [fields[2] for fields in lines if fields[1] == code][-1] == poly.render_poly(right)
     again = SolveContext()
     ResultCache(str(path)).load_into(again)
-    assert again.homfly_cache.table[code] == right
+    assert again.homfly_cache.table[code] == (right, None, None)
+
+
+def test_a_loaded_line_never_replaces_a_computed_value(tmp_path):
+    """A cache line for a code the context has expanded already leaves
+    the computed value and tree in place: homfly answers the computed
+    value, and a save appends it over the wrong line."""
+    d = simplify(braid_closure(parse_braid("p=3: 1 1 1 -2 1 -2 -2")))
+    ctx = SolveContext()
+    compute_td(d, ctx=ctx)
+    child = simplify(switch(d, 0))
+    assert not child.is_crossingless()
+    code = canonical_code(child)
+    right = homfly(child, ctx.homfly_cache)
+    entry = ctx.homfly_cache.table[code]
+    path = tmp_path / "cache.tsv"
+    path.write_text(f"{solver.CACHE_FORMAT}\t{code}\t{poly.render_poly(right + poly.ONE)}\t-\n")
+    store = ResultCache(str(path))
+    store.load_into(ctx)
+    assert homfly(child, ctx.homfly_cache) == right
+    assert ctx.homfly_cache.table[code] is entry and entry[2] is not None
+    store.save_from(ctx)
+    lines = [line.split("\t") for line in path.read_text().splitlines()]
+    assert [fields[2] for fields in lines if fields[1] == code][-1] == poly.render_poly(right)
+
+
+def test_a_later_loaded_line_replaces_an_earlier_one(tmp_path):
+    """Of two lines for one code that no solve has expanded, the later
+    one's polynomial is the one loaded, in either order."""
+    child = simplify(braid_closure(parse_braid("p=2: 1 1 1")))
+    code = canonical_code(child)
+    right = homfly(child)
+    wrong = right + poly.ONE
+    path = tmp_path / "cache.tsv"
+    for first, last in ((wrong, right), (right, wrong)):
+        path.write_text(
+            "".join(f"{solver.CACHE_FORMAT}\t{code}\t{poly.render_poly(p)}\t-\n" for p in (first, last))
+        )
+        ctx = SolveContext()
+        ResultCache(str(path)).load_into(ctx)
+        assert homfly(child, ctx.homfly_cache) == last
+        assert ctx.homfly_cache.computed == 0
 
 
 @pytest.mark.parametrize(
@@ -1043,15 +1090,15 @@ def test_a_save_appends_only_what_was_not_loaded_as_written(tmp_path, text):
     # a child of the expansion of links[1], which the file does not answer
     cold = SolveContext()
     compute_td(links[1], ctx=cold)
-    child = cold.homfly_cache.trees[canonical_code(simplify(links[1]))][1].switched.diagram
+    child = cold.homfly_cache.table[canonical_code(simplify(links[1]))][2].switched.diagram
     replaced = canonical_code(child)
-    right = poly.render_poly(cold.homfly_cache.table[replaced])
+    right = poly.render_poly(cold.homfly_cache.table[replaced][0])
     first, second = (line.split("\t") for line in lines[:2])
     terms = first[2].split(" + ")
     assert len(terms) > 1
     edited = ["\t".join(first[:2] + [" + ".join(terms[::-1])] + first[3:])] + lines[1:]  # out of order
     edited.append("\t".join(second[:2] + ["-", "1,-"]))  # a later line without a polynomial
-    wrong = poly.render_poly(cold.homfly_cache.table[replaced] + poly.ONE)
+    wrong = poly.render_poly(cold.homfly_cache.table[replaced][0] + poly.ONE)
     edited.append("\t".join([solver.CACHE_FORMAT, replaced, wrong, "-"]))
     # text in another form, and render_poly's text of it, under codes no
     # diagram has, so no solve replaces their values
