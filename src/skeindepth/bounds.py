@@ -26,9 +26,9 @@ them; the search in :mod:`.solver` prunes with their maximum,
   z-degree above REACH_DEPTH reads none.
 
 The z-degree bound compares P with the unlink value only when P has
-the unlink's z-degree, 1 - r.  ``aggregate_bounds`` picks its two ends
-with ``max`` and ``min`` over the contributions it lists, each the
-first listed of its value.
+the unlink's z-degree, 1 - r.  ``aggregate_bounds`` keeps its two ends
+as the contributions are listed, and a contradiction names the first
+listed contribution of each end's value.
 
 Genus and component count give 2g + r - 1.  Upper bounds come from the
 simplified crossing number minus one and from braid presentations.
@@ -199,24 +199,31 @@ def aggregate_bounds(
     r = component_count(s)
     p = homfly(s, cache)
 
-    contribs = [(name, value, "lower") for name, value in polynomial_contributions(p, r)]
+    # no depth bound is negative; a contradiction names the first listed
+    # contribution of each end's value
+    contribs = []
+    lower = 0
+    for name, value in polynomial_contributions(p, r):
+        contribs.append((name, value, "lower"))
+        if value > lower:
+            lower = value
     if genus is not None:
         contribs.append(("genus-components", genus_lower_bound(genus, r), "lower"))
-    contribs.append(("crossing count", s.crossing_count - 1, "upper"))
+        lower = max(lower, contribs[-1][1])
+    upper = s.crossing_count - 1
+    contribs.append(("crossing count", upper, "upper"))
     words = list(braid_words or ())
     if words:
         contribs.append(("mixed braid", mixed_braid_upper(words), "upper"))
+        upper = min(upper, contribs[-1][1])
         signed = [positive_braid_td(w) for w in words if w.positives == 0 or w.negatives == 0]
         if signed:
             exact = min(signed)
             contribs.append(("one-signed braid", exact, "lower"))
             contribs.append(("one-signed braid", exact, "upper"))
-    # max and min return the first of equal values, which a contradiction names
-    lo = max((c for c in contribs if c[2] == "lower"), key=lambda c: c[1])
-    hi = min((c for c in contribs if c[2] == "upper"), key=lambda c: c[1])
-    if lo[1] > hi[1]:
-        raise ValueError(
-            f"contradictory bounds: {lo[0]} lower bound {lo[1]} "
-            f"exceeds {hi[0]} upper bound {hi[1]}"
-        )
-    return BoundsReport(lo[1], hi[1], tuple(contribs))
+            lower, upper = max(lower, exact), min(upper, exact)
+    if lower > upper:
+        lo = next(n for n, v, kind in contribs if kind == "lower" and v == lower)
+        hi = next(n for n, v, kind in contribs if kind == "upper" and v == upper)
+        raise ValueError(f"contradictory bounds: {lo} lower bound {lower} exceeds {hi} upper bound {upper}")
+    return BoundsReport(lower, upper, tuple(contribs))

@@ -99,12 +99,10 @@ the blocks are joined into parts only when there are several, and a
 diagram of one block builds no block index.  Each arc's block and place
 in it give every start's first relabeled crossing, and one pass over the
 part keeps the smallest and the starts that give it, the tied starts:
-only they can give the code.  A lone tied start is labeled once, its
-relabeled crossings sorted in place.  Two tied starts that relabel the
-part alike give a symmetry of the part, so only one start in each
-symmetry class is labeled in full, at O(c log c) for a part with c
-crossings, in label-indexed lists: a torus closure, with one tied start
-per turn of its braid, is labeled twice.  The code is stored nowhere:
+only they can give the code.  Each tied start is labeled, at
+O(c log c) for a part with c crossings, in label-indexed lists, and the
+least relabeling is kept: a torus closure is labeled once per turn of
+its braid.  The code is stored nowhere:
 :meth:`.poly.HomflyCache.code_of` is its one memo.
 """
 
@@ -597,19 +595,8 @@ def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]
     component of one arc would meet the other strand at its crossing
     once, which no planar diagram does).
 
-    A lone tied start gives the code: it is labeled once and its
-    relabeled crossings are sorted in place.  Several tied starts are
-    labeled as follows.
-
-    Two starts whose candidates are equal, s first and t, give the map
-    psi = L_s^-1 . L_t, taking t to s.  It maps each crossing's arcs to a
-    crossing's arcs, in slot order and with its sign, so it is an
-    automorphism of the part: it keeps succ and head, and hence every
-    traversal, so a start and its image under psi have equal candidates.
-    The automorphisms found so far, restricted to the tied starts, close
-    the labeled starts into orbits, and a tied start in one of them is
-    not labeled: its candidate is already known.  The automorphisms stay
-    automorphisms whichever candidate turns out smallest.
+    Each tied start is labeled and its relabeled crossings sorted; the
+    least of these candidates is serialized.
     """
     # each start's first tuple, without its constant 1 and L(c) = 2 and
     # each label less one; the least so far starts above every label
@@ -635,35 +622,14 @@ def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]
         for a, b, c, d, sign in crossings:
             across[a], across[b if sign > 0 else d] = b, a
     size = 2 * len(crossings)
-    if len(starts) == 1:
-        label = _traversal_labels(starts[0], first, block, across, size)
-        rows = [(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings]
-        rows.sort()
-        return ";".join(map("%d,%d,%d,%d,%d".__mod__, rows))
-    labelings: dict[tuple, list[int]] = {}  # candidate -> a labeling giving it
-    automorphisms: list[dict[int, int]] = []  # on the tied starts
-    known: set[int] = set()  # the orbits of the labeled starts
+    least_rows = None
     for start in starts:
-        if start in known:
-            continue
         label = _traversal_labels(start, first, block, across, size)
         rows = [(label[a], label[b], label[c], label[d], sign) for a, b, c, d, sign in crossings]
         rows.sort()
-        known.add(start)
-        grow = [start]  # close start's orbit, or every orbit under a new psi
-        other = labelings.setdefault(tuple(rows), label)
-        if other is not label:
-            arc_of = {lab: x for x, lab in enumerate(other)}
-            automorphisms.append({x: arc_of[label[x]] for x in starts})
-            grow = list(known)
-        while grow:
-            x = grow.pop()
-            for psi in automorphisms:
-                y = psi[x]
-                if y not in known:
-                    known.add(y)
-                    grow.append(y)
-    return ";".join(map("%d,%d,%d,%d,%d".__mod__, min(labelings)))
+        if least_rows is None or rows < least_rows:
+            least_rows = rows
+    return ";".join(map("%d,%d,%d,%d,%d".__mod__, least_rows))
 
 
 def _traversal_labels(

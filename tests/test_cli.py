@@ -337,7 +337,7 @@ def test_tabulate_expected_mismatch_warns(tmp_path, capsys):
     data.write_text("tref\t" + TREFOIL + "\t\t\t5\n")
     assert main(["tabulate", str(data)]) == 0
     captured = capsys.readouterr()
-    assert "warning: tref" in captured.err
+    assert captured.err == "warning: tref: expected 5..5 outside [2, 2]\n"
     # an expected depth outside an interval left open
     data.write_text(f"gap\t\t\t{INTERVAL_WORD}\t3\n")
     assert main(["tabulate", str(data)]) == 0

@@ -961,12 +961,9 @@ def _recording_labels(monkeypatch):
 def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monkeypatch):
     """Each start's first relabeled crossing is computed exactly, so only
     the tied starts, whose candidates begin with the smallest one, are
-    labeled, each at most once.  Two tied starts with equal candidates
-    give an automorphism of the part, and no start in the orbit of a
-    labeled one is labeled: every tied start has the candidate of a
-    labeled start."""
+    labeled, and each of them exactly once."""
     labeled = _recording_labels(monkeypatch)
-    total = pruned_off = skipped = 0
+    total = pruned_off = 0
     for d in kernel_battery() + symmetric_battery():
         for g in reference_groups(d):
             crs = [d.crossings[ci] for ci in g]
@@ -975,12 +972,10 @@ def test_part_code_labels_only_the_starts_with_the_smallest_first_crossing(monke
             tied = {s for s, c in cands.items() if c[0] == first}
             labeled.clear()
             _part_code(crs, d._blocks, _block_index(d._blocks))
-            assert len(set(labeled)) == len(labeled) and set(labeled) <= tied, crs
-            assert {tuple(cands[s]) for s in tied} == {tuple(cands[s]) for s in labeled}, crs
+            assert sorted(labeled) == sorted(tied), crs
             total += len(cands)
             pruned_off += len(set(_off_component_starts(crs)) - tied)
-            skipped += len(tied) - len(labeled)
-    assert pruned_off > 100 and total > 2000 and skipped > 300
+    assert pruned_off > 100 and total > 2000
 
 
 def test_a_lone_tied_start_is_labeled_once(monkeypatch):
@@ -1011,10 +1006,9 @@ def test_a_lone_tied_start_is_labeled_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p, q, tied", [(2, 13, 13), (5, 7, 7)])
-def test_a_torus_closure_is_labeled_twice(monkeypatch, p, q, tied):
+def test_a_torus_closure_is_labeled_once_per_turn(monkeypatch, p, q, tied):
     """The q tied starts of a torus closure, one per turn of the braid,
-    have one candidate, and the second labeling gives the rotation that
-    carries the first start to every other one."""
+    have one candidate, and each of them is labeled."""
     d = _torus_closure(p, q)
     cands = reference_candidates(d.crossings)
     first = min(c[0] for c in cands.values())
@@ -1022,7 +1016,7 @@ def test_a_torus_closure_is_labeled_twice(monkeypatch, p, q, tied):
     assert len(ties) == tied and len(set(ties)) == 1
     labeled = _recording_labels(monkeypatch)
     assert canonical_code(d) == reference_code(d)
-    assert len(labeled) == 2
+    assert len(labeled) == q
 
 
 def test_renormalize_matches_the_reference():
