@@ -1,9 +1,13 @@
 """Oriented link diagrams as planar diagram (PD) codes.
 
-A crossing is a tuple (a, b, c, d) of arc labels listed counterclockwise
-starting from the incoming under-strand arc a; c is the outgoing
-under-strand arc.  Each arc label appears exactly twice.  Crossingless
-components are carried as a bare free-loop count.
+A crossing is a plain tuple (a, b, c, d, sign) of ints: four arc labels
+listed counterclockwise starting from the incoming under-strand arc a (c
+is the outgoing under-strand arc), then the sign.  Each arc label
+appears exactly twice.  Every diagram holds its crossings as exact
+tuples, which every kernel unpacks or indexes; :class:`Crossing` only
+names the fields for callers, and the constructor stores a plain tuple
+for each crossing it is given.  Crossingless components are carried as
+a bare free-loop count.
 
 The over-strand direction at a crossing follows arc succession: the
 crossing is positive when the over-strand runs b -> d.  Text codes do not
@@ -88,7 +92,7 @@ ranks cannot number.  Its labels are its parent's, below 2c + 1, so
 the walk is numbered in label-indexed lists of that size
 (:func:`_walk_numbers`), as simplify's rounds, the corner table behind
 the nugatory test and :func:`switch_sheds`' over-strand maps are; every
-such result is sorted as plain tuples and its crossings built once.
+such result is sorted as plain tuples and kept as those tuples.
 
 :func:`canonical_code` names a diagram up to renaming its arcs and
 reordering its crossings; the solver, the polynomial cache and the
@@ -115,6 +119,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class Crossing(NamedTuple):
+    """The fields of a crossing, named for callers that spell one by
+    field.  Equal, ordered and hashed as the plain (a, b, c, d, sign)
+    tuple, which is what every diagram stores: no diagram holds one."""
+
     a: int
     b: int
     c: int
@@ -143,10 +151,12 @@ class OrientedDiagram:
     gives the label-block table.  Crossings whose labels do not run in
     walk order, their numbering not the identity, are relabeled by it
     and kept in the order given; ValueError when their arcs do not close
-    into components.
+    into components.  Each crossing is stored as an exact
+    (a, b, c, d, sign) int tuple, whatever tuple type it was given as
+    (a :class:`Crossing`, say).
     """
 
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[tuple[int, int, int, int, int], ...]
     free_loops: int = 0
     # functions of the crossings and free loops alone, not part of
     # equality, hash or repr: the label-block table (_walk_numbers), and the
@@ -160,7 +170,7 @@ class OrientedDiagram:
             raise ValueError("free_loops must be >= 0")
         if not self.crossings and self.free_loops == 0:
             raise ValueError("empty diagram: no crossings and no free loops")
-        crossings = self.crossings
+        crossings = tuple(map(tuple, self.crossings))
         size = 2 * len(crossings) + 1
         for cr in crossings:
             a, b, c, e, sign = cr
@@ -173,8 +183,8 @@ class OrientedDiagram:
         except IndexError:  # a label above 2c
             m, blocks = _walk_numbers(crossings)
         if m != list(range(size)):
-            relabeled = tuple(Crossing(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in crossings)
-            object.__setattr__(self, "crossings", relabeled)
+            crossings = tuple([(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in crossings])
+        object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "_blocks", blocks)
 
     @property
@@ -188,9 +198,10 @@ class OrientedDiagram:
         return "OrientedDiagram(%s)" % pd_text(self)
 
 
-def _walk_ordered(crossings: tuple[Crossing, ...], free_loops: int, blocks: list[int]) -> OrientedDiagram:
+def _walk_ordered(crossings: tuple[tuple[int, ...], ...], free_loops: int, blocks: list[int]) -> OrientedDiagram:
     """The private constructor: crossings already labeled in walk order,
-    with their label-block table blocks, wrapped as they are.
+    exact (a, b, c, d, sign) int tuples, with their label-block table
+    blocks, wrapped as they are.
 
     For the operations here that know the table of what they build; it
     checks and reads nothing.
@@ -234,7 +245,7 @@ def parse_pd(text: str) -> OrientedDiagram:
         if not m:
             raise ValueError("malformed PD item: %r" % item)
         tuples.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
-    crossings = tuple(map(Crossing._make, [(*t, s) for t, s in zip(tuples, _infer_signs(tuples))]))
+    crossings = tuple([(*t, s) for t, s in zip(tuples, _infer_signs(tuples))])
     size = 2 * len(crossings) + 1
     try:
         numbers, blocks = _walk_numbers(crossings, size)
@@ -250,7 +261,7 @@ def parse_pd(text: str) -> OrientedDiagram:
 
 
 def pd_text(d: OrientedDiagram) -> str:
-    items = ["X[%d,%d,%d,%d]" % cr.arcs() for cr in d.crossings]
+    items = ["X[%d,%d,%d,%d]" % cr[:4] for cr in d.crossings]
     items.extend("O" for _ in range(d.free_loops))
     return ";".join(items)
 
@@ -330,7 +341,7 @@ def component_count(d: OrientedDiagram) -> int:
 
 
 def writhe(d: OrientedDiagram) -> int:
-    return sum(cr.sign for cr in d.crossings)
+    return sum(cr[4] for cr in d.crossings)
 
 
 def defects(d: OrientedDiagram) -> list[int]:
@@ -459,23 +470,23 @@ def _parts(
 # -- relabeling ---------------------------------------------------------------
 
 
-def renormalize(crossings: Iterable[Crossing], free_loops: int, size: int = 0) -> OrientedDiagram:
+def renormalize(crossings: Iterable[tuple[int, ...]], free_loops: int, size: int = 0) -> OrientedDiagram:
     """Relabel arbitrary integer arcs to the contiguous 1..2c convention,
     with the label-block table filled in.
 
     Components are ordered by their smallest current label and each starts
     at its smallest current label; crossings are sorted for determinism.
-    Plain (a, b, c, d, sign) tuples are accepted as crossings, and their
-    signs are taken as they are.  A caller that knows the labels lie in
-    1..size - 1 gives size, and they are numbered in label-indexed lists
-    (:func:`_walk_numbers`).
+    Any (a, b, c, d, sign) tuples are accepted as crossings, and their
+    signs are taken as they are; the result holds plain tuples.  A
+    caller that knows the labels lie in 1..size - 1 gives size, and they
+    are numbered in label-indexed lists (:func:`_walk_numbers`).
     """
     crossings = tuple(crossings)
     if not crossings:
         return OrientedDiagram((), free_loops)
     m, first = _walk_numbers(crossings, size)
     rows = sorted([(m[a], m[b], m[c], m[d], sign) for a, b, c, d, sign in crossings])
-    return _walk_ordered(tuple(map(Crossing._make, rows)), free_loops, first)
+    return _walk_ordered(tuple(rows), free_loops, first)
 
 
 def _walk_numbers(
@@ -562,7 +573,7 @@ def canonical_code(d: OrientedDiagram) -> str:
     return code + "|L%d" % d.free_loops
 
 
-def _part_code(crossings: Sequence[Crossing], first: list[int], block: list[int]) -> str:
+def _part_code(crossings: Sequence[tuple[int, ...]], first: list[int], block: list[int]) -> str:
     """Canonical code of one connected part, by traversal labeling.
 
     The part's crossings are labeled in walk order; first and block are
@@ -678,11 +689,10 @@ def mirror(d: OrientedDiagram) -> OrientedDiagram:
     return _walk_ordered(tuple(_exchange(cr) for cr in d.crossings), d.free_loops, d._blocks)
 
 
-def _exchange(cr: Crossing) -> Crossing:
+def _exchange(cr: tuple[int, ...]) -> tuple[int, ...]:
     """cr with its over and under strands exchanged; the sign negates."""
-    if cr.sign > 0:
-        return Crossing(cr.b, cr.c, cr.d, cr.a, -1)
-    return Crossing(cr.d, cr.a, cr.b, cr.c, 1)
+    a, b, c, d, sign = cr
+    return (b, c, d, a, -1) if sign > 0 else (d, a, b, c, 1)
 
 
 # -- skein operations ----------------------------------------------------------
@@ -749,10 +759,7 @@ def split_components(d: OrientedDiagram) -> list[OrientedDiagram]:
 
 def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
     offset = 2 * d1.crossing_count
-    shifted = tuple(
-        Crossing(cr.a + offset, cr.b + offset, cr.c + offset, cr.d + offset, cr.sign)
-        for cr in d2.crossings
-    )
+    shifted = tuple([(a + offset, b + offset, c + offset, e + offset, s) for a, b, c, e, s in d2.crossings])
     size = offset + 2 * d2.crossing_count + 1
     return renormalize(d1.crossings + shifted, d1.free_loops + d2.free_loops, size)
 
@@ -958,8 +965,8 @@ def _ranked(crossings: list[tuple[int, ...]], first: list[int], free_loops: int)
     rank = list(accumulate(present))
     blocks = [rank[s - 1] + 1 for s, e in zip(first, first[1:]) if rank[e - 1] > rank[s - 1]]
     blocks.append(rank[-1] + 1)
-    rows = [(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings]
-    return _walk_ordered(tuple(map(Crossing._make, rows)), free_loops, blocks)
+    rows = tuple([(rank[a], rank[b], rank[c], rank[d], sign) for a, b, c, d, sign in crossings])
+    return _walk_ordered(rows, free_loops, blocks)
 
 
 def simplify(d: OrientedDiagram) -> OrientedDiagram:
@@ -1107,10 +1114,10 @@ def _met_twice(crossings: Sequence[tuple[int, ...]], size: int = 0) -> set[int]:
     return twice
 
 
-def arriving_slots(cr: Crossing) -> tuple[int, int]:
+def arriving_slots(cr: tuple[int, ...]) -> tuple[int, int]:
     """Slots where arcs arrive at this crossing (under-in and over-in)."""
-    return (_UNDER_IN, _OVER_B if cr.sign > 0 else _OVER_D)
+    return (_UNDER_IN, _OVER_B if cr[4] > 0 else _OVER_D)
 
 
-def leaving_slots(cr: Crossing) -> tuple[int, int]:
-    return (_UNDER_OUT, _OVER_D if cr.sign > 0 else _OVER_B)
+def leaving_slots(cr: tuple[int, ...]) -> tuple[int, int]:
+    return (_UNDER_OUT, _OVER_D if cr[4] > 0 else _OVER_B)

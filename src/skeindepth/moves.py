@@ -30,7 +30,6 @@ from typing import Iterator
 from .diagram import (
     _OVER_B,
     _OVER_D,
-    Crossing,
     OrientedDiagram,
     arriving_slots,
     canonical_code,
@@ -48,7 +47,7 @@ from .poly import homfly, unlink_value
 # -- crossing-increasing moves -------------------------------------------------
 
 
-def _renamed_heads(d: OrientedDiagram, names: dict[int, int]) -> list[Crossing]:
+def _renamed_heads(d: OrientedDiagram, names: dict[int, int]) -> list[tuple[int, ...]]:
     """d's crossings with each arc in names renamed where it arrives."""
     out = []
     for a, b, c, e, sign in d.crossings:
@@ -56,7 +55,7 @@ def _renamed_heads(d: OrientedDiagram, names: dict[int, int]) -> list[Crossing]:
             b = names.get(b, b)
         else:
             e = names.get(e, e)
-        out.append(Crossing(names.get(a, a), b, c, e, sign))
+        out.append((names.get(a, a), b, c, e, sign))
     return out
 
 
@@ -66,12 +65,7 @@ def insert_kink(d: OrientedDiagram, arc: int, variant: int) -> OrientedDiagram:
     if not 1 <= arc < top:
         raise ValueError("no such arc: %d" % arc)
     m, post = top, top + 1
-    shapes = (
-        Crossing(arc, m, m, post, 1),
-        Crossing(arc, post, m, m, -1),
-        Crossing(m, arc, post, m, 1),
-        Crossing(m, m, post, arc, -1),
-    )
+    shapes = ((arc, m, m, post, 1), (arc, post, m, m, -1), (m, arc, post, m, 1), (m, m, post, arc, -1))
     return renormalize(_renamed_heads(d, {arc: post}) + [shapes[variant]], d.free_loops, top + 2)
 
 
@@ -95,10 +89,10 @@ def _poke(
     top = 2 * d.crossing_count + 1
     em, ep, fm, fp = top, top + 1, top + 2, top + 3
     added = {
-        (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
-        (True, True): (Crossing(fm, e, fp, em, 1), Crossing(f, ep, fm, em, -1)),
-        (False, False): (Crossing(fm, em, fp, e, -1), Crossing(f, em, fm, ep, 1)),
-        (False, True): (Crossing(f, e, fm, em, 1), Crossing(fm, ep, fp, em, -1)),
+        (True, False): ((f, em, fm, e, -1), (fm, em, fp, ep, 1)),
+        (True, True): ((fm, e, fp, em, 1), (f, ep, fm, em, -1)),
+        (False, False): ((fm, em, fp, e, -1), (f, em, fm, ep, 1)),
+        (False, True): ((f, e, fm, em, 1), (fm, ep, fp, em, -1)),
     }[(e_fwd, f_fwd)]
     try:
         nd = renormalize(_renamed_heads(d, {e: ep, f: fp}) + list(added), d.free_loops, top + 4)
@@ -120,10 +114,10 @@ def poke_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
                     yield nd
 
 
-def _build_crossing(sign: int, under: tuple[int, int], over: tuple[int, int]) -> Crossing:
+def _build_crossing(sign: int, under: tuple[int, int], over: tuple[int, int]) -> tuple[int, ...]:
     if sign > 0:
-        return Crossing(under[0], over[0], under[1], over[1], 1)
-    return Crossing(under[0], over[1], under[1], over[0], -1)
+        return (under[0], over[0], under[1], over[1], 1)
+    return (under[0], over[1], under[1], over[0], -1)
 
 
 def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
@@ -144,45 +138,45 @@ def triangle_moves(d: OrientedDiagram) -> Iterator[OrientedDiagram]:
             head[cr[slot]] = (ci, slot)
         for slot in leaving_slots(cr):
             tail[cr[slot]] = (ci, slot)
-    for i, X in enumerate(d.crossings):
-        eA = X.over_out()
+    for i, (xa, xb, xc, xd, x_sign) in enumerate(d.crossings):
+        pT_in, eA = (xb, xd) if x_sign > 0 else (xd, xb)
         j = head[eA][0]
-        Y = d.crossings[j]
-        if j == i or Y.over_in() != eA:
+        ya, yb, yc, yd, y_sign = d.crossings[j]
+        y_in, pT_out = (yb, yd) if y_sign > 0 else (yd, yb)
+        if j == i or y_in != eA:
             continue
-        pT_in, pT_out = X.over_in(), Y.over_out()
-        for eB, dirM, (z, sB) in ((X.c, 1, head[X.c]), (X.a, -1, tail[X.a])):
+        for eB, dirM, (z, sB) in ((xc, 1, head[xc]), (xa, -1, tail[xa])):
             if z in (i, j):
                 continue
-            for eC, dirB, (z2, sC) in ((Y.c, 1, head[Y.c]), (Y.a, -1, tail[Y.a])):
+            for eC, dirB, (z2, sC) in ((yc, 1, head[yc]), (ya, -1, tail[ya])):
                 if z2 != z or sB == sC:
                     continue
                 m_over_at_z = sB in (_OVER_B, _OVER_D)
                 if m_over_at_z == (sC in (_OVER_B, _OVER_D)):
                     continue  # must attach to the two different strands of Z
-                Z = d.crossings[z]
+                za, zb, zc, zd, z_sign = d.crossings[z]
                 # each strand's arcs into and out of Z
-                under, over = (Z.a, Z.c), (Z.over_in(), Z.over_out())
+                under, over = (za, zc), ((zb, zd) if z_sign > 0 else (zd, zb))
                 (m_in, m_out), (b_in, b_out) = (over, under) if m_over_at_z else (under, over)
-                mFirst, mLast = (X.a, m_out) if dirM > 0 else (m_in, X.c)
-                bFirst, bLast = (Y.a, b_out) if dirB > 0 else (b_in, Y.c)
+                mFirst, mLast = (xa, m_out) if dirM > 0 else (m_in, xc)
+                bFirst, bLast = (ya, b_out) if dirB > 0 else (b_in, yc)
 
                 xhat = _build_crossing(
-                    Y.sign,
+                    y_sign,
                     (eC, bLast) if dirB > 0 else (bFirst, eC),
                     (pT_in, eA),
                 )
                 yhat = _build_crossing(
-                    X.sign,
+                    x_sign,
                     (eB, mLast) if dirM > 0 else (mFirst, eB),
                     (eA, pT_out),
                 )
                 m_pair = (mFirst, eB) if dirM > 0 else (eB, mLast)
                 b_pair = (bFirst, eC) if dirB > 0 else (eC, bLast)
                 if m_over_at_z:
-                    zhat = _build_crossing(Z.sign, b_pair, m_pair)
+                    zhat = _build_crossing(z_sign, b_pair, m_pair)
                 else:
-                    zhat = _build_crossing(Z.sign, m_pair, b_pair)
+                    zhat = _build_crossing(z_sign, m_pair, b_pair)
 
                 out = list(d.crossings)
                 out[i], out[j], out[z] = xhat, yhat, zhat

@@ -433,7 +433,7 @@ def expansion(d: OrientedDiagram, cache: HomflyCache) -> tuple[LaurentPoly2, int
         i = next((j for j in found if sheds(j)), found[0])
         p_sw, h_sw, t_sw = expansion(simplify(switch(d, i, sheds)), cache)
         p_sm, h_sm, t_sm = expansion(simplify(smooth(d, i)), cache)
-        value = skein_value(d.crossings[i].sign, p_sw, p_sm)
+        value = skein_value(d.crossings[i][4], p_sw, p_sm)
         entry = value, 1 + max(h_sw, h_sm), SkeinBranch(d, i, t_sw, t_sm)
     cache.table[key] = entry
     cache.computed += 1

@@ -319,42 +319,40 @@ def verify_tree(tree: SkeinTree) -> int:
     has, needs no code; any other child is coded with the move's result
     and must match it.  A subtree object shared by several branches is
     checked once per call.  Raises ValueError on the first violation.
+    The replay is a module-level function given the call's context and
+    heights memo, so the call leaves no cycle behind for the collector.
     """
-    ctx = SolveContext()
-    heights: dict[int, int] = {}
+    return _replay(tree, SolveContext(), {})
 
-    def fresh(d: OrientedDiagram) -> OrientedDiagram:
-        return OrientedDiagram(d.crossings, d.free_loops)
 
-    def replay(t: SkeinTree) -> int:
-        h = heights.get(id(t))
-        if h is not None:
-            return h
-        d = fresh(t.diagram)
-        if isinstance(t, SkeinLeaf):
-            v = ctx.verdict_of(ctx.homfly_cache.code_of(d), d)
-            if not v.is_unlink:
-                raise ValueError(f"leaf not certified as an unlink: {d!r}")
-            if v.components != t.components:
-                raise ValueError(
-                    f"leaf claims {t.components} components, recognizer says {v.components}"
-                )
-            h = 0
-        else:
-            if not 0 <= t.crossing < d.crossing_count:
-                raise ValueError(f"branch crossing index {t.crossing} out of range")
-            for child, op, name in (
-                (t.switched, switch, "switch"),
-                (t.smoothed, smooth, "smoothing"),
-            ):
-                want, got = simplify(op(d, t.crossing)), fresh(child.diagram)
-                if want != got and canonical_code(want) != canonical_code(got):
-                    raise ValueError(f"{name} child does not match the recorded move")
-            h = 1 + max(replay(t.switched), replay(t.smoothed))
-        heights[id(t)] = h
+def _replay(t: SkeinTree, ctx: SolveContext, heights: dict[int, int]) -> int:
+    """verify_tree's check of the subtree t, in the call's context ctx,
+    with the heights of the subtrees already checked, by object id."""
+    h = heights.get(id(t))
+    if h is not None:
         return h
+    d = _fresh(t.diagram)
+    if isinstance(t, SkeinLeaf):
+        v = ctx.verdict_of(ctx.homfly_cache.code_of(d), d)
+        if not v.is_unlink:
+            raise ValueError(f"leaf not certified as an unlink: {d!r}")
+        if v.components != t.components:
+            raise ValueError(f"leaf claims {t.components} components, recognizer says {v.components}")
+        h = 0
+    else:
+        if not 0 <= t.crossing < d.crossing_count:
+            raise ValueError(f"branch crossing index {t.crossing} out of range")
+        for child, op, name in ((t.switched, switch, "switch"), (t.smoothed, smooth, "smoothing")):
+            want, got = simplify(op(d, t.crossing)), _fresh(child.diagram)
+            if want != got and canonical_code(want) != canonical_code(got):
+                raise ValueError(f"{name} child does not match the recorded move")
+        h = 1 + max(_replay(t.switched, ctx, heights), _replay(t.smoothed, ctx, heights))
+    heights[id(t)] = h
+    return h
 
-    return replay(tree)
+
+def _fresh(d: OrientedDiagram) -> OrientedDiagram:
+    return OrientedDiagram(d.crossings, d.free_loops)
 
 
 @dataclass

@@ -280,11 +280,17 @@ def scrambled(d, rng):
     The constructor relabels it in walk order, so it is another
     walk-order labeling of d: its components reordered, each walk
     started elsewhere, and its crossings in another order."""
-    arcs = sorted({arc for cr in d.crossings for arc in cr.arcs()})
+    arcs = sorted({arc for cr in d.crossings for arc in cr[:4]})
     mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
-    crs = [Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in d.crossings]
+    crs = [Crossing(mapping[a], mapping[b], mapping[c], mapping[e], s) for a, b, c, e, s in d.crossings]
     rng.shuffle(crs)
     return OrientedDiagram(tuple(crs), d.free_loops)
+
+
+def over_strand(cr):
+    """The over-strand's arcs (in, out) at a crossing (a, b, c, d, sign)."""
+    _, b, _, d, sign = cr
+    return (b, d) if sign > 0 else (d, b)
 
 
 def reference_cycles(crossings):
@@ -292,8 +298,9 @@ def reference_cycles(crossings):
     arc met, read from a successor dict."""
     succ = {}
     for cr in crossings:
-        succ[cr.a] = cr.c
-        succ[cr.over_in()] = cr.over_out()
+        succ[cr[0]] = cr[2]
+        over_in, over_out = over_strand(cr)
+        succ[over_in] = over_out
     cycles, seen = [], set()
     for start in succ:
         if start not in seen:

@@ -24,10 +24,12 @@ from skeindepth import (
     parse_braid,
     parse_pd,
     pd_text,
+    poke_moves,
     simplify,
     smooth,
     split_components,
     switch,
+    triangle_moves,
     writhe,
 )
 from skeindepth import diagram
@@ -55,6 +57,7 @@ from conftest import (
     finder_battery,
     four_five_strand_draw,
     occurrences,
+    over_strand,
     reference_check_labels,
     reference_cycles,
     reference_parse,
@@ -132,7 +135,7 @@ def test_the_constructor_relabels_in_walk_order():
     assert d._blocks == walk_order_blocks(d.crossings) == [1, 7]
     assert canonical_code(d) == canonical_code(mirror(tref))
     assert OrientedDiagram(d.crossings) == d
-    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr.sign) for cr in tref.crossings))
+    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr[4]) for cr in tref.crossings))
     assert renamed == tref and renamed._blocks == tref._blocks
     with pytest.raises(ValueError):
         OrientedDiagram((Crossing(1, 1, 1, 1, 1),))
@@ -162,7 +165,7 @@ def test_disjoint_union_of_a_renamed_diagram():
     one's crossing count, which holds because the first one's labels are
     1..2c: a trefoil built with arcs 7..12 is relabeled so."""
     tref = parse_pd(FIXTURE_PDS["trefoil"][0])
-    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr.sign) for cr in tref.crossings))
+    renamed = OrientedDiagram(tuple(Crossing(*(x + 6 for x in cr[:4]), cr[4]) for cr in tref.crossings))
     u = disjoint_union(renamed, tref)
     assert component_count(u) == 2 and is_split(u)
     assert homfly(u) == homfly(tref) * homfly(tref) * DELTA
@@ -171,7 +174,7 @@ def test_disjoint_union_of_a_renamed_diagram():
 
 def test_signs_inferred_right_trefoil():
     d = parse_pd("X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]")
-    assert all(cr.sign == 1 for cr in d.crossings)
+    assert all(cr[4] == 1 for cr in d.crossings)
     assert writhe(d) == 3
 
 
@@ -211,7 +214,7 @@ def switch_mask_texts(seed, over_only_wanted):
             for i in range(n):
                 if mask >> i & 1:
                     e = switch(e, i)
-            under = {x for cr in e.crossings for x in (cr.a, cr.c)}
+            under = {x for cr in e.crossings for x in (cr[0], cr[2])}
             over_only += any(s not in under and s + 1 not in under for s in pairs)
             texts.append(pd_text(e))
     return texts, over_only
@@ -251,8 +254,8 @@ def test_parse_pd_reads_signs_as_the_worklist_does():
     assert over_only >= 1000 and len(texts) > 3000
     for text in texts:
         d = parse_pd(text)
-        tuples = [cr.arcs() for cr in d.crossings]
-        assert [cr.sign for cr in d.crossings] == reference_signs(tuples), text
+        tuples = [cr[:4] for cr in d.crossings]
+        assert [cr[4] for cr in d.crossings] == reference_signs(tuples), text
         assert d._blocks == walk_order_blocks(d.crossings), text
     rng = random.Random(33)
     accepted = rejected = 0
@@ -290,7 +293,7 @@ def test_label_count_names_what_the_places_reference_names():
     rng = random.Random(36)
     seen = set()
     for text in rng.sample(texts, min(len(texts), 1500)):
-        tuples = [cr.arcs() for cr in parse_pd(text).crossings]
+        tuples = [cr[:4] for cr in parse_pd(text).crossings]
         n = len(tuples)
         flat = [x for t in tuples for x in t]
         for _ in range(rng.randint(1, 3)):
@@ -363,8 +366,7 @@ def brute_force_code(d):
                 for k in range(len(cycle)):
                     mapping[cycle[(start + k) % len(cycle)]] = len(mapping) + 1
             cand = sorted(
-                (mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign)
-                for c in d.crossings
+                (mapping[a], mapping[b], mapping[c], mapping[e], s) for a, b, c, e, s in d.crossings
             )
             if best is None or cand < best:
                 best = cand
@@ -570,7 +572,7 @@ def _reference_labels(start, succ, head):
             return label
         while True:
             cr = head[order[scan]]
-            nxt = next((y for y in cr.arcs() if y not in label), None)
+            nxt = next((y for y in cr[:4] if y not in label), None)
             if nxt is not None:
                 break
             scan += 1
@@ -580,15 +582,14 @@ def reference_candidates(crossings):
     """{start arc: its sorted relabeled crossings}, for every a-slot arc."""
     succ, head = {}, {}
     for cr in crossings:
-        succ[cr.a] = cr.c
-        succ[cr.over_in()] = cr.over_out()
-        head[cr.a] = head[cr.over_in()] = cr
+        over_in, over_out = over_strand(cr)
+        succ[cr[0]] = cr[2]
+        succ[over_in] = over_out
+        head[cr[0]] = head[over_in] = cr
     out = {}
-    for start in {cr.a for cr in crossings}:
+    for start in {cr[0] for cr in crossings}:
         label = _reference_labels(start, succ, head)
-        out[start] = sorted(
-            (label[cr.a], label[cr.b], label[cr.c], label[cr.d], cr.sign) for cr in crossings
-        )
+        out[start] = sorted((label[a], label[b], label[c], label[e], s) for a, b, c, e, s in crossings)
     return out
 
 
@@ -624,7 +625,7 @@ def reference_renormalize(crossings, free_loops):
     crossings = tuple(crossings)
     succ = {}
     for cr in crossings:
-        for src, dst in ((cr.a, cr.c), (cr.over_in(), cr.over_out())):
+        for src, dst in ((cr[0], cr[2]), over_strand(cr)):
             if src in succ:
                 raise ValueError("arc %d continues in two different ways" % src)
             succ[src] = dst
@@ -642,16 +643,17 @@ def reference_renormalize(crossings, free_loops):
         for label in cycle[k:] + cycle[:k]:
             mapping[label] = len(mapping) + 1
     relabeled = sorted(
-        Crossing(mapping[c.a], mapping[c.b], mapping[c.c], mapping[c.d], c.sign) for c in crossings
+        Crossing(mapping[a], mapping[b], mapping[c], mapping[e], s) for a, b, c, e, s in crossings
     )
     return OrientedDiagram(tuple(relabeled), free_loops)
 
 
 def smoothing_pairs(cr):
     """The arc pairs the oriented smoothing of cr joins, in-arc to out-arc."""
-    if cr.sign > 0:
-        return [(cr.a, cr.d), (cr.b, cr.c)]
-    return [(cr.a, cr.b), (cr.d, cr.c)]
+    a, b, c, d, sign = cr
+    if sign > 0:
+        return [(a, d), (b, c)]
+    return [(a, b), (d, c)]
 
 
 def reference_smooth(d, i):
@@ -673,7 +675,7 @@ def reference_rewire(crossings, merges, free_loops):
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-    relabeled = [Crossing(find(c.a), find(c.b), find(c.c), find(c.d), c.sign) for c in crossings]
+    relabeled = [Crossing(find(a), find(b), find(c), find(e), s) for a, b, c, e, s in crossings]
     used = {arc for c in relabeled for arc in c.arcs()}
     loops = len({find(x) for pair in merges for x in pair} - used)
     return reference_renormalize(relabeled, free_loops + loops)
@@ -684,7 +686,8 @@ def reference_rewire(crossings, merges, free_loops):
 
 def is_kink(cr):
     """Do the over and under passages of cr share an arc?"""
-    return cr.b == cr.c or cr.a == cr.d or cr.c == cr.d or cr.a == cr.b
+    a, b, c, d, _ = cr
+    return b == c or a == d or c == d or a == b
 
 
 def find_kink(d):
@@ -696,44 +699,45 @@ def find_poke_pair(d):
     """A pair (i, j) joined by an over-over arc and an under-under arc,
     the first i in crossing order; an arc arrives at one crossing only,
     so j is one lookup."""
-    by_over_in = {cr.over_in(): j for j, cr in enumerate(d.crossings)}
+    by_over_in = {over_strand(cr)[0]: j for j, cr in enumerate(d.crossings)}
     for i, ci in enumerate(d.crossings):
-        j = by_over_in.get(ci.over_out())
+        j = by_over_in.get(over_strand(ci)[1])
         if j is not None and j != i:
             cj = d.crossings[j]
-            if ci.c == cj.a or cj.c == ci.a:
+            if ci[2] == cj[0] or cj[2] == ci[0]:
                 return (i, j)
     return None
 
 
 def kink_merges(d, i):
     """The arcs the kink at crossing i joins: in to out along its strand."""
-    cr = d.crossings[i]
-    if cr.b == cr.c:
-        return [(cr.a, cr.d)]
-    if cr.a == cr.d:
-        return [(cr.b, cr.c)]
-    if cr.c == cr.d:
-        return [(cr.a, cr.b)]
-    return [(cr.d, cr.c)]
+    a, b, c, e, _ = d.crossings[i]
+    if b == c:
+        return [(a, e)]
+    if a == e:
+        return [(b, c)]
+    if c == e:
+        return [(a, b)]
+    return [(e, c)]
 
 
 def poke_merges(d, i, j):
     """The arcs lifting the strand poked through crossings i and j joins."""
     ci, cj = d.crossings[i], d.crossings[j]
-    e1 = ci.over_out()
-    merges = [(ci.over_in(), e1), (e1, cj.over_out())]
-    if ci.c == cj.a:
-        return merges + [(ci.a, ci.c), (ci.c, cj.c)]
-    return merges + [(cj.a, cj.c), (cj.c, ci.c)]
+    (over_in, e1), (_, over_out) = over_strand(ci), over_strand(cj)
+    merges = [(over_in, e1), (e1, over_out)]
+    if ci[2] == cj[0]:
+        return merges + [(ci[0], ci[2]), (ci[2], cj[2])]
+    return merges + [(cj[0], cj[2]), (cj[2], ci[2])]
 
 
 def reference_flip(cr):
     """cr with its tangle turned over: cyclic order reversed, over and
     under exchanged, succession and sign kept."""
-    if cr.sign > 0:
-        return Crossing(cr.b, cr.a, cr.d, cr.c, 1)
-    return Crossing(cr.d, cr.c, cr.b, cr.a, -1)
+    a, b, c, d, sign = cr
+    if sign > 0:
+        return Crossing(b, a, d, c, 1)
+    return Crossing(d, c, b, a, -1)
 
 
 def remove_kink(d, i):
@@ -751,7 +755,7 @@ def remove_nugatory(d, i, flip_side):
     rest = [
         reference_flip(other) if k in flip_side else other for k, other in enumerate(d.crossings) if k != i
     ]
-    return reference_rewire(rest, [(cr.a, cr.c), (cr.over_in(), cr.over_out())], d.free_loops)
+    return reference_rewire(rest, [(cr[0], cr[2]), over_strand(cr)], d.free_loops)
 
 
 # multi-component closures: at many start arcs the over arcs of the head
@@ -796,7 +800,7 @@ def reference_defects(d):
     for cycle in reference_cycles(d.crossings):
         m = cycle.index(min(cycle))
         place.update((arc, (min(cycle), step)) for step, arc in enumerate(cycle[m:] + cycle[:m]))
-    found = [(place[cr.a], i) for i, cr in enumerate(d.crossings) if place[cr.a] < place[cr.over_in()]]
+    found = [(place[cr[0]], i) for i, cr in enumerate(d.crossings) if place[cr[0]] < place[over_strand(cr)[0]]]
     return [i for _, i in sorted(found)]
 
 
@@ -860,6 +864,70 @@ def test_every_diagram_the_library_builds_is_labeled_in_walk_order():
     assert checked > 15000
 
 
+def _exact_tuples(built):
+    """How many diagrams built holds, each crossing of each one checked
+    to be an exact (a, b, c, d, sign) int tuple."""
+    for d in built:
+        for cr in d.crossings:
+            assert type(cr) is tuple and len(cr) == 5 and all(type(x) is int for x in cr), (cr, pd_text(d))
+    return len(built)
+
+
+def test_every_diagram_holds_exact_int_tuples():
+    """Each builder stores every crossing as an exact int tuple, never a
+    Crossing, also when it is given Crossing instances: parse_pd,
+    braid_closure, the constructor (in walk order and relabeled),
+    renormalize, mirror, simplify, switch, smooth, disjoint_union,
+    split_components, insert_kink, triangle_moves and poke_moves."""
+    rng = random.Random(40)
+    checked = _exact_tuples([parse_pd(text) for text, _ in FIXTURE_PDS.values()])
+    closures = [braid_closure(parse_braid(w)) for w in ORACLE_WORDS + MULTI_WORDS]
+    checked += _exact_tuples(closures)
+    for d in closures + finder_battery():
+        if not d.crossings:
+            continue
+        named = tuple(Crossing(*cr) for cr in d.crossings)
+        s = simplify(d)
+        built = [
+            OrientedDiagram(named, d.free_loops),
+            scrambled(d, rng),  # Crossing instances in other labels
+            renormalize(named, d.free_loops),
+            mirror(d),
+            s,
+            disjoint_union(d, s),
+            *split_components(disjoint_union(d, s)),
+            insert_kink(d, 1, rng.randrange(4)),
+            *itertools.islice(triangle_moves(d), 4),
+            *itertools.islice(poke_moves(d), 4),
+        ]
+        for i in range(d.crossing_count):
+            built += [switch(d, i), smooth(d, i), simplify(switch(d, i)), simplify(smooth(d, i))]
+        checked += _exact_tuples(built)
+    assert checked > 3000
+
+
+def test_a_diagram_of_crossing_instances_is_one_of_plain_tuples():
+    """Tuple equality, order and hash ignore the Crossing subclass: a
+    diagram built from Crossing instances equals, hashes and codes like
+    one built from the same plain tuples, in walk-order labels and with
+    its arcs renamed and its crossings shuffled."""
+    rng = random.Random(41)
+    checked = 0
+    for d in kernel_battery():
+        arcs = sorted({x for cr in d.crossings for x in cr[:4]})
+        m = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 2), len(arcs))))
+        renamed = [(m[a], m[b], m[c], m[e], s) for a, b, c, e, s in d.crossings]
+        rng.shuffle(renamed)
+        for rows in (d.crossings, renamed):
+            named = OrientedDiagram(tuple(Crossing(*cr) for cr in rows), d.free_loops)
+            plain = OrientedDiagram(tuple(rows), d.free_loops)
+            assert named == plain and hash(named) == hash(plain), pd_text(d)
+            assert named.crossings == plain.crossings and named._blocks == plain._blocks, pd_text(d)
+            assert canonical_code(named) == canonical_code(plain) == canonical_code(d), pd_text(d)
+            checked += 1
+    assert checked > 1000
+
+
 def _shed_battery():
     """The kernel battery simplified, the simplified switch and smoothing
     children of every fourth of them, and the mirrors of all these."""
@@ -898,7 +966,7 @@ def _off_component_starts(crossings):
     comp = {}
     for k, cycle in enumerate(reference_cycles(crossings)):
         comp.update(dict.fromkeys(cycle, k))
-    return [cr.a for cr in crossings if comp[cr.b] != comp[cr.a] or comp[cr.d] != comp[cr.a]]
+    return [a for a, b, _, d, _ in crossings if comp[b] != comp[a] or comp[d] != comp[a]]
 
 
 def _torus_closure(p, q):
@@ -1159,7 +1227,7 @@ def test_faces_meet_twice_exactly_the_cut_and_kink_crossings():
         twice = _met_twice_by_faces(d)
         assert _met_twice(d.crossings) == twice, d
         cuts = _reference_cut_crossings(d)
-        kinks = {i for i, cr in enumerate(d.crossings) if len(set(cr.arcs())) < 4}
+        kinks = {i for i, cr in enumerate(d.crossings) if len(set(cr[:4])) < 4}
         assert twice == cuts | kinks, d
         cut_seen += len(cuts)
         kink_seen += len(kinks)
@@ -1197,7 +1265,7 @@ def test_pd_text_parses_back_to_the_diagram():
     checked = 0
     for d in kernel_battery() + finder_battery():
         validate(d)
-        under = {cr.a for cr in d.crossings}
+        under = {cr[0] for cr in d.crossings}
         if all(under & set(cycle) for cycle in component_cycles(d)):
             assert parse_pd(pd_text(d)) == d, d
             checked += 1

@@ -4,7 +4,7 @@ and only to moves, every private module-level name in the package has a
 caller, every module-level import is read, every exported name exists,
 the names the benchmark's tracer patches and its worker read exist, and
 no module keeps a mutable container or a functools cache at module
-level."""
+level, and no module builds a Crossing."""
 
 import ast
 import importlib.util
@@ -256,3 +256,32 @@ def test_no_module_global_mutable_caches():
         name for name in found if not re.fullmatch(r"\w+\.__\w+__", name) and name not in ALLOWED_GLOBAL_STATE
     ]
     assert flagged == []
+
+
+def _crossing_reads(tree):
+    """The lines where the name Crossing is read outside an annotation:
+    a call of Crossing or Crossing._make, or either passed on, as
+    map(Crossing._make, rows) passes it."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    typed = {id(node) for annotation in annotations if annotation for node in ast.walk(annotation)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "Crossing" and id(node) not in typed
+    ]
+
+
+def test_no_module_builds_a_crossing():
+    """Every diagram holds its crossings as exact (a, b, c, d, sign)
+    tuples: no module of the package builds a Crossing, which only names
+    the fields for callers."""
+    assert _crossing_reads(ast.parse("rows = tuple(map(Crossing._make, rows))")) == [1]
+    assert _crossing_reads(ast.parse("def f(cr: Crossing) -> Crossing:\n    return (1, 2, 3, 4, 1)")) == []
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    found = {mod: _crossing_reads(tree) for mod, tree in trees.items()}
+    assert {mod: lines for mod, lines in found.items() if lines} == {}

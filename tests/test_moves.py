@@ -71,6 +71,7 @@ from conftest import (
     finder_battery,
     four_five_strand_draw,
     occurrences,
+    over_strand,
     reference_check_labels,
     reference_pokes,
     scrambled,
@@ -106,7 +107,7 @@ def test_switch_structural_invariants_exhaustive():
             sw = switch(d, i)
             assert sw.crossing_count == d.crossing_count
             assert component_count(sw) == component_count(d)
-            assert writhe(sw) == writhe(d) - 2 * d.crossings[i].sign
+            assert writhe(sw) == writhe(d) - 2 * d.crossings[i][4]
             # involution, and labels are untouched entirely
             assert switch(sw, i) == d
 
@@ -119,8 +120,8 @@ def test_smooth_structural_invariants_exhaustive():
             cr = d.crossings[i]
             sm = smooth(d, i)
             assert sm.crossing_count == d.crossing_count - 1
-            self_crossing = _cycle_index(cycles, cr.a) == _cycle_index(
-                cycles, cr.over_in()
+            self_crossing = _cycle_index(cycles, cr[0]) == _cycle_index(
+                cycles, over_strand(cr)[0]
             )
             delta = 1 if self_crossing else -1
             assert component_count(sm) == component_count(d) + delta, (name, i)
@@ -226,19 +227,20 @@ def oracle_side_groups(d, i):
     for k, other in enumerate(d.crossings):
         if k == i:
             continue
-        arcs = other.arcs()
+        arcs = other[:4]
         for arc in arcs[1:]:
             union(arcs[0], arc)
-    if cr.sign > 0:
-        union(cr.a, cr.d)
-        union(cr.b, cr.c)
+    a, b, c, e, sign = cr
+    if sign > 0:
+        union(a, e)
+        union(b, c)
     else:
-        union(cr.a, cr.b)
-        union(cr.d, cr.c)
+        union(a, b)
+        union(e, c)
     groups = {}
     for k, other in enumerate(d.crossings):
         if k != i:
-            groups.setdefault(find(other.a), []).append(k)
+            groups.setdefault(find(other[0]), []).append(k)
     return sorted(groups.values(), key=lambda g: (len(g), g))
 
 
@@ -255,11 +257,11 @@ def oracle_find_nugatory(d):
 
 def oracle_find_poke_pair(d):
     for i, ci in enumerate(d.crossings):
-        e1 = ci.over_out()
+        e1 = over_strand(ci)[1]
         for j, cj in enumerate(d.crossings):
-            if i == j or cj.over_in() != e1:
+            if i == j or over_strand(cj)[0] != e1:
                 continue
-            if ci.c == cj.a or cj.c == ci.a:
+            if ci[2] == cj[0] or cj[2] == ci[0]:
                 return (i, j)
     return None
 
@@ -324,7 +326,7 @@ def raw_homfly(d, table):
         else:
             i = found[0]
             sw, sm = raw_homfly(switch(d, i), table), raw_homfly(smooth(d, i), table)
-            if d.crossings[i].sign > 0:
+            if d.crossings[i][4] > 0:
                 value = A2 * sw + AZ * sm
             else:
                 value = Am2 * sw - AmZ * sm
@@ -455,11 +457,11 @@ def reference_run(d):
                     for k, other in enumerate(crs)
                     if k != i
                 )
-                merges = [(cr.a, cr.c), (cr.over_in(), cr.over_out())]
+                merges = [(cr[0], cr[2]), over_strand(cr)]
         first = walk_order_blocks(crs) or []
         wrap = {(first[k + 1] - 1, first[k]) for k in range(len(first) - 1)}
         wraps = any(
-            (x, y) in wrap for cr in gone for x, y in ((cr.a, cr.c), (cr.over_in(), cr.over_out()))
+            (x, y) in wrap for cr in gone for x, y in ((cr[0], cr[2]), over_strand(cr))
         )
         nxt = reference_rewire(rest, merges, work.free_loops)
         steps.append((move, flipped, wraps, nxt.free_loops - work.free_loops, nxt.crossing_count, nxt))
@@ -734,7 +736,7 @@ def _mirror_corner(d, corner):
     """corner of d as a corner of mirror(d): exchanging a crossing's
     strands turns its slot labels by one place."""
     ci, slot = corner
-    return (ci, (slot - d.crossings[ci].sign) % 4)
+    return (ci, (slot - d.crossings[ci][4]) % 4)
 
 
 def test_pushing_e_under_f_is_pushing_f_over_e():
@@ -818,23 +820,23 @@ def reference_insert_kink(d, arc, variant):
     hc, hs = heads[arc]
     out = []
     for ci, cr in enumerate(d.crossings):
-        arcs = list(cr.arcs())
+        arcs = list(cr[:4])
         if ci == hc:
             arcs[hs] = post
-        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
+        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr[4]))
     out.append(shapes[variant])
     return renormalize(out, d.free_loops)
 
 
 def reference_poke(d, corner_e, corner_f):
     (eci, es), (fci, fs) = corner_e, corner_f
-    e = d.crossings[eci].arcs()[es]
-    f = d.crossings[fci].arcs()[fs]
+    e = d.crossings[eci][es]
+    f = d.crossings[fci][fs]
     if e == f:
         return None
     e_fwd = es in leaving_slots(d.crossings[eci])
     f_fwd = fs in leaving_slots(d.crossings[fci])
-    top = max(arc for cr in d.crossings for arc in cr.arcs()) + 1
+    top = max(arc for cr in d.crossings for arc in cr[:4]) + 1
     em, ep, fm, fp = top, top + 1, top + 2, top + 3
     added = {
         (True, False): (Crossing(f, em, fm, e, -1), Crossing(fm, em, fp, ep, 1)),
@@ -846,12 +848,12 @@ def reference_poke(d, corner_e, corner_f):
     he, hf = heads[e], heads[f]
     out = []
     for ci, cr in enumerate(d.crossings):
-        arcs = list(cr.arcs())
+        arcs = list(cr[:4])
         if ci == he[0]:
             arcs[he[1]] = ep
         if ci == hf[0]:
             arcs[hf[1]] = fp
-        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr.sign))
+        out.append(Crossing(arcs[0], arcs[1], arcs[2], arcs[3], cr[4]))
     out.extend(added)
     try:
         nd = renormalize(out, d.free_loops)
@@ -882,17 +884,19 @@ def reference_triangle_moves(d):
     occ = occurrences(d.crossings)
     for i in range(d.crossing_count):
         X = d.crossings[i]
-        eA = X.over_out()
+        xa, _, xc, _, x_sign = X
+        pT_in, eA = over_strand(X)
         j, _ = _other_place(occ, eA, (i, leaving_slots(X)[1]))
         Y = d.crossings[j]
-        if j == i or Y.over_in() != eA:
+        ya, _, yc, _, y_sign = Y
+        y_in, pT_out = over_strand(Y)
+        if j == i or y_in != eA:
             continue
-        pT_in, pT_out = X.over_in(), Y.over_out()
-        for eB, dirM, xslot in ((X.c, 1, _UNDER_OUT), (X.a, -1, _UNDER_IN)):
+        for eB, dirM, xslot in ((xc, 1, _UNDER_OUT), (xa, -1, _UNDER_IN)):
             z, sB = _other_place(occ, eB, (i, xslot))
             if z in (i, j):
                 continue
-            for eC, dirB, yslot in ((Y.c, 1, _UNDER_OUT), (Y.a, -1, _UNDER_IN)):
+            for eC, dirB, yslot in ((yc, 1, _UNDER_OUT), (ya, -1, _UNDER_IN)):
                 z2, sC = _other_place(occ, eC, (j, yslot))
                 if z2 != z or sB == sC:
                     continue
@@ -900,38 +904,40 @@ def reference_triangle_moves(d):
                 if m_over_at_z == (sC in (_OVER_B, _OVER_D)):
                     continue
                 Z = d.crossings[z]
+                za, _, zc, _, z_sign = Z
+                z_in, z_out = over_strand(Z)
                 if dirM > 0:
                     if sB not in arriving_slots(Z):
                         continue
-                    mFirst = X.a
-                    mLast = Z.c if sB == _UNDER_IN else Z.over_out()
+                    mFirst = xa
+                    mLast = zc if sB == _UNDER_IN else z_out
                 else:
                     if sB not in leaving_slots(Z):
                         continue
-                    mFirst = Z.a if sB == _UNDER_OUT else Z.over_in()
-                    mLast = X.c
+                    mFirst = za if sB == _UNDER_OUT else z_in
+                    mLast = xc
                 if dirB > 0:
                     if sC not in arriving_slots(Z):
                         continue
-                    bFirst = Y.a
-                    bLast = Z.c if sC == _UNDER_IN else Z.over_out()
+                    bFirst = ya
+                    bLast = zc if sC == _UNDER_IN else z_out
                 else:
                     if sC not in leaving_slots(Z):
                         continue
-                    bFirst = Z.a if sC == _UNDER_OUT else Z.over_in()
-                    bLast = Y.c
+                    bFirst = za if sC == _UNDER_OUT else z_in
+                    bLast = yc
                 xhat = moves._build_crossing(
-                    Y.sign, (eC, bLast) if dirB > 0 else (bFirst, eC), (pT_in, eA)
+                    y_sign, (eC, bLast) if dirB > 0 else (bFirst, eC), (pT_in, eA)
                 )
                 yhat = moves._build_crossing(
-                    X.sign, (eB, mLast) if dirM > 0 else (mFirst, eB), (eA, pT_out)
+                    x_sign, (eB, mLast) if dirM > 0 else (mFirst, eB), (eA, pT_out)
                 )
                 m_pair = (mFirst, eB) if dirM > 0 else (eB, mLast)
                 b_pair = (bFirst, eC) if dirB > 0 else (eC, bLast)
                 if m_over_at_z:
-                    zhat = moves._build_crossing(Z.sign, b_pair, m_pair)
+                    zhat = moves._build_crossing(z_sign, b_pair, m_pair)
                 else:
-                    zhat = moves._build_crossing(Z.sign, m_pair, b_pair)
+                    zhat = moves._build_crossing(z_sign, m_pair, b_pair)
                 out = list(d.crossings)
                 out[i], out[j], out[z] = xhat, yhat, zhat
                 try:
@@ -993,7 +999,7 @@ def test_randomized_move_walks():
         for step in range(rng.randint(1, 4)):
             options = []
             if d.crossing_count + 1 <= 8:
-                arcs = sorted({x for cr in d.crossings for x in cr.arcs()})
+                arcs = sorted({x for cr in d.crossings for x in cr[:4]})
                 options.append(
                     lambda d=d: insert_kink(d, rng.choice(arcs), rng.randrange(4))
                 )

@@ -290,7 +290,7 @@ def test_skein_relation_at_every_crossing():
         d = parse_pd(FIXTURE_PDS[name][0])
         for i in range(d.crossing_count):
             sw, sm = switch(d, i), smooth(d, i)
-            if d.crossings[i].sign > 0:
+            if d.crossings[i][4] > 0:
                 plus, minus = homfly(d, cache), homfly(sw, cache)
             else:
                 plus, minus = homfly(sw, cache), homfly(d, cache)
@@ -501,4 +501,4 @@ def test_expansion_resolves_the_first_defect_whose_switch_sheds():
     p = homfly(d, cache)
     assert cache.table[canonical_code(d)][2].crossing == 2
     first = simplify(switch(d, 0)), simplify(smooth(d, 0))
-    assert p == skein_value(d.crossings[0].sign, homfly(first[0]), homfly(first[1]))
+    assert p == skein_value(d.crossings[0][4], homfly(first[0]), homfly(first[1]))

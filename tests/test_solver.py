@@ -1,5 +1,6 @@
 """Depth search: decision procedure, witnesses, and the exactness sweep."""
 
+import gc
 import random
 import time
 
@@ -205,6 +206,35 @@ def test_verify_tree_checks_a_shared_subtree_once(monkeypatch):
     tampered = _share_leaves(tree, {unknot: SkeinLeaf(parse_pd("O"), 2)})
     with pytest.raises(ValueError):
         verify_tree(tampered)
+
+
+@pytest.fixture
+def collector_paused():
+    """The cyclic collector cleared and paused for the test, and enabled
+    again afterwards if it was."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("text", ["p=3: 1 2 1 -2 2 -2 1 -2", GAP_WORD, "p=2: 1 1 1"])
+def test_a_solve_and_its_replay_leave_no_cyclic_garbage(collector_paused, text):
+    """compute_td and verify_tree free what they build by reference
+    counting alone: with the collector paused, a collection right after
+    either finds nothing unreachable.  A replay that recursed through a
+    closure of its own would leave its context, tables included, in a
+    cycle."""
+    d = braid_closure(parse_braid(text))
+    gc.collect()
+    result = compute_td(d, ctx=SolveContext())
+    assert gc.collect() == 0
+    assert verify_tree(result.witness) == result.diagram_upper
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("word, calls", [("p=2: 1 1 1", 0), ("p=2: 1 1 1 1 1", 2)])
