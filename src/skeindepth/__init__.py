@@ -17,6 +17,7 @@ from .bounds import (
     skein_reachable,
 )
 from .braid import (
+    BraidStates,
     BraidWord,
     braid_closure,
     mixed_braid_upper,
@@ -69,12 +70,15 @@ from .solver import (
     extract_tree,
     verify_tree,
 )
-from .tree import tree_depth
+from .tree import BraidBranch, BraidLeaf, tree_depth
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
+    "BraidBranch",
+    "BraidLeaf",
+    "BraidStates",
     "BraidWord",
     "Crossing",
     "DEFAULT_BUDGET",

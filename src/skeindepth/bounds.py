@@ -187,7 +187,9 @@ def aggregate_bounds(
 
     genus, when given, is the caller's knowledge of the genus of the
     link; braid_words, when given, is a list of BraidWord presentations
-    of the same link.  Both are trusted as stated.  Each word must use
+    of the same link.  Both are trusted as stated here; the solver and
+    the CLI's bounds verb check each one-signed word against the link
+    first (:func:`.solver.check_braid_words`).  Each word must use
     all its generator indices (:func:`.braid.mixed_braid_upper` raises
     otherwise); a one-signed word pins the depth exactly, so it enters
     on both sides.  Sound bounds never cross, so a largest lower bound

@@ -5,7 +5,8 @@ One verb per artifact:
 * ``poly <file> [--cache PATH]`` — polynomial of each diagram in the file
 * ``bounds <file> [--genus N] [--braids <file>] [--cache PATH]`` — bound
   report rows; a diagram that simplifies to an unlink gets the row
-  ``0 0 unlink=0(lower),unlink=0(upper)``
+  ``0 0 unlink=0(lower),unlink=0(upper)``, and a one-signed word whose
+  polynomial is not the diagram's is an input error
 * ``td <file> [--max-depth K] [--budget N] [--timeout-secs S]
   [--cache PATH]`` — depth per diagram
 * ``braid-bound <braidfile>`` — word statistics and formula bounds
@@ -45,9 +46,11 @@ from .solver import (
     SkeinLeaf,
     SkeinTree,
     SolveContext,
+    check_braid_words,
     compute_td,
     extract_tree,
 )
+from .tree import BraidBranch, BraidLeaf
 
 T = TypeVar("T")
 
@@ -139,11 +142,12 @@ def load_dataset(path: str) -> list[DatasetRow]:
 def export_dot(tree: SkeinTree) -> str:
     """Deterministic DOT digraph of a witness tree.
 
-    Nodes carry the PD text; the switch child comes first so it lands on
-    the left.  Edge labels: "±" toward the switched child, "0" toward
-    the smoothing; leaves show their unlink component count.  Each
-    distinct subtree object is one node, emitted once, so a subtree
-    shared by several branches has an edge from each of them.
+    Nodes carry the PD text, or a braid-word node its word, ``p=N: ...``,
+    with the resolved letter in brackets; the switch child comes first
+    so it lands on the left.  Edge labels: "±" toward the switched
+    child, "0" toward the smoothing; leaves show their unlink component
+    count.  Each distinct subtree object is one node, emitted once, so a
+    subtree shared by several branches has an edge from each of them.
     """
     lines = ["digraph skein {", '  node [shape=box fontname="monospace"];']
     ids: dict[int, int] = {}
@@ -153,10 +157,11 @@ def export_dot(tree: SkeinTree) -> str:
         if my is not None:
             return my
         my = ids[id(t)] = len(ids)
+        text = _word_label(t) if isinstance(t, (BraidBranch, BraidLeaf)) else pd_text(t.diagram)
         if isinstance(t, SkeinLeaf):
-            lines.append(f'  n{my} [label="{pd_text(t.diagram)}\\nunlink({t.components})"];')
+            lines.append(f'  n{my} [label="{text}\\nunlink({t.components})"];')
             return my
-        lines.append(f'  n{my} [label="{pd_text(t.diagram)}"];')
+        lines.append(f'  n{my} [label="{text}"];')
         a = visit(t.switched)
         lines.append(f'  n{my} -> n{a} [label="±"];')
         b = visit(t.smoothed)
@@ -166,6 +171,15 @@ def export_dot(tree: SkeinTree) -> str:
     visit(tree)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _word_label(t) -> str:
+    """``p=N: letters`` of a braid-word node, a branch's resolved letter
+    in brackets."""
+    letters = [str(g) for g in t.word]
+    if isinstance(t, BraidBranch):
+        letters[t.crossing] = f"[{letters[t.crossing]}]"
+    return f"p={t.strands}: " + " ".join(letters)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -187,6 +201,8 @@ def _cmd_bounds(args, ctx: SolveContext) -> int:
             rep = BoundsReport(0, 0, (("unlink", 0, "lower"), ("unlink", 0, "upper")))
         else:
             rep = aggregate_bounds(d, genus=args.genus, braid_words=words, cache=ctx.homfly_cache)
+            if words:
+                check_braid_words(d, words, ctx)
         print(rep.render_row(f"row{idx}"))
     return 0
 

@@ -28,6 +28,10 @@ but :func:`expansion`, the one recursion, resolves a code whose entry
 has no tree as it would any other, a child included: the depth search
 calls it on each node it reaches with a loaded value that no loaded
 record answers.  So every value the expansion computes has its tree.
+The expansion is not the only source of entries with a tree: the
+solver stores the braid-state expansion's entry
+(:class:`.braid.BraidStates`) for a diagram given with a one-signed
+word that presents it, and that diagram is not expanded here.
 """
 
 from __future__ import annotations
@@ -346,7 +350,7 @@ class HomflyCache:
 
     table holds one entry per code, ``(value, height, tree)``: the
     HOMFLY-PT value, and the height and tree of the expansion that
-    computed it.  A value loaded from a cache file is an entry without a
+    computed it, the braid-state expansion's included.  A value loaded from a cache file is an entry without a
     tree, ``(value, None, None)``, until an expansion or the depth search
     expands its code.  computed counts the entries stored by a skein
     expansion, a loaded value it re-derives included; hits counts the

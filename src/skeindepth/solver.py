@@ -27,7 +27,12 @@ Soundness rules the search lives by:
 Every polynomial the search needs comes from the HOMFLY-PT expansion
 (see :mod:`.poly`), whose entry for a code holds its tree, or from a
 cache file, whose value is an entry without a tree; a loaded line
-never replaces a computed entry.  A node whose polynomial was loaded
+never replaces a computed entry.  The one exception is the root of a
+:func:`compute_td` given a one-signed braid word whose simplified
+closure has the root's code: the braid-state expansion
+(:class:`.braid.BraidStates`, tables kept in the context) gives its
+entry, with a word-level tree, before anything reads it, so that
+diagram is not expanded.  A node whose polynomial was loaded
 is expanded for its tree, as a cold solve has expanded it, unless a
 loaded record already proves the depth asked of it: the bound
 report's lower end at the root of :func:`compute_td`, k at a node the
@@ -86,10 +91,11 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bounds import BoundsReport, aggregate_bounds, polynomial_lower_bound
+from .braid import BraidStates, BraidWord, braid_closure
 from .diagram import (
     OrientedDiagram,
     canonical_code,
@@ -101,7 +107,7 @@ from .diagram import (
 )
 from .moves import Verdict, recognize_unlink
 from .poly import HomflyCache, expansion, homfly, parse_poly, render_poly
-from .tree import SkeinBranch, SkeinLeaf, SkeinTree
+from .tree import BraidBranch, BraidLeaf, SkeinBranch, SkeinLeaf, SkeinTree
 
 DEFAULT_BUDGET = 5_000_000
 _INF = 10**9
@@ -122,12 +128,14 @@ class SolveContext:
     shallower one the search found.  tree is None when hi comes from a
     cache file's interval, or from a success that rests on one.
     verdicts holds the unlink recognizer's answer per code.
+    braid_states holds the braid-state expansion's tables.
     """
 
     def __init__(self, cache: HomflyCache | None = None, deadline: float | None = None):
         self.homfly_cache = cache if cache is not None else HomflyCache()
         self.memo: dict[str, tuple[int, int, Optional[SkeinTree]]] = {}
         self.verdicts: dict[str, Verdict] = {}
+        self.braid_states = BraidStates()
         self.deadline = deadline
         self.nodes = 0
 
@@ -321,25 +329,34 @@ def verify_tree(tree: SkeinTree) -> int:
     checked once per call.  Raises ValueError on the first violation.
     The replay is a module-level function given the call's context and
     heights memo, so the call leaves no cycle behind for the collector.
+
+    A braid-word witness (:class:`.tree.BraidBranch`, :class:`.tree.BraidLeaf`),
+    at the root or below a diagram node, is replayed at the word level:
+    the simplified closure of the given word must have the root
+    diagram's code; every word has the given word's sign; a branch
+    resolves the second of two equal adjacent letters; each child's
+    word is reached from its parent's, with the letter pair cancelled
+    (the switch) or the letter deleted (the smoothing), by braid moves
+    (:meth:`.braid.BraidStates.reaches`, with the tables of this call's
+    context); and each leaf's closure, simplified, is certified as a
+    diagram leaf is.
     """
     return _replay(tree, SolveContext(), {})
 
 
-def _replay(t: SkeinTree, ctx: SolveContext, heights: dict[int, int]) -> int:
+def _replay(t: SkeinTree, ctx: SolveContext, heights: dict) -> int:
     """verify_tree's check of the subtree t, in the call's context ctx,
     with the heights of the subtrees already checked, by object id."""
     h = heights.get(id(t))
     if h is not None:
         return h
-    d = _fresh(t.diagram)
-    if isinstance(t, SkeinLeaf):
-        v = ctx.verdict_of(ctx.homfly_cache.code_of(d), d)
-        if not v.is_unlink:
-            raise ValueError(f"leaf not certified as an unlink: {d!r}")
-        if v.components != t.components:
-            raise ValueError(f"leaf claims {t.components} components, recognizer says {v.components}")
+    if isinstance(t, (BraidBranch, BraidLeaf)):
+        h = _replay_braid_root(t, ctx, heights)
+    elif isinstance(t, SkeinLeaf):
+        _certify(ctx, _fresh(t.diagram), t.components)
         h = 0
     else:
+        d = _fresh(t.diagram)
         if not 0 <= t.crossing < d.crossing_count:
             raise ValueError(f"branch crossing index {t.crossing} out of range")
         for child, op, name in ((t.switched, switch, "switch"), (t.smoothed, smooth, "smoothing")):
@@ -352,7 +369,68 @@ def _replay(t: SkeinTree, ctx: SolveContext, heights: dict[int, int]) -> int:
 
 
 def _fresh(d: OrientedDiagram) -> OrientedDiagram:
+    if not isinstance(d, OrientedDiagram):
+        raise ValueError(f"witness node without a diagram: {d!r}")
     return OrientedDiagram(d.crossings, d.free_loops)
+
+
+def _certify(ctx: SolveContext, d: OrientedDiagram, components: int) -> None:
+    """Raise ValueError unless ctx's verdict certifies d as an unlink of
+    that many components."""
+    v = ctx.verdict_of(ctx.homfly_cache.code_of(d), d)
+    if not v.is_unlink:
+        raise ValueError(f"leaf not certified as an unlink: {d!r}")
+    if v.components != components:
+        raise ValueError(f"leaf claims {components} components, recognizer says {v.components}")
+
+
+def _replay_braid_root(t, ctx: SolveContext, heights: dict) -> int:
+    """The replay of a braid-word witness from its root t, which carries
+    the diagram solved and the word given for it."""
+    if t.given is None:
+        raise ValueError("braid-word node without a diagram and a given word")
+    given = BraidWord(t.strands, t.given)
+    if given.positives and given.negatives:
+        raise ValueError(f"given word {given} is not one-signed")
+    if canonical_code(simplify(braid_closure(given))) != canonical_code(_fresh(t.diagram)):
+        raise ValueError(f"the closure of {given} is not the root diagram")
+    sign = 1 if given.positives else -1
+    _check_reached(ctx, t.given, t, t.strands, sign)
+    return _replay_word(t, ctx, heights, sign)
+
+
+def _replay_word(t, ctx: SolveContext, heights: dict, sign: int) -> int:
+    """The replay of the word-level subtree t, whose words have the sign
+    sign and whose own word its parent has checked.  Its height is kept
+    under (id, sign), apart from the checks of a root or diagram node."""
+    key = id(t), sign
+    h = heights.get(key)
+    if h is not None:
+        return h
+    n, word = t.strands, t.word
+    if isinstance(t, SkeinLeaf):
+        _certify(ctx, simplify(braid_closure(BraidWord(n, word))) if word else OrientedDiagram((), n), t.components)
+        h = 0
+    else:
+        c = t.crossing
+        if not (0 < c < len(word) and word[c - 1] == word[c]):
+            raise ValueError(f"letter {c} of {word} is not the second of two equal letters")
+        _check_reached(ctx, word[: c - 1] + word[c + 1 :], t.switched, n, sign)
+        _check_reached(ctx, word[:c] + word[c + 1 :], t.smoothed, n, sign)
+        h = 1 + max(_replay_word(t.switched, ctx, heights, sign), _replay_word(t.smoothed, ctx, heights, sign))
+    heights[key] = h
+    return h
+
+
+def _check_reached(ctx: SolveContext, before: tuple[int, ...], child, n: int, sign: int) -> None:
+    """Raise ValueError unless child is a word-level node on n strands
+    whose word, of sign sign, braid moves reach from before."""
+    if not isinstance(child, (BraidBranch, BraidLeaf)) or child.strands != n:
+        raise ValueError(f"child of a braid-word node is not a braid-word node on {n} strands")
+    if any(g * sign <= 0 or abs(g) >= n for g in child.word):
+        raise ValueError(f"word {child.word} is not of one sign on {n} strands")
+    if not ctx.braid_states.reaches(before, child.word, n):
+        raise ValueError(f"word {child.word} is not reached from {before} by braid moves")
 
 
 @dataclass
@@ -403,8 +481,13 @@ def compute_td(
 ) -> TdResult:
     """Resolution depth of the link of d: exact value or certified interval.
 
-    genus and braid_words feed the bound aggregator (both are trusted
-    claims about the link of d).  budget caps search nodes per depth
+    genus and braid_words feed the bound aggregator, as trusted claims
+    about the link of d, except that a one-signed word that uses every
+    generator is checked: the first whose simplified closure has the
+    root's code gives the root's HOMFLY-PT entry and witness from the
+    braid states, before the root's verdict, and any other must have
+    the root's polynomial, else ValueError names it, once the bound
+    report has found no contradiction.  budget caps search nodes per depth
     probe; max_depth caps how deep the sweep probes (the bound-derived
     upper still stands).  Budget or time exhaustion widens the answer to
     an interval, never falsifies it; its upper end is still the root's
@@ -413,8 +496,9 @@ def compute_td(
     opens with its polynomial bound, so a cache saved from ctx carries
     both ends.
 
-    The root is coded once, for its verdict, its record and the sweep;
-    it is a leaf when its verdict certifies an unlink.
+    The root is coded once, for its verdict, its record and the sweep,
+    and so is each one-signed word's simplified closure; the root is a
+    leaf when its verdict certifies an unlink.
     The sweep starts where the root's record stands: a record whose hi
     is already the lower end (the expansion's tree, or a loaded interval,
     proves it) answers without a probe, as the first probe would only
@@ -427,10 +511,18 @@ def compute_td(
     try:
         work = simplify(d)
         root = ctx.homfly_cache.code_of(work)
+        words = list(braid_words or ())
+        same, other = _one_signed_words(ctx, root, words)
+        if same:
+            # the braid states give the root's entry, so neither the
+            # verdict nor the bounds nor the record expand the diagram
+            value, height, tree = ctx.braid_states.expand(same[0])
+            ctx.homfly_cache.table[root] = value, height, replace(tree, diagram=work, given=same[0].letters)
         if ctx.verdict_of(root, work).is_unlink:
             return TdResult(0, 0, SkeinLeaf(work, component_count(work)))
 
-        rep = aggregate_bounds(work, genus, braid_words, cache=ctx.homfly_cache)
+        rep = aggregate_bounds(work, genus, words, cache=ctx.homfly_cache)
+        _check_polynomials(ctx, work, other)
         lower, upper = rep.lower, rep.upper
         # the root's record takes the sound lower end with the
         # expansion's tree in one write, so a loaded record that
@@ -466,6 +558,35 @@ def compute_td(
         )
     finally:
         ctx.deadline = saved_deadline
+
+
+def _one_signed_words(ctx: SolveContext, code: str, words: list[BraidWord]):
+    """The one-signed words among words that use every generator, as two
+    lists: those whose simplified closure has code, and the others."""
+    same, other = [], []
+    for w in words:
+        if not (w.positives and w.negatives) and w.all_indices_used():
+            closure = simplify(braid_closure(w))
+            (same if ctx.homfly_cache.code_of(closure) == code else other).append(w)
+    return same, other
+
+
+def _check_polynomials(ctx: SolveContext, work: OrientedDiagram, words: list[BraidWord]) -> None:
+    """Raise ValueError naming the first one-signed word of words whose
+    braid-state polynomial is not that of work."""
+    if words:
+        p = homfly(work, ctx.homfly_cache)
+        for w in words:
+            if ctx.braid_states.expand(w)[0] != p:
+                raise ValueError(f"braid word {w} does not present the link: its HOMFLY-PT polynomial differs")
+
+
+def check_braid_words(d: OrientedDiagram, words: list[BraidWord], ctx: SolveContext) -> None:
+    """Check the one-signed words of words against the link of d, as
+    :func:`compute_td` does: a word whose simplified closure has another
+    code than d's must have d's polynomial, else ValueError names it."""
+    work = simplify(d)
+    _check_polynomials(ctx, work, _one_signed_words(ctx, ctx.homfly_cache.code_of(work), words)[1])
 
 
 # -- result cache --------------------------------------------------------------

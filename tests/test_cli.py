@@ -767,3 +767,38 @@ def test_export_dot_emits_each_shared_subtree_once():
     assert len(nodes) == len(distinct)
     assert len(edges) == 2 * branches
     assert len(set(edges)) == len(edges)
+
+
+def test_export_dot_of_a_braid_word_witness(tmp_path):
+    """T(3,4) solved with its word has a braid-word witness: each node is
+    labeled with its word, the resolved letter of a branch in brackets,
+    and the DOT file written holds every distinct node once."""
+    w = parse_braid("p=3: 1 2 1 2 1 2 1 2")
+    tree = compute_td(braid_closure(w), braid_words=[w], ctx=SolveContext()).witness
+    out = tmp_path / "t34.dot"
+    out.write_text(export_dot(tree), encoding="utf-8")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    labels = [re.search(r'label="([^"]*)"', l).group(1) for l in lines if re.match(r"  n\d+ \[label=", l)]
+    assert labels[0] == "p=3: 2 1 2 [2] 1 2 1 2"
+    assert all(label.startswith("p=3: ") for label in labels)
+    branches = [label for label in labels if "unlink(" not in label]
+    assert all(label.count("[") == 1 for label in branches)
+    assert {label.split("\\n")[1] for label in labels if "unlink(" in label} == {"unlink(1)", "unlink(2)", "unlink(3)"}
+    assert sum("->" in l for l in lines) == 2 * len(branches)
+
+
+def test_a_word_of_another_link_is_an_input_error(tmp_path, capsys):
+    """A one-signed word whose polynomial is not the diagram's is refused
+    by name: bounds exits 1, tabulate writes the row's error."""
+    d = braid_closure(parse_braid("p=4: 2 3 -2 3 -1 3 1 -2 3 2 -1 2 -2 1"))
+    f = tmp_path / "in.pd"
+    f.write_text(pd_text(d) + "\n")
+    b = tmp_path / "words.txt"
+    b.write_text("p=4: 1 2 3 1 2 3 1\n")
+    assert main(["bounds", str(f), "--braids", str(b)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: braid word p=4: 1 2 3 1 2 3 1 does not present the link")
+    data = tmp_path / "d.tsv"
+    data.write_text(f"wrong\t{pd_text(d)}\t\tp=4: 1 2 3 1 2 3 1\t\n")
+    assert main(["tabulate", str(data)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("wrong\t-\t-\terror: braid word p=4: 1 2 3 1 2 3 1")

@@ -222,18 +222,28 @@ def collector_paused():
             gc.enable()
 
 
-@pytest.mark.parametrize("text", ["p=3: 1 2 1 -2 2 -2 1 -2", GAP_WORD, "p=2: 1 1 1"])
-def test_a_solve_and_its_replay_leave_no_cyclic_garbage(collector_paused, text):
-    """compute_td and verify_tree free what they build by reference
-    counting alone: with the collector paused, a collection right after
-    either finds nothing unreachable.  A replay that recursed through a
-    closure of its own would leave its context, tables included, in a
-    cycle."""
-    d = braid_closure(parse_braid(text))
+@pytest.mark.parametrize(
+    "text, given",
+    [pytest.param(text, False, id=text) for text in ("p=3: 1 2 1 -2 2 -2 1 -2", GAP_WORD, "p=2: 1 1 1")]
+    + [
+        pytest.param(text, True, id=f"{text} given")
+        for text in ("p=3: 1 2 1 2 1 2 1 2", "p=4: -1 -2 -3 -1 -2 -3 -1 -2 -3")
+    ],
+)
+def test_a_solve_and_its_replay_leave_no_cyclic_garbage(collector_paused, text, given):
+    """compute_td, verify_tree and tree_depth free what they build by
+    reference counting alone: with the collector paused, a collection
+    right after each finds nothing unreachable, with a braid word given
+    or not.  A replay or a walk that recursed through a closure of its
+    own would leave its context, tables included, in a cycle."""
+    w = parse_braid(text)
+    d = braid_closure(w)
     gc.collect()
-    result = compute_td(d, ctx=SolveContext())
+    result = compute_td(d, braid_words=[w] if given else None, ctx=SolveContext())
     assert gc.collect() == 0
     assert verify_tree(result.witness) == result.diagram_upper
+    assert gc.collect() == 0
+    assert tree_depth(result.witness) == result.diagram_upper
     assert gc.collect() == 0
 
 
